@@ -17,32 +17,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .completion import (
-    cross_instance_correspondence,
-    fit_latent,
-    pixels_to_sparse_deltas,
-    reconstruct_mesh,
-)
+from .completion import cross_instance_correspondence, reconstruct_mesh
 from .cpd import CpdConfig, cpd_nonrigid
-from .dataset import CategorySpec, build_category, densify_mesh, generate_dataset, target_delta
+from .dataset import CategorySpec, build_category, generate_dataset, mesh_cloud
 from .errors import MorphFitError, ValidationError
 from .evaluation import (
-    evaluate_instance,
+    DEFAULT_CONDITIONS,
+    POSE_NOISE_CONDITIONS,
+    complete_view,
     pose_noise_experiment,
+    prepare_instance,
     registration_error,
     report_to_csv,
     report_to_json,
 )
-from .geometry import (
-    CameraView,
-    quaternion_to_rotation,
-    sample_mesh_surface,
-    viewpoint_sphere,
-    voxel_downsample,
-)
-from .imaging import rasterize_target, splat_position_image, zoom
+from .geometry import CameraView, quaternion_to_rotation, viewpoint_sphere
 from .io import read_ply, write_ply
-from .oracle import OracleSample, OracleSpec, infer
+from .oracle import OracleSpec
 from .shape_space import load_space, save_space, space_from_fields
 
 DEFAULT_RESOLUTION = (256, 192)
@@ -67,17 +58,30 @@ def _parse_floats(text: str):
 
 def _latent_arg(text: str):
     if text.startswith("@"):
-        payload = json.loads(Path(text[1:]).read_text())
-        return np.asarray(payload["latent"], dtype=np.float64)
+        try:
+            latent = np.asarray(json.loads(Path(text[1:]).read_text())["latent"], dtype=np.float64)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"cannot read a latent code from {text[1:]!r}: {type(exc).__name__}: {exc}"
+            )
+        if latent.ndim != 1:
+            raise argparse.ArgumentTypeError(f"'latent' in {text[1:]!r} is not a list of numbers")
+        return latent
     return np.asarray(_parse_floats(text), dtype=np.float64)
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("MORPHFIT_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _add_pipeline_flags(p) -> None:
+    """Flags of the single-view pipeline: register, evaluate, pose-noise-eval."""
+    p.add_argument("--space", required=True)
+    p.add_argument("--canonical", required=True, help="canonical mesh (PLY)")
+    p.add_argument("--oracle", default="gt", help="gt | noisy | external")
+    p.add_argument("--noise-sigma", type=float, default=0.0)
+    p.add_argument("--oracle-cmd", default="", help="command for the external oracle")
+    p.add_argument("--res", type=_parse_resolution, default=DEFAULT_RESOLUTION)
+    p.add_argument("--ridge", type=float, default=0.0)
+    p.add_argument("--lambda", dest="regularization", type=float, default=2.0)
+    p.add_argument("--splat-radius", type=int, default=1)
+    p.add_argument("--cloud-leaf", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="run seed for all stochastic steps")
     parser.add_argument(
-        "--jobs", type=int, default=_default_jobs(),
-        help="parallelism bound (1 = bitwise-reproducible; execution is currently sequential)",
+        "--jobs", type=int, default=1,
+        help="parallelism bound, >= 1 (execution is currently sequential)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -120,35 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("register", help="single-view completion of an observed mesh")
-    p.add_argument("--space", required=True)
-    p.add_argument("--canonical", required=True, help="canonical mesh (PLY)")
+    _add_pipeline_flags(p)
     p.add_argument("--observed", required=True, help="observed instance mesh (PLY)")
-    p.add_argument("--pose", required=True, help="camera pose JSON (quaternion wxyz + translation)")
-    p.add_argument("--oracle", default="gt", help="gt | noisy | external")
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--oracle-cmd", default="", help="command for the external oracle")
-    p.add_argument("--res", type=_parse_resolution, default=DEFAULT_RESOLUTION)
-    p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--lambda", dest="regularization", type=float, default=2.0)
-    p.add_argument("--splat-radius", type=int, default=1)
-    p.add_argument("--cloud-leaf", type=float, default=None)
+    p.add_argument("--pose", required=True,
+                   help="camera pose JSON: world-to-camera quaternion (wxyz) and translation")
     p.add_argument("--out", required=True, help="reconstructed mesh (PLY)")
 
     for name, extra in (("evaluate", False), ("pose-noise-eval", True)):
         p = sub.add_parser(name, help="viewpoint sweep" + (" under pose noise" if extra else ""))
-        p.add_argument("--space", required=True)
-        p.add_argument("--canonical", required=True)
+        _add_pipeline_flags(p)
         p.add_argument("--instance", required=True, help="held-out instance mesh (PLY)")
         p.add_argument("--views", type=int, default=74)
         p.add_argument("--view-radius", type=float, default=None)
-        p.add_argument("--oracle", default="gt")
-        p.add_argument("--noise-sigma", type=float, default=0.0)
-        p.add_argument("--oracle-cmd", default="")
-        p.add_argument("--res", type=_parse_resolution, default=DEFAULT_RESOLUTION)
-        p.add_argument("--ridge", type=float, default=0.0)
-        p.add_argument("--lambda", dest="regularization", type=float, default=2.0)
-        p.add_argument("--splat-radius", type=int, default=1)
-        p.add_argument("--cloud-leaf", type=float, default=None)
         p.add_argument("--display-scale", type=float, default=1.0,
                        help="multiply reported errors (1e6 echoes micro-scaled tables)")
         p.add_argument("--out", required=True, help="CSV report path")
@@ -225,25 +212,20 @@ def validate_config(args) -> list[str]:
             problems.append(f"--split must be in (0, 1], got {args.split}")
         if args.splat_radius < 0:
             problems.append(f"--splat-radius must be >= 0, got {args.splat_radius}")
-    elif args.command == "register":
-        check_file("space", "--space")
-        check_file("canonical", "--canonical")
-        check_file("observed", "--observed")
-        check_file("pose", "--pose")
+    elif args.command in ("register", "evaluate", "pose-noise-eval"):
+        for attr in ("space", "canonical", "observed", "pose", "instance"):
+            check_file(attr, "--" + attr)
         check_positive("regularization", "--lambda")
-        problems.extend(_oracle_problems(args))
+        if args.oracle not in ("gt", "noisy", "external"):
+            problems.append(f"--oracle must be gt, noisy, or external, got {args.oracle!r}")
+        if args.oracle == "external" and not args.oracle_cmd.strip():
+            problems.append("--oracle external requires --oracle-cmd")
+        if args.noise_sigma < 0:
+            problems.append(f"--noise-sigma must be >= 0, got {args.noise_sigma}")
         if args.ridge < 0:
             problems.append(f"--ridge must be >= 0, got {args.ridge}")
-    elif args.command in ("evaluate", "pose-noise-eval"):
-        check_file("space", "--space")
-        check_file("canonical", "--canonical")
-        check_file("instance", "--instance")
-        check_positive("regularization", "--lambda")
-        problems.extend(_oracle_problems(args))
-        if args.views < 1:
+        if args.command != "register" and args.views < 1:
             problems.append(f"--views must be >= 1, got {args.views}")
-        if args.ridge < 0:
-            problems.append(f"--ridge must be >= 0, got {args.ridge}")
         if args.command == "pose-noise-eval":
             if args.noise_range < 0:
                 problems.append(f"--noise-range must be >= 0, got {args.noise_range}")
@@ -265,17 +247,6 @@ def _list_meshes(directory):
     return sorted(path.glob("*.ply"))
 
 
-def _oracle_problems(args) -> list[str]:
-    problems = []
-    if args.oracle not in ("gt", "noisy", "external"):
-        problems.append(f"--oracle must be gt, noisy, or external, got {args.oracle!r}")
-    if args.oracle == "external" and not args.oracle_cmd.strip():
-        problems.append("--oracle external requires --oracle-cmd")
-    if args.noise_sigma < 0:
-        problems.append(f"--noise-sigma must be >= 0, got {args.noise_sigma}")
-    return problems
-
-
 def _oracle_spec(args) -> OracleSpec:
     kind = {"gt": "ground_truth", "noisy": "noisy", "external": "external"}[args.oracle]
     return OracleSpec(kind, noise_sigma=args.noise_sigma, command=args.oracle_cmd)
@@ -293,12 +264,15 @@ def _final_write(path, writer) -> None:
 
 
 def _load_camera(pose_path, resolution):
-    payload = json.loads(Path(pose_path).read_text())
+    """Camera of a pose file: world-to-camera ``x_cam = R x_world + t``."""
     try:
+        payload = json.loads(Path(pose_path).read_text())
         rotation = quaternion_to_rotation(payload["quaternion"])
         translation = np.asarray(payload["translation"], dtype=np.float64)
     except KeyError as exc:
         raise ValidationError(f"pose file {pose_path} missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"pose file {pose_path} is not a valid pose: {exc}") from exc
     resolution = tuple(payload.get("resolution", resolution))
     width = resolution[0]
     focal = tuple(payload.get("focal", (FOCAL_PER_WIDTH * width, FOCAL_PER_WIDTH * width)))
@@ -314,14 +288,6 @@ def _views_for(args, canonical_mesh):
     width = args.res[0]
     focal = (FOCAL_PER_WIDTH * width, FOCAL_PER_WIDTH * width)
     return viewpoint_sphere(args.views, radius, focal=focal, resolution=args.res)
-
-
-def _mesh_cloud(mesh, leaf, seed, salt):
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3, salt]))
-    pts, _, _ = sample_mesh_surface(mesh, 8192, rng)
-    if leaf is None:
-        leaf = float(np.linalg.norm(np.ptp(mesh.vertices, axis=0))) / 16.0
-    return voxel_downsample(pts, leaf)
 
 
 def _cmd_build_space(args) -> int:
@@ -355,7 +321,7 @@ def _cmd_gen_dataset(args) -> int:
     meshes = [read_ply(p) for p in _list_meshes(args.models)]
     config = CpdConfig(beta=space.beta, regularization=args.regularization)
     clouds = tuple(
-        _mesh_cloud(mesh, args.cloud_leaf, args.seed, index + 1)
+        mesh_cloud(mesh, args.cloud_leaf, args.seed, index + 1, args.dense_count)
         for index, mesh in enumerate(meshes)
     )
     fields = tuple(
@@ -380,35 +346,16 @@ def _cmd_register(args) -> int:
     view = _load_camera(args.pose, args.res)
     oracle_spec = _oracle_spec(args)
     config = CpdConfig(beta=space.beta, regularization=args.regularization)
-
-    distance = float(np.linalg.norm(view.position))
-    canonical_dense, _, _ = densify_mesh(
-        canonical_mesh, distance, view.focal,
-        rng=np.random.default_rng(np.random.SeedSequence([args.seed, 8, 0])),
+    observed_cloud = mesh_cloud(observed_mesh, args.cloud_leaf, args.seed, 9)
+    canonical_dense, observed_dense, delta_true = prepare_instance(
+        space, observed_mesh, observed_cloud, [view], oracle_spec, canonical_mesh, config,
+        seed=args.seed,
     )
-    observed_dense, _, _ = densify_mesh(
-        observed_mesh, distance, view.focal,
-        rng=np.random.default_rng(np.random.SeedSequence([args.seed, 8, 1])),
+    result, _ = complete_view(
+        space, canonical_dense, observed_dense, view, delta_true, oracle_spec,
+        zoom_resolution=args.res, splat_radius=args.splat_radius,
+        oracle_seed=args.seed, ridge=args.ridge,
     )
-    observed_cloud = _mesh_cloud(observed_mesh, args.cloud_leaf, args.seed, 9)
-    if oracle_spec.kind == "external":
-        # The child process predicts on its own; the target slot only
-        # carries the mask and scale.
-        delta_true = np.zeros((len(space.canonical), 3))
-    else:
-        field = cpd_nonrigid(observed_cloud, space.canonical, config).field
-        delta_true = target_delta(field, 0.0)
-
-    observed_img = splat_position_image(observed_dense, view, args.splat_radius)
-    canonical_img = splat_position_image(canonical_dense, view, args.splat_radius)
-    zoomed = zoom(observed_img, canonical_img, args.res)
-    true_target = rasterize_target(zoomed.canonical, space.canonical, delta_true)
-    sample = OracleSample(zoomed.observed, zoomed.canonical, true_target)
-    predicted = infer(oracle_spec, sample, seed=args.seed)
-    sparse = pixels_to_sparse_deltas(
-        predicted.data, zoomed.canonical.data, predicted.mask, space.canonical
-    )
-    result = fit_latent(space, sparse, args.ridge)
     mesh_out = reconstruct_mesh(space, result, canonical_mesh)
     _final_write(args.out, lambda p: write_ply(p, mesh_out))
     latent_path = Path(str(args.out)).with_suffix(".latent.json")
@@ -429,26 +376,17 @@ def _cmd_evaluate(args, with_noise: bool) -> int:
     space = load_space(args.space)
     canonical_mesh = read_ply(args.canonical)
     instance_mesh = read_ply(args.instance)
-    instance_cloud = _mesh_cloud(instance_mesh, args.cloud_leaf, args.seed, 9)
+    instance_cloud = mesh_cloud(instance_mesh, args.cloud_leaf, args.seed, 9)
     views = _views_for(args, canonical_mesh)
-    oracle_spec = _oracle_spec(args)
-    config = CpdConfig(beta=space.beta, regularization=args.regularization)
-    label = Path(args.instance).stem
-    common = dict(
-        instance_label=label, zoom_resolution=args.res,
+    rows = pose_noise_experiment(
+        space, instance_mesh, instance_cloud, views, _oracle_spec(args), canonical_mesh,
+        args.noise_range if with_noise else 0.0,
+        draws=args.draws if with_noise else 1,
+        conditions=POSE_NOISE_CONDITIONS if with_noise else DEFAULT_CONDITIONS,
+        instance_label=Path(args.instance).stem, zoom_resolution=args.res,
         splat_radius=args.splat_radius, seed=args.seed, ridge=args.ridge,
-        cpd_config=config,
+        cpd_config=CpdConfig(beta=space.beta, regularization=args.regularization),
     )
-    if with_noise:
-        rows = pose_noise_experiment(
-            space, instance_mesh, instance_cloud, views, oracle_spec,
-            canonical_mesh, args.noise_range, draws=args.draws, **common,
-        )
-    else:
-        rows = evaluate_instance(
-            space, instance_mesh, instance_cloud, views, oracle_spec,
-            canonical_mesh, **common,
-        )
     _final_write(args.out, lambda p: report_to_csv(rows, p, args.display_scale))
     if args.json:
         _final_write(args.json, lambda p: report_to_json(rows, p, args.display_scale))

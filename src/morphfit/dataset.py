@@ -40,6 +40,7 @@ __all__ = [
     "generate_dataset",
     "read_manifest",
     "densify_mesh",
+    "mesh_cloud",
     "sample_count_formula",
 ]
 
@@ -138,9 +139,9 @@ def build_category(
 ) -> CategorySpec:
     """Derive clouds from meshes and register every instance to canonical.
 
-    Clouds come from area-weighted surface sampling followed by voxel
-    downsampling (leaf defaults to 1/16 of the canonical bounding-box
-    diagonal).  Hold test instances out by not passing them.
+    Clouds come from :func:`mesh_cloud` with one leaf for all meshes,
+    defaulting to 1/16 of the canonical bounding-box diagonal.  Hold test
+    instances out by not passing them.
     """
     instance_meshes = tuple(instance_meshes)
     if not instance_meshes:
@@ -150,18 +151,30 @@ def build_category(
         if diag <= 0:
             raise ValidationError("canonical mesh is degenerate (zero extent)")
         cloud_leaf = diag / 16.0
-
-    def to_cloud(mesh: Mesh, salt: int) -> PointCloud:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3, salt]))
-        pts, _, _ = sample_mesh_surface(mesh, dense_count, rng)
-        return voxel_downsample(pts, cloud_leaf)
-
-    canonical_cloud = to_cloud(canonical_mesh, 0)
-    clouds = tuple(to_cloud(m, i + 1) for i, m in enumerate(instance_meshes))
+    canonical_cloud = mesh_cloud(canonical_mesh, cloud_leaf, seed, 0, dense_count)
+    clouds = tuple(
+        mesh_cloud(m, cloud_leaf, seed, i + 1, dense_count) for i, m in enumerate(instance_meshes)
+    )
     fields = tuple(
         cpd_nonrigid(cloud, canonical_cloud, config).field for cloud in clouds
     )
     return CategorySpec(canonical_mesh, canonical_cloud, instance_meshes, clouds, fields)
+
+
+def mesh_cloud(mesh: Mesh, leaf: float | None, seed: int, salt: int,
+               count: int = 8192) -> PointCloud:
+    """Registration stand-in for a mesh: a surface sample, voxel-downsampled.
+
+    ``count`` area-weighted surface samples drawn from the stream
+    ``(seed, 3, salt)``, where ``salt`` tells apart the meshes of one run,
+    are merged per voxel of size ``leaf``; it defaults to 1/16 of the
+    mesh's own bounding-box diagonal.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3, salt]))
+    pts, _, _ = sample_mesh_surface(mesh, count, rng)
+    if leaf is None:
+        leaf = float(np.linalg.norm(np.ptp(mesh.vertices, axis=0))) / 16.0
+    return voxel_downsample(pts, leaf)
 
 
 def interpolate_instance(instance_mesh: Mesh, field: DeformationField, rho: float) -> Mesh:

@@ -1,10 +1,13 @@
-"""Reconstruction error metric and the viewpoint-sweep experiments.
+"""The single-view pipeline, its error metric and the viewpoint sweeps.
 
-The metric is the mean, over query points, of the squared distance to the
-nearest reference point.  It is deliberately asymmetric.  Experiments run
-the render-zoom-oracle-complete pipeline per view, next to a raw
-registration baseline and the undeformed canonical baseline, and under
-optional translational pose noise on the believed canonical pose.
+:func:`prepare_instance` runs once per observed instance and
+:func:`complete_view` once per view: render, zoom, oracle, completion.
+``register`` runs them for one view; the experiments run them per view,
+next to a raw registration baseline and the undeformed canonical
+baseline, under optional translational pose noise on the believed
+canonical pose.  The metric is the mean, over query points, of the
+squared distance to the nearest reference point.  It is deliberately
+asymmetric.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ __all__ = [
     "COND_CANONICAL",
     "EvalRow",
     "registration_error",
+    "prepare_instance",
+    "complete_view",
     "evaluate_instance",
     "pose_noise_experiment",
     "report_to_csv",
@@ -104,28 +109,70 @@ def _shifted_positions(image: PositionImage, offset: np.ndarray) -> PositionImag
     )
 
 
-def _run_pipeline_view(
+def prepare_instance(
+    space: ShapeSpace,
+    instance_mesh: Mesh,
+    instance_cloud: PointCloud,
+    views,
+    oracle_spec: OracleSpec,
+    canonical_mesh: Mesh,
+    cpd_config: CpdConfig,
+    *,
+    seed: int = 0,
+    densify_per_pixel: float = 20.0,
+    densify_max: int = 60000,
+):
+    """Dense samples of both meshes and the instance's true canonical deltas.
+
+    The samples are dense enough for gap-free splats at the views' mean
+    distance.  The deltas are the instance's full deformation, recovered
+    once by registering ``instance_cloud`` (CPD) and reused for every
+    view's ground-truth target.  The external oracle reads only that
+    target's mask and scale, so it gets zeros and no registration runs.
+    Returns ``(canonical_dense, observed_dense, delta_true)``.
+    """
+    views = list(views)
+    if not views:
+        raise ValidationError("need at least one view")
+    distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
+    canonical_dense, observed_dense = (
+        densify_mesh(
+            mesh, distance, views[0].focal, densify_per_pixel, densify_max,
+            np.random.default_rng(np.random.SeedSequence([int(seed), 8, salt])),
+        )[0]
+        for salt, mesh in enumerate((canonical_mesh, instance_mesh))
+    )
+    if oracle_spec.kind == "external":
+        return canonical_dense, observed_dense, np.zeros((len(space.canonical), 3))
+    field = cpd_nonrigid(instance_cloud, space.canonical, cpd_config).field
+    return canonical_dense, observed_dense, target_delta(field, 0.0)
+
+
+def complete_view(
     space: ShapeSpace,
     canonical_dense: np.ndarray,
     observed_dense: np.ndarray,
     view,
     delta_true: np.ndarray,
     oracle_spec: OracleSpec,
-    offset: np.ndarray,
-    zoom_resolution,
-    splat_radius: int,
-    oracle_seed: int,
-    ridge: float,
+    *,
+    offset=(0.0, 0.0, 0.0),
+    zoom_resolution=(256, 192),
+    splat_radius: int = 1,
+    oracle_seed: int = 0,
+    ridge: float = 0.0,
 ):
-    """One view through render, zoom, oracle, completion.
+    """One view through render, zoom, rasterize, oracle and completion.
 
     ``offset`` displaces the believed canonical pose: the canonical model
     is rendered shifted, the pipeline maps its own render back through the
     believed pose, and the oracle reports the apparent offsets between the
     two renders (true deltas minus the pose error), which is what a
-    consistent predictor would see.  Returns the reconstructed canonical
-    cloud and the observed render (for the raw-registration baseline).
+    consistent predictor would see.  Returns the
+    :class:`~morphfit.completion.CompletionResult` and the observed render
+    (for the raw-registration baseline).
     """
+    offset = np.asarray(offset, dtype=np.float64)
     observed_img = splat_position_image(observed_dense, view, splat_radius)
     canonical_img = splat_position_image(canonical_dense + offset, view, splat_radius)
     zoomed = zoom(observed_img, canonical_img, zoom_resolution)
@@ -142,112 +189,7 @@ def _run_pipeline_view(
     sparse = pixels_to_sparse_deltas(
         predicted.data, believed.data, predicted.mask, space.canonical
     )
-    result = fit_latent(space, sparse, ridge)
-    reconstructed = apply_deformation(space.canonical, result.field)
-    return reconstructed, observed_img
-
-
-def _sweep(
-    space,
-    instance_cloud: PointCloud,
-    canonical_dense,
-    observed_dense,
-    views,
-    delta_true,
-    oracle_spec,
-    conditions,
-    offsets,
-    seed,
-    zoom_resolution,
-    splat_radius,
-    ridge,
-    cpd_config,
-    instance_label,
-):
-    """Shared worker: offsets[d][v] is the pose offset for draw d, view v."""
-    pipeline_errors, cpd_errors = [], []
-    pipeline_failed = cpd_failed = 0
-    leaf = _median_spacing(space.canonical.points)
-    want_pipeline = COND_PIPELINE in conditions
-    want_cpd = COND_RAW_CPD in conditions
-    for draw_index, draw_offsets in enumerate(offsets):
-        for view_index, view in enumerate(views):
-            oracle_seed = int(
-                np.random.default_rng(
-                    np.random.SeedSequence([int(seed), 5, draw_index, view_index])
-                ).integers(2**62)
-            )
-            offset = draw_offsets[view_index]
-            observed_img = None
-            if want_pipeline:
-                try:
-                    reconstructed, observed_img = _run_pipeline_view(
-                        space, canonical_dense, observed_dense, view, delta_true,
-                        oracle_spec, offset, zoom_resolution, splat_radius,
-                        oracle_seed, ridge,
-                    )
-                    pipeline_errors.append(
-                        registration_error(instance_cloud, reconstructed)
-                    )
-                except MorphFitError:
-                    pipeline_failed += 1
-            if want_cpd and draw_index == 0:
-                # The observed render does not depend on the pose draw.
-                try:
-                    if observed_img is None:
-                        observed_img = splat_position_image(
-                            observed_dense, view, splat_radius
-                        )
-                    partial = voxel_downsample(observed_img.data[observed_img.mask], leaf)
-                    moved = apply_deformation(
-                        space.canonical, cpd_nonrigid(partial, space.canonical, cpd_config).field
-                    )
-                    cpd_errors.append(registration_error(instance_cloud, moved))
-                except MorphFitError:
-                    cpd_failed += 1
-
-    rows = []
-    n_cells = len(offsets) * len(views)
-    for condition in conditions:
-        if condition == COND_PIPELINE:
-            rows.append(EvalRow(instance_label, condition, tuple(pipeline_errors), pipeline_failed))
-        elif condition == COND_RAW_CPD:
-            rows.append(EvalRow(instance_label, condition, tuple(cpd_errors), cpd_failed))
-        elif condition == COND_CANONICAL:
-            base = registration_error(instance_cloud, space.canonical)
-            rows.append(EvalRow(instance_label, condition, (base,) * n_cells, 0))
-        else:
-            raise ValidationError(f"unknown condition {condition!r}")
-    for row in rows:
-        if row.condition != COND_CANONICAL and row.n_views == 0 and n_cells > 0:
-            raise EvaluationError(
-                f"every view failed for condition {row.condition!r}"
-            )
-    return rows
-
-
-def _prepare(space, instance_mesh, instance_cloud, views, canonical_mesh, seed,
-             cpd_config, densify_per_pixel, densify_max):
-    if cpd_config is None:
-        cpd_config = CpdConfig(beta=space.beta)
-    views = list(views)
-    if not views:
-        raise ValidationError("need at least one view")
-    distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
-    focal = views[0].focal
-    canonical_dense, _, _ = densify_mesh(
-        canonical_mesh, distance, focal, densify_per_pixel, densify_max,
-        np.random.default_rng(np.random.SeedSequence([int(seed), 8, 0])),
-    )
-    observed_dense, _, _ = densify_mesh(
-        instance_mesh, distance, focal, densify_per_pixel, densify_max,
-        np.random.default_rng(np.random.SeedSequence([int(seed), 8, 1])),
-    )
-    # The full deformation of this instance, recovered once by registration
-    # and reused for every view's ground-truth target.
-    field = cpd_nonrigid(instance_cloud, space.canonical, cpd_config).field
-    delta_true = target_delta(field, 0.0)
-    return views, cpd_config, canonical_dense, observed_dense, delta_true
+    return fit_latent(space, sparse, ridge), observed_img
 
 
 def evaluate_instance(
@@ -258,30 +200,19 @@ def evaluate_instance(
     oracle_spec: OracleSpec,
     canonical_mesh: Mesh,
     *,
-    instance_label: str = "instance",
     conditions=DEFAULT_CONDITIONS,
-    zoom_resolution=(256, 192),
-    splat_radius: int = 1,
-    seed: int = 0,
-    ridge: float = 0.0,
-    cpd_config: CpdConfig | None = None,
-    densify_per_pixel: float = 20.0,
-    densify_max: int = 60000,
+    **options,
 ):
     """Viewpoint sweep of the full pipeline against the baselines.
 
-    The instance must be held out of the space's construction for the
-    numbers to mean anything; that discipline is the caller's.
+    This is :func:`pose_noise_experiment` with no pose noise and one draw;
+    ``options`` are its keyword arguments.  The instance must be held out
+    of the space's construction for the numbers to mean anything; that
+    discipline is the caller's.
     """
-    views, cpd_config, canonical_dense, observed_dense, delta_true = _prepare(
-        space, instance_mesh, instance_cloud, views, canonical_mesh, seed,
-        cpd_config, densify_per_pixel, densify_max,
-    )
-    offsets = [[np.zeros(3)] * len(views)]
-    return _sweep(
-        space, instance_cloud, canonical_dense, observed_dense, views, delta_true,
-        oracle_spec, tuple(conditions), offsets, seed, zoom_resolution,
-        splat_radius, ridge, cpd_config, instance_label,
+    return pose_noise_experiment(
+        space, instance_mesh, instance_cloud, views, oracle_spec, canonical_mesh,
+        0.0, draws=1, conditions=conditions, **options,
     )
 
 
@@ -309,32 +240,86 @@ def pose_noise_experiment(
 
     Per draw and view, a per-axis uniform translation in
     [-noise_range, noise_range] displaces the believed canonical pose;
-    rows pool all draws.  noise_range = 0 reproduces evaluate_instance.
+    rows pool all draws.  noise_range = 0 with one draw is
+    :func:`evaluate_instance`.
     """
     if noise_range < 0 or not np.isfinite(noise_range):
         raise ValidationError(f"noise_range must be >= 0, got {noise_range}")
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
-    views, cpd_config, canonical_dense, observed_dense, delta_true = _prepare(
-        space, instance_mesh, instance_cloud, views, canonical_mesh, seed,
-        cpd_config, densify_per_pixel, densify_max,
+    if cpd_config is None:
+        cpd_config = CpdConfig(beta=space.beta)
+    views = list(views)
+    canonical_dense, observed_dense, delta_true = prepare_instance(
+        space, instance_mesh, instance_cloud, views, oracle_spec, canonical_mesh,
+        cpd_config, seed=seed, densify_per_pixel=densify_per_pixel,
+        densify_max=densify_max,
     )
-    offsets = []
+    conditions = tuple(conditions)
+    pipeline_errors, cpd_errors = [], []
+    pipeline_failed = cpd_failed = 0
+    leaf = _median_spacing(space.canonical.points)
+    want_pipeline = COND_PIPELINE in conditions
+    want_cpd = COND_RAW_CPD in conditions
     for draw_index in range(draws):
-        per_view = []
-        for view_index in range(len(views)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([int(seed), 4, draw_index, view_index])
+        for view_index, view in enumerate(views):
+            oracle_seed = int(
+                np.random.default_rng(
+                    np.random.SeedSequence([int(seed), 5, draw_index, view_index])
+                ).integers(2**62)
             )
-            per_view.append(
-                rng.uniform(-noise_range, noise_range, 3) if noise_range > 0 else np.zeros(3)
+            offset = np.zeros(3)
+            if noise_range > 0:
+                offset = np.random.default_rng(
+                    np.random.SeedSequence([int(seed), 4, draw_index, view_index])
+                ).uniform(-noise_range, noise_range, 3)
+            observed_img = None
+            if want_pipeline:
+                try:
+                    result, observed_img = complete_view(
+                        space, canonical_dense, observed_dense, view, delta_true,
+                        oracle_spec, offset=offset, zoom_resolution=zoom_resolution,
+                        splat_radius=splat_radius, oracle_seed=oracle_seed, ridge=ridge,
+                    )
+                    reconstructed = apply_deformation(space.canonical, result.field)
+                    pipeline_errors.append(
+                        registration_error(instance_cloud, reconstructed)
+                    )
+                except MorphFitError:
+                    pipeline_failed += 1
+            if want_cpd and draw_index == 0:
+                # The observed render does not depend on the pose draw.
+                try:
+                    if observed_img is None:
+                        observed_img = splat_position_image(
+                            observed_dense, view, splat_radius
+                        )
+                    partial = voxel_downsample(observed_img.data[observed_img.mask], leaf)
+                    moved = apply_deformation(
+                        space.canonical, cpd_nonrigid(partial, space.canonical, cpd_config).field
+                    )
+                    cpd_errors.append(registration_error(instance_cloud, moved))
+                except MorphFitError:
+                    cpd_failed += 1
+
+    rows = []
+    n_cells = draws * len(views)
+    for condition in conditions:
+        if condition == COND_PIPELINE:
+            rows.append(EvalRow(instance_label, condition, tuple(pipeline_errors), pipeline_failed))
+        elif condition == COND_RAW_CPD:
+            rows.append(EvalRow(instance_label, condition, tuple(cpd_errors), cpd_failed))
+        elif condition == COND_CANONICAL:
+            base = registration_error(instance_cloud, space.canonical)
+            rows.append(EvalRow(instance_label, condition, (base,) * n_cells, 0))
+        else:
+            raise ValidationError(f"unknown condition {condition!r}")
+    for row in rows:
+        if row.condition != COND_CANONICAL and row.n_views == 0:
+            raise EvaluationError(
+                f"every view failed for condition {row.condition!r}"
             )
-        offsets.append(per_view)
-    return _sweep(
-        space, instance_cloud, canonical_dense, observed_dense, views, delta_true,
-        oracle_spec, tuple(conditions), offsets, seed, zoom_resolution,
-        splat_radius, ridge, cpd_config, instance_label,
-    )
+    return rows
 
 
 def report_to_csv(rows, path, display_scale: float = 1.0) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Mesh, PointCloud
+from .geometry import Mesh
 
 __all__ = [
     "read_ply",
@@ -35,8 +35,18 @@ def read_ply(path) -> Mesh:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    try:
+        return _parse_ply(path, text)
+    except ValidationError:
+        raise
+    except (ValueError, IndexError) as exc:
+        # A count or a row field that is missing or not a number.
+        raise ValidationError(f"{path}: malformed PLY data: {exc}") from exc
+
+
+def _parse_ply(path: Path, text: str) -> Mesh:
     lines = iter(text.splitlines())
 
     def next_line():
@@ -209,8 +219,3 @@ def read_mask(path) -> np.ndarray:
     if len(payload) != width * height:
         raise ValidationError(f"{path}: payload truncated")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width) > 0
-
-
-def cloud_from_mesh(mesh: Mesh) -> PointCloud:
-    """Vertices of a mesh as a point cloud (topology dropped)."""
-    return PointCloud(mesh.vertices)

@@ -11,6 +11,8 @@ import pytest
 
 import morphfit
 from morphfit import (
+    CategorySpec,
+    generate_dataset,
     load_space,
     look_at,
     read_manifest,
@@ -18,7 +20,18 @@ from morphfit import (
     rotation_to_quaternion,
     write_ply,
 )
-from morphfit.cli import build_parser, main, validate_config
+from morphfit.cli import _load_camera, build_parser, main, validate_config
+
+PACKAGE_ROOT = str(Path(morphfit.__file__).resolve().parents[1])
+
+
+def package_env(**extra):
+    """Environment of a child process that imports this checkout's package."""
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+        **extra,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +201,22 @@ class TestGenDataset:
         assert all(r.status == "ok" for r in records)
         assert "12/12" in capsys.readouterr().out
 
+    def test_dense_count_reaches_the_registration_clouds(self, mesh_dir, space_path, tmp_path):
+        # The training clouds are sampled with --dense-count points, so the
+        # registered fields, and with them the targets, follow it.
+        targets = []
+        for count in ("8192", "512"):
+            out = tmp_path / f"corpus-{count}"
+            assert main([
+                "gen-dataset", "--space", str(space_path),
+                "--canonical", str(mesh_dir / "canonical.ply"),
+                "--models", str(mesh_dir / "instances"),
+                "--views", "1", "--rhos", "0", "--res", "96x72",
+                "--dense-count", count, "--out", str(out),
+            ]) == 0
+            targets.append((out / "0" / "0" / "0" / "target.f32").read_bytes())
+        assert targets[0] != targets[1]
+
 
 def write_pose(path, view):
     payload = {
@@ -205,6 +234,31 @@ def pose_path(mesh_dir):
     path = mesh_dir / "pose.json"
     write_pose(path, view)
     return path
+
+
+class TestPoseFile:
+    def test_manifest_pose_round_trips(self, category, tmp_path):
+        # A record's pose is the world-to-camera rotation and translation of
+        # the view it was rendered from, in the form --pose reads.
+        spec = category.category_spec()
+        single = CategorySpec(
+            spec.canonical_mesh, spec.canonical_cloud,
+            spec.instance_meshes[:1], spec.instance_clouds[:1], spec.fields[:1],
+        )
+        view = look_at([0.07, -0.04, 0.6], focal=(103.125, 99.5),
+                       principal_point=(50.0, 33.0), resolution=(96, 72))
+        (record,) = generate_dataset(
+            single, [view], [0.0], tmp_path / "data", seed=9,
+            densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72),
+        )
+        pose_path = tmp_path / "pose.json"
+        pose_path.write_text(json.dumps(record.pose))
+        loaded = _load_camera(pose_path, (256, 192))
+        np.testing.assert_allclose(loaded.rotation, view.rotation, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(loaded.translation, view.translation)
+        assert loaded.focal == view.focal
+        assert loaded.principal_point == view.principal_point
+        assert loaded.resolution == view.resolution
 
 
 class TestRegister:
@@ -334,6 +388,64 @@ class TestCrossRegister:
         assert code == 2
 
 
+def _malformed_pose(tmp_path):
+    (tmp_path / "pose.json").write_text('{"quaternion": [1, 0, 0, 0], "translation": [0, 0')
+    return {"--pose": tmp_path / "pose.json"}
+
+
+def _malformed_ply(tmp_path):
+    (tmp_path / "scan.ply").write_text(
+        "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+        "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
+        "end_header\n0 0 0\n1 0 zero\n0 1 0\n3 0 1 2\n"
+    )
+    return {"--observed": tmp_path / "scan.ply"}
+
+
+def _latent_file(content):
+    def make(tmp_path):
+        path = tmp_path / "latent.json"
+        if content is not None:
+            path.write_text(content)
+        return {"--latent-a": "@" + str(path)}
+    return make
+
+
+@pytest.mark.parametrize("command, make_inputs, code", [
+    ("register", _malformed_pose, 1),
+    ("register", _malformed_ply, 1),
+    ("cross-register", _latent_file(None), 2),
+    ("cross-register", _latent_file("{not json"), 2),
+    ("cross-register", _latent_file('{"residual": 0.5}'), 2),
+    ("cross-register", _latent_file('{"latent": 0.5}'), 2),
+], ids=["pose-json", "ply-vertex-row", "latent-missing", "latent-json", "latent-key",
+        "latent-scalar"])
+def test_bad_input_ends_in_one_error_line(command, make_inputs, code, mesh_dir, space_path,
+                                         pose_path, tmp_path):
+    flags = {"--space": space_path}
+    if command == "register":
+        flags.update({"--canonical": mesh_dir / "canonical.ply",
+                      "--observed": mesh_dir / "observed.ply", "--pose": pose_path,
+                      "--res": "96x72", "--out": tmp_path / "recon.ply"})
+    else:
+        flags.update({"--latent-a": "0,0", "--latent-b": "0,0", "--out": tmp_path / "pair"})
+    flags.update(make_inputs(tmp_path))
+    argv = [command] + [str(item) for pair in flags.items() for item in pair]
+    proc = subprocess.run([sys.executable, "-m", "morphfit", *argv], capture_output=True,
+                          text=True, timeout=120, env=package_env())
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    # Runtime errors print one line; argparse prints its usage line first.
+    assert "error:" in proc.stderr.strip().splitlines()[-1], proc.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "morphfit", "--help"], capture_output=True,
+                          text=True, timeout=60, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: morphfit")
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         # Write the launcher an installer generates for the declared console
@@ -354,14 +466,7 @@ class TestConsoleScript:
             f"sys.exit({attr}())\n"
         )
         script.chmod(0o755)
-        package_root = str(Path(morphfit.__file__).resolve().parents[1])
-        env = {
-            **os.environ,
-            "PATH": os.pathsep.join([str(tmp_path), os.environ.get("PATH", "")]),
-            "PYTHONPATH": os.pathsep.join(
-                filter(None, [package_root, os.environ.get("PYTHONPATH")])
-            ),
-        }
+        env = package_env(PATH=os.pathsep.join([str(tmp_path), os.environ.get("PATH", "")]))
         proc = subprocess.run(
             ["morphfit", "--help"], capture_output=True, text=True, timeout=60,
             env=env,
