@@ -21,11 +21,9 @@ from .errors import (
 from .geometry import (
     CameraView,
     DeformationField,
-    KernelParams,
     Mesh,
     PointCloud,
     apply_deformation,
-    expand_kernel,
     flatten_offsets,
     gaussian_kernel,
     look_at,
@@ -36,10 +34,10 @@ from .geometry import (
     viewpoint_sphere,
     voxel_downsample,
 )
-from .cpd import CpdConfig, CpdResult, cpd_nonrigid, e_step
+from .cpd import CpdConfig, CpdResult, cpd_nonrigid
 from .shape_space import (
+    Registration,
     ShapeSpace,
-    build_shape_space,
     latent_to_field,
     load_space,
     project_field,

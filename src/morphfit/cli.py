@@ -18,8 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .completion import cross_instance_correspondence, reconstruct_mesh
-from .cpd import CpdConfig, cpd_nonrigid
-from .dataset import CategorySpec, build_category, generate_dataset, mesh_cloud
+from .cpd import CpdConfig
+from .dataset import (
+    CategorySpec, build_category, default_cloud_leaf, generate_dataset, mesh_cloud,
+    register_instances,
+)
 from .errors import MorphFitError, ValidationError
 from .evaluation import (
     DEFAULT_CONDITIONS,
@@ -34,7 +37,7 @@ from .evaluation import (
 from .geometry import CameraView, quaternion_to_rotation, viewpoint_sphere
 from .io import read_ply, write_ply
 from .oracle import OracleSpec
-from .shape_space import load_space, save_space, space_from_fields
+from .shape_space import Registration, load_space, save_space, space_from_fields
 
 DEFAULT_RESOLUTION = (256, 192)
 # Horizontal field of view of roughly 50 degrees at the default width.
@@ -79,9 +82,7 @@ def _add_pipeline_flags(p) -> None:
     p.add_argument("--oracle-cmd", default="", help="command for the external oracle")
     p.add_argument("--res", type=_parse_resolution, default=DEFAULT_RESOLUTION)
     p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--lambda", dest="regularization", type=float, default=2.0)
     p.add_argument("--splat-radius", type=int, default=1)
-    p.add_argument("--cloud-leaf", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=1000.0, help="target export scale factor")
     p.add_argument("--split", type=float, default=0.9, help="train fraction for the split tag")
     p.add_argument("--splat-radius", type=int, default=1)
-    p.add_argument("--lambda", dest="regularization", type=float, default=2.0)
-    p.add_argument("--cloud-leaf", type=float, default=None)
-    p.add_argument("--dense-count", type=int, default=8192)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("register", help="single-view completion of an observed mesh")
@@ -180,6 +178,11 @@ def validate_config(args) -> list[str]:
             problems.append(f"--outlier-weight must be in [0, 1), got {args.outlier_weight}")
         if args.latent < 1:
             problems.append(f"--latent must be >= 1, got {args.latent}")
+        leaf = args.cloud_leaf
+        if leaf is not None and not (np.isfinite(leaf) and leaf > 0):
+            problems.append(f"--cloud-leaf must be > 0, got {leaf}")
+        if args.dense_count < 1:
+            problems.append(f"--dense-count must be >= 1, got {args.dense_count}")
         instances = _list_meshes(args.instances)
         if instances is None:
             problems.append(f"--instances {args.instances!r} is not a directory")
@@ -196,7 +199,6 @@ def validate_config(args) -> list[str]:
         check_file("space", "--space")
         check_file("canonical", "--canonical")
         check_positive("scale", "--scale")
-        check_positive("regularization", "--lambda")
         if _list_meshes(args.models) is None:
             problems.append(f"--models {args.models!r} is not a directory")
         elif not _list_meshes(args.models):
@@ -215,7 +217,6 @@ def validate_config(args) -> list[str]:
     elif args.command in ("register", "evaluate", "pose-noise-eval"):
         for attr in ("space", "canonical", "observed", "pose", "instance"):
             check_file(attr, "--" + attr)
-        check_positive("regularization", "--lambda")
         if args.oracle not in ("gt", "noisy", "external"):
             problems.append(f"--oracle must be gt, noisy, or external, got {args.oracle!r}")
         if args.oracle == "external" and not args.oracle_cmd.strip():
@@ -290,23 +291,23 @@ def _views_for(args, canonical_mesh):
     return viewpoint_sphere(args.views, radius, focal=focal, resolution=args.res)
 
 
+def _observed_cloud(space, mesh, seed):
+    """The observed instance's cloud by the space's recipe; errors are measured on it."""
+    return mesh_cloud(mesh, space.registration.cloud_leaf, seed, 9, space.registration.dense_count)
+
+
 def _cmd_build_space(args) -> int:
     canonical_mesh = read_ply(args.canonical)
     instance_paths = _list_meshes(args.instances)
-    config = CpdConfig(
-        beta=args.beta,
-        regularization=args.regularization,
-        outlier_weight=args.outlier_weight,
-    )
+    leaf = default_cloud_leaf(canonical_mesh) if args.cloud_leaf is None else args.cloud_leaf
+    cpd = CpdConfig(args.beta, args.regularization, args.outlier_weight)
+    registration = Registration(cpd, leaf, args.dense_count)
     category = build_category(
-        canonical_mesh,
-        [read_ply(p) for p in instance_paths],
-        config,
-        cloud_leaf=args.cloud_leaf,
-        dense_count=args.dense_count,
-        seed=args.seed,
+        canonical_mesh, [read_ply(p) for p in instance_paths], registration, seed=args.seed
     )
-    space = space_from_fields(category.canonical_cloud, category.fields, args.beta, args.latent)
+    space = space_from_fields(
+        category.canonical_cloud, category.fields, args.beta, args.latent, registration
+    )
     _final_write(args.out, lambda p: save_space(space, p))
     print(
         f"built shape space: {len(category.fields)} instances, "
@@ -319,15 +320,8 @@ def _cmd_gen_dataset(args) -> int:
     space = load_space(args.space)
     canonical_mesh = read_ply(args.canonical)
     meshes = [read_ply(p) for p in _list_meshes(args.models)]
-    config = CpdConfig(beta=space.beta, regularization=args.regularization)
-    clouds = tuple(
-        mesh_cloud(mesh, args.cloud_leaf, args.seed, index + 1, args.dense_count)
-        for index, mesh in enumerate(meshes)
-    )
-    fields = tuple(
-        cpd_nonrigid(cloud, space.canonical, config).field for cloud in clouds
-    )
-    category = CategorySpec(canonical_mesh, space.canonical, tuple(meshes), clouds, fields)
+    clouds, fields = register_instances(space.canonical, meshes, space.registration, seed=args.seed)
+    category = CategorySpec(canonical_mesh, space.canonical, meshes, clouds, fields)
     views = _views_for(args, canonical_mesh)
     records = generate_dataset(
         category, views, args.rhos, args.out,
@@ -345,10 +339,9 @@ def _cmd_register(args) -> int:
     observed_mesh = read_ply(args.observed)
     view = _load_camera(args.pose, args.res)
     oracle_spec = _oracle_spec(args)
-    config = CpdConfig(beta=space.beta, regularization=args.regularization)
-    observed_cloud = mesh_cloud(observed_mesh, args.cloud_leaf, args.seed, 9)
+    observed_cloud = _observed_cloud(space, observed_mesh, args.seed)
     canonical_dense, observed_dense, delta_true = prepare_instance(
-        space, observed_mesh, observed_cloud, [view], oracle_spec, canonical_mesh, config,
+        space, observed_mesh, observed_cloud, [view], oracle_spec, canonical_mesh,
         seed=args.seed,
     )
     result, _ = complete_view(
@@ -376,7 +369,7 @@ def _cmd_evaluate(args, with_noise: bool) -> int:
     space = load_space(args.space)
     canonical_mesh = read_ply(args.canonical)
     instance_mesh = read_ply(args.instance)
-    instance_cloud = mesh_cloud(instance_mesh, args.cloud_leaf, args.seed, 9)
+    instance_cloud = _observed_cloud(space, instance_mesh, args.seed)
     views = _views_for(args, canonical_mesh)
     rows = pose_noise_experiment(
         space, instance_mesh, instance_cloud, views, _oracle_spec(args), canonical_mesh,
@@ -385,7 +378,6 @@ def _cmd_evaluate(args, with_noise: bool) -> int:
         conditions=POSE_NOISE_CONDITIONS if with_noise else DEFAULT_CONDITIONS,
         instance_label=Path(args.instance).stem, zoom_resolution=args.res,
         splat_radius=args.splat_radius, seed=args.seed, ridge=args.ridge,
-        cpd_config=CpdConfig(beta=space.beta, regularization=args.regularization),
     )
     _final_write(args.out, lambda p: report_to_csv(rows, p, args.display_scale))
     if args.json:
@@ -404,22 +396,9 @@ def _cmd_cross_register(args) -> int:
     cloud_a, cloud_b = cross_instance_correspondence(space, args.latent_a, args.latent_b)
     prefix = str(args.out)
     for suffix, cloud in (("_a.ply", cloud_a), ("_b.ply", cloud_b)):
-        _final_write(prefix + suffix, lambda p, c=cloud: _write_cloud_ply(p, c.points))
+        _final_write(prefix + suffix, lambda p, c=cloud: write_ply(p, c))
     print(f"wrote {prefix}_a.ply and {prefix}_b.ply ({len(cloud_a)} corresponding points)")
     return 0
-
-
-def _write_cloud_ply(path, points) -> None:
-    lines = [
-        "ply", "format ascii 1.0",
-        f"element vertex {len(points)}",
-        "property float x", "property float y", "property float z",
-        "element face 0",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    lines += [f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}" for p in points]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def main(argv=None) -> int:

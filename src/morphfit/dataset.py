@@ -11,12 +11,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cpd import CpdConfig, cpd_nonrigid
+from .cpd import cpd_nonrigid
 from .errors import DatasetError, MorphFitError, ValidationError
 from .geometry import (
     CameraView,
@@ -30,11 +31,14 @@ from .geometry import (
 )
 from .imaging import rasterize_target, splat_position_image, zoom
 from .io import write_mask, write_tensor
+from .shape_space import Registration
 
 __all__ = [
     "CategorySpec",
     "SampleRecord",
     "build_category",
+    "register_instances",
+    "default_cloud_leaf",
     "interpolate_instance",
     "target_delta",
     "generate_dataset",
@@ -131,49 +135,65 @@ class SampleRecord:
 def build_category(
     canonical_mesh: Mesh,
     instance_meshes,
-    config: CpdConfig = CpdConfig(),
+    registration: Registration,
     *,
-    cloud_leaf: float | None = None,
-    dense_count: int = 8192,
     seed: int = 0,
 ) -> CategorySpec:
-    """Derive clouds from meshes and register every instance to canonical.
+    """Derive the canonical cloud by the recipe and register every instance onto it.
 
-    Clouds come from :func:`mesh_cloud` with one leaf for all meshes,
-    defaulting to 1/16 of the canonical bounding-box diagonal.  Hold test
-    instances out by not passing them.
+    Hold test instances out by not passing them.
     """
     instance_meshes = tuple(instance_meshes)
     if not instance_meshes:
         raise ValidationError("need at least one instance mesh")
-    if cloud_leaf is None:
-        diag = float(np.linalg.norm(np.ptp(canonical_mesh.vertices, axis=0)))
-        if diag <= 0:
-            raise ValidationError("canonical mesh is degenerate (zero extent)")
-        cloud_leaf = diag / 16.0
-    canonical_cloud = mesh_cloud(canonical_mesh, cloud_leaf, seed, 0, dense_count)
-    clouds = tuple(
-        mesh_cloud(m, cloud_leaf, seed, i + 1, dense_count) for i, m in enumerate(instance_meshes)
+    canonical_cloud = mesh_cloud(
+        canonical_mesh, registration.cloud_leaf, seed, 0, registration.dense_count
     )
-    fields = tuple(
-        cpd_nonrigid(cloud, canonical_cloud, config).field for cloud in clouds
-    )
+    clouds, fields = register_instances(canonical_cloud, instance_meshes, registration, seed=seed)
     return CategorySpec(canonical_mesh, canonical_cloud, instance_meshes, clouds, fields)
 
 
-def mesh_cloud(mesh: Mesh, leaf: float | None, seed: int, salt: int,
-               count: int = 8192) -> PointCloud:
+def register_instances(canonical_cloud: PointCloud, instances, registration: Registration,
+                       *, seed: int = 0):
+    """Register instances onto the canonical cloud by the category's recipe.
+
+    A Mesh first becomes :func:`mesh_cloud` with the recipe's leaf and
+    count, drawn from the stream salted with its index plus one; a
+    PointCloud is registered as it is.  Every instance whose CPD stops at
+    the iteration cap is reported by a ``warning:`` line on stderr.
+    Returns ``(clouds, fields)``, the fields anchored at the canonical cloud.
+    """
+    clouds, fields = [], []
+    for index, instance in enumerate(instances):
+        if isinstance(instance, Mesh):
+            instance = mesh_cloud(instance, registration.cloud_leaf, seed, index + 1,
+                                  registration.dense_count)
+        result = cpd_nonrigid(instance, canonical_cloud, registration.cpd)
+        if not result.converged:
+            print(f"warning: registration of instance {index} hit the "
+                  f"{result.iterations}-iteration cap without converging", file=sys.stderr)
+        clouds.append(instance)
+        fields.append(result.field)
+    return tuple(clouds), tuple(fields)
+
+
+def default_cloud_leaf(canonical_mesh: Mesh) -> float:
+    """The recipe's default voxel leaf: 1/16 of the canonical bounding-box diagonal."""
+    diag = float(np.linalg.norm(np.ptp(canonical_mesh.vertices, axis=0)))
+    if diag <= 0:
+        raise ValidationError("canonical mesh is degenerate (zero extent)")
+    return diag / 16.0
+
+
+def mesh_cloud(mesh: Mesh, leaf: float, seed: int, salt: int, count: int) -> PointCloud:
     """Registration stand-in for a mesh: a surface sample, voxel-downsampled.
 
     ``count`` area-weighted surface samples drawn from the stream
     ``(seed, 3, salt)``, where ``salt`` tells apart the meshes of one run,
-    are merged per voxel of size ``leaf``; it defaults to 1/16 of the
-    mesh's own bounding-box diagonal.
+    are merged per voxel of size ``leaf``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3, salt]))
     pts, _, _ = sample_mesh_surface(mesh, count, rng)
-    if leaf is None:
-        leaf = float(np.linalg.norm(np.ptp(mesh.vertices, axis=0))) / 16.0
     return voxel_downsample(pts, leaf)
 
 

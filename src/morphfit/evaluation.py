@@ -19,8 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .completion import fit_latent, pixels_to_sparse_deltas
-from .cpd import CpdConfig, cpd_nonrigid
-from .dataset import densify_mesh, target_delta
+from .cpd import cpd_nonrigid
+from .dataset import densify_mesh, register_instances, target_delta
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import Mesh, PointCloud, apply_deformation, voxel_downsample
 from .imaging import DeformationImage, PositionImage, rasterize_target, splat_position_image, zoom
@@ -116,7 +116,6 @@ def prepare_instance(
     views,
     oracle_spec: OracleSpec,
     canonical_mesh: Mesh,
-    cpd_config: CpdConfig,
     *,
     seed: int = 0,
     densify_per_pixel: float = 20.0,
@@ -126,14 +125,16 @@ def prepare_instance(
 
     The samples are dense enough for gap-free splats at the views' mean
     distance.  The deltas are the instance's full deformation, recovered
-    once by registering ``instance_cloud`` (CPD) and reused for every
-    view's ground-truth target.  The external oracle reads only that
-    target's mask and scale, so it gets zeros and no registration runs.
-    Returns ``(canonical_dense, observed_dense, delta_true)``.
+    once by registering ``instance_cloud`` with the space's recipe and
+    reused for every view's ground-truth target.  The external oracle
+    reads only that target's mask and scale, so it gets zeros and no
+    registration runs.  Returns ``(canonical_dense, observed_dense, delta_true)``.
     """
     views = list(views)
     if not views:
         raise ValidationError("need at least one view")
+    if space.registration is None:
+        raise ValidationError("the space carries no registration settings")
     distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
     canonical_dense, observed_dense = (
         densify_mesh(
@@ -144,7 +145,7 @@ def prepare_instance(
     )
     if oracle_spec.kind == "external":
         return canonical_dense, observed_dense, np.zeros((len(space.canonical), 3))
-    field = cpd_nonrigid(instance_cloud, space.canonical, cpd_config).field
+    _, (field,) = register_instances(space.canonical, [instance_cloud], space.registration)
     return canonical_dense, observed_dense, target_delta(field, 0.0)
 
 
@@ -232,7 +233,6 @@ def pose_noise_experiment(
     splat_radius: int = 1,
     seed: int = 0,
     ridge: float = 0.0,
-    cpd_config: CpdConfig | None = None,
     densify_per_pixel: float = 20.0,
     densify_max: int = 60000,
 ):
@@ -247,13 +247,10 @@ def pose_noise_experiment(
         raise ValidationError(f"noise_range must be >= 0, got {noise_range}")
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
-    if cpd_config is None:
-        cpd_config = CpdConfig(beta=space.beta)
     views = list(views)
     canonical_dense, observed_dense, delta_true = prepare_instance(
         space, instance_mesh, instance_cloud, views, oracle_spec, canonical_mesh,
-        cpd_config, seed=seed, densify_per_pixel=densify_per_pixel,
-        densify_max=densify_max,
+        seed=seed, densify_per_pixel=densify_per_pixel, densify_max=densify_max,
     )
     conditions = tuple(conditions)
     pipeline_errors, cpd_errors = [], []
@@ -295,9 +292,8 @@ def pose_noise_experiment(
                             observed_dense, view, splat_radius
                         )
                     partial = voxel_downsample(observed_img.data[observed_img.mask], leaf)
-                    moved = apply_deformation(
-                        space.canonical, cpd_nonrigid(partial, space.canonical, cpd_config).field
-                    )
+                    field = cpd_nonrigid(partial, space.canonical, space.registration.cpd).field
+                    moved = apply_deformation(space.canonical, field)
                     cpd_errors.append(registration_error(instance_cloud, moved))
                 except MorphFitError:
                     cpd_failed += 1

@@ -22,7 +22,6 @@ from .errors import ValidationError
 __all__ = [
     "PointCloud",
     "Mesh",
-    "KernelParams",
     "DeformationField",
     "CameraView",
     "gaussian_kernel",
@@ -72,9 +71,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def translated(self, offset) -> "PointCloud":
-        return PointCloud(self.points + np.asarray(offset, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -122,17 +118,6 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class KernelParams:
-    """Width of the Gaussian interaction kernel, in meters."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ValidationError(f"kernel width beta must be > 0, got {self.beta}")
-
-
-@dataclass(frozen=True)
 class DeformationField:
     """Smooth warp defined by per-anchor 3D offset weights.
 
@@ -145,7 +130,8 @@ class DeformationField:
     beta: float
 
     def __post_init__(self):
-        KernelParams(self.beta)
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ValidationError(f"kernel width beta must be > 0, got {self.beta}")
         weights = np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (len(self.anchors), 3):
             raise ValidationError(
@@ -221,20 +207,16 @@ def _points_of(cloud) -> np.ndarray:
     return _check_points(np.asarray(cloud, dtype=np.float64), "points")
 
 
-def _beta_of(params) -> float:
-    if isinstance(params, KernelParams):
-        return params.beta
-    return KernelParams(float(params)).beta
-
-
-def gaussian_kernel(queries, anchors, params) -> np.ndarray:
+def gaussian_kernel(queries, anchors, beta: float) -> np.ndarray:
     """Gaussian interaction kernel between two point sets.
 
     Entry (i, j) is ``exp(-||q_i - a_j||^2 / (2 beta^2))``: rows index the
     queries, columns the anchors.  Entries are in (0, 1], with 1 exactly
-    where a query coincides with an anchor.
+    where a query coincides with an anchor.  ``beta`` is the width in meters.
     """
-    beta = _beta_of(params)
+    beta = float(beta)
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValidationError(f"kernel width beta must be > 0, got {beta}")
     q = _points_of(queries)
     a = _points_of(anchors)
     # cdist forms differences before squaring, so coincident points give an

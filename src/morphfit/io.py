@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import Mesh
+from .geometry import Mesh, PointCloud
 
 __all__ = [
     "read_ply",
@@ -109,26 +109,30 @@ def _parse_ply(path: Path, text: str) -> Mesh:
     return Mesh(vertices, faces, colors)
 
 
-def write_ply(path, mesh: Mesh) -> None:
+def write_ply(path, shape: Mesh | PointCloud) -> None:
+    """Write a Mesh, or a PointCloud as vertices with ``element face 0``."""
     path = Path(path)
-    has_color = mesh.vertex_colors is not None
-    header = ["ply", "format ascii 1.0", f"element vertex {len(mesh.vertices)}"]
+    if isinstance(shape, PointCloud):
+        vertices, faces, colors = shape.points, (), None
+    else:
+        vertices, faces, colors = shape.vertices, shape.faces, shape.vertex_colors
+    header = ["ply", "format ascii 1.0", f"element vertex {len(vertices)}"]
     header += [f"property float {p}" for p in _VERTEX_PROPS]
-    if has_color:
+    if colors is not None:
         header += [f"property uchar {p}" for p in _COLOR_PROPS]
     header += [
-        f"element face {len(mesh.faces)}",
+        f"element face {len(faces)}",
         "property list uchar int vertex_indices",
         "end_header",
     ]
     body = []
-    for i, v in enumerate(mesh.vertices):
+    for i, v in enumerate(vertices):
         row = f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}"
-        if has_color:
-            c = mesh.vertex_colors[i]
+        if colors is not None:
+            c = colors[i]
             row += f" {c[0]} {c[1]} {c[2]}"
         body.append(row)
-    body += [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+    body += [f"3 {f[0]} {f[1]} {f[2]}" for f in faces]
     path.write_text("\n".join(header + body) + "\n")
 
 

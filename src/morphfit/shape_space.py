@@ -7,13 +7,14 @@ maps a short latent vector to a full deformation field.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cpd import CpdConfig, cpd_nonrigid
+from .cpd import CpdConfig
 from .errors import SpaceFileError, ValidationError
 from .geometry import (
     DeformationField,
@@ -23,8 +24,8 @@ from .geometry import (
 )
 
 __all__ = [
+    "Registration",
     "ShapeSpace",
-    "build_shape_space",
     "space_from_fields",
     "latent_to_field",
     "project_field",
@@ -37,12 +38,30 @@ _MAGIC = "MFSS1"
 
 
 @dataclass(frozen=True)
+class Registration:
+    """A category's one registration recipe, fixed when its space is built.
+
+    A mesh becomes ``dense_count`` surface samples merged per voxel of size
+    ``cloud_leaf`` (m), registered onto the canonical cloud by CPD with ``cpd``.
+    The sampler and the voxel grid reject a bad count or leaf.
+    """
+
+    cpd: CpdConfig
+    cloud_leaf: float
+    dense_count: int
+
+
+@dataclass(frozen=True)
 class ShapeSpace:
+    """Affine family of deformation fields; ``registration`` is the recipe that
+    produced them, None for known fields (such a space saves but does not load)."""
+
     canonical: PointCloud
     beta: float
     mean: np.ndarray
     basis: np.ndarray
     latent_dim: int
+    registration: Registration | None = None
 
     def __post_init__(self):
         n3 = 3 * len(self.canonical)
@@ -61,6 +80,10 @@ class ShapeSpace:
             raise ValidationError("basis columns are not orthonormal")
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValidationError(f"beta must be > 0, got {self.beta}")
+        if self.registration is not None and self.registration.cpd.beta != self.beta:
+            raise ValidationError(
+                f"registration beta {self.registration.cpd.beta} != space beta {self.beta}"
+            )
         if not np.all(np.isfinite(mean)):
             raise ValidationError("mean contains non-finite entries")
         mean.flags.writeable = False
@@ -82,12 +105,13 @@ def _weights_of(field) -> np.ndarray:
     return np.asarray(field, dtype=np.float64)
 
 
-def space_from_fields(canonical: PointCloud, fields, beta: float, latent_dim: int):
-    """Principal-component space of already-known deformation fields.
+def space_from_fields(canonical: PointCloud, fields, beta: float, latent_dim: int,
+                      registration: Registration | None = None):
+    """Principal-component space of the given deformation fields.
 
-    ``fields`` may be DeformationFields or bare (n, 3) weight matrices.
-    This is the PCA half of :func:`build_shape_space`, exposed so spaces
-    can be built from analytically known fields in tests and experiments.
+    ``fields`` may be DeformationFields or bare (n, 3) weight matrices:
+    registered ones, with the ``registration`` that produced them, or
+    analytically known ones in tests and experiments.
     """
     stacked = np.stack([flatten_offsets(_weights_of(f)) for f in fields])
     count, n3 = stacked.shape
@@ -109,32 +133,7 @@ def space_from_fields(canonical: PointCloud, fields, beta: float, latent_dim: in
     # Fix each column's sign so serialized spaces are run-reproducible.
     flip = basis[np.abs(basis).argmax(axis=0), np.arange(latent_dim)] < 0
     basis = np.where(flip[None, :], -basis, basis)
-    return ShapeSpace(canonical, float(beta), mean, basis, int(latent_dim))
-
-
-def build_shape_space(
-    canonical: PointCloud,
-    instances,
-    config: CpdConfig,
-    latent_dim: int,
-):
-    """Register every instance cloud against the canonical cloud, then PCA.
-
-    Returns ``(space, fields)`` where ``fields[i]`` is the per-instance
-    DeformationField recovered by registration (anchored at canonical).
-    """
-    instances = list(instances)
-    if len(instances) < 2:
-        raise ValidationError(f"need >= 2 instances, got {len(instances)}")
-    fields = []
-    for index, instance in enumerate(instances):
-        try:
-            result = cpd_nonrigid(instance, canonical, config)
-        except Exception as exc:
-            raise ValidationError(f"registration failed on instance {index}: {exc}") from exc
-        fields.append(result.field)
-    space = space_from_fields(canonical, fields, config.beta, latent_dim)
-    return space, fields
+    return ShapeSpace(canonical, float(beta), mean, basis, int(latent_dim), registration)
 
 
 def latent_to_field(space: ShapeSpace, latent) -> DeformationField:
@@ -168,6 +167,8 @@ def relative_residual(space: ShapeSpace, field, eps: float = 1e-12) -> float:
 # Serialization: one JSON header line, then raw little-endian float64 blocks
 # for canonical points, mean, basis, in that order.  Blocks are f64 because
 # the load(save(s)) == s round trip is bitwise and spaces are built in f64.
+# The header's "registration" object holds the recipe's CPD settings (beta
+# is the header's own), cloud leaf and dense count.
 
 def save_space(space: ShapeSpace, path) -> None:
     header = {
@@ -178,6 +179,11 @@ def save_space(space: ShapeSpace, path) -> None:
         "flattening": "point-major",
         "dtype": "f64",
     }
+    recipe = space.registration
+    if recipe is not None:
+        header["registration"] = settings = dataclasses.asdict(recipe.cpd)
+        del settings["beta"]
+        settings.update(cloud_leaf=recipe.cloud_leaf, dense_count=recipe.dense_count)
     blocks = [
         np.ascontiguousarray(space.canonical.points, dtype="<f8").tobytes(),
         np.ascontiguousarray(space.mean, dtype="<f8").tobytes(),
@@ -212,11 +218,19 @@ def load_space(path) -> ShapeSpace:
         raise SpaceFileError(
             f"{path}: unsupported flattening {header.get('flattening')!r}"
         )
+    if "registration" not in header:
+        raise SpaceFileError(
+            f"{path}: no registration settings in the header; rebuild the space with build-space"
+        )
     try:
         n = int(header["n"])
         latent_dim = int(header["latent_dim"])
         beta = float(header["beta"])
-    except (KeyError, TypeError, ValueError) as exc:
+        s = header["registration"]
+        cpd = CpdConfig(beta, float(s["regularization"]), float(s["outlier_weight"]),
+                        int(s["max_iterations"]), float(s["tolerance"]))
+        registration = Registration(cpd, float(s["cloud_leaf"]), int(s["dense_count"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpaceFileError(f"{path}: malformed header fields: {exc}") from exc
     payload = raw[newline + 1 :]
     expected = 8 * (3 * n + 3 * n + 3 * n * latent_dim)
@@ -230,6 +244,8 @@ def load_space(path) -> ShapeSpace:
     mean = floats[3 * n : 6 * n]
     basis = floats[6 * n :].reshape(3 * n, latent_dim)
     try:
-        return ShapeSpace(PointCloud(canonical), beta, mean.copy(), basis.copy(), latent_dim)
+        return ShapeSpace(
+            PointCloud(canonical), beta, mean.copy(), basis.copy(), latent_dim, registration
+        )
     except ValidationError as exc:
         raise SpaceFileError(f"{path}: invalid space content: {exc}") from exc

@@ -10,13 +10,16 @@ import numpy as np
 
 from morphfit import (
     CategorySpec,
+    CpdConfig,
     DeformationField,
     Mesh,
     PointCloud,
+    Registration,
     apply_deformation,
     gaussian_kernel,
     space_from_fields,
 )
+from morphfit.dataset import default_cloud_leaf
 
 
 def sphere_cloud(count: int, radius: float = 1.0, seed: int = 0) -> PointCloud:
@@ -130,8 +133,13 @@ class SyntheticCategory:
         self.instance_clouds = tuple(
             apply_deformation(self.canonical_cloud, f) for f in self.fields
         )
+        # The default recipe, as build-space would fix it for this canonical mesh.
+        self.registration = Registration(
+            CpdConfig(beta=beta), default_cloud_leaf(self.canonical_mesh), 8192
+        )
         self.space = space_from_fields(
-            self.canonical_cloud, self.fields, beta, latent_dim=2
+            self.canonical_cloud, self.fields, beta, latent_dim=2,
+            registration=self.registration,
         )
 
     def field_for(self, amplitudes) -> DeformationField:

@@ -23,7 +23,6 @@ from morphfit import (
     apply_deformation,
     cpd_nonrigid,
     evaluate_instance,
-    expand_kernel,
     fit_latent,
     flatten_offsets,
     gaussian_kernel,
@@ -39,6 +38,7 @@ from morphfit import (
     viewpoint_sphere,
 )
 from morphfit.evaluation import COND_CANONICAL, COND_PIPELINE, COND_RAW_CPD
+from morphfit.geometry import expand_kernel
 
 ACCEPTANCE_LINES: list = []
 _SUITE_START = None

@@ -12,6 +12,9 @@ import pytest
 import morphfit
 from morphfit import (
     CategorySpec,
+    CpdConfig,
+    Registration,
+    build_category,
     generate_dataset,
     load_space,
     look_at,
@@ -20,7 +23,7 @@ from morphfit import (
     rotation_to_quaternion,
     write_ply,
 )
-from morphfit.cli import _load_camera, build_parser, main, validate_config
+from morphfit.cli import _load_camera, _views_for, build_parser, main, validate_config
 
 PACKAGE_ROOT = str(Path(morphfit.__file__).resolve().parents[1])
 
@@ -108,6 +111,36 @@ class TestValidateConfig:
         ])
         problems = validate_config(args)
         assert len(problems) >= 5
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dense-count", "0"), ("--dense-count", "-5"),
+        ("--cloud-leaf", "0"), ("--cloud-leaf", "-0.01"), ("--cloud-leaf", "nan"),
+    ])
+    def test_cloud_recipe_checked(self, mesh_dir, flag, value):
+        args = parse([
+            "build-space", "--canonical", str(mesh_dir / "canonical.ply"),
+            "--instances", str(mesh_dir / "instances"), "--latent", "2",
+            "--beta", "0.1", flag, value, "--out", "x.mfss",
+        ])
+        problems = validate_config(args)
+        assert len(problems) == 1 and problems[0].startswith(flag)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-dataset", "--lambda"), ("gen-dataset", "--cloud-leaf"),
+        ("gen-dataset", "--dense-count"),
+        ("register", "--lambda"), ("register", "--cloud-leaf"),
+        ("evaluate", "--lambda"), ("evaluate", "--cloud-leaf"),
+        ("pose-noise-eval", "--lambda"), ("pose-noise-eval", "--cloud-leaf"),
+    ])
+    def test_registration_flags_only_on_build_space(self, command, flag, capsys):
+        # The space file carries the category's registration settings.
+        argv = [command, "--space", "s", "--canonical", "c", "--out", "o", flag, "1"]
+        argv += {"gen-dataset": ["--models", "m"], "register": ["--observed", "x", "--pose", "p"]
+                 }.get(command, ["--instance", "x"])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_rho_range_checked(self, mesh_dir, space_path):
         args = parse([
@@ -202,20 +235,62 @@ class TestGenDataset:
         assert "12/12" in capsys.readouterr().out
 
     def test_dense_count_reaches_the_registration_clouds(self, mesh_dir, space_path, tmp_path):
-        # The training clouds are sampled with --dense-count points, so the
-        # registered fields, and with them the targets, follow it.
+        # build-space's --dense-count sets the sample count of every cloud
+        # the category registers, so the targets gen-dataset derives follow it.
+        few = tmp_path / "few.mfss"
+        assert main([
+            "--seed", "1", "build-space", "--canonical", str(mesh_dir / "canonical.ply"),
+            "--instances", str(mesh_dir / "instances"), "--beta", "0.1", "--latent", "2",
+            "--dense-count", "512", "--out", str(few),
+        ]) == 0
+        assert load_space(few).registration.dense_count == 512
         targets = []
-        for count in ("8192", "512"):
-            out = tmp_path / f"corpus-{count}"
+        for space in (space_path, few):
+            out = tmp_path / f"corpus-{space.stem}"
             assert main([
-                "gen-dataset", "--space", str(space_path),
+                "gen-dataset", "--space", str(space),
                 "--canonical", str(mesh_dir / "canonical.ply"),
                 "--models", str(mesh_dir / "instances"),
-                "--views", "1", "--rhos", "0", "--res", "96x72",
-                "--dense-count", count, "--out", str(out),
+                "--views", "1", "--rhos", "0", "--res", "96x72", "--out", str(out),
             ]) == 0
             targets.append((out / "0" / "0" / "0" / "target.f32").read_bytes())
         assert targets[0] != targets[1]
+
+    def test_registers_with_the_settings_build_space_fixed(self, mesh_dir, tmp_path, category):
+        # gen-dataset takes no registration flags: it re-registers its models
+        # exactly as an in-process category built with build-space's settings.
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("model_0.ply", "model_1.ply"):
+            (models / name).write_bytes((mesh_dir / "instances" / name).read_bytes())
+        space = tmp_path / "tuned.mfss"
+        assert main([
+            "--seed", "5", "build-space", "--canonical", str(mesh_dir / "canonical.ply"),
+            "--instances", str(mesh_dir / "instances"), "--beta", str(category.beta),
+            "--latent", "2", "--lambda", "3.5", "--outlier-weight", "0.1",
+            "--cloud-leaf", "0.04", "--dense-count", "3000", "--out", str(space),
+        ]) == 0
+        argv = ["--seed", "5", "gen-dataset", "--space", str(space),
+                "--canonical", str(mesh_dir / "canonical.ply"), "--models", str(models),
+                "--views", "2", "--rhos", "0,0.5", "--res", "96x72",
+                "--out", str(tmp_path / "cli")]
+        assert main(argv) == 0
+
+        canonical = read_ply(mesh_dir / "canonical.ply")
+        recipe = Registration(
+            CpdConfig(beta=category.beta, regularization=3.5, outlier_weight=0.1), 0.04, 3000
+        )
+        spec = build_category(canonical, [read_ply(p) for p in sorted(models.glob("*.ply"))],
+                              recipe, seed=5)
+        records = generate_dataset(
+            spec, _views_for(parse(argv[2:]), canonical), [0.0, 0.5], tmp_path / "lib",
+            zoom_resolution=(96, 72), seed=5,
+        )
+        assert len(records) == 8 and all(r.status == "ok" for r in records)
+        for record in records:
+            lib = Path(record.paths["target.f32"])
+            cli = tmp_path / "cli" / lib.relative_to(tmp_path / "lib")
+            assert cli.read_bytes() == lib.read_bytes(), cli
 
 
 def write_pose(path, view):
@@ -388,12 +463,12 @@ class TestCrossRegister:
         assert code == 2
 
 
-def _malformed_pose(tmp_path):
+def _malformed_pose(tmp_path, flags):
     (tmp_path / "pose.json").write_text('{"quaternion": [1, 0, 0, 0], "translation": [0, 0')
     return {"--pose": tmp_path / "pose.json"}
 
 
-def _malformed_ply(tmp_path):
+def _malformed_ply(tmp_path, flags):
     (tmp_path / "scan.ply").write_text(
         "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
         "property float z\nelement face 1\nproperty list uchar int vertex_indices\n"
@@ -402,8 +477,17 @@ def _malformed_ply(tmp_path):
     return {"--observed": tmp_path / "scan.ply"}
 
 
+def _space_without_registration(tmp_path, flags):
+    # A space file from before the header carried the registration settings.
+    header, payload = Path(flags["--space"]).read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    del meta["registration"]
+    (tmp_path / "old.mfss").write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    return {"--space": tmp_path / "old.mfss"}
+
+
 def _latent_file(content):
-    def make(tmp_path):
+    def make(tmp_path, flags):
         path = tmp_path / "latent.json"
         if content is not None:
             path.write_text(content)
@@ -414,12 +498,13 @@ def _latent_file(content):
 @pytest.mark.parametrize("command, make_inputs, code", [
     ("register", _malformed_pose, 1),
     ("register", _malformed_ply, 1),
+    ("register", _space_without_registration, 1),
     ("cross-register", _latent_file(None), 2),
     ("cross-register", _latent_file("{not json"), 2),
     ("cross-register", _latent_file('{"residual": 0.5}'), 2),
     ("cross-register", _latent_file('{"latent": 0.5}'), 2),
-], ids=["pose-json", "ply-vertex-row", "latent-missing", "latent-json", "latent-key",
-        "latent-scalar"])
+], ids=["pose-json", "ply-vertex-row", "space-no-registration", "latent-missing",
+        "latent-json", "latent-key", "latent-scalar"])
 def test_bad_input_ends_in_one_error_line(command, make_inputs, code, mesh_dir, space_path,
                                          pose_path, tmp_path):
     flags = {"--space": space_path}
@@ -429,14 +514,16 @@ def test_bad_input_ends_in_one_error_line(command, make_inputs, code, mesh_dir, 
                       "--res": "96x72", "--out": tmp_path / "recon.ply"})
     else:
         flags.update({"--latent-a": "0,0", "--latent-b": "0,0", "--out": tmp_path / "pair"})
-    flags.update(make_inputs(tmp_path))
+    flags.update(make_inputs(tmp_path, flags))
     argv = [command] + [str(item) for pair in flags.items() for item in pair]
     proc = subprocess.run([sys.executable, "-m", "morphfit", *argv], capture_output=True,
                           text=True, timeout=120, env=package_env())
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr, proc.stderr
     # Runtime errors print one line; argparse prints its usage line first.
-    assert "error:" in proc.stderr.strip().splitlines()[-1], proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert "error:" in lines[-1], proc.stderr
+    assert code == 2 or len(lines) == 1, proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

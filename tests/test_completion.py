@@ -12,7 +12,6 @@ from morphfit import (
     SparseDeltas,
     ValidationError,
     cross_instance_correspondence,
-    expand_kernel,
     fit_latent,
     gaussian_kernel,
     latent_to_field,
@@ -22,6 +21,7 @@ from morphfit import (
     space_from_fields,
     unflatten_offsets,
 )
+from morphfit.geometry import expand_kernel
 
 
 def in_span_deltas(space, latent):

@@ -10,8 +10,8 @@ from morphfit import (
     ValidationError,
     apply_deformation,
     cpd_nonrigid,
-    e_step,
 )
+from morphfit.cpd import e_step
 
 
 class TestEStep:

@@ -14,6 +14,7 @@ from morphfit import (
     SAMPLE_FILES,
     SampleRecord,
     ValidationError,
+    Registration,
     build_category,
     gaussian_kernel,
     generate_dataset,
@@ -26,6 +27,7 @@ from morphfit import (
     target_delta,
     viewpoint_sphere,
 )
+from morphfit.dataset import register_instances
 
 
 def small_views(count=2, resolution=(96, 72)):
@@ -230,7 +232,7 @@ class TestBuildCategory:
         spec = build_category(
             category.canonical_mesh,
             category.instance_meshes[:2],
-            CpdConfig(beta=category.beta),
+            category.registration,
             seed=3,
         )
         assert spec.instance_count == 2
@@ -244,4 +246,22 @@ class TestBuildCategory:
 
     def test_requires_instances(self, category):
         with pytest.raises(ValidationError):
-            build_category(category.canonical_mesh, [], CpdConfig())
+            build_category(category.canonical_mesh, [], category.registration)
+
+    def test_unconverged_registrations_are_reported(self, category, capsys):
+        capped = Registration(CpdConfig(beta=category.beta, max_iterations=1),
+                              category.registration.cloud_leaf, 2000)
+        clouds, fields = register_instances(
+            category.canonical_cloud, category.instance_meshes[:2], capped
+        )
+        assert len(clouds) == len(fields) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"warning: registration of instance {i} hit the 1-iteration cap without converging"
+            for i in range(2)
+        ]
+
+    def test_converged_registrations_stay_quiet(self, category, capsys):
+        build_category(category.canonical_mesh, category.instance_meshes[:1],
+                       category.registration)
+        assert capsys.readouterr().err == ""

@@ -6,12 +6,10 @@ from helpers import icosphere, sphere_cloud
 from morphfit import (
     CameraView,
     DeformationField,
-    KernelParams,
     Mesh,
     PointCloud,
     ValidationError,
     apply_deformation,
-    expand_kernel,
     flatten_offsets,
     gaussian_kernel,
     look_at,
@@ -22,6 +20,7 @@ from morphfit import (
     viewpoint_sphere,
     voxel_downsample,
 )
+from morphfit.geometry import expand_kernel
 
 
 class TestPointCloud:
@@ -64,7 +63,7 @@ class TestMesh:
 
 class TestGaussianKernel:
     def test_zero_distance_is_exactly_one(self):
-        out = gaussian_kernel(PointCloud([[0, 0, 0]]), PointCloud([[0, 0, 0]]), KernelParams(2.0))
+        out = gaussian_kernel(PointCloud([[0, 0, 0]]), PointCloud([[0, 0, 0]]), 2.0)
         assert out.shape == (1, 1)
         assert out[0, 0] == 1.0
 

@@ -4,10 +4,13 @@ import pytest
 from helpers import SyntheticCategory, sphere_cloud
 
 from morphfit import (
+    CpdConfig,
     DeformationField,
+    Registration,
     SpaceFileError,
     ValidationError,
-    build_shape_space,
+    apply_deformation,
+    cpd_nonrigid,
     flatten_offsets,
     latent_to_field,
     load_space,
@@ -140,17 +143,16 @@ class TestProjection:
 
 class TestBuildFromMeshes:
     def test_end_to_end_recovery(self, category):
-        from morphfit import CpdConfig
-
-        space, fields = build_shape_space(
-            category.canonical_cloud,
-            [c for c in category.instance_clouds],
-            CpdConfig(beta=category.beta),
-            latent_dim=2,
-        )
+        # Registers the exact instance clouds: the bounds below need them,
+        # not clouds resampled from the meshes.
+        config = CpdConfig(beta=category.beta)
+        fields = [
+            cpd_nonrigid(cloud, category.canonical_cloud, config).field
+            for cloud in category.instance_clouds
+        ]
+        space = space_from_fields(category.canonical_cloud, fields, category.beta, latent_dim=2)
         assert space.basis.shape == (3 * len(category.canonical_cloud), 2)
         assert len(fields) == len(category.instance_clouds)
-        from morphfit import apply_deformation, relative_residual
 
         for f, truth in zip(fields, category.fields):
             # Weight matrices are not comparable through the ill-conditioned
@@ -174,6 +176,43 @@ class TestSaveLoad:
         np.testing.assert_array_equal(back.mean, category.space.mean)
         np.testing.assert_array_equal(back.basis, category.space.basis)
         assert back.beta == category.space.beta
+        assert back.registration == category.space.registration
+
+    def test_registration_settings_round_trip(self, category, tmp_path):
+        recipe = Registration(
+            CpdConfig(beta=category.beta, regularization=0.7, outlier_weight=0.2,
+                      max_iterations=40, tolerance=1e-6),
+            cloud_leaf=0.0123, dense_count=999,
+        )
+        space = space_from_fields(
+            category.canonical_cloud, category.fields, category.beta, 2, recipe
+        )
+        save_space(space, tmp_path / "s.mfss")
+        assert load_space(tmp_path / "s.mfss").registration == recipe
+
+    def test_registration_beta_must_match(self, category):
+        recipe = Registration(CpdConfig(beta=2 * category.beta), 0.01, 100)
+        with pytest.raises(ValidationError):
+            space_from_fields(category.canonical_cloud, category.fields, category.beta, 2, recipe)
+
+    def test_missing_registration_says_to_rebuild(self, category, tmp_path):
+        path = tmp_path / "norecipe.mfss"
+        save_space(space_from_fields(category.canonical_cloud, category.fields,
+                                     category.beta, 2), path)
+        with pytest.raises(SpaceFileError, match="rebuild the space with build-space"):
+            load_space(path)
+
+    def test_malformed_registration_rejected(self, category, tmp_path):
+        import json
+
+        path = tmp_path / "badrecipe.mfss"
+        save_space(category.space, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        del meta["registration"]["dense_count"]
+        path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+        with pytest.raises(SpaceFileError, match="dense_count"):
+            load_space(path)
 
     def test_truncated_payload_rejected(self, category, tmp_path):
         path = tmp_path / "trunc.mfss"
