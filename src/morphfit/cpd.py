@@ -17,6 +17,11 @@ from .geometry import DeformationField, PointCloud, gaussian_kernel
 
 __all__ = ["CpdConfig", "CpdResult", "cpd_nonrigid", "e_step"]
 
+# Shifted log-weights at or below this are dropped from the E-step.
+_LOG_CUT = float(np.log(np.finfo(float).eps)) - 1.0
+# sigma^2 never falls below this fraction of its starting value.
+_SIGMA2_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class CpdConfig:
@@ -24,14 +29,17 @@ class CpdConfig:
 
     ``beta`` is the kernel width of the recovered field, ``regularization``
     trades data fit against field smoothness, ``outlier_weight`` is the
-    mixture mass reserved for a uniform clutter component.
+    mixture mass reserved for a uniform clutter component.  EM stops once
+    its objective changes by at most ``tolerance`` per unit of posterior
+    mass between iterations (a per-point change, free of the length unit),
+    or after ``max_iterations``.
     """
 
     beta: float = 2.0
     regularization: float = 2.0
     outlier_weight: float = 0.0
     max_iterations: int = 150
-    tolerance: float = 1e-8
+    tolerance: float = 1e-4
 
     def __post_init__(self):
         if not (np.isfinite(self.beta) and self.beta > 0):
@@ -66,6 +74,8 @@ def e_step(fixed, moved, sigma2: float, outlier_weight: float = 0.0) -> np.ndarr
     Returns an (n_moved, n_fixed) matrix; column j holds the posterior of
     data point j over centroids, summing to 1 when ``outlier_weight`` is 0
     and to less otherwise (remaining mass goes to the clutter component).
+    A term below eps/e times its column's largest term is set to 0: it
+    would carry under 1e-16 of the column's mass.
     """
     if not (np.isfinite(sigma2) and sigma2 > 0):
         raise ValidationError(f"sigma2 must be > 0, got {sigma2}")
@@ -74,12 +84,19 @@ def e_step(fixed, moved, sigma2: float, outlier_weight: float = 0.0) -> np.ndarr
     x = fixed.points if isinstance(fixed, PointCloud) else np.asarray(fixed, float)
     t = moved.points if isinstance(moved, PointCloud) else np.asarray(moved, float)
     n_moved, n_fixed = t.shape[0], x.shape[0]
-    log_resp = cdist(t, x, "sqeuclidean") / (-2.0 * sigma2)
+    resp = cdist(t, x, "sqeuclidean")
+    resp /= -2.0 * sigma2
     # Shift each column by its max so the softmax never overflows; the
     # clutter constant rides along in the same shifted frame.
-    shift = log_resp.max(axis=0)
-    numer = np.exp(log_resp - shift[None, :])
-    denom = numer.sum(axis=0)
+    shift = resp.max(axis=0)
+    resp -= shift
+    # Terms below the cut would underflow into exp's slow denormal path:
+    # clamp them to the cut, exponentiate, then zero them.
+    keep = resp > _LOG_CUT
+    np.maximum(resp, _LOG_CUT, out=resp)
+    np.exp(resp, out=resp)
+    resp *= keep
+    denom = resp.sum(axis=0)
     if outlier_weight > 0.0:
         log_clutter = (
             1.5 * np.log(2.0 * np.pi * sigma2)
@@ -88,7 +105,8 @@ def e_step(fixed, moved, sigma2: float, outlier_weight: float = 0.0) -> np.ndarr
         )
         denom = denom + np.exp(log_clutter - shift)
     np.maximum(denom, np.finfo(float).tiny, out=denom)
-    return numer / denom[None, :]
+    resp /= denom
+    return resp
 
 
 def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
@@ -96,8 +114,11 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
 
     EM loop: soft-assign data points to the warped moving cloud, solve the
     regularized linear system for offset weights, update the mixture
-    variance from the weighted residual, repeat until the relative variance
-    change drops below tolerance or the iteration cap is hit.
+    variance from the weighted residual, repeat until the EM objective
+    Q = 1.5 N_P log(sigma^2) + (regularization / 2) tr(W^T G W) changes by
+    at most ``tolerance`` per unit of posterior mass N_P, or the iteration
+    cap is hit (Myronenko & Song, TPAMI 2010).  sigma^2 is floored at 1e-12
+    of its starting value, so exact correspondences converge too.
     """
     x = fixed.points if isinstance(fixed, PointCloud) else PointCloud(fixed).points
     y = moving.points if isinstance(moving, PointCloud) else PointCloud(moving).points
@@ -111,8 +132,10 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
         field = DeformationField(PointCloud(y), weights, config.beta)
         return CpdResult(field, 0.0, 0, True)
 
+    sigma2_floor = _SIGMA2_FLOOR * sigma2
     weights = np.zeros((n_moving, 3))
     moved = y
+    objective = np.inf
     converged = False
     iteration = 0
     for iteration in range(1, config.max_iterations + 1):
@@ -138,18 +161,20 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
                 iteration=iteration,
             ) from exc
 
-        moved = y + kernel @ weights
+        offsets = kernel @ weights
+        moved = y + offsets
         fit = (mass_per_point * np.einsum("ij,ij->i", x, x)).sum()
         cross = np.einsum("ij,ij->", weighted_targets, moved)
         spread = (mass_per_centroid * np.einsum("ij,ij->i", moved, moved)).sum()
-        new_sigma2 = (fit - 2.0 * cross + spread) / (3.0 * total_mass)
-        if new_sigma2 <= 0.0:
-            new_sigma2 = config.tolerance / 10.0
-        if abs(sigma2 - new_sigma2) / sigma2 < config.tolerance:
-            sigma2 = new_sigma2
+        sigma2 = max((fit - 2.0 * cross + spread) / (3.0 * total_mass), sigma2_floor)
+
+        previous, objective = objective, (
+            1.5 * total_mass * np.log(sigma2)
+            + 0.5 * config.regularization * np.einsum("ij,ij->", weights, offsets)
+        )
+        if abs(objective - previous) <= config.tolerance * total_mass:
             converged = True
             break
-        sigma2 = new_sigma2
 
     field = DeformationField(PointCloud(y), weights, config.beta)
     return CpdResult(field, float(sigma2), iteration, converged)

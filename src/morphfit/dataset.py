@@ -38,6 +38,7 @@ __all__ = [
     "SampleRecord",
     "build_category",
     "register_instances",
+    "warn_if_capped",
     "default_cloud_leaf",
     "interpolate_instance",
     "target_delta",
@@ -169,12 +170,19 @@ def register_instances(canonical_cloud: PointCloud, instances, registration: Reg
             instance = mesh_cloud(instance, registration.cloud_leaf, seed, index + 1,
                                   registration.dense_count)
         result = cpd_nonrigid(instance, canonical_cloud, registration.cpd)
-        if not result.converged:
-            print(f"warning: registration of instance {index} hit the "
-                  f"{result.iterations}-iteration cap without converging", file=sys.stderr)
+        warn_if_capped(result, f"registration of instance {index}")
         clouds.append(instance)
         fields.append(result.field)
     return tuple(clouds), tuple(fields)
+
+
+def warn_if_capped(result, subject: str) -> bool:
+    """Print a ``warning:`` line on stderr when a CPD result stopped at its
+    iteration cap; returns whether it did."""
+    if not result.converged:
+        print(f"warning: {subject} hit the {result.iterations}-iteration cap "
+              "without converging", file=sys.stderr)
+    return not result.converged
 
 
 def default_cloud_leaf(canonical_mesh: Mesh) -> float:

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .completion import fit_latent, pixels_to_sparse_deltas
 from .cpd import cpd_nonrigid
-from .dataset import densify_mesh, register_instances, target_delta
+from .dataset import densify_mesh, register_instances, target_delta, warn_if_capped
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import Mesh, PointCloud, apply_deformation, voxel_downsample
 from .imaging import DeformationImage, PositionImage, rasterize_target, splat_position_image, zoom
@@ -69,13 +69,15 @@ class EvalRow:
     """Per-(instance, condition) summary over views.
 
     ``errors`` holds the per-view values (m^2) of the views that
-    succeeded; ``failed`` counts the views that did not.
+    succeeded; ``failed`` counts the views that did not, and ``capped``
+    the succeeded views whose registration stopped at the iteration cap.
     """
 
     instance: str
     condition: str
     errors: tuple
     failed: int = 0
+    capped: int = 0
 
     @property
     def n_views(self) -> int:
@@ -254,7 +256,7 @@ def pose_noise_experiment(
     )
     conditions = tuple(conditions)
     pipeline_errors, cpd_errors = [], []
-    pipeline_failed = cpd_failed = 0
+    pipeline_failed = cpd_failed = cpd_capped = 0
     leaf = _median_spacing(space.canonical.points)
     want_pipeline = COND_PIPELINE in conditions
     want_cpd = COND_RAW_CPD in conditions
@@ -292,8 +294,11 @@ def pose_noise_experiment(
                             observed_dense, view, splat_radius
                         )
                     partial = voxel_downsample(observed_img.data[observed_img.mask], leaf)
-                    field = cpd_nonrigid(partial, space.canonical, space.registration.cpd).field
-                    moved = apply_deformation(space.canonical, field)
+                    registered = cpd_nonrigid(partial, space.canonical, space.registration.cpd)
+                    cpd_capped += warn_if_capped(
+                        registered, f"raw-CPD baseline of view {view_index}"
+                    )
+                    moved = apply_deformation(space.canonical, registered.field)
                     cpd_errors.append(registration_error(instance_cloud, moved))
                 except MorphFitError:
                     cpd_failed += 1
@@ -304,7 +309,8 @@ def pose_noise_experiment(
         if condition == COND_PIPELINE:
             rows.append(EvalRow(instance_label, condition, tuple(pipeline_errors), pipeline_failed))
         elif condition == COND_RAW_CPD:
-            rows.append(EvalRow(instance_label, condition, tuple(cpd_errors), cpd_failed))
+            rows.append(EvalRow(instance_label, condition, tuple(cpd_errors), cpd_failed,
+                                cpd_capped))
         elif condition == COND_CANONICAL:
             base = registration_error(instance_cloud, space.canonical)
             rows.append(EvalRow(instance_label, condition, (base,) * n_cells, 0))
@@ -337,6 +343,7 @@ def report_to_json(rows, path, display_scale: float = 1.0) -> None:
             "condition": row.condition,
             "n_views": row.n_views,
             "failed_views": row.failed,
+            "capped_views": row.capped,
             "flagged": row.flagged,
             "mean": row.mean * display_scale,
             "std": row.std * display_scale,

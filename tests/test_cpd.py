@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp
 
 from helpers import icosphere, smooth_weights, sphere_cloud
 
@@ -55,6 +57,34 @@ class TestEStep:
         assert np.isfinite(p).all()
         assert p.sum(axis=0)[0] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("outlier_weight", [0.0, 0.2])
+    def test_dropped_underflow_terms_match_dense_reference(self, outlier_weight):
+        # At this sigma^2 most terms are far below eps of their column's
+        # largest; the result must still match a dense log-space softmax.
+        moved = sphere_cloud(120, seed=13).points
+        fixed = moved[:90] + np.random.default_rng(14).normal(scale=0.01, size=(90, 3))
+        sigma2 = 2e-4
+        log_resp = cdist(moved, fixed, "sqeuclidean") / (-2.0 * sigma2)
+        # Shifting by the column max first keeps the reference's own
+        # rounding (an ulp of log-weights near -100) out of the comparison.
+        shift = log_resp.max(axis=0)
+        shifted = log_resp - shift
+        assert (shifted <= np.log(np.finfo(float).eps) - 1.0).mean() > 0.9
+        rows = [shifted]
+        if outlier_weight > 0:
+            log_clutter = (1.5 * np.log(2.0 * np.pi * sigma2)
+                           + np.log(outlier_weight / (1.0 - outlier_weight))
+                           + np.log(len(moved) / len(fixed)))
+            rows.append((log_clutter - shift)[None, :])
+        reference = np.exp(shifted - logsumexp(np.vstack(rows), axis=0))
+        p = e_step(fixed, moved, sigma2, outlier_weight)
+        np.testing.assert_allclose(p, reference, rtol=0, atol=1e-15)
+        sums = p.sum(axis=0)
+        if outlier_weight == 0:
+            np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-15)
+        else:
+            assert (sums < 1.0 - 1e-9).all()
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValidationError):
             e_step(sphere_cloud(3), sphere_cloud(3), 0.0, 0.0)
@@ -79,6 +109,22 @@ class TestCpdSelfRegistration:
         result = cpd_nonrigid(cloud, cloud)
         assert result.converged
         np.testing.assert_array_equal(result.field.weights, 0.0)
+
+
+class TestCpdStoppingRule:
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+    def test_exact_correspondence_converges_at_every_length_unit(self, category, scale):
+        # Noise-free clouds in exact correspondence drive sigma^2 toward 0;
+        # the objective rule must still stop, after as many iterations
+        # whatever the length unit.
+        config = CpdConfig(beta=0.1 * scale, regularization=2.0 / scale**2)
+        result = cpd_nonrigid(category.instance_clouds[0].points * scale,
+                              category.canonical_cloud.points * scale, config)
+        assert result.converged
+        assert result.iterations < config.max_iterations
+        unit = cpd_nonrigid(category.instance_clouds[0], category.canonical_cloud,
+                            CpdConfig(beta=0.1, regularization=2.0))
+        assert result.iterations == unit.iterations
 
 
 class TestCpdRecovery:
@@ -123,7 +169,7 @@ class TestCpdConfig:
         assert cfg.regularization == 2.0
         assert cfg.outlier_weight == 0.0
         assert cfg.max_iterations == 150
-        assert cfg.tolerance == 1e-8
+        assert cfg.tolerance == 1e-4
 
     def test_validation(self):
         with pytest.raises(ValidationError):

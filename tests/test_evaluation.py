@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from morphfit import (
+    CpdConfig,
     EvalRow,
     EvaluationError,
     OracleSpec,
@@ -97,6 +99,7 @@ class TestEvaluateInstance:
             assert row.instance == "held-out"
             assert row.n_views == len(few_views)
             assert row.failed == 0
+            assert row.capped == 0
             assert all(np.isfinite(e) for e in row.errors)
 
     def test_pipeline_beats_canonical_baseline(self, gt_rows):
@@ -142,6 +145,27 @@ class TestEvaluateInstance:
                 category.space, mesh, cloud, [], OracleSpec("ground_truth"),
                 category.canonical_mesh, **FAST,
             )
+
+    def test_capped_baseline_views_are_reported(self, category, held_out, few_views,
+                                                tmp_path, capsys):
+        mesh, cloud = held_out
+        capped = dataclasses.replace(
+            category.registration, cpd=CpdConfig(beta=category.beta, max_iterations=1)
+        )
+        space = dataclasses.replace(category.space, registration=capped)
+        rows = evaluate_instance(
+            space, mesh, cloud, few_views, OracleSpec("ground_truth"),
+            category.canonical_mesh, conditions=(COND_RAW_CPD,), **FAST,
+        )
+        assert rows[0].n_views == rows[0].capped == len(few_views)
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "raw-CPD" in line] == [
+            f"warning: raw-CPD baseline of view {i} hit the 1-iteration cap without converging"
+            for i in range(len(few_views))
+        ]
+        report_to_json(rows, tmp_path / "report.json")
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload[0]["capped_views"] == len(few_views)
 
     def test_all_views_failing_raises(self, category, held_out, few_views):
         mesh, cloud = held_out
@@ -215,4 +239,5 @@ class TestReports:
         assert payload[0]["mean"] == pytest.approx(2.0)
         assert payload[0]["per_view"] == pytest.approx([1.0, 3.0])
         assert payload[1]["failed_views"] == 1
+        assert payload[0]["capped_views"] == payload[1]["capped_views"] == 0
         assert payload[1]["flagged"] is True
