@@ -320,8 +320,8 @@ def _cmd_gen_dataset(args) -> int:
     space = load_space(args.space)
     canonical_mesh = read_ply(args.canonical)
     meshes = [read_ply(p) for p in _list_meshes(args.models)]
-    clouds, fields = register_instances(space.canonical, meshes, space.registration, seed=args.seed)
-    category = CategorySpec(canonical_mesh, space.canonical, meshes, clouds, fields)
+    fields = register_instances(space.canonical, meshes, space.registration, seed=args.seed)
+    category = CategorySpec(canonical_mesh, space.canonical, meshes, fields)
     views = _views_for(args, canonical_mesh)
     records = generate_dataset(
         category, views, args.rhos, args.out,
@@ -342,7 +342,7 @@ def _cmd_register(args) -> int:
     observed_cloud = _observed_cloud(space, observed_mesh, args.seed)
     canonical_dense, observed_dense, delta_true = prepare_instance(
         space, observed_mesh, observed_cloud, [view], oracle_spec, canonical_mesh,
-        seed=args.seed,
+        instance_label=Path(args.observed).stem, seed=args.seed,
     )
     result, _ = complete_view(
         space, canonical_dense, observed_dense, view, delta_true, oracle_spec,

@@ -59,25 +59,21 @@ MAX_SKIP_FRACTION = 0.001
 class CategorySpec:
     """One object category prepared for generation.
 
-    ``fields[i]`` warps the canonical cloud onto instance i; clouds are
-    the sampled-and-downsampled stand-ins used for registration.
-    Held-out test instances must simply not be included here.
+    ``fields[i]`` warps the canonical cloud onto instance i.  Held-out
+    test instances must simply not be included here.
     """
 
     canonical_mesh: Mesh
     canonical_cloud: PointCloud
     instance_meshes: tuple
-    instance_clouds: tuple
     fields: tuple
 
     def __post_init__(self):
         meshes = tuple(self.instance_meshes)
-        clouds = tuple(self.instance_clouds)
         fields = tuple(self.fields)
-        if not (len(meshes) == len(clouds) == len(fields)):
+        if len(meshes) != len(fields):
             raise ValidationError(
-                f"instance lists disagree: {len(meshes)} meshes, "
-                f"{len(clouds)} clouds, {len(fields)} fields"
+                f"instance lists disagree: {len(meshes)} meshes, {len(fields)} fields"
             )
         if len(meshes) < 1:
             raise ValidationError("category needs at least one training instance")
@@ -89,7 +85,6 @@ class CategorySpec:
                     f"fields[{index}] is not anchored at the canonical cloud"
                 )
         object.__setattr__(self, "instance_meshes", meshes)
-        object.__setattr__(self, "instance_clouds", clouds)
         object.__setattr__(self, "fields", fields)
 
     @property
@@ -150,30 +145,32 @@ def build_category(
     canonical_cloud = mesh_cloud(
         canonical_mesh, registration.cloud_leaf, seed, 0, registration.dense_count
     )
-    clouds, fields = register_instances(canonical_cloud, instance_meshes, registration, seed=seed)
-    return CategorySpec(canonical_mesh, canonical_cloud, instance_meshes, clouds, fields)
+    fields = register_instances(canonical_cloud, instance_meshes, registration, seed=seed)
+    return CategorySpec(canonical_mesh, canonical_cloud, instance_meshes, fields)
 
 
 def register_instances(canonical_cloud: PointCloud, instances, registration: Registration,
-                       *, seed: int = 0):
+                       *, seed: int = 0, labels=None):
     """Register instances onto the canonical cloud by the category's recipe.
 
     A Mesh first becomes :func:`mesh_cloud` with the recipe's leaf and
     count, drawn from the stream salted with its index plus one; a
     PointCloud is registered as it is.  Every instance whose CPD stops at
-    the iteration cap is reported by a ``warning:`` line on stderr.
-    Returns ``(clouds, fields)``, the fields anchored at the canonical cloud.
+    the iteration cap is reported by a ``warning:`` line on stderr, which
+    names it by its entry in ``labels`` (default: its index).  Returns the
+    fields, anchored at the canonical cloud.
     """
-    clouds, fields = [], []
-    for index, instance in enumerate(instances):
+    instances = tuple(instances)
+    labels = range(len(instances)) if labels is None else labels
+    fields = []
+    for index, (instance, label) in enumerate(zip(instances, labels, strict=True)):
         if isinstance(instance, Mesh):
             instance = mesh_cloud(instance, registration.cloud_leaf, seed, index + 1,
                                   registration.dense_count)
         result = cpd_nonrigid(instance, canonical_cloud, registration.cpd)
-        warn_if_capped(result, f"registration of instance {index}")
-        clouds.append(instance)
+        warn_if_capped(result, f"registration of instance {label}")
         fields.append(result.field)
-    return tuple(clouds), tuple(fields)
+    return tuple(fields)
 
 
 def warn_if_capped(result, subject: str) -> bool:

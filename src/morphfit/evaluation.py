@@ -119,6 +119,7 @@ def prepare_instance(
     oracle_spec: OracleSpec,
     canonical_mesh: Mesh,
     *,
+    instance_label: str,
     seed: int = 0,
     densify_per_pixel: float = 20.0,
     densify_max: int = 60000,
@@ -128,9 +129,10 @@ def prepare_instance(
     The samples are dense enough for gap-free splats at the views' mean
     distance.  The deltas are the instance's full deformation, recovered
     once by registering ``instance_cloud`` with the space's recipe and
-    reused for every view's ground-truth target.  The external oracle
-    reads only that target's mask and scale, so it gets zeros and no
-    registration runs.  Returns ``(canonical_dense, observed_dense, delta_true)``.
+    reused for every view's ground-truth target; a cap warning names it
+    ``instance_label``.  The external oracle reads only that target's mask
+    and scale, so it gets zeros and no registration runs.  Returns
+    ``(canonical_dense, observed_dense, delta_true)``.
     """
     views = list(views)
     if not views:
@@ -147,7 +149,8 @@ def prepare_instance(
     )
     if oracle_spec.kind == "external":
         return canonical_dense, observed_dense, np.zeros((len(space.canonical), 3))
-    _, (field,) = register_instances(space.canonical, [instance_cloud], space.registration)
+    (field,) = register_instances(space.canonical, [instance_cloud], space.registration,
+                                  labels=[instance_label])
     return canonical_dense, observed_dense, target_delta(field, 0.0)
 
 
@@ -252,7 +255,8 @@ def pose_noise_experiment(
     views = list(views)
     canonical_dense, observed_dense, delta_true = prepare_instance(
         space, instance_mesh, instance_cloud, views, oracle_spec, canonical_mesh,
-        seed=seed, densify_per_pixel=densify_per_pixel, densify_max=densify_max,
+        instance_label=instance_label, seed=seed, densify_per_pixel=densify_per_pixel,
+        densify_max=densify_max,
     )
     conditions = tuple(conditions)
     pipeline_errors, cpd_errors = [], []

@@ -3,7 +3,8 @@
 A position image stores, per foreground pixel, the world coordinates of
 the surface point visible there.  Rendering is point splatting with a
 depth buffer; deformation targets are rasterized by scattered-data
-interpolation from canonical points to pixel positions; the zoom crops
+interpolation from canonical points to pixel positions, once per
+distinct position, which a nearest-neighbor zoom repeats; the zoom crops
 both views to a shared aspect-correct box around their foregrounds.
 
 Pixel conventions: pixel (row, col) spans [col, col+1) x [row, row+1)
@@ -139,7 +140,6 @@ def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> Posi
     inv_z = 1.0 / cam[:, 2]
     cols = np.floor(fx * cam[:, 0] * inv_z + cx).astype(np.int64)
     rows = np.floor(fy * cam[:, 1] * inv_z + cy).astype(np.int64)
-    depths = cam[:, 2]
 
     disc = [
         (dx, dy)
@@ -147,35 +147,24 @@ def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> Posi
         for dx in range(-splat_radius, splat_radius + 1)
         if dx * dx + dy * dy <= splat_radius * splat_radius
     ]
-    flat_parts, depth_parts, point_parts = [], [], []
-    point_ids = np.arange(len(world))
+    # Rank the points by (depth, index): the stable sort keeps equal depths
+    # in index order.  Each pixel keeps the lowest rank splatted onto it.
+    by_rank = np.argsort(cam[:, 2], kind="stable")
+    rank = np.empty(len(by_rank), dtype=np.int64)
+    rank[by_rank] = np.arange(len(by_rank))
+    best = np.full(height * width, len(by_rank), dtype=np.int64)
     for dx, dy in disc:
         c = cols + dx
         r = rows + dy
         ok = (c >= 0) & (c < width) & (r >= 0) & (r < height)
-        flat_parts.append(r[ok] * width + c[ok])
-        depth_parts.append(depths[ok])
-        point_parts.append(point_ids[ok])
-    flat = np.concatenate(flat_parts)
-    if flat.size == 0:
+        np.minimum.at(best, r[ok] * width + c[ok], rank[ok])
+    lit = best < len(by_rank)
+    if not lit.any():
         raise EmptyRenderError("no model point projects inside the image")
-    depth = np.concatenate(depth_parts)
-    point = np.concatenate(point_parts)
-
-    # Sort by (pixel, depth, point index); the first entry per pixel is the
-    # winner and the ordering makes equal-depth ties deterministic.
-    order = np.lexsort((point, depth, flat))
-    flat = flat[order]
-    point = point[order]
-    first = np.ones(flat.size, dtype=bool)
-    first[1:] = flat[1:] != flat[:-1]
-    win_flat = flat[first]
-    win_point = point[first]
 
     data = np.zeros((height, width, 3))
-    mask = np.zeros((height, width), dtype=bool)
-    data.reshape(-1, 3)[win_flat] = world[win_point]
-    mask.reshape(-1)[win_flat] = True
+    data.reshape(-1, 3)[lit] = world[by_rank[best[lit]]]
+    mask = lit.reshape(height, width)
     return PositionImage(data, mask)
 
 
@@ -187,7 +176,10 @@ def rasterize_target(
     Uses scattered-data interpolation with a linear radial kernel plus an
     affine tail, so constant and affine delta fields are reproduced
     exactly (up to conditioning) and pixels sitting exactly on canonical
-    points take exactly those points' rows.
+    points take exactly those points' rows.  A pixel's value depends on
+    its position alone, so each distinct position is interpolated once
+    and copied to its repeats: a zoomed render repeats its source pixels
+    many times over, and the values are the same as one per pixel.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (len(canonical), 3):
@@ -198,7 +190,7 @@ def rasterize_target(
     data = np.zeros((height, width, 3))
     if not position.mask.any():
         return DeformationImage(data, position.mask.copy(), 1.0)
-    targets = position.data[position.mask]
+    targets, repeat = _distinct_rows(position.data[position.mask])
     try:
         values = RBFInterpolator(
             canonical.points, deltas, kernel="linear", degree=1
@@ -217,8 +209,23 @@ def rasterize_target(
             )(targets)
         except np.linalg.LinAlgError as exc:
             raise RasterizeError(f"interpolation system singular: {exc}") from exc
-    data[position.mask] = values
+    data[position.mask] = values[repeat]
     return DeformationImage(data, position.mask.copy(), 1.0)
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, repeat)`` with ``distinct[repeat]`` equal to ``rows``.
+
+    A lexicographic sort puts equal rows next to each other; it is several
+    times faster than ``np.unique(rows, axis=0)`` on float rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    repeat = np.empty(len(rows), dtype=np.int64)
+    repeat[order] = np.cumsum(starts) - 1
+    return ordered[starts], repeat
 
 
 def mask_bounding_box(mask: np.ndarray) -> tuple[float, float, float, float]:
@@ -261,7 +268,9 @@ def zoom(
     of the two foreground boxes, centered on the union, translated to fit
     the source frame when possible.  Geometric channels and masks are
     resampled nearest-neighbor: interpolating world positions across
-    silhouette edges would fabricate 3D points.
+    silhouette edges would fabricate 3D points.  Every zoomed pixel thus
+    copies one source pixel exactly, which :func:`rasterize_target` uses
+    to interpolate each distinct position once.
     """
     if observed.mask.shape != canonical.mask.shape:
         raise ValidationError(

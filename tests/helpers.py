@@ -7,6 +7,7 @@ deformation fields so tests can compare against exact values.
 from __future__ import annotations
 
 import numpy as np
+from scipy.interpolate import RBFInterpolator
 
 from morphfit import (
     CategorySpec,
@@ -155,7 +156,7 @@ class SyntheticCategory:
     def category_spec(self) -> CategorySpec:
         return CategorySpec(
             self.canonical_mesh, self.canonical_cloud,
-            self.instance_meshes, self.instance_clouds, self.fields,
+            self.instance_meshes, self.fields,
         )
 
     def held_out(self, amplitudes=(0.45, -0.6)):
@@ -164,3 +165,16 @@ class SyntheticCategory:
         mesh = self.warp_mesh(field)
         cloud = apply_deformation(self.canonical_cloud, field)
         return mesh, cloud, field
+
+
+def per_pixel_target(position, canonical, deltas) -> np.ndarray:
+    """Target data interpolated at every foreground pixel, repeats included.
+
+    The reference for :func:`morphfit.rasterize_target`, which interpolates
+    each distinct position once.
+    """
+    data = np.zeros(position.mask.shape + (3,))
+    data[position.mask] = RBFInterpolator(
+        canonical.points, np.asarray(deltas, dtype=float), kernel="linear", degree=1
+    )(position.data[position.mask])
+    return data

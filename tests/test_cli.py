@@ -318,7 +318,7 @@ class TestPoseFile:
         spec = category.category_spec()
         single = CategorySpec(
             spec.canonical_mesh, spec.canonical_cloud,
-            spec.instance_meshes[:1], spec.instance_clouds[:1], spec.fields[:1],
+            spec.instance_meshes[:1], spec.fields[:1],
         )
         view = look_at([0.07, -0.04, 0.6], focal=(103.125, 99.5),
                        principal_point=(50.0, 33.0), resolution=(96, 72))
@@ -421,6 +421,37 @@ class TestEvaluateCommands:
         by_condition = {r[1]: r for r in rows[1:]}
         assert set(by_condition) == {"oracle-pipeline", "canonical-baseline"}
         assert by_condition["oracle-pipeline"][2] == "4"  # draws x views
+
+
+@pytest.fixture(scope="module")
+def capped_space_path(space_path, tmp_path_factory):
+    """The space with its recipe's CPD capped at one iteration."""
+    header, payload = space_path.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    meta["registration"]["max_iterations"] = 1
+    out = tmp_path_factory.mktemp("cli-capped") / "capped.mfss"
+    out.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    return out
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("register", ["--observed", "observed.ply", "--pose", "pose.json"]),
+    ("evaluate", ["--instance", "observed.ply", "--views", "1"]),
+    ("pose-noise-eval", ["--instance", "observed.ply", "--views", "1", "--draws", "1"]),
+])
+def test_capped_registration_names_the_observed_file(command, flags, mesh_dir, pose_path,
+                                                      capped_space_path, tmp_path, capsys):
+    paths = {"observed.ply": str(mesh_dir / "observed.ply"), "pose.json": str(pose_path)}
+    code = main([
+        command, "--space", str(capped_space_path),
+        "--canonical", str(mesh_dir / "canonical.ply"), "--res", "96x72",
+        *[paths.get(flag, flag) for flag in flags], "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning: registration")] == [
+        "warning: registration of instance observed hit the 1-iteration cap without converging"
+    ]
 
 
 class TestCrossRegister:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import SyntheticCategory
+from helpers import SyntheticCategory, per_pixel_target
 
 from morphfit import (
     CategorySpec,
@@ -27,7 +27,9 @@ from morphfit import (
     target_delta,
     viewpoint_sphere,
 )
+from morphfit import dataset as dataset_module
 from morphfit.dataset import register_instances
+from morphfit.imaging import PositionImage
 
 
 def small_views(count=2, resolution=(96, 72)):
@@ -179,7 +181,7 @@ class TestGenerateDataset:
         spec = category.category_spec()
         single = CategorySpec(
             spec.canonical_mesh, spec.canonical_cloud,
-            spec.instance_meshes[:1], spec.instance_clouds[:1], spec.fields[:1],
+            spec.instance_meshes[:1], spec.fields[:1],
         )
         records = generate_dataset(
             single, small_views(1), [0.25], tmp_path / "unit", seed=0, **GEN_KW
@@ -192,7 +194,7 @@ class TestGenerateDataset:
         spec = category.category_spec()
         single = CategorySpec(
             spec.canonical_mesh, spec.canonical_cloud,
-            spec.instance_meshes[:1], spec.instance_clouds[:1], spec.fields[:1],
+            spec.instance_meshes[:1], spec.fields[:1],
         )
         away = look_at([0.0, 0.0, 0.6], target=[0.0, 0.0, 1.2],
                        focal=(103.125, 103.125), resolution=(96, 72))
@@ -211,6 +213,38 @@ class TestGenerateDataset:
             generate_dataset(
                 category.category_spec(), small_views(1), [1.5], tmp_path / "bad", **GEN_KW
             )
+
+
+class TestTargetValues:
+    @pytest.mark.parametrize("zoom_resolution, padded", [((96, 72), False), ((48, 72), True)])
+    def test_target_matches_per_pixel_interpolation(
+            self, category, tmp_path, monkeypatch, zoom_resolution, padded):
+        # The exported target must hold the interpolated deltas at every
+        # pixel of the exported zoomed render, repeats included.
+        written = {}
+
+        def keep(writer):
+            def write(path, data, *args):
+                written[Path(path).name] = np.array(data)
+                return writer(path, data, *args)
+            return write
+
+        monkeypatch.setattr(dataset_module, "write_tensor", keep(dataset_module.write_tensor))
+        monkeypatch.setattr(dataset_module, "write_mask", keep(dataset_module.write_mask))
+        spec = category.category_spec()
+        single = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
+                              spec.instance_meshes[1:2], spec.fields[1:2])
+        (record,) = generate_dataset(
+            single, small_views(1), [0.25], tmp_path, seed=0,
+            **{**GEN_KW, "zoom_resolution": zoom_resolution},
+        )
+        assert record.padded is padded
+        canonical = PositionImage(written["canon.pos.f32"], written["canon.mask.pgm"])
+        expected = per_pixel_target(canonical, spec.canonical_cloud,
+                                    target_delta(spec.fields[1], 0.25))
+        target = written["target.f32"] / record.export_scale
+        np.testing.assert_array_equal(np.any(target != 0.0, axis=2), canonical.mask)
+        np.testing.assert_allclose(target, expected, rtol=0.0, atol=1e-12)
 
 
 class TestSampleRecord:
@@ -251,15 +285,30 @@ class TestBuildCategory:
     def test_unconverged_registrations_are_reported(self, category, capsys):
         capped = Registration(CpdConfig(beta=category.beta, max_iterations=1),
                               category.registration.cloud_leaf, 2000)
-        clouds, fields = register_instances(
+        fields = register_instances(
             category.canonical_cloud, category.instance_meshes[:2], capped
         )
-        assert len(clouds) == len(fields) == 2
+        assert len(fields) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [
             f"warning: registration of instance {i} hit the 1-iteration cap without converging"
             for i in range(2)
         ]
+
+    def test_warnings_name_the_given_labels(self, category, capsys):
+        capped = Registration(CpdConfig(beta=category.beta, max_iterations=1),
+                              category.registration.cloud_leaf, 2000)
+        register_instances(category.canonical_cloud, category.instance_clouds[:2], capped,
+                           labels=["chair", "stool"])
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: registration of instance {name} hit the 1-iteration cap without converging"
+            for name in ("chair", "stool")
+        ]
+
+    def test_one_label_per_instance(self, category):
+        with pytest.raises(ValueError):
+            register_instances(category.canonical_cloud, category.instance_clouds[:2],
+                               category.registration, labels=["chair"])
 
     def test_converged_registrations_stay_quiet(self, category, capsys):
         build_category(category.canonical_mesh, category.instance_meshes[:1],

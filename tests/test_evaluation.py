@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from helpers import per_pixel_target
+
 from morphfit import (
     CpdConfig,
     EvalRow,
@@ -19,7 +21,15 @@ from morphfit import (
     report_to_json,
     viewpoint_sphere,
 )
-from morphfit.evaluation import COND_CANONICAL, COND_PIPELINE, COND_RAW_CPD
+from morphfit import evaluation as evaluation_module
+from morphfit.evaluation import (
+    COND_CANONICAL,
+    COND_PIPELINE,
+    COND_RAW_CPD,
+    complete_view,
+    prepare_instance,
+)
+from morphfit.imaging import PositionImage
 
 FAST = dict(densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72))
 
@@ -167,6 +177,22 @@ class TestEvaluateInstance:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload[0]["capped_views"] == len(few_views)
 
+    def test_capped_instance_registration_names_the_instance(self, category, held_out,
+                                                            few_views, capsys):
+        mesh, cloud = held_out
+        capped = dataclasses.replace(
+            category.registration, cpd=CpdConfig(beta=category.beta, max_iterations=1)
+        )
+        space = dataclasses.replace(category.space, registration=capped)
+        evaluate_instance(
+            space, mesh, cloud, few_views, OracleSpec("ground_truth"),
+            category.canonical_mesh, conditions=(COND_PIPELINE,),
+            instance_label="held-out", **FAST,
+        )
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: registration of instance held-out hit the 1-iteration cap without converging"
+        ]
+
     def test_all_views_failing_raises(self, category, held_out, few_views):
         mesh, cloud = held_out
         broken = OracleSpec("external", command="false")
@@ -175,6 +201,51 @@ class TestEvaluateInstance:
                 category.space, mesh, cloud, few_views, broken,
                 category.canonical_mesh, conditions=(COND_PIPELINE,), **FAST,
             )
+
+
+class TestTargetValues:
+    @pytest.mark.parametrize("zoom_resolution, padded", [((96, 72), False), ((48, 72), True)])
+    def test_offset_target_matches_per_pixel_interpolation(
+            self, category, held_out, few_views, monkeypatch, zoom_resolution, padded):
+        # The oracle must see the interpolated deltas at every pixel of the
+        # zoomed render shifted by the offset, repeats included.
+        seen = {}
+        zoom, infer = evaluation_module.zoom, evaluation_module.infer
+
+        def keep_zoom(*args, **kwargs):
+            seen["zoom"] = zoom(*args, **kwargs)
+            return seen["zoom"]
+
+        def keep_sample(spec, sample, **kwargs):
+            seen["sample"] = sample
+            return infer(spec, sample, **kwargs)
+
+        monkeypatch.setattr(evaluation_module, "zoom", keep_zoom)
+        monkeypatch.setattr(evaluation_module, "infer", keep_sample)
+        mesh, cloud = held_out
+        oracle = OracleSpec("ground_truth")
+        options = dict(densify_per_pixel=FAST["densify_per_pixel"],
+                       densify_max=FAST["densify_max"])
+        canonical_dense, observed_dense, delta_true = prepare_instance(
+            category.space, mesh, cloud, few_views[:1], oracle, category.canonical_mesh,
+            instance_label="held-out", **options,
+        )
+        offset = np.array([0.004, -0.003, 0.002])
+        complete_view(category.space, canonical_dense, observed_dense, few_views[0],
+                      delta_true, oracle, offset=offset, zoom_resolution=zoom_resolution)
+        assert seen["zoom"].padded is padded
+
+        canonical = seen["sample"].canonical
+        believed = PositionImage(
+            np.where(canonical.mask[..., None], canonical.data - offset, 0.0), canonical.mask
+        )
+        expected = per_pixel_target(believed, category.space.canonical, delta_true)
+        apparent = seen["sample"].target
+        np.testing.assert_array_equal(apparent.mask, canonical.mask)
+        np.testing.assert_allclose(
+            apparent.data, np.where(canonical.mask[..., None], expected - offset, 0.0),
+            rtol=0.0, atol=1e-12,
+        )
 
 
 class TestPoseNoise:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import sphere_cloud
+from helpers import per_pixel_target, sphere_cloud
 
 from morphfit import (
     DeformationImage,
@@ -15,6 +15,8 @@ from morphfit import (
     splat_position_image,
     zoom,
 )
+from morphfit import imaging
+from morphfit.imaging import _distinct_rows
 
 
 class TestImageTypes:
@@ -91,6 +93,49 @@ class TestSplat:
         got = {tuple(rc) for rc in np.argwhere(img.mask)}
         assert got == lit
 
+    def test_winner_per_pixel_matches_brute_force_z_buffer(self):
+        # Points on three planes facing the camera: most depths are shared
+        # exactly, so the index tie-break decides many pixels.
+        rng = np.random.default_rng(2)
+        xy = rng.uniform(-0.3, 0.3, size=(400, 2))
+        z = rng.choice([0.0, 0.05, 0.1], size=400)
+        cloud = PointCloud(np.column_stack([xy, z]))
+        view = look_at([0, 0, 2.0], resolution=(40, 30), focal=(50.0, 50.0))
+        img = splat_position_image(cloud, view, splat_radius=1)
+
+        cam = view.to_camera(cloud.points)
+        assert len(set(cam[:, 2])) == 3
+        fx, fy = view.focal
+        cx, cy = view.principal_point
+        winner = {}  # pixel -> (depth, index), the smallest seen so far
+        for k in range(len(cloud)):
+            inv_z = 1.0 / cam[k, 2]
+            u = int(np.floor(fx * cam[k, 0] * inv_z + cx))
+            v = int(np.floor(fy * cam[k, 1] * inv_z + cy))
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if dx * dx + dy * dy <= 1 and 0 <= u + dx < 40 and 0 <= v + dy < 30:
+                        pixel = (v + dy, u + dx)
+                        winner[pixel] = min(winner.get(pixel, (np.inf, k)), (cam[k, 2], k))
+        expected = np.zeros((30, 40, 3))
+        for (row, col), (_, k) in winner.items():
+            expected[row, col] = cloud.points[k]
+        assert {tuple(rc) for rc in np.argwhere(img.mask)} == set(winner)
+        np.testing.assert_array_equal(img.data, expected)
+
+    def test_equal_depth_tie_goes_to_lower_index(self):
+        view = look_at([0, 0, 3.0], resolution=(32, 32), focal=(40.0, 40.0))
+        a, b = [0.01, 0.01, 0.0], [0.0101, 0.0102, 0.0]
+        cam = view.to_camera(np.array([a, b]))
+        assert cam[0, 2] == cam[1, 2]
+        first = splat_position_image(PointCloud([a, b]), view, splat_radius=0)
+        swapped = splat_position_image(PointCloud([b, a]), view, splat_radius=0)
+        assert first.mask.sum() == swapped.mask.sum() == 1  # both in one pixel
+        ((row, col),) = np.argwhere(first.mask)
+        assert swapped.mask[row, col]
+        np.testing.assert_array_equal(first.data[row, col], a)
+        np.testing.assert_array_equal(swapped.data[row, col], b)
+
     def test_deterministic(self):
         view = look_at([0, 0.1, 1.2], resolution=(40, 30))
         cloud = sphere_cloud(200, radius=0.3, seed=1)
@@ -114,6 +159,39 @@ class TestRasterizeTarget:
     def _render(self, cloud, resolution=(48, 36)):
         view = look_at([0.05, -0.1, 1.4], resolution=resolution, focal=(55.0, 55.0))
         return splat_position_image(cloud, view)
+
+    @pytest.mark.parametrize("target_resolution, padded", [((96, 72), False), ((24, 72), True)])
+    def test_zoomed_render_matches_per_pixel_interpolation(
+            self, monkeypatch, target_resolution, padded):
+        cloud = sphere_cloud(150, radius=0.35, seed=5)
+        img = self._render(cloud)
+        zoomed = zoom(img, img, target_resolution)
+        assert zoomed.padded is padded
+        deltas = np.random.default_rng(5).normal(scale=0.01, size=(150, 3))
+        evaluated = []
+        interpolator = imaging.RBFInterpolator
+
+        class Counting(interpolator):
+            def __call__(self, x):
+                evaluated.append(len(x))
+                return super().__call__(x)
+
+        monkeypatch.setattr(imaging, "RBFInterpolator", Counting)
+        out = rasterize_target(zoomed.canonical, cloud, deltas)
+        position = zoomed.canonical
+        np.testing.assert_array_equal(out.mask, position.mask)
+        np.testing.assert_allclose(out.data, per_pixel_target(position, cloud, deltas),
+                                   rtol=0.0, atol=1e-12)
+        distinct = np.unique(position.data[position.mask], axis=0)
+        assert evaluated == [len(distinct)]
+        assert len(distinct) < position.mask.sum()
+
+    def test_distinct_rows_sharing_a_coordinate_stay_apart(self):
+        rows = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0],
+                         [0.0, 5.0, 5.0], [1.0, 2.0, 4.0], [1.0, 7.0, 3.0]])
+        distinct, repeat = _distinct_rows(rows)
+        assert len(distinct) == 4
+        np.testing.assert_array_equal(distinct[repeat], rows)
 
     def test_constant_field_reproduced(self):
         cloud = sphere_cloud(120, radius=0.35, seed=2)

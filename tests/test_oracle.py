@@ -26,7 +26,7 @@ def sample_record(tmp_path_factory, category):
     spec = category.category_spec()
     single = CategorySpec(
         spec.canonical_mesh, spec.canonical_cloud,
-        spec.instance_meshes[:1], spec.instance_clouds[:1], spec.fields[:1],
+        spec.instance_meshes[:1], spec.fields[:1],
     )
     views = viewpoint_sphere(1, 0.6, focal=(103.125, 103.125), resolution=(96, 72))
     records = generate_dataset(
