@@ -18,6 +18,7 @@ from .geometry import (
     Mesh,
     PointCloud,
     apply_deformation,
+    distinct_rows,
     gaussian_kernel,
 )
 from .shape_space import ShapeSpace, latent_to_field
@@ -121,9 +122,11 @@ def pixels_to_sparse_deltas(
         )
     if not mask.any():
         raise NoVisiblePointsError("mask has no foreground pixels")
-    positions = position_data[mask]
+    # A pixel's owner depends on its position alone; a nearest-neighbor
+    # zoom repeats positions, so query each distinct one once.
+    distinct, repeat = distinct_rows(position_data[mask])
+    owners = nearest_canonical_points(canonical, distinct)[repeat]
     pixel_deltas = deformation_data[mask]
-    owners = nearest_canonical_points(canonical, positions)
     n = len(canonical)
     sums = np.zeros((n, 3))
     np.add.at(sums, owners, pixel_deltas)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .errors import SolverError, ValidationError
@@ -113,12 +114,17 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
     """Register ``moving`` onto ``fixed``, recovering a smooth warp.
 
     EM loop: soft-assign data points to the warped moving cloud, solve the
-    regularized linear system for offset weights, update the mixture
-    variance from the weighted residual, repeat until the EM objective
+    regularized linear system (diag(m) G + regularization sigma^2 I) W =
+    P X - diag(m) Y for offset weights, update the mixture variance from
+    the weighted residual, repeat until the EM objective
     Q = 1.5 N_P log(sigma^2) + (regularization / 2) tr(W^T G W) changes by
     at most ``tolerance`` per unit of posterior mass N_P, or the iteration
     cap is hit (Myronenko & Song, TPAMI 2010).  sigma^2 is floored at 1e-12
     of its starting value, so exact correspondences converge too.
+
+    The system is solved by Cholesky in its symmetric positive-definite
+    form, scaled by r = sqrt(m) on both sides; a moving point with zero
+    posterior mass m gets an exactly zero weight row.
     """
     x = fixed.points if isinstance(fixed, PointCloud) else PointCloud(fixed).points
     y = moving.points if isinstance(moving, PointCloud) else PointCloud(moving).points
@@ -136,6 +142,9 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
     weights = np.zeros((n_moving, 3))
     moved = y
     objective = np.inf
+    # One buffer for the M-step matrix: a fresh (n, n) array per iteration
+    # costs page faults that also slow the next E-step.
+    system = np.empty_like(kernel)
     converged = False
     iteration = 0
     for iteration in range(1, config.max_iterations + 1):
@@ -147,19 +156,29 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
             raise SolverError("posterior mass vanished", iteration=iteration)
         weighted_targets = posterior @ x
 
-        # (diag(m) G + reg*sigma2 I) W = P X - diag(m) Y: same solution as
-        # the preconditioned textbook form wherever m > 0, and rows with
-        # zero mass cleanly get W = 0 instead of a division by zero.
-        system = mass_per_centroid[:, None] * kernel
+        # (diag(m) G + c I) W = P X - diag(m) Y, c = reg*sigma2, in its
+        # symmetric positive-definite form: with r = sqrt(m) and W = r V,
+        # (diag(r) G diag(r) + c I) V = rhs / r.  Rows with zero mass have
+        # a zero rhs, so they get V = 0 and W = 0 exactly.
+        root = np.sqrt(mass_per_centroid)
+        np.multiply(root[:, None], kernel, out=system)
+        system *= root
         system[np.diag_indices_from(system)] += config.regularization * sigma2
         rhs = weighted_targets - mass_per_centroid[:, None] * y
+        scaled = np.divide(rhs, root[:, None], out=np.zeros_like(rhs),
+                           where=root[:, None] > 0.0)
         try:
-            weights = np.linalg.solve(system, rhs)
+            # The system is symmetric, so its transpose is the same matrix
+            # in Fortran order: LAPACK factors it in place, without a copy.
+            factor = cho_factor(system.T, lower=True, overwrite_a=True,
+                                check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
-                f"singular regularized system (duplicated moving points?): {exc}",
+                f"regularized system not positive definite: {exc}",
                 iteration=iteration,
             ) from exc
+        weights = root[:, None] * cho_solve(factor, scaled, overwrite_b=True,
+                                            check_finite=False)
 
         offsets = kernel @ weights
         moved = y + offsets

@@ -111,8 +111,6 @@ class SampleRecord:
     seed: int
     status: str = "ok"
     reason: str | None = None
-    observed_rgb: str | None = None   # reserved for renderer-equipped consumers
-    canonical_rgb: str | None = None
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

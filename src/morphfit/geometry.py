@@ -30,6 +30,7 @@ __all__ = [
     "flatten_offsets",
     "unflatten_offsets",
     "voxel_downsample",
+    "distinct_rows",
     "viewpoint_sphere",
     "look_at",
     "sample_mesh_surface",
@@ -275,12 +276,27 @@ def voxel_downsample(cloud, leaf: float) -> PointCloud:
         raise ValidationError(f"voxel leaf must be > 0, got {leaf}")
     pts = _points_of(cloud)
     keys = np.floor(pts / leaf).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    sums = np.zeros((uniq.shape[0], 3))
+    voxels, inverse = distinct_rows(keys)
+    sums = np.zeros((len(voxels), 3))
     np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
+    counts = np.bincount(inverse, minlength=len(voxels)).astype(np.float64)
     return PointCloud(sums / counts[:, None])
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct, repeat)`` with ``distinct[repeat]`` equal to ``rows``.
+
+    ``distinct`` is in lexicographic row order, as ``np.unique(rows,
+    axis=0)`` returns it; the sort puts equal rows next to each other and
+    is several times faster than ``np.unique`` on (n, 3) rows.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    repeat = np.empty(len(rows), dtype=np.int64)
+    repeat[order] = np.cumsum(starts) - 1
+    return ordered[starts], repeat
 
 
 def look_at(eye, target=(0.0, 0.0, 0.0), **camera_kwargs) -> CameraView:

@@ -23,7 +23,7 @@ from .errors import (
     RasterizeError,
     ValidationError,
 )
-from .geometry import CameraView, PointCloud
+from .geometry import CameraView, PointCloud, distinct_rows
 
 __all__ = [
     "PositionImage",
@@ -45,9 +45,10 @@ def _check_image(data, mask, name: str):
         raise ValidationError(
             f"{name} mask shape {mask.shape} != data resolution {data.shape[:2]}"
         )
-    if data[~mask].any():
+    if (data.any(axis=2) & ~mask).any():
         raise ValidationError(f"{name} background pixels must be exactly zero")
-    if not np.all(np.isfinite(data[mask])):
+    # The background is zero by now, so every non-finite value is foreground.
+    if not np.isfinite(data).all():
         raise ValidationError(f"{name} foreground contains non-finite values")
     data = np.ascontiguousarray(data)
     mask = np.ascontiguousarray(mask)
@@ -190,7 +191,7 @@ def rasterize_target(
     data = np.zeros((height, width, 3))
     if not position.mask.any():
         return DeformationImage(data, position.mask.copy(), 1.0)
-    targets, repeat = _distinct_rows(position.data[position.mask])
+    targets, repeat = distinct_rows(position.data[position.mask])
     try:
         values = RBFInterpolator(
             canonical.points, deltas, kernel="linear", degree=1
@@ -211,21 +212,6 @@ def rasterize_target(
             raise RasterizeError(f"interpolation system singular: {exc}") from exc
     data[position.mask] = values[repeat]
     return DeformationImage(data, position.mask.copy(), 1.0)
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(distinct, repeat)`` with ``distinct[repeat]`` equal to ``rows``.
-
-    A lexicographic sort puts equal rows next to each other; it is several
-    times faster than ``np.unique(rows, axis=0)`` on float rows.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    repeat = np.empty(len(rows), dtype=np.int64)
-    repeat[order] = np.cumsum(starts) - 1
-    return ordered[starts], repeat
 
 
 def mask_bounding_box(mask: np.ndarray) -> tuple[float, float, float, float]:

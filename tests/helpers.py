@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.interpolate import RBFInterpolator
+from scipy.spatial.distance import cdist
 
 from morphfit import (
     CategorySpec,
@@ -20,6 +21,7 @@ from morphfit import (
     gaussian_kernel,
     space_from_fields,
 )
+from morphfit.cpd import e_step
 from morphfit.dataset import default_cloud_leaf
 
 
@@ -178,3 +180,38 @@ def per_pixel_target(position, canonical, deltas) -> np.ndarray:
         canonical.points, np.asarray(deltas, dtype=float), kernel="linear", degree=1
     )(position.data[position.mask])
     return data
+
+
+def lu_cpd_nonrigid(fixed: PointCloud, moving: PointCloud, config: CpdConfig):
+    """``(moved points, sigma^2, iterations)`` of CPD with an LU M-step.
+
+    The reference for :func:`morphfit.cpd_nonrigid`, which solves the same
+    system (diag(m) G + c I) W = P X - diag(m) Y in its symmetric
+    positive-definite form by Cholesky; this one LU-solves it as written.
+    """
+    x, y = fixed.points, moving.points
+    kernel = gaussian_kernel(y, y, config.beta)
+    sigma2 = cdist(y, x, "sqeuclidean").sum() / (3.0 * len(x) * len(y))
+    sigma2_floor = 1e-12 * sigma2
+    moved, objective = y, np.inf
+    for iteration in range(1, config.max_iterations + 1):
+        posterior = e_step(x, moved, sigma2, config.outlier_weight)
+        mass = posterior.sum(axis=1)
+        total_mass = mass.sum()
+        weighted_targets = posterior @ x
+        system = mass[:, None] * kernel
+        system[np.diag_indices_from(system)] += config.regularization * sigma2
+        weights = np.linalg.solve(system, weighted_targets - mass[:, None] * y)
+        offsets = kernel @ weights
+        moved = y + offsets
+        fit = (posterior.sum(axis=0) * np.einsum("ij,ij->i", x, x)).sum()
+        cross = np.einsum("ij,ij->", weighted_targets, moved)
+        spread = (mass * np.einsum("ij,ij->i", moved, moved)).sum()
+        sigma2 = max((fit - 2.0 * cross + spread) / (3.0 * total_mass), sigma2_floor)
+        previous, objective = objective, (
+            1.5 * total_mass * np.log(sigma2)
+            + 0.5 * config.regularization * np.einsum("ij,ij->", weights, offsets)
+        )
+        if abs(objective - previous) <= config.tolerance * total_mass:
+            break
+    return moved, sigma2, iteration

@@ -11,15 +11,19 @@ from morphfit import (
     PointCloud,
     SparseDeltas,
     ValidationError,
+    PositionImage,
     cross_instance_correspondence,
     fit_latent,
     gaussian_kernel,
     latent_to_field,
+    look_at,
     nearest_canonical_points,
     pixels_to_sparse_deltas,
     reconstruct_mesh,
     space_from_fields,
+    splat_position_image,
     unflatten_offsets,
+    zoom,
 )
 from morphfit.geometry import expand_kernel
 
@@ -115,6 +119,41 @@ class TestPixelsToSparseDeltas:
         sparse = pixels_to_sparse_deltas(def_img, pos, mask, canonical)
         assert 5 not in sparse.visible_indices
         np.testing.assert_array_equal(sparse.deltas[5], 0.0)
+
+    @pytest.mark.parametrize("target_resolution, padded", [((96, 72), False), ((24, 72), True)])
+    def test_zoomed_render_matches_per_pixel_owners(self, target_resolution, padded):
+        cloud = sphere_cloud(150, radius=0.35, seed=5)
+        view = look_at([0.05, -0.1, 1.4], resolution=(48, 36), focal=(55.0, 55.0))
+        render = splat_position_image(cloud, view)
+        # Dyadic positions, so a canonical pair placed +-2^-8 around one of
+        # them is exactly equidistant from it.
+        render = PositionImage(np.round(render.data * 1024) / 1024, render.mask)
+        zoomed = zoom(render, render, target_resolution)
+        assert zoomed.padded is padded
+        position, mask = zoomed.canonical.data, zoomed.canonical.mask
+        tied = position[mask][0]
+        step = np.array([2.0 ** -8, 0.0, 0.0])
+        canonical = PointCloud(np.vstack([sphere_cloud(150, radius=0.35, seed=7).points,
+                                          tied + step, tied - step]))
+        deformation = np.zeros_like(position)
+        deformation[mask] = np.random.default_rng(6).normal(scale=0.01, size=(mask.sum(), 3))
+
+        distance = np.linalg.norm(canonical.points[150:] - tied, axis=1)
+        assert distance[0] == distance[1]
+        owners = nearest_canonical_points(canonical, position[mask])
+        assert owners[0] == 150
+        n = len(canonical)
+        sums = np.zeros((n, 3))
+        np.add.at(sums, owners, deformation[mask])
+        counts = np.bincount(owners, minlength=n)
+        visible = np.flatnonzero(counts)
+        expected = np.zeros((n, 3))
+        expected[visible] = sums[visible] / counts[visible, None]
+
+        sparse = pixels_to_sparse_deltas(deformation, position, mask, canonical)
+        np.testing.assert_array_equal(sparse.visible_indices, visible)
+        np.testing.assert_array_equal(sparse.deltas, expected)
+        assert len(np.unique(position[mask], axis=0)) < mask.sum()
 
     def test_empty_mask_raises(self):
         canonical = sphere_cloud(5, seed=4)

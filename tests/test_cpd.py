@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 
-from helpers import icosphere, smooth_weights, sphere_cloud
+from helpers import icosphere, lu_cpd_nonrigid, smooth_weights, sphere_cloud
 
 from morphfit import (
     CpdConfig,
@@ -13,6 +13,7 @@ from morphfit import (
     apply_deformation,
     cpd_nonrigid,
 )
+from morphfit import cpd
 from morphfit.cpd import e_step
 
 
@@ -125,6 +126,44 @@ class TestCpdStoppingRule:
         unit = cpd_nonrigid(category.instance_clouds[0], category.canonical_cloud,
                             CpdConfig(beta=0.1, regularization=2.0))
         assert result.iterations == unit.iterations
+
+
+class TestCpdMStep:
+    @pytest.mark.parametrize("case", ["category", "outliers"])
+    def test_matches_lu_reference(self, category, case):
+        if case == "category":
+            fixed, moving = category.instance_clouds[1], category.canonical_cloud
+            config = CpdConfig(beta=0.1)
+        else:
+            moving = sphere_cloud(90, seed=21)
+            fixed = PointCloud(
+                moving.points[:70] + 0.1 * smooth_weights(moving.points[:70], 1.0, 1.0, seed=22)
+            )
+            config = CpdConfig(beta=1.0, outlier_weight=0.2)
+        result = cpd_nonrigid(fixed, moving, config)
+        moved, sigma2, iterations = lu_cpd_nonrigid(fixed, moving, config)
+        assert result.iterations == iterations
+        np.testing.assert_allclose(apply_deformation(moving, result.field).points, moved,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(result.sigma2, sigma2, rtol=1e-9, atol=0)
+
+    def test_zero_mass_point_gets_exactly_zero_weights(self, monkeypatch):
+        # A moving point far from every data point ends with no posterior
+        # mass; its row of the system is c W_i = 0.
+        fixed = sphere_cloud(80, seed=23)
+        moving = PointCloud(np.vstack([sphere_cloud(60, seed=24).points, [[8.0, 0.0, 0.0]]]))
+        posteriors = []
+
+        def recording_e_step(*args):
+            posteriors.append(e_step(*args))
+            return posteriors[-1]
+
+        monkeypatch.setattr(cpd, "e_step", recording_e_step)
+        result = cpd_nonrigid(fixed, moving, CpdConfig(beta=0.5))
+        assert posteriors[0][-1].sum() > 0
+        assert posteriors[-1][-1].sum() == 0.0
+        np.testing.assert_array_equal(result.field.weights[-1], 0.0)
+        assert np.isfinite(result.field.weights).all()
 
 
 class TestCpdRecovery:

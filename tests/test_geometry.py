@@ -195,6 +195,23 @@ class TestVoxelDownsample:
         with pytest.raises(ValidationError):
             voxel_downsample(sphere_cloud(5), 0.0)
 
+    def test_matches_unique_reference_bit_for_bit(self):
+        # Negative coordinates, and points exactly on voxel faces (multiples
+        # of the dyadic leaf), which floor into the voxel above.
+        leaf = 0.125
+        rng = np.random.default_rng(13)
+        on_faces = leaf * rng.integers(-8, 8, size=(200, 3))
+        cloud = PointCloud(np.vstack([sphere_cloud(2000, seed=13).points, on_faces,
+                                      on_faces + [0.0, 1e-3, -1e-3]]))
+        keys = np.floor(cloud.points / leaf).astype(np.int64)
+        assert (keys < 0).any() and (cloud.points == leaf * keys).all(axis=1).any()
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        sums = np.zeros((len(uniq), 3))
+        np.add.at(sums, inverse, cloud.points)
+        reference = sums / np.bincount(inverse)[:, None]
+        np.testing.assert_array_equal(voxel_downsample(cloud, leaf).points, reference)
+
 
 class TestViewpointSphere:
     def test_single_view_on_plus_z(self):

@@ -16,7 +16,7 @@ from morphfit import (
     zoom,
 )
 from morphfit import imaging
-from morphfit.imaging import _distinct_rows
+from morphfit.geometry import distinct_rows
 
 
 class TestImageTypes:
@@ -33,6 +33,22 @@ class TestImageTypes:
         mask[0, 0] = True
         with pytest.raises(ValidationError):
             PositionImage(data, mask)
+
+    @pytest.mark.parametrize("pixel, channel, value, message", [
+        ((1, 0), 2, 1e-300, "background pixels must be exactly zero"),
+        ((0, 1), 1, np.nan, "foreground contains non-finite values"),
+        ((0, 1), 0, -np.inf, "foreground contains non-finite values"),
+    ])
+    def test_one_bad_channel_rejected(self, pixel, channel, value, message):
+        data = np.zeros((2, 3, 3))
+        mask = np.zeros((2, 3), dtype=bool)
+        mask[0] = True
+        data[mask] = 0.5
+        data[pixel + (channel,)] = value
+        for image in (lambda: PositionImage(data, mask),
+                      lambda: DeformationImage(data, mask, 1.0)):
+            with pytest.raises(ValidationError, match=message):
+                image()
 
     def test_immutable(self):
         img = PositionImage(np.zeros((2, 2, 3)), np.zeros((2, 2), dtype=bool))
@@ -189,7 +205,7 @@ class TestRasterizeTarget:
     def test_distinct_rows_sharing_a_coordinate_stay_apart(self):
         rows = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0],
                          [0.0, 5.0, 5.0], [1.0, 2.0, 4.0], [1.0, 7.0, 3.0]])
-        distinct, repeat = _distinct_rows(rows)
+        distinct, repeat = distinct_rows(rows)
         assert len(distinct) == 4
         np.testing.assert_array_equal(distinct[repeat], rows)
 
