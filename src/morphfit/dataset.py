@@ -424,11 +424,26 @@ def _generate_sample(
 def read_manifest(path) -> tuple[dict, list[SampleRecord]]:
     """Parse a manifest back into (header, records)."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: manifest is not UTF-8 text: {exc}") from exc
     if not lines:
         raise DatasetError(f"{path}: empty manifest")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
-        raise DatasetError(f"{path}: first line is not a manifest header")
-    records = [SampleRecord.from_json(line) for line in lines[1:]]
+    header = _parse_manifest_line(path, 1, lines[0], json.loads)
+    if not isinstance(header, dict) or header.get("kind") != "header":
+        raise DatasetError(f"{path}:1: not a manifest header")
+    records = [
+        _parse_manifest_line(path, number, line, SampleRecord.from_json)
+        for number, line in enumerate(lines[1:], start=2)
+    ]
     return header, records
+
+
+def _parse_manifest_line(path: Path, number: int, line: str, parse):
+    try:
+        return parse(line)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise DatasetError(
+            f"{path}:{number}: bad manifest line: {type(exc).__name__}: {exc}"
+        ) from exc

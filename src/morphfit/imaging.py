@@ -45,7 +45,7 @@ def _check_image(data, mask, name: str):
         raise ValidationError(
             f"{name} mask shape {mask.shape} != data resolution {data.shape[:2]}"
         )
-    if (data.any(axis=2) & ~mask).any():
+    if np.logical_and(data != 0, ~mask[..., None]).any():
         raise ValidationError(f"{name} background pixels must be exactly zero")
     # The background is zero by now, so every non-finite value is foreground.
     if not np.isfinite(data).all():
@@ -125,46 +125,68 @@ def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> Posi
     Each point covers the pixel disc of ``splat_radius`` around its
     projection; per pixel the nearest point (camera depth) wins.  Ties on
     depth go to the lowest point index, so renders are deterministic.
+
+    Points projecting into one pixel cover the same disc, so only the
+    least (depth, index) point of each projection pixel can win anywhere.
+    Two ``np.minimum.at`` passes over the points whose disc can reach the
+    frame find those winners on a grid padded by ``splat_radius``: least
+    depth first, then least index among exact depth ties.  Only the
+    winners are ranked by (depth, index) and splatted.
     """
     if splat_radius < 0:
         raise ValidationError(f"splat_radius must be >= 0, got {splat_radius}")
     pts = model.points if isinstance(model, PointCloud) else np.asarray(model, np.float64)
     width, height = view.resolution
     cam = view.to_camera(pts)
-    in_front = cam[:, 2] > 0.0
-    if not in_front.any():
+    index = np.flatnonzero(cam[:, 2] > 0.0)
+    if not len(index):
         raise EmptyRenderError("no model point in front of the camera")
-    cam = cam[in_front]
-    world = pts[in_front]
     fx, fy = view.focal
     cx, cy = view.principal_point
-    inv_z = 1.0 / cam[:, 2]
-    cols = np.floor(fx * cam[:, 0] * inv_z + cx).astype(np.int64)
-    rows = np.floor(fy * cam[:, 1] * inv_z + cy).astype(np.int64)
+    depth = cam[:, 2][index]
+    inv_z = 1.0 / depth
+    u = fx * cam[:, 0][index] * inv_z + cx
+    v = fy * cam[:, 1][index] * inv_z + cy
+    # Only a point projecting within the radius of the frame can light a
+    # pixel; key those by their projection pixel on the padded grid.
+    radius = splat_radius
+    reach = np.flatnonzero(
+        (u >= -radius) & (u < width + radius) & (v >= -radius) & (v < height + radius)
+    )
+    index, depth, u, v = index[reach], depth[reach], u[reach], v[reach]
+    grid_w = width + 2 * radius
+    key = (np.floor(v).astype(np.int64) + radius) * grid_w + np.floor(u).astype(np.int64) + radius
+    # The least depth per key, then the least index among its exact ties.
+    least = np.full((height + 2 * radius) * grid_w, np.inf)
+    np.minimum.at(least, key, depth)
+    tied = depth == least[key]
+    first = np.full(len(least), len(pts), dtype=np.int64)
+    np.minimum.at(first, key[tied], index[tied])
+    keys = np.flatnonzero(first < len(pts))
 
-    disc = [
-        (dx, dy)
-        for dy in range(-splat_radius, splat_radius + 1)
-        for dx in range(-splat_radius, splat_radius + 1)
-        if dx * dx + dy * dy <= splat_radius * splat_radius
-    ]
-    # Rank the points by (depth, index): the stable sort keeps equal depths
-    # in index order.  Each pixel keeps the lowest rank splatted onto it.
-    by_rank = np.argsort(cam[:, 2], kind="stable")
-    rank = np.empty(len(by_rank), dtype=np.int64)
-    rank[by_rank] = np.arange(len(by_rank))
-    best = np.full(height * width, len(by_rank), dtype=np.int64)
-    for dx, dy in disc:
-        c = cols + dx
-        r = rows + dy
-        ok = (c >= 0) & (c < width) & (r >= 0) & (r < height)
-        np.minimum.at(best, r[ok] * width + c[ok], rank[ok])
-    lit = best < len(by_rank)
+    # Rank the winners by (depth, index); each pixel keeps the lowest rank
+    # splatted onto it.
+    by_rank = np.lexsort((first[keys], least[keys]))
+    keys = keys[by_rank]
+    winner = first[keys]
+    rank = np.arange(len(keys))
+    rows = keys // grid_w - radius
+    cols = keys % grid_w - radius
+    best = np.full(height * width, len(keys), dtype=np.int64)
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            if dx * dx + dy * dy > radius * radius:
+                continue
+            c = cols + dx
+            r = rows + dy
+            ok = (c >= 0) & (c < width) & (r >= 0) & (r < height)
+            np.minimum.at(best, r[ok] * width + c[ok], rank[ok])
+    lit = best < len(keys)
     if not lit.any():
         raise EmptyRenderError("no model point projects inside the image")
 
     data = np.zeros((height, width, 3))
-    data.reshape(-1, 3)[lit] = world[by_rank[best[lit]]]
+    data.reshape(-1, 3)[lit] = pts[winner[best[lit]]]
     mask = lit.reshape(height, width)
     return PositionImage(data, mask)
 
@@ -236,9 +258,14 @@ def _resample_nearest(image: PositionImage, crop, out_size) -> PositionImage:
     row_ok = (row >= 0) & (row < src_h)
     col_c = np.clip(col, 0, src_w - 1)
     row_c = np.clip(row, 0, src_h - 1)
-    grid = np.ix_(row_c, col_c)
-    mask = image.mask[grid] & row_ok[:, None] & col_ok[None, :]
-    data = np.where(mask[..., None], image.data[grid], 0.0)
+    mask = image.mask[row_c][:, col_c]
+    data = image.data[row_c][:, col_c]
+    # A padded crop copied the nearest edge pixel outside the frame; make
+    # those pixels background.
+    mask[~row_ok] = False
+    mask[:, ~col_ok] = False
+    data[~row_ok] = 0.0
+    data[:, ~col_ok] = 0.0
     return PositionImage(data, mask)
 
 
@@ -256,7 +283,9 @@ def zoom(
     resampled nearest-neighbor: interpolating world positions across
     silhouette edges would fabricate 3D points.  Every zoomed pixel thus
     copies one source pixel exactly, which :func:`rasterize_target` uses
-    to interpolate each distinct position once.
+    to interpolate each distinct position once.  The resample gathers the
+    sampled source rows, then the sampled columns of those, and blanks to
+    background only the pixels of a padded box that fall outside the frame.
     """
     if observed.mask.shape != canonical.mask.shape:
         raise ValidationError(

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,62 @@ class TestSampleRecord:
         )
         back = SampleRecord.from_json(record.to_json())
         assert back == record
+
+
+class TestReadManifest:
+    def _record(self):
+        return json.loads(SampleRecord(
+            instance_index=0, rho=0.0, view_index=0,
+            paths={name: f"/tmp/{name}" for name in SAMPLE_FILES},
+            pose={"quaternion": [1, 0, 0, 0], "translation": [0, 0, 0]},
+            crop_box=(1.0, 2.0, 30.0, 22.5), scale_factors=(3.2, 3.2),
+            padded=False, resolution=(96, 72), export_scale=1000.0,
+            splat_radius=1, split="train", seed=7,
+        ).to_json())
+
+    def _write(self, tmp_path, lines):
+        path = tmp_path / MANIFEST_NAME
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def _header(self):
+        return json.dumps({"kind": "header", "records": 2, "skipped": 0})
+
+    def test_well_formed_manifest_reads(self, tmp_path):
+        record = json.dumps(self._record())
+        header, records = read_manifest(self._write(tmp_path, [self._header(), record, record]))
+        assert header["records"] == 2
+        assert len(records) == 2 and records[0].seed == 7
+
+    def test_unknown_key_names_file_and_line(self, tmp_path):
+        old = dict(self._record(), observed_rgb=None)  # a key deleted from SampleRecord
+        lines = [self._header(), json.dumps(self._record()), json.dumps(old)]
+        path = self._write(tmp_path, lines)
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:3: .*TypeError.*observed_rgb"):
+            read_manifest(path)
+
+    def test_missing_key_names_file_and_line(self, tmp_path):
+        record = self._record()
+        del record["crop_box"]
+        path = self._write(tmp_path, [self._header(), json.dumps(record)])
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: .*KeyError"):
+            read_manifest(path)
+
+    def test_line_that_is_not_json_names_file_and_line(self, tmp_path):
+        path = self._write(tmp_path, [self._header(), '{"instance_index": 0,'])
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:2: .*JSONDecodeError"):
+            read_manifest(path)
+
+    def test_header_that_is_not_an_object_names_file_and_line(self, tmp_path):
+        path = self._write(tmp_path, ['["kind", "header"]', json.dumps(self._record())])
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}:1: not a manifest header"):
+            read_manifest(path)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / MANIFEST_NAME
+        path.write_bytes(b"\xff\xfe" + self._header().encode())
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: manifest is not UTF-8"):
+            read_manifest(path)
 
 
 class TestBuildCategory:

@@ -20,7 +20,7 @@ from morphfit import (
     viewpoint_sphere,
     voxel_downsample,
 )
-from morphfit.geometry import expand_kernel
+from morphfit.geometry import distinct_rows, expand_kernel
 
 
 class TestPointCloud:
@@ -211,6 +211,24 @@ class TestVoxelDownsample:
         np.add.at(sums, inverse, cloud.points)
         reference = sums / np.bincount(inverse)[:, None]
         np.testing.assert_array_equal(voxel_downsample(cloud, leaf).points, reference)
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_matches_unique_reference(self, dtype):
+        rng = np.random.default_rng(6)
+        pool = rng.integers(-2, 3, size=(12, 3)).astype(dtype)
+        # Runs of one row, rows differing only in a later column next to
+        # each other, and repeats far apart.
+        picks = np.repeat(rng.integers(0, len(pool), 60), rng.integers(1, 5, 60))
+        rows = pool[picks]
+        rows = np.concatenate([rows, [[1, 1, 1], [1, 1, 2], [1, 1, 2], [1, 2, 2], rows[0]]])
+        rows = rows.astype(dtype)
+        distinct, repeat = distinct_rows(rows)
+        expected, inverse = np.unique(rows, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(distinct, expected)
+        np.testing.assert_array_equal(repeat, inverse.reshape(-1))
+        np.testing.assert_array_equal(distinct[repeat], rows)
 
 
 class TestViewpointSphere:

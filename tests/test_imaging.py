@@ -152,6 +152,61 @@ class TestSplat:
         np.testing.assert_array_equal(first.data[row, col], a)
         np.testing.assert_array_equal(swapped.data[row, col], b)
 
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_matches_brute_force_reference(self, radius):
+        # Straight down the -z axis, so points on one z plane share their
+        # depth exactly.
+        width, height = 20, 16
+        view = look_at([0, 0, 2.0], resolution=(width, height), focal=(20.0, 20.0))
+        fx, fy = view.focal
+        cx, cy = view.principal_point
+        rng = np.random.default_rng(radius)
+
+        def at(col, row, depth):
+            """The point at ``depth`` that projects to image coordinates (col, row)."""
+            cam = np.array([(col - cx) * depth / fx, (row - cy) * depth / fy, depth])
+            return view.rotation.T @ (cam - view.translation)
+
+        # Three depth planes, several points per pixel, inside and around
+        # the frame.
+        cols = rng.integers(-3, width + 3, 150) + rng.uniform(0.1, 0.9, 150)
+        rows = rng.integers(-3, height + 3, 150) + rng.uniform(0.1, 0.9, 150)
+        points = [at(c, r, d) for c, r, d in zip(cols, rows, rng.choice([1.5, 1.75, 2.0], 150))]
+        # Ties between neighbouring pixels: 150 left of 151, 152 right of 153.
+        points += [at(4.5, 5.5, 1.25), at(5.5, 5.5, 1.25), at(11.5, 9.5, 1.25), at(10.5, 9.5, 1.25)]
+        # Just outside the frame: the first four reach in when radius > 0,
+        # the last two are one pixel beyond any disc's reach.
+        points += [at(-0.5, 7.5, 1.0), at(width + 0.5, 3.5, 1.0),
+                   at(8.5, 0.5 - radius, 1.0), at(12.5, height + radius - 0.5, 1.0),
+                   at(-radius - 0.5, 8.5, 1.0), at(width + radius + 0.5, 8.5, 1.0)]
+        # Behind the camera.
+        points += [view.rotation.T @ (np.array([x, y, -0.5]) - view.translation)
+                   for x, y in rng.uniform(-0.3, 0.3, size=(10, 2))]
+        cloud = PointCloud(np.array(points))
+        img = splat_position_image(cloud, view, splat_radius=radius)
+
+        cam = view.to_camera(cloud.points)
+        assert len(set(cam[:150, 2])) == 3
+        winner = {}  # pixel -> (depth, index), the least seen so far
+        for k, (x, y, z) in enumerate(cam):
+            if z <= 0:
+                continue
+            u = int(np.floor(fx * x / z + cx))
+            v = int(np.floor(fy * y / z + cy))
+            for row in range(height):
+                for col in range(width):
+                    if (col - u) ** 2 + (row - v) ** 2 <= radius * radius:
+                        winner[row, col] = min(winner.get((row, col), (np.inf, k)), (z, k))
+        expected = np.zeros((height, width, 3))
+        for pixel, (_, k) in winner.items():
+            expected[pixel] = cloud.points[k]
+        assert {tuple(rc) for rc in np.argwhere(img.mask)} == set(winner)
+        np.testing.assert_array_equal(img.data, expected)
+        if radius:
+            # Each tied pair's shared pixels go to its lower index.
+            assert winner[5, 5][1] == 150 and winner[9, 10][1] == 152
+            assert {154, 155, 156, 157} <= {k for _, k in winner.values()}
+
     def test_deterministic(self):
         view = look_at([0, 0.1, 1.2], resolution=(40, 30))
         cloud = sphere_cloud(200, radius=0.3, seed=1)
@@ -367,6 +422,28 @@ class TestZoom:
                 src_y = y0 + (i + 0.5) / sy
                 assert x0 <= src_x <= x0 + w
                 assert y0 <= src_y <= y0 + h
+
+    @pytest.mark.parametrize("crop", [(3.25, 2.5, 12.0, 9.0), (-4.5, -3.0, 30.0, 22.5)],
+                             ids=["plain", "padded"])
+    def test_resample_matches_per_pixel_reference(self, crop):
+        rng = np.random.default_rng(4)
+        mask = rng.random((16, 20)) < 0.5
+        mask[[0, -1]] = mask[:, [0, -1]] = True  # a foreground frame edge
+        data = np.where(mask[..., None], rng.normal(size=(16, 20, 3)), 0.0)
+        out_w, out_h = 24, 18
+        out = imaging._resample_nearest(PositionImage(data, mask), crop, (out_w, out_h))
+        x0, y0, w, h = crop
+        expected_mask = np.zeros((out_h, out_w), dtype=bool)
+        expected = np.zeros((out_h, out_w, 3))
+        for i in range(out_h):
+            for j in range(out_w):
+                row = int(np.floor(y0 + (i + 0.5) * (h / out_h)))
+                col = int(np.floor(x0 + (j + 0.5) * (w / out_w)))
+                if 0 <= row < 16 and 0 <= col < 20 and mask[row, col]:
+                    expected_mask[i, j] = True
+                    expected[i, j] = data[row, col]
+        np.testing.assert_array_equal(out.mask, expected_mask)
+        np.testing.assert_array_equal(out.data, expected)
 
     def test_resolution_mismatch_rejected(self):
         obs = _image_with_pixels((10, 10), [(1, 1, [1, 1, 1])])
