@@ -34,7 +34,7 @@ from .geometry import (
     viewpoint_sphere,
     voxel_downsample,
 )
-from .cpd import CpdConfig, CpdResult, cpd_nonrigid
+from .cpd import CpdConfig, cpd_nonrigid
 from .shape_space import (
     Registration,
     ShapeSpace,
@@ -57,7 +57,6 @@ from .completion import (
 from .imaging import (
     DeformationImage,
     PositionImage,
-    ZoomResult,
     mask_bounding_box,
     rasterize_target,
     splat_position_image,
@@ -69,7 +68,6 @@ from .dataset import (
     CategorySpec,
     SampleRecord,
     build_category,
-    densify_mesh,
     generate_dataset,
     interpolate_instance,
     read_manifest,
@@ -79,7 +77,6 @@ from .dataset import (
 from .oracle import OracleSample, OracleSpec, infer, load_sample
 from .evaluation import (
     EvalRow,
-    evaluate_instance,
     pose_noise_experiment,
     registration_error,
     report_to_csv,

@@ -63,7 +63,7 @@ def _latent_arg(text: str):
     if text.startswith("@"):
         try:
             latent = np.asarray(json.loads(Path(text[1:]).read_text())["latent"], dtype=np.float64)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(
                 f"cannot read a latent code from {text[1:]!r}: {type(exc).__name__}: {exc}"
             )
@@ -269,17 +269,15 @@ def _load_camera(pose_path, resolution):
     try:
         payload = json.loads(Path(pose_path).read_text())
         rotation = quaternion_to_rotation(payload["quaternion"])
-        translation = np.asarray(payload["translation"], dtype=np.float64)
+        resolution = tuple(payload.get("resolution", resolution))
+        width = resolution[0]
+        focal = tuple(payload.get("focal", (FOCAL_PER_WIDTH * width, FOCAL_PER_WIDTH * width)))
+        return CameraView(rotation, payload["translation"], focal=focal,
+                          principal_point=payload.get("principal_point"), resolution=resolution)
     except KeyError as exc:
         raise ValidationError(f"pose file {pose_path} missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValidationError(f"pose file {pose_path} is not a valid pose: {exc}") from exc
-    resolution = tuple(payload.get("resolution", resolution))
-    width = resolution[0]
-    focal = tuple(payload.get("focal", (FOCAL_PER_WIDTH * width, FOCAL_PER_WIDTH * width)))
-    principal = payload.get("principal_point")
-    return CameraView(rotation, translation, focal=focal,
-                      principal_point=principal, resolution=resolution)
 
 
 def _views_for(args, canonical_mesh):
@@ -293,7 +291,7 @@ def _views_for(args, canonical_mesh):
 
 def _observed_cloud(space, mesh, seed):
     """The observed instance's cloud by the space's recipe; errors are measured on it."""
-    return mesh_cloud(mesh, space.registration.cloud_leaf, seed, 9, space.registration.dense_count)
+    return mesh_cloud(mesh, space.registration, seed, 9)
 
 
 def _cmd_build_space(args) -> int:
@@ -349,7 +347,7 @@ def _cmd_register(args) -> int:
         zoom_resolution=args.res, splat_radius=args.splat_radius,
         oracle_seed=args.seed, ridge=args.ridge,
     )
-    mesh_out = reconstruct_mesh(space, result, canonical_mesh)
+    mesh_out = reconstruct_mesh(result, canonical_mesh)
     _final_write(args.out, lambda p: write_ply(p, mesh_out))
     latent_path = Path(str(args.out)).with_suffix(".latent.json")
     _final_write(latent_path, lambda p: p.write_text(json.dumps({

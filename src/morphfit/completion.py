@@ -190,7 +190,7 @@ def fit_latent(space: ShapeSpace, sparse: SparseDeltas, ridge: float = 0.0) -> C
     return CompletionResult(latent, field, residual, degenerate)
 
 
-def reconstruct_mesh(space: ShapeSpace, result: CompletionResult, canonical_mesh: Mesh) -> Mesh:
+def reconstruct_mesh(result: CompletionResult, canonical_mesh: Mesh) -> Mesh:
     """Warp the canonical mesh by the completed field; topology unchanged."""
     moved = apply_deformation(canonical_mesh.vertices, result.field)
     return canonical_mesh.with_vertices(moved)

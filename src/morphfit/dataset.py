@@ -20,7 +20,6 @@ import numpy as np
 from .cpd import cpd_nonrigid
 from .errors import DatasetError, MorphFitError, ValidationError
 from .geometry import (
-    CameraView,
     DeformationField,
     Mesh,
     PointCloud,
@@ -140,9 +139,7 @@ def build_category(
     instance_meshes = tuple(instance_meshes)
     if not instance_meshes:
         raise ValidationError("need at least one instance mesh")
-    canonical_cloud = mesh_cloud(
-        canonical_mesh, registration.cloud_leaf, seed, 0, registration.dense_count
-    )
+    canonical_cloud = mesh_cloud(canonical_mesh, registration, seed, 0)
     fields = register_instances(canonical_cloud, instance_meshes, registration, seed=seed)
     return CategorySpec(canonical_mesh, canonical_cloud, instance_meshes, fields)
 
@@ -151,20 +148,19 @@ def register_instances(canonical_cloud: PointCloud, instances, registration: Reg
                        *, seed: int = 0, labels=None):
     """Register instances onto the canonical cloud by the category's recipe.
 
-    A Mesh first becomes :func:`mesh_cloud` with the recipe's leaf and
-    count, drawn from the stream salted with its index plus one; a
-    PointCloud is registered as it is.  Every instance whose CPD stops at
-    the iteration cap is reported by a ``warning:`` line on stderr, which
-    names it by its entry in ``labels`` (default: its index).  Returns the
-    fields, anchored at the canonical cloud.
+    A Mesh first becomes its :func:`mesh_cloud`, drawn from the stream
+    salted with its index plus one; a PointCloud is registered as it is.
+    Every instance whose CPD stops at the iteration cap is reported by a
+    ``warning:`` line on stderr, which names it by its entry in ``labels``
+    (default: its index).  Returns the fields, anchored at the canonical
+    cloud.
     """
     instances = tuple(instances)
     labels = range(len(instances)) if labels is None else labels
     fields = []
     for index, (instance, label) in enumerate(zip(instances, labels, strict=True)):
         if isinstance(instance, Mesh):
-            instance = mesh_cloud(instance, registration.cloud_leaf, seed, index + 1,
-                                  registration.dense_count)
+            instance = mesh_cloud(instance, registration, seed, index + 1)
         result = cpd_nonrigid(instance, canonical_cloud, registration.cpd)
         warn_if_capped(result, f"registration of instance {label}")
         fields.append(result.field)
@@ -188,16 +184,16 @@ def default_cloud_leaf(canonical_mesh: Mesh) -> float:
     return diag / 16.0
 
 
-def mesh_cloud(mesh: Mesh, leaf: float, seed: int, salt: int, count: int) -> PointCloud:
-    """Registration stand-in for a mesh: a surface sample, voxel-downsampled.
+def mesh_cloud(mesh: Mesh, registration: Registration, seed: int, salt: int) -> PointCloud:
+    """Registration stand-in for a mesh by the category's recipe.
 
-    ``count`` area-weighted surface samples drawn from the stream
-    ``(seed, 3, salt)``, where ``salt`` tells apart the meshes of one run,
-    are merged per voxel of size ``leaf``.
+    The recipe's ``dense_count`` area-weighted surface samples, drawn from
+    the stream ``(seed, 3, salt)``, where ``salt`` tells apart the meshes
+    of one run, are merged per voxel of size ``cloud_leaf``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3, salt]))
-    pts, _, _ = sample_mesh_surface(mesh, count, rng)
-    return voxel_downsample(pts, leaf)
+    pts, _, _ = sample_mesh_surface(mesh, registration.dense_count, rng)
+    return voxel_downsample(pts, registration.cloud_leaf)
 
 
 def interpolate_instance(instance_mesh: Mesh, field: DeformationField, rho: float) -> Mesh:
@@ -254,14 +250,6 @@ def sample_count_formula(total_models: int, n_rhos: int, n_views: int) -> int:
     return (total_models - 3) * n_rhos * n_views
 
 
-def _sample_seed(seed: int, instance: int, rho_index: int, view_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(seed), instance, rho_index, view_index])
-
-
-def _rho_dirname(rho: float) -> str:
-    return format(float(rho), "g")
-
-
 def generate_dataset(
     category: CategorySpec,
     views,
@@ -305,7 +293,15 @@ def generate_dataset(
         category.canonical_mesh, view_distance, focal, densify_per_pixel, densify_max, canon_rng
     )
     canon_renders = []
+    poses = []
     for view in views:
+        poses.append({
+            "quaternion": rotation_to_quaternion(view.rotation).tolist(),
+            "translation": view.translation.tolist(),
+            "focal": list(view.focal),
+            "principal_point": list(view.principal_point),
+            "resolution": list(view.resolution),
+        })
         try:
             canon_renders.append(splat_position_image(canon_pts, view, splat_radius))
         except MorphFitError as exc:
@@ -313,6 +309,9 @@ def generate_dataset(
             # that uses it; record the failure per sample instead of aborting.
             canon_renders.append(exc)
 
+    common = dict(resolution=tuple(int(v) for v in zoom_resolution),
+                  export_scale=float(export_scale), splat_radius=int(splat_radius),
+                  seed=int(seed))
     records: list[SampleRecord] = []
     skipped = 0
     total = category.instance_count * len(rhos) * len(views)
@@ -328,15 +327,44 @@ def generate_dataset(
             # surface samples correspond across rho values.
             obs_pts = np.einsum("ij,ijk->ik", bary, morphed.vertices[morphed.faces[face_idx]])
             delta = target_delta(category.fields[inst], rho)
-            for view_index, view in enumerate(views):
-                record = _generate_sample(
-                    category, views[view_index], inst, rho, rho_index, view_index,
-                    obs_pts, canon_renders[view_index], delta, out_dir,
-                    zoom_resolution, export_scale, seed, split_fraction, splat_radius,
-                )
-                if record.status != "ok":
+            for view_index, (view, pose, canon_render) in enumerate(
+                    zip(views, poses, canon_renders)):
+                draw = np.random.default_rng(
+                    np.random.SeedSequence([int(seed), inst, rho_index, view_index])
+                ).random()
+                base = dict(common, instance_index=inst, rho=rho, view_index=view_index,
+                            pose=pose, split="train" if draw < split_fraction else "val")
+                try:
+                    if isinstance(canon_render, MorphFitError):
+                        raise canon_render
+                    observed = splat_position_image(obs_pts, view, splat_radius)
+                    zoomed = zoom(observed, canon_render, zoom_resolution)
+                    target = rasterize_target(zoomed.canonical, category.canonical_cloud, delta)
+                except MorphFitError as exc:
                     skipped += 1
-                records.append(record)
+                    records.append(SampleRecord(
+                        paths={}, crop_box=None, scale_factors=None, padded=False,
+                        status="skipped", reason=f"{type(exc).__name__}: {exc}", **base,
+                    ))
+                    continue
+                sample_dir = out_dir / str(inst) / format(rho, "g") / str(view_index)
+                sample_dir.mkdir(parents=True, exist_ok=True)
+                paths = {name: str(sample_dir / name) for name in SAMPLE_FILES}
+                write_tensor(paths["canon.pos.f32"], zoomed.canonical.data,
+                             "canonical position image (m)")
+                write_mask(paths["canon.mask.pgm"], zoomed.canonical.mask)
+                write_tensor(paths["obs.pos.f32"], zoomed.observed.data,
+                             "observed position image (m)")
+                write_mask(paths["obs.mask.pgm"], zoomed.observed.mask)
+                write_tensor(paths["target.f32"], target.data * export_scale,
+                             f"target deformation image (m x {export_scale:g})")
+                records.append(SampleRecord(
+                    paths=paths, crop_box=tuple(zoomed.crop_box),
+                    scale_factors=tuple(zoomed.scale_factors), padded=zoomed.padded, **base,
+                ))
+                # Free this sample's images before the next one renders; held
+                # across iterations they add about 6 MB to the peak RSS.
+                del observed, zoomed, target
 
     manifest_partial = out_dir / (MANIFEST_NAME + ".partial")
     with open(manifest_partial, "w") as fh:
@@ -363,62 +391,6 @@ def generate_dataset(
         )
     manifest_partial.rename(out_dir / MANIFEST_NAME)
     return records
-
-
-def _generate_sample(
-    category, view, inst, rho, rho_index, view_index, obs_pts, canon_render,
-    delta, out_dir, zoom_resolution, export_scale, seed, split_fraction, splat_radius,
-) -> SampleRecord:
-    sample_dir = out_dir / str(inst) / _rho_dirname(rho) / str(view_index)
-    seed_seq = _sample_seed(seed, inst, rho_index, view_index)
-    split = "train" if np.random.default_rng(seed_seq).random() < split_fraction else "val"
-    pose = {
-        "quaternion": rotation_to_quaternion(view.rotation).tolist(),
-        "translation": view.translation.tolist(),
-        "focal": list(view.focal),
-        "principal_point": list(view.principal_point),
-        "resolution": list(view.resolution),
-    }
-    base = dict(
-        instance_index=inst,
-        rho=rho,
-        view_index=view_index,
-        pose=pose,
-        resolution=tuple(int(v) for v in zoom_resolution),
-        export_scale=float(export_scale),
-        splat_radius=int(splat_radius),
-        split=split,
-        seed=int(seed),
-    )
-    try:
-        if isinstance(canon_render, MorphFitError):
-            raise canon_render
-        observed = splat_position_image(obs_pts, view, splat_radius)
-        zoomed = zoom(observed, canon_render, zoom_resolution)
-        target = rasterize_target(zoomed.canonical, category.canonical_cloud, delta)
-    except MorphFitError as exc:
-        return SampleRecord(
-            paths={}, crop_box=None, scale_factors=None, padded=False,
-            status="skipped", reason=f"{type(exc).__name__}: {exc}", **base,
-        )
-    sample_dir.mkdir(parents=True, exist_ok=True)
-    paths = {name: str(sample_dir / name) for name in SAMPLE_FILES}
-    write_tensor(paths["canon.pos.f32"], zoomed.canonical.data, "canonical position image (m)")
-    write_mask(paths["canon.mask.pgm"], zoomed.canonical.mask)
-    write_tensor(paths["obs.pos.f32"], zoomed.observed.data, "observed position image (m)")
-    write_mask(paths["obs.mask.pgm"], zoomed.observed.mask)
-    write_tensor(
-        paths["target.f32"],
-        target.data * export_scale,
-        f"target deformation image (m x {export_scale:g})",
-    )
-    return SampleRecord(
-        paths=paths,
-        crop_box=tuple(zoomed.crop_box),
-        scale_factors=tuple(zoomed.scale_factors),
-        padded=zoomed.padded,
-        **base,
-    )
 
 
 def read_manifest(path) -> tuple[dict, list[SampleRecord]]:

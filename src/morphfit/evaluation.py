@@ -35,7 +35,6 @@ __all__ = [
     "registration_error",
     "prepare_instance",
     "complete_view",
-    "evaluate_instance",
     "pose_noise_experiment",
     "report_to_csv",
     "report_to_json",
@@ -46,7 +45,7 @@ COND_RAW_CPD = "raw-CPD-baseline"
 COND_CANONICAL = "canonical-baseline"
 DEFAULT_CONDITIONS = (COND_PIPELINE, COND_RAW_CPD, COND_CANONICAL)
 # Raw registration is pointless to repeat per pose draw (pose noise touches
-# only the canonical render), so noise runs default to the cheap pair.
+# only the canonical render), so pose-noise-eval runs the cheap pair.
 POSE_NOISE_CONDITIONS = (COND_PIPELINE, COND_CANONICAL)
 
 
@@ -198,30 +197,6 @@ def complete_view(
     return fit_latent(space, sparse, ridge), observed_img
 
 
-def evaluate_instance(
-    space: ShapeSpace,
-    instance_mesh: Mesh,
-    instance_cloud: PointCloud,
-    views,
-    oracle_spec: OracleSpec,
-    canonical_mesh: Mesh,
-    *,
-    conditions=DEFAULT_CONDITIONS,
-    **options,
-):
-    """Viewpoint sweep of the full pipeline against the baselines.
-
-    This is :func:`pose_noise_experiment` with no pose noise and one draw;
-    ``options`` are its keyword arguments.  The instance must be held out
-    of the space's construction for the numbers to mean anything; that
-    discipline is the caller's.
-    """
-    return pose_noise_experiment(
-        space, instance_mesh, instance_cloud, views, oracle_spec, canonical_mesh,
-        0.0, draws=1, conditions=conditions, **options,
-    )
-
-
 def pose_noise_experiment(
     space: ShapeSpace,
     instance_mesh: Mesh,
@@ -229,11 +204,11 @@ def pose_noise_experiment(
     views,
     oracle_spec: OracleSpec,
     canonical_mesh: Mesh,
-    noise_range: float,
+    noise_range: float = 0.0,
     *,
-    draws: int = 5,
+    draws: int = 1,
     instance_label: str = "instance",
-    conditions=POSE_NOISE_CONDITIONS,
+    conditions=DEFAULT_CONDITIONS,
     zoom_resolution=(256, 192),
     splat_radius: int = 1,
     seed: int = 0,
@@ -241,12 +216,14 @@ def pose_noise_experiment(
     densify_per_pixel: float = 20.0,
     densify_max: int = 60000,
 ):
-    """Pipeline sweep with a uniformly mistaken canonical pose.
+    """Viewpoint sweep of the full pipeline against the baselines.
 
     Per draw and view, a per-axis uniform translation in
     [-noise_range, noise_range] displaces the believed canonical pose;
-    rows pool all draws.  noise_range = 0 with one draw is
-    :func:`evaluate_instance`.
+    rows pool all draws.  The defaults are the plain sweep: no pose noise,
+    one draw, every condition.  The instance must be held out of the
+    space's construction for the numbers to mean anything; that
+    discipline is the caller's.
     """
     if noise_range < 0 or not np.isfinite(noise_range):
         raise ValidationError(f"noise_range must be >= 0, got {noise_range}")

@@ -11,7 +11,6 @@ Conventions fixed here and inherited by every other module:
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,17 +186,6 @@ class CameraView:
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
         return points @ self.rotation.T + self.translation
-
-    def shifted(self, offset) -> "CameraView":
-        """View of the same camera with the scene shifted by ``offset``.
-
-        Equivalent to leaving the scene alone and moving the camera by
-        ``-offset``.
-        """
-        offset = np.asarray(offset, dtype=np.float64).reshape(3)
-        return dataclasses.replace(
-            self, translation=self.translation + self.rotation @ offset
-        )
 
 
 def _points_of(cloud) -> np.ndarray:
@@ -392,7 +380,8 @@ def rotation_to_quaternion(rotation: np.ndarray) -> np.ndarray:
 def quaternion_to_rotation(quaternion) -> np.ndarray:
     """Rotation matrix of a (w, x, y, z) quaternion; normalizes first."""
     q = np.asarray(quaternion, dtype=np.float64).reshape(4)
-    norm = np.linalg.norm(q)
+    with np.errstate(over="ignore"):  # a norm beyond the float range is rejected below
+        norm = np.linalg.norm(q)
     if not (np.isfinite(norm) and norm > 0):
         raise ValidationError("quaternion must be nonzero and finite")
     w, x, y, z = q / norm

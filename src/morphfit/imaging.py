@@ -69,11 +69,6 @@ class PositionImage:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "mask", mask)
 
-    @property
-    def resolution(self) -> tuple[int, int]:
-        """(width, height)."""
-        return (self.data.shape[1], self.data.shape[0])
-
 
 @dataclass(frozen=True)
 class DeformationImage:
@@ -93,12 +88,6 @@ class DeformationImage:
 
     def in_meters(self) -> np.ndarray:
         return self.data / self.scale
-
-    def scaled(self, scale: float) -> "DeformationImage":
-        """Same image re-expressed with a new scale factor."""
-        if not (np.isfinite(scale) and scale > 0):
-            raise ValidationError(f"scale must be > 0, got {scale}")
-        return DeformationImage(self.data * (scale / self.scale), self.mask, scale)
 
 
 @dataclass(frozen=True)
@@ -273,7 +262,6 @@ def zoom(
     observed: PositionImage,
     canonical: PositionImage,
     target_resolution: tuple[int, int] = (256, 192),
-    observed_box: tuple[float, float, float, float] | None = None,
 ) -> ZoomResult:
     """Crop both views to one aspect-correct box and resample to target size.
 
@@ -294,7 +282,7 @@ def zoom(
     target_w, target_h = int(target_resolution[0]), int(target_resolution[1])
     if target_w < 1 or target_h < 1:
         raise ValidationError(f"target resolution must be positive, got {target_resolution}")
-    box_obs = mask_bounding_box(observed.mask) if observed_box is None else tuple(map(float, observed_box))
+    box_obs = mask_bounding_box(observed.mask)
     box_can = mask_bounding_box(canonical.mask)
     x0 = min(box_obs[0], box_can[0])
     y0 = min(box_obs[1], box_can[1])

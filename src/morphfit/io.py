@@ -6,6 +6,7 @@ is rejected loudly rather than guessed at.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,10 @@ def _parse_ply(path: Path, text: str) -> Mesh:
                 raise ValidationError(f"{path}: vertex row width mismatch")
             vertices = data[:, :3]
             if has_color:
-                colors = data[:, 3:6].astype(np.uint8)
+                colors = data[:, 3:6]
+                if not np.all((colors >= 0) & (colors <= 255)):  # NaN fails too
+                    raise ValidationError(f"{path}: vertex colors must be in [0, 255]")
+                colors = colors.astype(np.uint8)
         elif name == "face":
             face_rows = []
             for row in rows:
@@ -164,19 +168,29 @@ def read_tensor(path) -> tuple[np.ndarray, dict]:
         sidecar = json.loads(sidecar_path.read_text())
     except OSError as exc:
         raise ValidationError(f"missing tensor sidecar {sidecar_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ValidationError(f"corrupt tensor sidecar {sidecar_path}: {exc}") from exc
+    if not isinstance(sidecar, dict):
+        raise ValidationError(f"{sidecar_path}: sidecar is not a JSON object")
     if sidecar.get("dtype") != "f32":
         raise ValidationError(f"{sidecar_path}: unsupported dtype {sidecar.get('dtype')!r}")
-    shape = tuple(int(s) for s in sidecar["shape"])
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-    expected = int(np.prod(shape)) if shape else 1
-    if raw.size != expected:
+    try:
+        shape = tuple(int(s) for s in sidecar["shape"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{sidecar_path}: bad shape: {type(exc).__name__}: {exc}") from exc
+    if any(s < 0 for s in shape):
+        raise ValidationError(f"{sidecar_path}: negative shape {shape}")
+    try:
+        payload = path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read tensor payload {path}: {exc}") from exc
+    expected = math.prod(shape)
+    if len(payload) != 4 * expected:
         raise ValidationError(
-            f"{path}: payload holds {raw.size} floats, sidecar shape {shape} "
-            f"needs {expected}"
+            f"{path}: payload holds {len(payload)} bytes, sidecar shape {shape} "
+            f"needs {expected} floats"
         )
-    return raw.reshape(shape).copy(), sidecar
+    return np.frombuffer(payload, dtype="<f4").reshape(shape).copy(), sidecar
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +208,10 @@ def write_mask(path, mask: np.ndarray) -> None:
 
 def read_mask(path) -> np.ndarray:
     """Read a P5 mask back as a boolean (height, width) array."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read mask {path}: {exc}") from exc
     if not raw.startswith(b"P5"):
         raise ValidationError(f"{path}: not a P5 PGM file")
     # Header: magic, width, height, maxval as whitespace-separated tokens,
@@ -216,7 +233,12 @@ def read_mask(path) -> np.ndarray:
             raise ValidationError(f"{path}: truncated PGM header")
         tokens.append(raw[start:pos])
     pos += 1  # single whitespace separating header from payload
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: PGM header is not numeric: {exc}") from exc
+    if width < 0 or height < 0:
+        raise ValidationError(f"{path}: negative PGM size {width} x {height}")
     if maxval != 255:
         raise ValidationError(f"{path}: expected maxval 255, got {maxval}")
     payload = raw[pos : pos + width * height]

@@ -13,13 +13,16 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import SampleRecord
 from .errors import OracleError, ValidationError
 from .imaging import DeformationImage, PositionImage
 from .io import read_mask, read_tensor, write_tensor
+
+if TYPE_CHECKING:
+    from .dataset import SampleRecord
 
 __all__ = ["OracleSpec", "OracleSample", "load_sample", "infer"]
 
@@ -73,14 +76,12 @@ def load_sample(record: SampleRecord) -> OracleSample:
     )
 
 
-def infer(spec: OracleSpec, sample, seed: int = 0) -> DeformationImage:
+def infer(spec: OracleSpec, sample: OracleSample, seed: int = 0) -> DeformationImage:
     """Predict the per-pixel deformation image for one sample.
 
     Always returns values in meters with scale 1 and background exactly
-    zero.  ``sample`` is an OracleSample or an exported SampleRecord.
+    zero.  An exported record is inferred as ``infer(spec, load_sample(record))``.
     """
-    if isinstance(sample, SampleRecord):
-        sample = load_sample(sample)
     truth_meters = sample.target.in_meters()
     mask = sample.target.mask
     if spec.kind == "ground_truth":

@@ -208,6 +208,8 @@ def load_space(path) -> ShapeSpace:
         header = json.loads(raw[:newline].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpaceFileError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SpaceFileError(f"{path}: header is not a JSON object")
     if header.get("magic") != _MAGIC:
         raise SpaceFileError(
             f"{path}: bad magic {header.get('magic')!r}, expected {_MAGIC!r}"
@@ -232,6 +234,8 @@ def load_space(path) -> ShapeSpace:
         registration = Registration(cpd, float(s["cloud_leaf"]), int(s["dense_count"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpaceFileError(f"{path}: malformed header fields: {exc}") from exc
+    if n < 1 or latent_dim < 1:
+        raise SpaceFileError(f"{path}: header sizes n={n}, latent_dim={latent_dim} must be >= 1")
     payload = raw[newline + 1 :]
     expected = 8 * (3 * n + 3 * n + 3 * n * latent_dim)
     if len(payload) != expected:

@@ -22,7 +22,6 @@ from morphfit import (
     SparseDeltas,
     apply_deformation,
     cpd_nonrigid,
-    evaluate_instance,
     fit_latent,
     flatten_offsets,
     gaussian_kernel,
@@ -37,7 +36,7 @@ from morphfit import (
     splat_position_image,
     viewpoint_sphere,
 )
-from morphfit.evaluation import COND_CANONICAL, COND_PIPELINE, COND_RAW_CPD
+from morphfit.evaluation import COND_CANONICAL, COND_PIPELINE, COND_RAW_CPD, POSE_NOISE_CONDITIONS
 from morphfit.geometry import expand_kernel
 
 ACCEPTANCE_LINES: list = []
@@ -75,7 +74,7 @@ def criterion(num, name):
 def gt_rows(category, eval_views):
     """Noise-free GT-oracle sweep shared by criteria 5 and 7."""
     mesh, cloud, _ = category.held_out()
-    rows = evaluate_instance(
+    rows = pose_noise_experiment(
         category.space, mesh, cloud, eval_views, OracleSpec("ground_truth"),
         category.canonical_mesh, instance_label="held-out", seed=0, **FAST,
     )
@@ -200,7 +199,7 @@ def test_criterion_7_pose_noise(category, eval_views, gt_rows):
     draws = 5
     noisy_rows = pose_noise_experiment(
         category.space, mesh, cloud, eval_views, OracleSpec("ground_truth"),
-        category.canonical_mesh, 0.05, draws=draws,
+        category.canonical_mesh, 0.05, draws=draws, conditions=POSE_NOISE_CONDITIONS,
         instance_label="held-out", seed=0, **FAST,
     )
     noisy = next(r for r in noisy_rows if r.condition == COND_PIPELINE)

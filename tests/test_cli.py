@@ -14,6 +14,7 @@ from morphfit import (
     CategorySpec,
     CpdConfig,
     Registration,
+    ValidationError,
     build_category,
     generate_dataset,
     load_space,
@@ -335,6 +336,17 @@ class TestPoseFile:
         assert loaded.principal_point == view.principal_point
         assert loaded.resolution == view.resolution
 
+    @pytest.mark.parametrize("field, value", [
+        ("resolution", 5), ("resolution", ["a", "b"]), ("focal", "ab"),
+        ("principal_point", [1]), ("translation", [0, 1]),
+    ])
+    def test_bad_field_names_the_file(self, tmp_path, field, value):
+        pose = {"quaternion": [1, 0, 0, 0], "translation": [0, 0, 0.6], field: value}
+        path = tmp_path / "odd_pose.json"
+        path.write_text(json.dumps(pose))
+        with pytest.raises(ValidationError, match="odd_pose.json"):
+            _load_camera(path, (96, 72))
+
 
 class TestRegister:
     def run(self, mesh_dir, space_path, pose_path, out):
@@ -517,6 +529,14 @@ def _space_without_registration(tmp_path, flags):
     return {"--space": tmp_path / "old.mfss"}
 
 
+def _space_header(header):
+    def make(tmp_path, flags):
+        payload = Path(flags["--space"]).read_bytes().split(b"\n", 1)[1]
+        (tmp_path / "bad.mfss").write_bytes(header + b"\n" + payload)
+        return {"--space": tmp_path / "bad.mfss"}
+    return make
+
+
 def _latent_file(content):
     def make(tmp_path, flags):
         path = tmp_path / "latent.json"
@@ -530,11 +550,14 @@ def _latent_file(content):
     ("register", _malformed_pose, 1),
     ("register", _malformed_ply, 1),
     ("register", _space_without_registration, 1),
+    ("cross-register", _space_header(b"[1, 2]"), 1),
+    ("cross-register", _space_header(b'"MFSS1"'), 1),
     ("cross-register", _latent_file(None), 2),
     ("cross-register", _latent_file("{not json"), 2),
     ("cross-register", _latent_file('{"residual": 0.5}'), 2),
     ("cross-register", _latent_file('{"latent": 0.5}'), 2),
-], ids=["pose-json", "ply-vertex-row", "space-no-registration", "latent-missing",
+], ids=["pose-json", "ply-vertex-row", "space-no-registration", "space-header-list",
+        "space-header-string", "latent-missing",
         "latent-json", "latent-key", "latent-scalar"])
 def test_bad_input_ends_in_one_error_line(command, make_inputs, code, mesh_dir, space_path,
                                          pose_path, tmp_path):

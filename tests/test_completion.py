@@ -285,7 +285,7 @@ class TestReconstructMesh:
         space = space_from_fields(anchors, [zero, zero], latent_dim=1, beta=1.0)
         mesh = icosphere(0)
         result = fit_latent(space, SparseDeltas(np.zeros((20, 3)), np.arange(20)))
-        out = reconstruct_mesh(space, result, mesh)
+        out = reconstruct_mesh(result, mesh)
         np.testing.assert_allclose(out.vertices, mesh.vertices, atol=1e-12)
         np.testing.assert_array_equal(out.faces, mesh.faces)
 
@@ -295,7 +295,7 @@ class TestReconstructMesh:
         result = fit_latent(
             category.space, SparseDeltas(deltas, np.arange(category.space.n_points))
         )
-        out = reconstruct_mesh(category.space, result, category.canonical_mesh)
+        out = reconstruct_mesh(result, category.canonical_mesh)
         np.testing.assert_array_equal(out.faces, category.canonical_mesh.faces)
 
     def test_uniform_translation_exact_at_anchors(self):
@@ -309,7 +309,7 @@ class TestReconstructMesh:
         field = DeformationField(anchors, np.tile(t, (3, 1)), 1.0)
         mesh = Mesh(anchors.points, [[0, 1, 2]])
         result = CompletionResult(np.zeros(1), field, 0.0)
-        out = reconstruct_mesh(space, result, mesh)
+        out = reconstruct_mesh(result, mesh)
         np.testing.assert_array_equal(out.vertices, anchors.points + t)
 
 

@@ -14,7 +14,6 @@ from morphfit import (
     OracleSpec,
     PointCloud,
     ValidationError,
-    evaluate_instance,
     pose_noise_experiment,
     registration_error,
     report_to_csv,
@@ -26,6 +25,7 @@ from morphfit.evaluation import (
     COND_CANONICAL,
     COND_PIPELINE,
     COND_RAW_CPD,
+    POSE_NOISE_CONDITIONS,
     complete_view,
     prepare_instance,
 )
@@ -94,13 +94,15 @@ def held_out(category):
 @pytest.fixture(scope="module")
 def gt_rows(category, held_out, few_views):
     mesh, cloud = held_out
-    return evaluate_instance(
+    return pose_noise_experiment(
         category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
         category.canonical_mesh, instance_label="held-out", seed=3, **FAST,
     )
 
 
 class TestEvaluateInstance:
+    """The plain sweep: ``pose_noise_experiment`` at its defaults, as ``evaluate`` runs it."""
+
     def test_all_conditions_reported(self, gt_rows, few_views):
         assert [row.condition for row in gt_rows] == [
             COND_PIPELINE, COND_RAW_CPD, COND_CANONICAL,
@@ -123,7 +125,7 @@ class TestEvaluateInstance:
 
     def test_deterministic(self, category, held_out, few_views, gt_rows):
         mesh, cloud = held_out
-        again = evaluate_instance(
+        again = pose_noise_experiment(
             category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
             category.canonical_mesh, instance_label="held-out", seed=3, **FAST,
         )
@@ -131,7 +133,7 @@ class TestEvaluateInstance:
 
     def test_noise_does_not_help(self, category, held_out, few_views, gt_rows):
         mesh, cloud = held_out
-        noisy_rows = evaluate_instance(
+        noisy_rows = pose_noise_experiment(
             category.space, mesh, cloud, few_views,
             OracleSpec("noisy", noise_sigma=0.01),
             category.canonical_mesh, instance_label="held-out", seed=3, **FAST,
@@ -143,7 +145,7 @@ class TestEvaluateInstance:
     def test_unknown_condition_rejected(self, category, held_out, few_views):
         mesh, cloud = held_out
         with pytest.raises(ValidationError):
-            evaluate_instance(
+            pose_noise_experiment(
                 category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
                 category.canonical_mesh, conditions=("nearest-neighbor",), **FAST,
             )
@@ -151,7 +153,7 @@ class TestEvaluateInstance:
     def test_no_views_rejected(self, category, held_out):
         mesh, cloud = held_out
         with pytest.raises(ValidationError):
-            evaluate_instance(
+            pose_noise_experiment(
                 category.space, mesh, cloud, [], OracleSpec("ground_truth"),
                 category.canonical_mesh, **FAST,
             )
@@ -163,7 +165,7 @@ class TestEvaluateInstance:
             category.registration, cpd=CpdConfig(beta=category.beta, max_iterations=1)
         )
         space = dataclasses.replace(category.space, registration=capped)
-        rows = evaluate_instance(
+        rows = pose_noise_experiment(
             space, mesh, cloud, few_views, OracleSpec("ground_truth"),
             category.canonical_mesh, conditions=(COND_RAW_CPD,), **FAST,
         )
@@ -184,7 +186,7 @@ class TestEvaluateInstance:
             category.registration, cpd=CpdConfig(beta=category.beta, max_iterations=1)
         )
         space = dataclasses.replace(category.space, registration=capped)
-        evaluate_instance(
+        pose_noise_experiment(
             space, mesh, cloud, few_views, OracleSpec("ground_truth"),
             category.canonical_mesh, conditions=(COND_PIPELINE,),
             instance_label="held-out", **FAST,
@@ -197,7 +199,7 @@ class TestEvaluateInstance:
         mesh, cloud = held_out
         broken = OracleSpec("external", command="false")
         with pytest.raises(EvaluationError):
-            evaluate_instance(
+            pose_noise_experiment(
                 category.space, mesh, cloud, few_views, broken,
                 category.canonical_mesh, conditions=(COND_PIPELINE,), **FAST,
             )
@@ -249,28 +251,26 @@ class TestTargetValues:
 
 
 class TestPoseNoise:
-    def test_zero_noise_reproduces_plain_run(self, category, held_out, few_views):
+    def test_zero_noise_reproduces_plain_run(self, category, held_out, few_views, gt_rows):
         mesh, cloud = held_out
-        plain = evaluate_instance(
-            category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
-            category.canonical_mesh, conditions=(COND_PIPELINE, COND_CANONICAL),
-            seed=3, **FAST,
-        )
         zero = pose_noise_experiment(
             category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
-            category.canonical_mesh, 0.0, draws=1, seed=3, **FAST,
+            category.canonical_mesh, 0.0, draws=1, conditions=POSE_NOISE_CONDITIONS,
+            instance_label="held-out", seed=3, **FAST,
         )
-        assert zero == plain
+        assert zero == [row for row in gt_rows if row.condition in POSE_NOISE_CONDITIONS]
 
     def test_noise_degrades_reconstruction(self, category, held_out, few_views):
         mesh, cloud = held_out
         clean = pose_noise_experiment(
             category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
-            category.canonical_mesh, 0.0, draws=2, seed=3, **FAST,
+            category.canonical_mesh, 0.0, draws=2, conditions=POSE_NOISE_CONDITIONS,
+            seed=3, **FAST,
         )
         noisy = pose_noise_experiment(
             category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
-            category.canonical_mesh, 0.05, draws=2, seed=3, **FAST,
+            category.canonical_mesh, 0.05, draws=2, conditions=POSE_NOISE_CONDITIONS,
+            seed=3, **FAST,
         )
         clean_row = next(r for r in clean if r.condition == COND_PIPELINE)
         noisy_row = next(r for r in noisy if r.condition == COND_PIPELINE)

@@ -273,14 +273,6 @@ class TestCameraView:
         view = look_at([0, 0, 2.0], resolution=(100, 60))
         assert view.principal_point == (50.0, 30.0)
 
-    def test_shifted_view_equals_shifted_scene(self):
-        view = look_at([0.4, -0.7, 1.2])
-        offset = np.array([0.03, -0.02, 0.05])
-        pts = sphere_cloud(20, seed=13).points
-        direct = view.to_camera(pts + offset)
-        via_shift = view.shifted(offset).to_camera(pts)
-        np.testing.assert_allclose(direct, via_shift, atol=1e-12)
-
 
 class TestQuaternions:
     def test_round_trip_random_rotations(self):

@@ -60,8 +60,7 @@ class TestImageTypes:
         mask = np.zeros((2, 2), dtype=bool)
         data[1, 1] = [0.001, -0.002, 0.003]
         mask[1, 1] = True
-        img = DeformationImage(data, mask, 1.0)
-        scaled = img.scaled(1000.0)
+        scaled = DeformationImage(data * 1000.0, mask, 1000.0)
         np.testing.assert_allclose(scaled.data[1, 1], [1.0, -2.0, 3.0])
         np.testing.assert_allclose(scaled.in_meters(), data)
 
@@ -270,6 +269,28 @@ class TestRasterizeTarget:
         d = np.array([0.01, -0.02, 0.005])
         out = rasterize_target(img, cloud, np.tile(d, (120, 1)))
         np.testing.assert_allclose(out.data[out.mask], np.tile(d, (out.mask.sum(), 1)), atol=1e-9)
+
+    def test_repeated_anchor_retries_with_smoothing(self, monkeypatch):
+        # A repeated canonical point makes the exact interpolation system
+        # singular; the retry adds a whisper of smoothing and still rasterizes.
+        cloud = sphere_cloud(120, radius=0.35, seed=2)
+        repeated = PointCloud(np.vstack([cloud.points, cloud.points[:1]]))
+        d = np.array([0.01, -0.02, 0.005])
+        smoothing = []
+        interpolator = imaging.RBFInterpolator
+
+        class Recording(interpolator):
+            def __init__(self, *args, **kwargs):
+                smoothing.append(kwargs.get("smoothing", 0.0))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(imaging, "RBFInterpolator", Recording)
+        img = self._render(cloud)
+        out = rasterize_target(img, repeated, np.tile(d, (121, 1)))
+        assert smoothing[0] == 0.0 and smoothing[1] > 0.0 and len(smoothing) == 2
+        np.testing.assert_array_equal(out.mask, img.mask)
+        np.testing.assert_allclose(out.data[out.mask], np.tile(d, (out.mask.sum(), 1)),
+                                   atol=1e-9)
 
     def test_linear_field_reproduced(self):
         cloud = sphere_cloud(150, radius=0.35, seed=3)

@@ -112,6 +112,24 @@ class TestTensor:
         with pytest.raises(ValidationError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("sidecar, payload", [
+        (b'{"dtype": "f32"}', b"\x00" * 8),
+        (b'[2, "f32"]', b"\x00" * 8),
+        (b'{"dtype": "f32", "shape": [2, "two"]}', b"\x00" * 8),
+        (b'{"dtype": "f32", "shape": [-1, -2]}', b"\x00" * 8),
+        (b'{"dtype": "f32", "shape": [2]}\xff', b"\x00" * 8),
+        (b'{"dtype": "f32", "shape": [2]}', None),
+        (b'{"dtype": "f32", "shape": [2]}', b"\x00" * 7),
+    ], ids=["no-shape", "list", "shape-entry", "negative-shape", "not-utf8", "no-payload",
+            "partial-float"])
+    def test_malformed_tensor_rejected_with_filename(self, tmp_path, sidecar, payload):
+        path = tmp_path / "odd.f32"
+        (tmp_path / "odd.f32.json").write_bytes(sidecar)
+        if payload is not None:
+            path.write_bytes(payload)
+        with pytest.raises(ValidationError, match="odd.f32"):
+            read_tensor(path)
+
 
 class TestMask:
     def test_round_trip(self, tmp_path):
@@ -139,6 +157,16 @@ class TestMask:
         assert mask.shape == (2, 3)
         assert mask[0, 1] and mask[1, 0]
         assert int(mask.sum()) == 2
+
+    @pytest.mark.parametrize("content", [
+        None, b"P5\nthree 2\n255\n" + bytes(6), b"P5\n-3 -2\n255\n" + bytes(6),
+    ], ids=["missing", "not-numeric", "negative"])
+    def test_malformed_mask_rejected_with_filename(self, tmp_path, content):
+        path = tmp_path / "odd.pgm"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ValidationError, match="odd.pgm"):
+            read_mask(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "p2.pgm"

@@ -88,11 +88,6 @@ class TestGroundTruthOracle:
         assert predicted.scale == 1.0
         np.testing.assert_array_equal(predicted.mask, sample.target.mask)
 
-    def test_accepts_record_directly(self, sample_record):
-        via_record = infer(OracleSpec("ground_truth"), sample_record)
-        via_sample = infer(OracleSpec("ground_truth"), load_sample(sample_record))
-        np.testing.assert_array_equal(via_record.data, via_sample.data)
-
 
 class TestNoisyOracle:
     def test_zero_sigma_equals_ground_truth(self, sample_record):
@@ -180,6 +175,12 @@ class TestExternalOracle:
     def test_missing_output_raises(self, sample_record, tmp_path):
         spec = external_spec(tmp_path, "import sys\n")
         with pytest.raises(OracleError, match="unreadable"):
+            infer(spec, load_sample(sample_record))
+
+    def test_sidecar_without_shape_raises(self, sample_record, tmp_path):
+        body = EXTERNAL_OK.replace('"shape": [h, w, 3], ', "")
+        spec = external_spec(tmp_path, body)
+        with pytest.raises(OracleError, match="unreadable.*output.f32.json"):
             infer(spec, load_sample(sample_record))
 
     def test_wrong_shape_raises(self, sample_record, tmp_path):

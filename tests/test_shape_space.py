@@ -246,6 +246,18 @@ class TestSaveLoad:
         with pytest.raises(SpaceFileError):
             load_space(path)
 
+    @pytest.mark.parametrize("n, latent_dim", [(1, -2), (0, 1)])
+    def test_header_sizes_below_one_rejected(self, category, tmp_path, n, latent_dim):
+        import json
+
+        path = tmp_path / "sizes.mfss"
+        save_space(category.space, path)
+        meta = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        meta.update(n=n, latent_dim=latent_dim)
+        path.write_bytes(json.dumps(meta).encode() + b"\n")
+        with pytest.raises(SpaceFileError, match="sizes.mfss: header sizes"):
+            load_space(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(SpaceFileError):
             load_space(tmp_path / "absent.mfss")
