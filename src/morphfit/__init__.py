@@ -60,6 +60,7 @@ from .imaging import (
     mask_bounding_box,
     rasterize_target,
     splat_position_image,
+    target_field,
     zoom,
 )
 from .dataset import (

@@ -34,7 +34,8 @@ from .evaluation import (
     report_to_csv,
     report_to_json,
 )
-from .geometry import CameraView, quaternion_to_rotation, viewpoint_sphere
+from .geometry import MAX_PIXELS, CameraView, quaternion_to_rotation, viewpoint_sphere
+from .imaging import target_field
 from .io import read_ply, write_ply
 from .oracle import OracleSpec
 from .shape_space import Registration, load_space, save_space, space_from_fields
@@ -169,6 +170,9 @@ def validate_config(args) -> list[str]:
 
     if args.jobs < 1:
         problems.append(f"--jobs must be >= 1, got {args.jobs}")
+    res = getattr(args, "res", None)
+    if res is not None and res[0] * res[1] > MAX_PIXELS:
+        problems.append(f"--res {res[0]}x{res[1]} exceeds the {MAX_PIXELS}-pixel limit")
 
     if args.command == "build-space":
         check_file("canonical", "--canonical")
@@ -343,7 +347,8 @@ def _cmd_register(args) -> int:
         instance_label=Path(args.observed).stem, seed=args.seed,
     )
     result, _ = complete_view(
-        space, canonical_dense, observed_dense, view, delta_true, oracle_spec,
+        space, canonical_dense, observed_dense, view,
+        target_field(space.canonical, delta_true), oracle_spec,
         zoom_resolution=args.res, splat_radius=args.splat_radius,
         oracle_seed=args.seed, ridge=args.ridge,
     )

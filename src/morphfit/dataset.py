@@ -28,7 +28,7 @@ from .geometry import (
     sample_mesh_surface,
     voxel_downsample,
 )
-from .imaging import rasterize_target, splat_position_image, zoom
+from .imaging import rasterize_target, splat_position_image, target_field, zoom
 from .io import write_mask, write_tensor
 from .shape_space import Registration
 
@@ -325,8 +325,11 @@ def generate_dataset(
             morphed = interpolate_instance(mesh, category.fields[inst], rho)
             # Same barycentric pattern re-posed on the morphed vertices, so
             # surface samples correspond across rho values.
-            obs_pts = np.einsum("ij,ijk->ik", bary, morphed.vertices[morphed.faces[face_idx]])
-            delta = target_delta(category.fields[inst], rho)
+            obs_pts = np.einsum("ij,ijk->ik", bary, morphed.vertices[morphed.faces][face_idx])
+            try:
+                field = target_field(category.canonical_cloud, target_delta(category.fields[inst], rho))
+            except MorphFitError as exc:  # fails each sample, like a blind canonical view
+                field = exc
             for view_index, (view, pose, canon_render) in enumerate(
                     zip(views, poses, canon_renders)):
                 draw = np.random.default_rng(
@@ -339,7 +342,9 @@ def generate_dataset(
                         raise canon_render
                     observed = splat_position_image(obs_pts, view, splat_radius)
                     zoomed = zoom(observed, canon_render, zoom_resolution)
-                    target = rasterize_target(zoomed.canonical, category.canonical_cloud, delta)
+                    if isinstance(field, MorphFitError):
+                        raise field
+                    target = rasterize_target(zoomed.canonical, field)
                 except MorphFitError as exc:
                     skipped += 1
                     records.append(SampleRecord(

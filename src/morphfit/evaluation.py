@@ -23,7 +23,7 @@ from .cpd import cpd_nonrigid
 from .dataset import densify_mesh, register_instances, target_delta, warn_if_capped
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import Mesh, PointCloud, apply_deformation, voxel_downsample
-from .imaging import DeformationImage, PositionImage, rasterize_target, splat_position_image, zoom
+from .imaging import rasterize_target, splat_position_image, target_field, zoom
 from .oracle import OracleSample, OracleSpec, infer
 from .shape_space import ShapeSpace
 
@@ -102,12 +102,11 @@ def _median_spacing(points: np.ndarray) -> float:
     return spacing if spacing > 0 else 1e-6
 
 
-def _shifted_positions(image: PositionImage, offset: np.ndarray) -> PositionImage:
+def _shifted(image, offset: np.ndarray):
+    """A position or deformation image minus ``offset`` on its foreground."""
     if not offset.any():
         return image
-    return PositionImage(
-        np.where(image.mask[..., None], image.data - offset, 0.0), image.mask
-    )
+    return type(image)(np.where(image.mask[..., None], image.data - offset, 0.0), image.mask)
 
 
 def prepare_instance(
@@ -158,7 +157,7 @@ def complete_view(
     canonical_dense: np.ndarray,
     observed_dense: np.ndarray,
     view,
-    delta_true: np.ndarray,
+    true_field,
     oracle_spec: OracleSpec,
     *,
     offset=(0.0, 0.0, 0.0),
@@ -173,7 +172,8 @@ def complete_view(
     is rendered shifted, the pipeline maps its own render back through the
     believed pose, and the oracle reports the apparent offsets between the
     two renders (true deltas minus the pose error), which is what a
-    consistent predictor would see.  Returns the
+    consistent predictor would see.  ``true_field`` is the
+    :func:`~morphfit.imaging.target_field` of the true deltas.  Returns the
     :class:`~morphfit.completion.CompletionResult` and the observed render
     (for the raw-registration baseline).
     """
@@ -182,12 +182,8 @@ def complete_view(
     canonical_img = splat_position_image(canonical_dense + offset, view, splat_radius)
     zoomed = zoom(observed_img, canonical_img, zoom_resolution)
 
-    believed = _shifted_positions(zoomed.canonical, offset)
-    true_target = rasterize_target(believed, space.canonical, delta_true)
-    mask = true_target.mask
-    apparent = DeformationImage(
-        np.where(mask[..., None], true_target.data - offset, 0.0), mask, 1.0
-    )
+    believed = _shifted(zoomed.canonical, offset)
+    apparent = _shifted(rasterize_target(believed, true_field), offset)
     sample = OracleSample(zoomed.observed, zoomed.canonical, apparent)
     predicted = infer(oracle_spec, sample, seed=oracle_seed)
 
@@ -241,6 +237,11 @@ def pose_noise_experiment(
     leaf = _median_spacing(space.canonical.points)
     want_pipeline = COND_PIPELINE in conditions
     want_cpd = COND_RAW_CPD in conditions
+    if want_pipeline:
+        try:
+            true_field = target_field(space.canonical, delta_true)
+        except MorphFitError:  # every view rasterizes with it, so every view fails
+            pipeline_failed, want_pipeline = draws * len(views), False
     for draw_index in range(draws):
         for view_index, view in enumerate(views):
             oracle_seed = int(
@@ -257,7 +258,7 @@ def pose_noise_experiment(
             if want_pipeline:
                 try:
                     result, observed_img = complete_view(
-                        space, canonical_dense, observed_dense, view, delta_true,
+                        space, canonical_dense, observed_dense, view, true_field,
                         oracle_spec, offset=offset, zoom_resolution=zoom_resolution,
                         splat_radius=splat_radius, oracle_seed=oracle_seed, ridge=ridge,
                     )

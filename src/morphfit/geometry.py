@@ -39,6 +39,7 @@ __all__ = [
 
 DEFAULT_VIEW_RESOLUTION = (256, 192)
 DEFAULT_FOCAL = (275.0, 275.0)
+MAX_PIXELS = 4096 * 4096  # largest camera image; its position image takes 400 MB
 
 
 def _as_readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -170,6 +171,8 @@ class CameraView:
         width, height = self.resolution
         if width < 1 or height < 1:
             raise ValidationError(f"resolution must be positive, got {self.resolution}")
+        if width * height > MAX_PIXELS:
+            raise ValidationError(f"resolution {width}x{height} exceeds the {MAX_PIXELS}-pixel limit")
         pp = self.principal_point
         if pp is None:
             pp = (width / 2.0, height / 2.0)
@@ -185,7 +188,7 @@ class CameraView:
         return -self.rotation.T @ self.translation
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation.T + self.translation
+        return (self.rotation @ points.T).T + self.translation
 
 
 def _points_of(cloud) -> np.ndarray:
@@ -413,8 +416,8 @@ def sample_mesh_surface(mesh: Mesh, count: int, rng=None):
     u = rng.random(count)
     v = rng.random(count)
     flip = u + v > 1.0
-    u[flip] = 1.0 - u[flip]
-    v[flip] = 1.0 - v[flip]
+    u = np.where(flip, 1.0 - u, u)
+    v = np.where(flip, 1.0 - v, v)
     bary = np.stack([1.0 - u - v, u, v], axis=1)
-    points = np.einsum("ij,ijk->ik", bary, mesh.vertices[mesh.faces[face_idx]])
+    points = np.einsum("ij,ijk->ik", bary, tri[face_idx])
     return points, face_idx, bary

@@ -30,6 +30,7 @@ __all__ = [
     "DeformationImage",
     "ZoomResult",
     "splat_position_image",
+    "target_field",
     "rasterize_target",
     "mask_bounding_box",
     "zoom",
@@ -50,11 +51,21 @@ def _check_image(data, mask, name: str):
     # The background is zero by now, so every non-finite value is foreground.
     if not np.isfinite(data).all():
         raise ValidationError(f"{name} foreground contains non-finite values")
-    data = np.ascontiguousarray(data)
-    mask = np.ascontiguousarray(mask)
-    data.flags.writeable = False
-    mask.flags.writeable = False
     return data, mask
+
+
+def _set_arrays(image, data, mask):
+    """Store an image's arrays, contiguous and read-only; returns the image."""
+    data, mask = np.ascontiguousarray(data), np.ascontiguousarray(mask)
+    data.flags.writeable = mask.flags.writeable = False
+    object.__setattr__(image, "data", data)
+    object.__setattr__(image, "mask", mask)
+    return image
+
+
+def _built(cls, data, mask):
+    """A ``cls`` image of arrays whose builder here upholds :func:`_check_image`."""
+    return _set_arrays(object.__new__(cls), data, mask)
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,7 @@ class PositionImage:
     mask: np.ndarray
 
     def __post_init__(self):
-        data, mask = _check_image(self.data, self.mask, "position image")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "mask", mask)
+        _set_arrays(self, *_check_image(self.data, self.mask, "position image"))
 
 
 @dataclass(frozen=True)
@@ -81,9 +90,7 @@ class DeformationImage:
     def __post_init__(self):
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValidationError(f"scale must be > 0, got {self.scale}")
-        data, mask = _check_image(self.data, self.mask, "deformation image")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "mask", mask)
+        _set_arrays(self, *_check_image(self.data, self.mask, "deformation image"))
         object.__setattr__(self, "scale", float(self.scale))
 
     def in_meters(self) -> np.ndarray:
@@ -174,55 +181,53 @@ def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> Posi
     if not lit.any():
         raise EmptyRenderError("no model point projects inside the image")
 
+    # Only the winners' points can reach the image, so only they are checked.
+    if not np.isfinite(pts[winner]).all():
+        raise ValidationError("position image foreground contains non-finite values")
     data = np.zeros((height, width, 3))
     data.reshape(-1, 3)[lit] = pts[winner[best[lit]]]
-    mask = lit.reshape(height, width)
-    return PositionImage(data, mask)
+    return _built(PositionImage, data, lit.reshape(height, width))
 
 
-def rasterize_target(
-    position: PositionImage, canonical: PointCloud, deltas: np.ndarray
-) -> DeformationImage:
-    """Interpolate per-canonical-point deltas onto every foreground pixel.
+def target_field(canonical: PointCloud, deltas: np.ndarray) -> RBFInterpolator:
+    """Interpolant of per-canonical-point deltas, solved once for :func:`rasterize_target`.
 
-    Uses scattered-data interpolation with a linear radial kernel plus an
-    affine tail, so constant and affine delta fields are reproduced
-    exactly (up to conditioning) and pixels sitting exactly on canonical
-    points take exactly those points' rows.  A pixel's value depends on
-    its position alone, so each distinct position is interpolated once
-    and copied to its repeats: a zoomed render repeats its source pixels
-    many times over, and the values are the same as one per pixel.
+    A linear radial kernel plus an affine tail reproduces constant and
+    affine delta fields exactly (up to conditioning), and positions on
+    canonical points take exactly those points' rows.
     """
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (len(canonical), 3):
-        raise ValidationError(
-            f"deltas shape {deltas.shape} != ({len(canonical)}, 3)"
-        )
-    height, width = position.mask.shape
-    data = np.zeros((height, width, 3))
-    if not position.mask.any():
-        return DeformationImage(data, position.mask.copy(), 1.0)
-    targets, repeat = distinct_rows(position.data[position.mask])
+        raise ValidationError(f"deltas shape {deltas.shape} != ({len(canonical)}, 3)")
     try:
-        values = RBFInterpolator(
-            canonical.points, deltas, kernel="linear", degree=1
-        )(targets)
+        return RBFInterpolator(canonical.points, deltas, kernel="linear", degree=1)
     except np.linalg.LinAlgError:
         # Duplicate or near-duplicate anchors; retry once with a whisper of
         # smoothing proportional to scene size.
         diameter = float(np.linalg.norm(np.ptp(canonical.points, axis=0)))
         try:
-            values = RBFInterpolator(
-                canonical.points,
-                deltas,
-                kernel="linear",
-                degree=1,
-                smoothing=1e-10 * max(diameter, 1.0),
-            )(targets)
+            return RBFInterpolator(canonical.points, deltas, kernel="linear", degree=1,
+                                   smoothing=1e-10 * max(diameter, 1.0))
         except np.linalg.LinAlgError as exc:
             raise RasterizeError(f"interpolation system singular: {exc}") from exc
-    data[position.mask] = values[repeat]
-    return DeformationImage(data, position.mask.copy(), 1.0)
+
+
+def rasterize_target(position: PositionImage, field: RBFInterpolator) -> DeformationImage:
+    """Evaluate a :func:`target_field` on every foreground pixel.
+
+    A pixel's value depends on its position alone, so each distinct
+    position is evaluated once and copied to its repeats: a zoomed render
+    repeats its source pixels many times over, and the values are the
+    same as one per pixel.
+    """
+    data = np.zeros(position.data.shape)
+    foreground = np.flatnonzero(position.mask)
+    targets, repeat = distinct_rows(position.data.reshape(-1, 3)[foreground])
+    values = field(targets)
+    if not np.isfinite(values).all():
+        raise ValidationError("deformation image foreground contains non-finite values")
+    data.reshape(-1, 3)[foreground] = values[repeat]
+    return _built(DeformationImage, data, position.mask)
 
 
 def mask_bounding_box(mask: np.ndarray) -> tuple[float, float, float, float]:
@@ -255,7 +260,7 @@ def _resample_nearest(image: PositionImage, crop, out_size) -> PositionImage:
     mask[:, ~col_ok] = False
     data[~row_ok] = 0.0
     data[:, ~col_ok] = 0.0
-    return PositionImage(data, mask)
+    return _built(PositionImage, data, mask)
 
 
 def zoom(

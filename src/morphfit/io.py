@@ -151,7 +151,7 @@ def write_tensor(path, array: np.ndarray, semantic: str) -> None:
     """
     path = Path(path)
     array = np.asarray(array, dtype="<f4")
-    path.write_bytes(np.ascontiguousarray(array).tobytes())
+    path.write_bytes(np.ascontiguousarray(array).data)
     sidecar = {"shape": list(array.shape), "dtype": "f32", "semantic": semantic}
     Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
 

@@ -34,6 +34,7 @@ from morphfit import (
     relative_residual,
     sample_count_formula,
     splat_position_image,
+    target_field,
     viewpoint_sphere,
 )
 from morphfit.evaluation import COND_CANONICAL, COND_PIPELINE, COND_RAW_CPD, POSE_NOISE_CONDITIONS
@@ -242,14 +243,16 @@ def test_criterion_8_unit_identities():
     image = splat_position_image(mesh.vertices, view, 1)
     cloud = PointCloud(mesh.vertices)
     anchors = cloud.points
-    const = rasterize_target(image, cloud, np.tile([0.3, -0.1, 0.2], (len(anchors), 1)))
+    const = rasterize_target(
+        image, target_field(cloud, np.tile([0.3, -0.1, 0.2], (len(anchors), 1)))
+    )
     np.testing.assert_allclose(
         const.data[const.mask], np.tile([0.3, -0.1, 0.2], (const.mask.sum(), 1)),
         atol=1e-9,
     )
     a = np.array([[0.1, 0.0, 0.02], [-0.03, 0.2, 0.0], [0.0, 0.05, 0.15]])
     b = np.array([0.01, -0.02, 0.03])
-    linear = rasterize_target(image, cloud, anchors @ a.T + b)
+    linear = rasterize_target(image, target_field(cloud, anchors @ a.T + b))
     np.testing.assert_allclose(
         linear.data[linear.mask], image.data[linear.mask] @ a.T + b, atol=1e-6,
     )

@@ -30,7 +30,7 @@ from morphfit import (
 )
 from morphfit import dataset as dataset_module
 from morphfit.dataset import register_instances
-from morphfit.imaging import PositionImage
+from morphfit.imaging import PositionImage, rasterize_target, target_field
 
 
 def small_views(count=2, resolution=(96, 72)):
@@ -246,6 +246,34 @@ class TestTargetValues:
         target = written["target.f32"] / record.export_scale
         np.testing.assert_array_equal(np.any(target != 0.0, axis=2), canonical.mask)
         np.testing.assert_allclose(target, expected, rtol=0.0, atol=1e-12)
+
+    def test_each_sample_uses_the_field_of_its_own_instance_and_rho(
+            self, category, tmp_path, monkeypatch):
+        # One field serves all views of an (instance, rho); the bytes of each
+        # target must be those of a field built for that sample alone.
+        written = {}
+
+        def keep(writer):
+            def write(path, data, *args):
+                written[str(path)] = np.array(data)
+                return writer(path, data, *args)
+            return write
+
+        monkeypatch.setattr(dataset_module, "write_tensor", keep(dataset_module.write_tensor))
+        monkeypatch.setattr(dataset_module, "write_mask", keep(dataset_module.write_mask))
+        spec = category.category_spec()
+        pair = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
+                            spec.instance_meshes[:2], spec.fields[:2])
+        records = generate_dataset(pair, small_views(2), [0.0, 0.5], tmp_path, seed=3, **GEN_KW)
+        assert len(records) == 8 and all(r.status == "ok" for r in records)
+        for record in records:
+            position = PositionImage(written[record.paths["canon.pos.f32"]],
+                                     written[record.paths["canon.mask.pgm"]])
+            field = target_field(spec.canonical_cloud,
+                                 target_delta(spec.fields[record.instance_index], record.rho))
+            expected = rasterize_target(position, field).data * record.export_scale
+            assert (Path(record.paths["target.f32"]).read_bytes()
+                    == np.asarray(expected, "<f4").tobytes())
 
 
 class TestSampleRecord:

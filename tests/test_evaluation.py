@@ -29,7 +29,7 @@ from morphfit.evaluation import (
     complete_view,
     prepare_instance,
 )
-from morphfit.imaging import PositionImage
+from morphfit.imaging import PositionImage, target_field
 
 FAST = dict(densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72))
 
@@ -234,7 +234,8 @@ class TestTargetValues:
         )
         offset = np.array([0.004, -0.003, 0.002])
         complete_view(category.space, canonical_dense, observed_dense, few_views[0],
-                      delta_true, oracle, offset=offset, zoom_resolution=zoom_resolution)
+                      target_field(category.space.canonical, delta_true), oracle,
+                      offset=offset, zoom_resolution=zoom_resolution)
         assert seen["zoom"].padded is padded
 
         canonical = seen["sample"].canonical

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import per_pixel_target, sphere_cloud
 
 from morphfit import (
+    CameraView,
     DeformationImage,
     EmptyRenderError,
     PointCloud,
     PositionImage,
+    RasterizeError,
     ValidationError,
     look_at,
     mask_bounding_box,
     rasterize_target,
     splat_position_image,
+    target_field,
     zoom,
 )
 from morphfit import imaging
@@ -247,7 +252,7 @@ class TestRasterizeTarget:
                 return super().__call__(x)
 
         monkeypatch.setattr(imaging, "RBFInterpolator", Counting)
-        out = rasterize_target(zoomed.canonical, cloud, deltas)
+        out = rasterize_target(zoomed.canonical, target_field(cloud, deltas))
         position = zoomed.canonical
         np.testing.assert_array_equal(out.mask, position.mask)
         np.testing.assert_allclose(out.data, per_pixel_target(position, cloud, deltas),
@@ -267,7 +272,7 @@ class TestRasterizeTarget:
         cloud = sphere_cloud(120, radius=0.35, seed=2)
         img = self._render(cloud)
         d = np.array([0.01, -0.02, 0.005])
-        out = rasterize_target(img, cloud, np.tile(d, (120, 1)))
+        out = rasterize_target(img, target_field(cloud, np.tile(d, (120, 1))))
         np.testing.assert_allclose(out.data[out.mask], np.tile(d, (out.mask.sum(), 1)), atol=1e-9)
 
     def test_repeated_anchor_retries_with_smoothing(self, monkeypatch):
@@ -286,7 +291,7 @@ class TestRasterizeTarget:
 
         monkeypatch.setattr(imaging, "RBFInterpolator", Recording)
         img = self._render(cloud)
-        out = rasterize_target(img, repeated, np.tile(d, (121, 1)))
+        out = rasterize_target(img, target_field(repeated, np.tile(d, (121, 1))))
         assert smoothing[0] == 0.0 and smoothing[1] > 0.0 and len(smoothing) == 2
         np.testing.assert_array_equal(out.mask, img.mask)
         np.testing.assert_allclose(out.data[out.mask], np.tile(d, (out.mask.sum(), 1)),
@@ -298,14 +303,14 @@ class TestRasterizeTarget:
         a = np.array([[0.1, 0.0, 0.02], [0.0, -0.05, 0.01], [0.03, 0.02, 0.0]])
         b = np.array([0.004, -0.006, 0.001])
         deltas = cloud.points @ a.T + b
-        out = rasterize_target(img, cloud, deltas)
+        out = rasterize_target(img, target_field(cloud, deltas))
         expected = img.data[img.mask] @ a.T + b
         np.testing.assert_allclose(out.data[out.mask], expected, atol=1e-6)
 
     def test_background_stays_zero(self):
         cloud = sphere_cloud(100, radius=0.3, seed=4)
         img = self._render(cloud)
-        out = rasterize_target(img, cloud, np.full((100, 3), 0.5))
+        out = rasterize_target(img, target_field(cloud, np.full((100, 3), 0.5)))
         assert not out.mask[~img.mask].any()
         np.testing.assert_array_equal(out.data[~img.mask], 0.0)
 
@@ -316,7 +321,7 @@ class TestRasterizeTarget:
         img = self._render(cloud, resolution=(64, 48))
         rng = np.random.default_rng(6)
         deltas = rng.normal(scale=0.01, size=(60, 3))
-        out = rasterize_target(img, cloud, deltas)
+        out = rasterize_target(img, target_field(cloud, deltas))
         fg_positions = img.data[img.mask]
         fg_values = out.data[out.mask]
         match = (fg_positions[:, None, :] == cloud.points[None, :, :]).all(axis=2)
@@ -328,7 +333,7 @@ class TestRasterizeTarget:
         cloud = sphere_cloud(10, seed=7)
         img = self._render(cloud)
         with pytest.raises(ValidationError):
-            rasterize_target(img, cloud, np.zeros((9, 3)))
+            rasterize_target(img, target_field(cloud, np.zeros((9, 3))))
 
 
 class TestMaskBoundingBox:
@@ -471,3 +476,108 @@ class TestZoom:
         can = _image_with_pixels((12, 10), [(1, 1, [1, 1, 1])])
         with pytest.raises(ValidationError):
             zoom(obs, can)
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+def _checked(image, name):
+    """``image`` passes the public constructors' check and is frozen."""
+    imaging._check_image(image.data, image.mask, name)
+    for array in (image.data, image.mask):
+        assert array.flags.c_contiguous and not array.flags.writeable
+    return image
+
+
+@st.composite
+def scenes(draw):
+    """A cloud, some of it on shared depth planes, seen by a small camera."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(4, 300))
+    points = rng.normal(scale=0.2, size=(count, 3))
+    if draw(st.booleans()):
+        points[:, 2] = np.round(points[:, 2], 1)
+    eye = [draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)), draw(st.floats(0.8, 2.0))]
+    view = look_at(eye, resolution=(draw(st.integers(1, 40)), draw(st.integers(1, 40))),
+                   focal=(draw(st.floats(5.0, 80.0)),) * 2)
+    return PointCloud(points), view, draw(st.integers(0, 2))
+
+
+def _render(cloud, view, radius):
+    try:
+        return splat_position_image(cloud, view, radius)
+    except EmptyRenderError:
+        assume(False)
+
+
+class TestBuiltImagesPassTheCheck:
+    """The package's own images skip the public check; they must still pass it."""
+
+    @PROPERTY
+    @given(scene=scenes())
+    def test_splat(self, scene):
+        _checked(_render(*scene), "position image")
+
+    @PROPERTY
+    @given(scene=scenes(), shift=st.floats(-0.3, 0.3),
+           target=st.tuples(st.integers(1, 60), st.integers(1, 60)))
+    def test_zoom(self, scene, shift, target):
+        cloud, view, radius = scene
+        observed = _render(PointCloud(cloud.points + shift), view, radius)
+        zoomed = zoom(observed, _render(cloud, view, radius), target)
+        for image in (zoomed.observed, zoomed.canonical):
+            assert _checked(image, "position image").mask.shape == target[::-1]
+
+    @PROPERTY
+    @given(scene=scenes(), target=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+           scale=st.floats(1e-4, 1.0))
+    def test_rasterize(self, scene, target, scale):
+        cloud, view, radius = scene
+        image = _render(cloud, view, radius)
+        position = zoom(image, image, target).canonical
+        deltas = np.random.default_rng(len(cloud)).normal(scale=scale, size=(len(cloud), 3))
+        try:
+            field = target_field(cloud, deltas)
+        except RasterizeError:  # a cloud flattened onto one depth plane
+            assume(False)
+        out = rasterize_target(position, field)
+        np.testing.assert_array_equal(_checked(out, "deformation image").mask, position.mask)
+        assert out.scale == 1.0
+
+
+class TestNonFiniteGuards:
+    """The two checks that can fail inside the package keep the public messages."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_never_reaches_the_image(self, bad):
+        view = look_at([0, 0, 1.0], resolution=(16, 12), focal=(10.0, 10.0))
+        points = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [bad, 0.0, 0.5]])
+        with np.errstate(invalid="ignore"):
+            img = splat_position_image(points, view)
+        np.testing.assert_array_equal(_checked(img, "position image").data,
+                                      splat_position_image(points[:2], view).data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_winning_point_rejected(self, bad):
+        # A camera that projects non-finite coordinates to the origin lets
+        # the point win its pixels; the splat must not emit it.
+        class Blind(CameraView):
+            def to_camera(self, points):
+                return super().to_camera(np.where(np.isfinite(points), points, 0.0))
+
+        base = look_at([0, 0, 1.0], resolution=(16, 12), focal=(10.0, 10.0))
+        view = Blind(base.rotation, base.translation, base.focal, None, base.resolution)
+        points = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [bad, 0.0, 0.5]])
+        with pytest.raises(ValidationError,
+                           match="^position image foreground contains non-finite values$"):
+            splat_position_image(points, view)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_non_finite_field_values_rejected(self, bad):
+        cloud = sphere_cloud(60, radius=0.3, seed=5)
+        view = look_at([0.05, -0.1, 1.4], resolution=(48, 36), focal=(55.0, 55.0))
+        deltas = np.zeros((60, 3))
+        deltas[3, 1] = bad
+        with np.errstate(all="ignore"), pytest.raises(
+                ValidationError, match="^deformation image foreground contains non-finite values$"):
+            rasterize_target(splat_position_image(cloud, view), target_field(cloud, deltas))

@@ -20,6 +20,7 @@ from helpers import sphere_cloud
 from morphfit import (
     CpdConfig,
     MorphFitError,
+    ValidationError,
     Registration,
     load_space,
     read_mask,
@@ -28,7 +29,7 @@ from morphfit import (
     save_space,
     space_from_fields,
 )
-from morphfit.cli import _latent_arg, _load_camera
+from morphfit.cli import _latent_arg, _load_camera, main
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -149,6 +150,45 @@ def test_load_camera_raises_only_morphfit_errors(scratch, pose):
     path = scratch / "pose.json"
     path.write_bytes(pose)
     only_morphfit_errors(_load_camera, path, (8, 6))
+
+
+# The documented pixel limit: 4096 x 4096.
+PIXEL_LIMIT = 4096 * 4096
+
+
+@PROPERTY
+@given(width=st.integers(1, 8192), height=st.integers(1, 8192))
+@example(width=10_000_000, height=10_000_000)
+@example(width=PIXEL_LIMIT + 1, height=1)
+@example(width=4097, height=4096)
+@example(width=4096, height=4096)
+def test_pose_resolution_is_bounded_before_any_image_exists(scratch, width, height):
+    # Loading a pose allocates no image, so a resolution just above the
+    # limit is rejected here, naming the file, instead of in an allocation.
+    path = scratch / "big_pose.json"
+    path.write_text(json.dumps({"quaternion": [1, 0, 0, 0], "translation": [0, 0, 1],
+                                "resolution": [width, height]}))
+    if width * height > PIXEL_LIMIT:
+        with pytest.raises(ValidationError, match=r"^pose file .*big_pose\.json .*pixel limit"):
+            _load_camera(path, (8, 6))
+    else:
+        assert _load_camera(path, (8, 6)).resolution == (width, height)
+
+
+@pytest.mark.parametrize("command", ["gen-dataset", "register", "evaluate"])
+@pytest.mark.parametrize("res", ["4097x4096", "10000000x10000000"])
+def test_res_flag_is_bounded_before_any_image_exists(scratch, capsys, command, res):
+    junk, models = scratch / "junk.ply", scratch / "models"
+    junk.write_text("not read: validation fails first\n")
+    models.mkdir(exist_ok=True)
+    (models / "junk.ply").write_text("")
+    argv = {
+        "gen-dataset": ["--space", junk, "--canonical", junk, "--models", models],
+        "register": ["--space", junk, "--canonical", junk, "--observed", junk, "--pose", junk],
+        "evaluate": ["--space", junk, "--canonical", junk, "--instance", junk],
+    }[command]
+    assert main([command, *map(str, argv), "--res", res, "--out", str(scratch / "o")]) == 2
+    assert capsys.readouterr().err == f"error: --res {res} exceeds the {PIXEL_LIMIT}-pixel limit\n"
 
 
 @PROPERTY
