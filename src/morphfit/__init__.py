@@ -38,6 +38,7 @@ from .cpd import CpdConfig, cpd_nonrigid
 from .shape_space import (
     Registration,
     ShapeSpace,
+    TrainingField,
     latent_to_field,
     load_space,
     project_field,

@@ -10,6 +10,7 @@ never leave unmarked partial outputs: single-file outputs are written to
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,8 +21,7 @@ import numpy as np
 from .completion import cross_instance_correspondence, reconstruct_mesh
 from .cpd import CpdConfig
 from .dataset import (
-    CategorySpec, build_category, default_cloud_leaf, generate_dataset, mesh_cloud,
-    register_instances,
+    CategorySpec, default_cloud_leaf, generate_dataset, mesh_cloud, register_instances,
 )
 from .errors import MorphFitError, ValidationError
 from .evaluation import (
@@ -304,15 +304,18 @@ def _cmd_build_space(args) -> int:
     leaf = default_cloud_leaf(canonical_mesh) if args.cloud_leaf is None else args.cloud_leaf
     cpd = CpdConfig(args.beta, args.regularization, args.outlier_weight)
     registration = Registration(cpd, leaf, args.dense_count)
-    category = build_category(
-        canonical_mesh, [read_ply(p) for p in instance_paths], registration, seed=args.seed
+    canonical_cloud = mesh_cloud(canonical_mesh, registration, args.seed, 0)
+    trained = register_instances(
+        canonical_cloud, [read_ply(p) for p in instance_paths], registration, seed=args.seed
     )
-    space = space_from_fields(
-        category.canonical_cloud, category.fields, args.beta, args.latent, registration
+    space = dataclasses.replace(
+        space_from_fields(canonical_cloud, [t.field for t in trained], args.beta, args.latent,
+                          registration),
+        fields=trained,
     )
     _final_write(args.out, lambda p: save_space(space, p))
     print(
-        f"built shape space: {len(category.fields)} instances, "
+        f"built shape space: {len(trained)} instances, "
         f"{len(space.canonical)} canonical points, latent dim {space.latent_dim} -> {args.out}"
     )
     return 0
@@ -322,8 +325,9 @@ def _cmd_gen_dataset(args) -> int:
     space = load_space(args.space)
     canonical_mesh = read_ply(args.canonical)
     meshes = [read_ply(p) for p in _list_meshes(args.models)]
-    fields = register_instances(space.canonical, meshes, space.registration, seed=args.seed)
-    category = CategorySpec(canonical_mesh, space.canonical, meshes, fields)
+    trained = register_instances(space.canonical, meshes, space.registration, seed=args.seed,
+                                 stored=space.fields)
+    category = CategorySpec(canonical_mesh, space.canonical, meshes, [t.field for t in trained])
     views = _views_for(args, canonical_mesh)
     records = generate_dataset(
         category, views, args.rhos, args.out,

@@ -128,8 +128,9 @@ def pixels_to_sparse_deltas(
     owners = nearest_canonical_points(canonical, distinct)[repeat]
     pixel_deltas = deformation_data[mask]
     n = len(canonical)
-    sums = np.zeros((n, 3))
-    np.add.at(sums, owners, pixel_deltas)
+    # bincount sums in input order, as np.add.at does, at a tenth of its cost.
+    sums = np.stack([np.bincount(owners, weights=pixel_deltas[:, axis], minlength=n)
+                     for axis in range(3)], axis=1)
     counts = np.bincount(owners, minlength=n)
     visible = np.flatnonzero(counts)
     deltas = np.zeros((n, 3))

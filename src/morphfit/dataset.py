@@ -9,6 +9,7 @@ needed to regenerate any single sample byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -30,7 +31,7 @@ from .geometry import (
 )
 from .imaging import rasterize_target, splat_position_image, target_field, zoom
 from .io import write_mask, write_tensor
-from .shape_space import Registration
+from .shape_space import Registration, TrainingField
 
 __all__ = [
     "CategorySpec",
@@ -140,36 +141,56 @@ def build_category(
     if not instance_meshes:
         raise ValidationError("need at least one instance mesh")
     canonical_cloud = mesh_cloud(canonical_mesh, registration, seed, 0)
-    fields = register_instances(canonical_cloud, instance_meshes, registration, seed=seed)
-    return CategorySpec(canonical_mesh, canonical_cloud, instance_meshes, fields)
+    trained = register_instances(canonical_cloud, instance_meshes, registration, seed=seed)
+    return CategorySpec(canonical_mesh, canonical_cloud, instance_meshes,
+                        [t.field for t in trained])
 
 
 def register_instances(canonical_cloud: PointCloud, instances, registration: Registration,
-                       *, seed: int = 0, labels=None):
+                       *, seed: int = 0, labels=None, stored=()):
     """Register instances onto the canonical cloud by the category's recipe.
 
     A Mesh first becomes its :func:`mesh_cloud`, drawn from the stream
     salted with its index plus one; a PointCloud is registered as it is.
-    Every instance whose CPD stops at the iteration cap is reported by a
-    ``warning:`` line on stderr, which names it by its entry in ``labels``
-    (default: its index).  Returns the fields, anchored at the canonical
-    cloud.
+    ``stored`` holds TrainingFields made by this cloud and recipe (a
+    space's ``fields``): a Mesh whose digest, seed and salt match one of
+    them takes it instead of being registered again, which gives the same
+    field.  Every instance whose CPD stopped at the iteration cap is
+    reported by a ``warning:`` line on stderr, which names it by its entry
+    in ``labels`` (default: its index).  Returns the TrainingFields,
+    anchored at the canonical cloud.
     """
     instances = tuple(instances)
     labels = range(len(instances)) if labels is None else labels
-    fields = []
+    reusable = {(t.mesh_sha1, t.seed, t.salt): t for t in stored}
+    trained = []
     for index, (instance, label) in enumerate(zip(instances, labels, strict=True)):
+        salt, digest, kept = index + 1, None, None
         if isinstance(instance, Mesh):
-            instance = mesh_cloud(instance, registration, seed, index + 1)
-        result = cpd_nonrigid(instance, canonical_cloud, registration.cpd)
-        warn_if_capped(result, f"registration of instance {label}")
-        fields.append(result.field)
-    return tuple(fields)
+            digest = _mesh_sha1(instance)
+            kept = reusable.get((digest, seed, salt))
+            if kept is None:
+                instance = mesh_cloud(instance, registration, seed, salt)
+        if kept is None:
+            result = cpd_nonrigid(instance, canonical_cloud, registration.cpd)
+            kept = TrainingField(result.field, digest, seed, salt, result.iterations,
+                                 result.converged)
+        warn_if_capped(kept, f"registration of instance {label}")
+        trained.append(kept)
+    return tuple(trained)
+
+
+def _mesh_sha1(mesh: Mesh) -> str:
+    """Hex sha1 of a mesh's vertex count (<i8), vertices (<f8) and faces (<i8)."""
+    digest = hashlib.sha1(len(mesh.vertices).to_bytes(8, "little"))
+    digest.update(np.ascontiguousarray(mesh.vertices, dtype="<f8"))
+    digest.update(np.ascontiguousarray(mesh.faces, dtype="<i8"))
+    return digest.hexdigest()
 
 
 def warn_if_capped(result, subject: str) -> bool:
-    """Print a ``warning:`` line on stderr when a CPD result stopped at its
-    iteration cap; returns whether it did."""
+    """Print a ``warning:`` line on stderr when a CpdResult or TrainingField
+    stopped at its iteration cap; returns whether it did."""
     if not result.converged:
         print(f"warning: {subject} hit the {result.iterations}-iteration cap "
               "without converging", file=sys.stderr)

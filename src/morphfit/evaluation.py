@@ -147,9 +147,9 @@ def prepare_instance(
     )
     if oracle_spec.kind == "external":
         return canonical_dense, observed_dense, np.zeros((len(space.canonical), 3))
-    (field,) = register_instances(space.canonical, [instance_cloud], space.registration,
-                                  labels=[instance_label])
-    return canonical_dense, observed_dense, target_delta(field, 0.0)
+    (trained,) = register_instances(space.canonical, [instance_cloud], space.registration,
+                                    labels=[instance_label])
+    return canonical_dense, observed_dense, target_delta(trained.field, 0.0)
 
 
 def complete_view(

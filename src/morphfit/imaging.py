@@ -199,6 +199,11 @@ def target_field(canonical: PointCloud, deltas: np.ndarray) -> RBFInterpolator:
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (len(canonical), 3):
         raise ValidationError(f"deltas shape {deltas.shape} != ({len(canonical)}, 3)")
+    if len(canonical) < 4:
+        # The affine tail has four coefficients to fit.
+        raise RasterizeError(
+            f"interpolation needs at least 4 canonical points, got {len(canonical)}"
+        )
     try:
         return RBFInterpolator(canonical.points, deltas, kernel="linear", degree=1)
     except np.linalg.LinAlgError:

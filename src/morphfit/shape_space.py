@@ -7,8 +7,10 @@ maps a short latent vector to a full deformation field.
 """
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from .geometry import (
 
 __all__ = [
     "Registration",
+    "TrainingField",
     "ShapeSpace",
     "space_from_fields",
     "latent_to_field",
@@ -35,6 +38,7 @@ __all__ = [
 ]
 
 _MAGIC = "MFSS1"
+_SHA1 = re.compile(r"[0-9a-f]{40}")
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,28 @@ class Registration:
 
 
 @dataclass(frozen=True)
+class TrainingField:
+    """One instance's registration by a category's recipe, with what it came from.
+
+    ``field`` warps the canonical cloud onto the instance.  The instance's
+    cloud was drawn from the stream ``(seed, 3, salt)`` of the mesh whose
+    ``mesh_sha1`` this is (None for an instance given as a cloud), and CPD
+    ran ``iterations`` iterations, stopping at its cap unless ``converged``.
+    """
+
+    field: DeformationField
+    mesh_sha1: str | None
+    seed: int
+    salt: int
+    iterations: int
+    converged: bool
+
+
+@dataclass(frozen=True)
 class ShapeSpace:
     """Affine family of deformation fields; ``registration`` is the recipe that
-    produced them, None for known fields (such a space saves but does not load)."""
+    produced them, None for known fields (such a space saves but does not load),
+    and ``fields`` the registrations it was built from, if they were kept."""
 
     canonical: PointCloud
     beta: float
@@ -62,6 +85,7 @@ class ShapeSpace:
     basis: np.ndarray
     latent_dim: int
     registration: Registration | None = None
+    fields: tuple = ()
 
     def __post_init__(self):
         n3 = 3 * len(self.canonical)
@@ -86,6 +110,15 @@ class ShapeSpace:
             )
         if not np.all(np.isfinite(mean)):
             raise ValidationError("mean contains non-finite entries")
+        fields = tuple(self.fields)
+        for index, kept in enumerate(fields):
+            if not isinstance(kept, TrainingField):
+                raise ValidationError(f"fields[{index}] is not a TrainingField")
+            if kept.field.beta != self.beta or not np.array_equal(
+                    kept.field.anchors.points, self.canonical.points):
+                raise ValidationError(
+                    f"fields[{index}] is not anchored at the canonical cloud with beta {self.beta}"
+                )
         mean.flags.writeable = False
         basis = np.ascontiguousarray(basis)
         basis.flags.writeable = False
@@ -93,6 +126,7 @@ class ShapeSpace:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "latent_dim", int(self.latent_dim))
+        object.__setattr__(self, "fields", fields)
 
     @property
     def n_points(self) -> int:
@@ -168,7 +202,9 @@ def relative_residual(space: ShapeSpace, field, eps: float = 1e-12) -> float:
 # for canonical points, mean, basis, in that order.  Blocks are f64 because
 # the load(save(s)) == s round trip is bitwise and spaces are built in f64.
 # The header's "registration" object holds the recipe's CPD settings (beta
-# is the header's own), cloud leaf and dense count.
+# is the header's own), cloud leaf and dense count.  Its optional "fields"
+# list holds the space's TrainingFields, each with its weights as base64 of
+# little-endian f64, point-major.
 
 def save_space(space: ShapeSpace, path) -> None:
     header = {
@@ -184,6 +220,15 @@ def save_space(space: ShapeSpace, path) -> None:
         header["registration"] = settings = dataclasses.asdict(recipe.cpd)
         del settings["beta"]
         settings.update(cloud_leaf=recipe.cloud_leaf, dense_count=recipe.dense_count)
+    if space.fields:
+        header["fields"] = [
+            {"mesh_sha1": kept.mesh_sha1, "seed": int(kept.seed), "salt": int(kept.salt),
+             "iterations": int(kept.iterations), "converged": bool(kept.converged),
+             "weights": base64.b64encode(
+                 np.ascontiguousarray(kept.field.weights, dtype="<f8").tobytes()
+             ).decode("ascii")}
+            for kept in space.fields
+        ]
     blocks = [
         np.ascontiguousarray(space.canonical.points, dtype="<f8").tobytes(),
         np.ascontiguousarray(space.mean, dtype="<f8").tobytes(),
@@ -243,13 +288,48 @@ def load_space(path) -> ShapeSpace:
             f"{path}: payload is {len(payload)} bytes, header (n={n}, "
             f"l={latent_dim}) requires {expected}"
         )
+    stored = _stored_fields(path, header.get("fields", []), n)
     floats = np.frombuffer(payload, dtype="<f8")
     canonical = floats[: 3 * n].reshape(n, 3)
     mean = floats[3 * n : 6 * n]
     basis = floats[6 * n :].reshape(3 * n, latent_dim)
     try:
-        return ShapeSpace(
-            PointCloud(canonical), beta, mean.copy(), basis.copy(), latent_dim, registration
-        )
+        cloud = PointCloud(canonical)
+        fields = [TrainingField(DeformationField(cloud, weights, beta), **meta)
+                  for weights, meta in stored]
+        return ShapeSpace(cloud, beta, mean.copy(), basis.copy(), latent_dim, registration,
+                          fields)
     except ValidationError as exc:
         raise SpaceFileError(f"{path}: invalid space content: {exc}") from exc
+
+
+def _stored_fields(path: Path, entries, n: int) -> list:
+    """(weights, metadata) of each entry of a space header's "fields" member."""
+    if not isinstance(entries, list):
+        raise SpaceFileError(f'{path}: "fields" is not a list')
+    stored = []
+    for index, entry in enumerate(entries):
+        try:
+            if not isinstance(entry, dict):
+                raise TypeError("not an object")
+            raw = base64.b64decode(entry["weights"], validate=True)
+            if len(raw) != 24 * n:
+                raise ValueError(f"weights are {len(raw)} bytes, n={n} requires {24 * n}")
+            weights = np.frombuffer(raw, dtype="<f8").reshape(n, 3).copy()
+            if not np.all(np.isfinite(weights)):
+                raise ValueError("weights contain non-finite entries")
+            meta = {key: entry[key]
+                    for key in ("mesh_sha1", "seed", "salt", "iterations", "converged")}
+            if not (isinstance(meta["mesh_sha1"], str) and _SHA1.fullmatch(meta["mesh_sha1"])):
+                raise ValueError(f"mesh_sha1 {meta['mesh_sha1']!r} is not a sha1 hex digest")
+            for key in ("seed", "salt", "iterations"):
+                if type(meta[key]) is not int or meta[key] < 0:
+                    raise ValueError(f"{key} {meta[key]!r} is not an integer >= 0")
+            if type(meta["converged"]) is not bool:
+                raise ValueError(f"converged {meta['converged']!r} is not true or false")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpaceFileError(
+                f"{path}: malformed fields[{index}]: {type(exc).__name__}: {exc}"
+            ) from exc
+        stored.append((weights, meta))
+    return stored

@@ -1,7 +1,10 @@
 import csv
+import functools
+import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +19,7 @@ from morphfit import (
     Registration,
     ValidationError,
     build_category,
+    cpd_nonrigid,
     generate_dataset,
     load_space,
     look_at,
@@ -24,6 +28,8 @@ from morphfit import (
     rotation_to_quaternion,
     write_ply,
 )
+from morphfit import cli as cli_module
+from morphfit import dataset as dataset_module
 from morphfit.cli import _load_camera, _views_for, build_parser, main, validate_config
 
 PACKAGE_ROOT = str(Path(morphfit.__file__).resolve().parents[1])
@@ -292,6 +298,160 @@ class TestGenDataset:
             lib = Path(record.paths["target.f32"])
             cli = tmp_path / "cli" / lib.relative_to(tmp_path / "lib")
             assert cli.read_bytes() == lib.read_bytes(), cli
+
+
+@pytest.fixture
+def cpd_calls(monkeypatch):
+    """One entry per CPD registration that build-space or gen-dataset runs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cpd_nonrigid(*args, **kwargs)
+
+    monkeypatch.setattr(dataset_module, "cpd_nonrigid", counted)
+    return calls
+
+
+def without_fields(space, out):
+    """A copy of a space file without its "fields" member, as written before it existed."""
+    header, payload = Path(space).read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    del meta["fields"]
+    out.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+    return out
+
+
+def sample_digests(corpus):
+    return {str(p.relative_to(corpus)): hashlib.sha1(p.read_bytes()).hexdigest()
+            for p in sorted(corpus.rglob("*")) if p.is_file()}
+
+
+def _training_dir(mesh_dir, tmp_path):
+    return mesh_dir / "instances"
+
+
+def _one_mesh_changed(mesh_dir, tmp_path):
+    models = tmp_path / "changed"
+    shutil.copytree(mesh_dir / "instances", models)
+    mesh = read_ply(models / "model_3.ply")
+    vertices = mesh.vertices.copy()
+    vertices[0] += 1e-3
+    write_ply(models / "model_3.ply", mesh.with_vertices(vertices))
+    return models
+
+
+def _one_model_moved(mesh_dir, tmp_path):
+    # model_2 is the second mesh here, the third in the training directory.
+    models = tmp_path / "moved"
+    models.mkdir()
+    for name in ("model_0.ply", "model_2.ply"):
+        shutil.copyfile(mesh_dir / "instances" / name, models / name)
+    return models
+
+
+class TestStoredFields:
+    """gen-dataset reuses build-space's registration of a mesh exactly when it
+    would register the same mesh, seed and stream salt again."""
+
+    def gen(self, mesh_dir, space, models, out, seed=1):
+        return main([
+            "--seed", str(seed), "gen-dataset", "--space", str(space),
+            "--canonical", str(mesh_dir / "canonical.ply"), "--models", str(models),
+            "--views", "1", "--rhos", "0", "--res", "48x36", "--out", str(out),
+        ])
+
+    @pytest.mark.parametrize("make_models, seed, registered", [
+        (_training_dir, 1, 0),
+        (_training_dir, 2, 6),
+        (_one_mesh_changed, 1, 1),
+        (_one_model_moved, 1, 1),
+    ], ids=["training-dir", "other-seed", "one-mesh-changed", "one-model-moved"])
+    def test_registers_only_what_the_space_lacks(self, mesh_dir, space_path, tmp_path,
+                                                  cpd_calls, make_models, seed, registered):
+        models = make_models(mesh_dir, tmp_path)
+        assert self.gen(mesh_dir, space_path, models, tmp_path / "kept", seed) == 0
+        assert len(cpd_calls) == registered
+        # The space without the member re-registers every model, to the same bytes.
+        plain = without_fields(space_path, tmp_path / "plain.mfss")
+        assert load_space(plain).fields == ()
+        cpd_calls.clear()
+        assert self.gen(mesh_dir, plain, models, tmp_path / "plain", seed) == 0
+        assert len(cpd_calls) == len(list(models.glob("*.ply")))
+        kept, again = sample_digests(tmp_path / "kept"), sample_digests(tmp_path / "plain")
+        del kept["manifest.jsonl"], again["manifest.jsonl"]
+        assert kept == again
+
+    def test_reused_capped_fields_warn_as_re_registration_does(
+            self, mesh_dir, category, tmp_path, monkeypatch, capsys, cpd_calls):
+        monkeypatch.setattr(cli_module, "CpdConfig",
+                            functools.partial(CpdConfig, max_iterations=1))
+        space = tmp_path / "capped.mfss"
+        assert main(["--seed", "1", "build-space", "--canonical", str(mesh_dir / "canonical.ply"),
+                     "--instances", str(mesh_dir / "instances"), "--beta", str(category.beta),
+                     "--latent", "2", "--out", str(space)]) == 0
+        expected = [f"warning: registration of instance {i} hit the 1-iteration cap "
+                    "without converging" for i in range(6)]
+        assert capsys.readouterr().err.splitlines() == expected
+        runs = []
+        for name, path in (("kept", space), ("plain", without_fields(space, tmp_path / "p.mfss"))):
+            cpd_calls.clear()
+            code = self.gen(mesh_dir, path, mesh_dir / "instances", tmp_path / name)
+            runs.append((code, capsys.readouterr().err, len(cpd_calls)))
+        assert runs[0][1].splitlines() == expected
+        assert [run[:2] for run in runs] == [runs[1][:2]] * 2
+        assert [run[2] for run in runs] == [0, 6]
+
+    def test_dataset_workload_corpus_is_the_same_without_them(self, tmp_path, monkeypatch,
+                                                               cpd_calls):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        dataset = workloads.Dataset()
+        ctx = dataset.setup(tmp_path, dataset.category(1))
+        ((argv, items),) = dataset.commands(ctx)
+        corpus = ctx["out"] / "corpus"
+        runs = []
+        for strip in (False, True):
+            if strip:
+                without_fields(ctx["space"], ctx["space"])
+            cpd_calls.clear()
+            assert workloads.cli(argv) == 0
+            runs.append((len(cpd_calls), sample_digests(corpus)))
+            shutil.rmtree(corpus)
+        assert [count for count, _ in runs] == [0, 2]
+        assert len(runs[0][1]) == 8 * items + 1
+        assert runs[0][1] == runs[1][1]
+
+
+def test_one_point_canonical_cloud_ends_in_one_error_line(category, pose_path, tmp_path,
+                                                          capsys):
+    # Meshes 5 m off the origin and a 10 m voxel leaf: one canonical point,
+    # too few for the target interpolation's affine tail.
+    instances = tmp_path / "instances"
+    instances.mkdir()
+    write_ply(tmp_path / "canonical.ply",
+              category.canonical_mesh.with_vertices(category.canonical_mesh.vertices + 5.0))
+    for index, mesh in enumerate(category.instance_meshes[:3]):
+        write_ply(instances / f"m{index}.ply", mesh.with_vertices(mesh.vertices + 5.0))
+    space = tmp_path / "one.mfss"
+    assert main(["build-space", "--canonical", str(tmp_path / "canonical.ply"),
+                 "--instances", str(instances), "--beta", "0.1", "--latent", "1",
+                 "--cloud-leaf", "10", "--out", str(space)]) == 0
+    assert len(load_space(space).canonical) == 1
+    capsys.readouterr()
+    common = ["--space", str(space), "--canonical", str(tmp_path / "canonical.ply"),
+              "--res", "48x36"]
+    assert main(["gen-dataset", *common, "--models", str(instances), "--views", "1",
+                 "--rhos", "0", "--out", str(tmp_path / "corpus")]) == 1
+    assert capsys.readouterr().err == (
+        "error: DatasetError: 3 of 3 samples failed (> 0.1%); manifest left at "
+        f"{tmp_path / 'corpus' / 'manifest.jsonl.partial'}\n")
+    # register builds the target interpolant before it renders anything.
+    assert main(["register", *common, "--observed", str(instances / "m0.ply"),
+                 "--pose", str(pose_path), "--out", str(tmp_path / "r.ply")]) == 1
+    assert capsys.readouterr().err == (
+        "error: RasterizeError: interpolation needs at least 4 canonical points, got 1\n")
 
 
 def write_pose(path, view):

@@ -155,6 +155,22 @@ class TestPixelsToSparseDeltas:
         np.testing.assert_array_equal(sparse.deltas, expected)
         assert len(np.unique(position[mask], axis=0)) < mask.sum()
 
+    def test_sums_match_add_at_bit_for_bit(self):
+        # Many pixels per point, with deltas over eight orders of magnitude,
+        # so a sum in any other order than the pixels' own would differ.
+        canonical = sphere_cloud(40, seed=8)
+        rng = np.random.default_rng(9)
+        owners = rng.integers(0, 40, 24000)
+        position = canonical.points[owners].reshape(1, -1, 3)
+        deformation = (rng.normal(size=(24000, 3))
+                       * 10.0 ** rng.uniform(-6, 2, (24000, 1))).reshape(1, -1, 3)
+        mask = np.ones((1, 24000), dtype=bool)
+        sums = np.zeros((40, 3))
+        np.add.at(sums, owners, deformation[0])
+        counts = np.bincount(owners, minlength=40)
+        sparse = pixels_to_sparse_deltas(deformation, position, mask, canonical)
+        assert sparse.deltas.tobytes() == (sums / counts[:, None]).tobytes()
+
     def test_empty_mask_raises(self):
         canonical = sphere_cloud(5, seed=4)
         with pytest.raises(NoVisiblePointsError):

@@ -335,6 +335,13 @@ class TestRasterizeTarget:
         with pytest.raises(ValidationError):
             rasterize_target(img, target_field(cloud, np.zeros((9, 3))))
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_fewer_than_four_points_rejected(self, count):
+        # The affine tail has four coefficients; scipy would raise a bare ValueError.
+        with pytest.raises(RasterizeError,
+                           match=f"^interpolation needs at least 4 canonical points, got {count}$"):
+            target_field(PointCloud(np.eye(3)[:count]), np.zeros((count, 3)))
+
 
 class TestMaskBoundingBox:
     def test_single_pixel(self):

@@ -8,6 +8,8 @@ first check.  Runs are derandomized, so the suite sees the same examples
 every time.
 """
 import argparse
+import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -19,9 +21,11 @@ from helpers import sphere_cloud
 
 from morphfit import (
     CpdConfig,
+    DeformationField,
     MorphFitError,
     ValidationError,
     Registration,
+    TrainingField,
     load_space,
     read_mask,
     read_ply,
@@ -111,8 +115,12 @@ def space_file(tmp_path_factory):
     cloud = sphere_cloud(4, seed=2)
     rng = np.random.default_rng(3)
     recipe = Registration(CpdConfig(beta=0.5), 0.1, 64)
-    space = space_from_fields(cloud, [rng.normal(size=(4, 3)) for _ in range(3)], 0.5, 2,
-                              recipe)
+    weights = [rng.normal(size=(4, 3)) for _ in range(3)]
+    space = dataclasses.replace(
+        space_from_fields(cloud, weights, 0.5, 2, recipe),
+        fields=[TrainingField(DeformationField(cloud, w, 0.5), "0" * 40, 0, i + 1, 5, True)
+                for i, w in enumerate(weights)],
+    )
     path = tmp_path_factory.mktemp("space") / "s.mfss"
     save_space(space, path)
     header, payload = path.read_bytes().split(b"\n", 1)
@@ -123,12 +131,22 @@ def space_file(tmp_path_factory):
 @given(data=st.data())
 def test_load_space_raises_only_morphfit_errors(scratch, space_file, data):
     header, payload = space_file
-    header = dict(header, registration=dict(header["registration"]))
+    header = dict(header, registration=dict(header["registration"]),
+                  fields=[dict(entry) for entry in header["fields"]])
     header.update(data.draw(st.dictionaries(st.sampled_from(sorted(header)), json_values,
                                             max_size=2)))
     if isinstance(header["registration"], dict):
         header["registration"].update(data.draw(st.dictionaries(
             st.sampled_from(sorted(space_file[0]["registration"])), json_values, max_size=2)))
+    fields = header["fields"]
+    if isinstance(fields, list) and fields and isinstance(fields[0], dict):
+        # Weights of any length, and of the right length holding any floats.
+        weights = (st.binary(max_size=120) | st.lists(
+            st.floats(allow_nan=True), min_size=12, max_size=12).map(
+            lambda v: np.array(v, dtype="<f8").tobytes())).map(
+            lambda raw: base64.b64encode(raw).decode())
+        fields[0].update(data.draw(st.dictionaries(
+            st.sampled_from(sorted(fields[0])), json_values | weights, max_size=2)))
     line = data.draw(st.just(json.dumps(header).encode()) | json_bytes(json_values)
                      | st.binary(max_size=30))
     body = data.draw(st.sampled_from([payload, b"", payload[:-8]]) | st.binary(max_size=48))

@@ -1,3 +1,7 @@
+import base64
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,9 @@ from morphfit import (
     CpdConfig,
     DeformationField,
     Registration,
+    ShapeSpace,
     SpaceFileError,
+    TrainingField,
     ValidationError,
     apply_deformation,
     cpd_nonrigid,
@@ -167,6 +173,40 @@ class TestBuildFromMeshes:
             assert relative_residual(space, f) < 1e-3
 
 
+def _kept_space(category):
+    """The category's space keeping its fields as build-space's registrations."""
+    kept = [TrainingField(f, format(i, "040x"), 3, i + 1, 7 + i, i % 2 == 0)
+            for i, f in enumerate(category.fields)]
+    return dataclasses.replace(category.space, fields=kept)
+
+
+def _b64(array):
+    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode()
+
+
+def _set(key, value):
+    def mutate(header):
+        header["fields"][0][key] = value
+    return mutate
+
+
+def _drop(key):
+    def mutate(header):
+        del header["fields"][0][key]
+    return mutate
+
+
+def _weights_with_nan(header):
+    raw = np.frombuffer(base64.b64decode(header["fields"][0]["weights"]), dtype="<f8").copy()
+    raw[4] = np.nan
+    header["fields"][0]["weights"] = _b64(raw)
+
+
+def _weights_one_short(header):
+    raw = base64.b64decode(header["fields"][0]["weights"])
+    header["fields"][0]["weights"] = base64.b64encode(raw[:-8]).decode()
+
+
 class TestSaveLoad:
     def test_bitwise_round_trip(self, category, tmp_path):
         path = tmp_path / "space.mfss"
@@ -267,3 +307,61 @@ class TestSaveLoad:
         path.write_bytes(b"")
         with pytest.raises(SpaceFileError):
             load_space(path)
+
+    def test_training_fields_round_trip_bitwise(self, category, tmp_path):
+        space = _kept_space(category)
+        path, plain = tmp_path / "kept.mfss", tmp_path / "plain.mfss"
+        save_space(space, path)
+        save_space(category.space, plain)
+        back = load_space(path)
+        assert len(back.fields) == len(space.fields) == 6
+        for got, want in zip(back.fields, space.fields):
+            assert got.field.weights.tobytes() == want.field.weights.tobytes()
+            assert (got.mesh_sha1, got.seed, got.salt, got.iterations, got.converged) == (
+                want.mesh_sha1, want.seed, want.salt, want.iterations, want.converged)
+            np.testing.assert_array_equal(got.field.anchors.points, back.canonical.points)
+            assert got.field.beta == back.beta
+        # Only the header grows: the binary payload is that of a space without them.
+        assert path.read_bytes().split(b"\n", 1)[1] == plain.read_bytes().split(b"\n", 1)[1]
+
+    def test_space_without_training_fields_loads(self, category, tmp_path):
+        path = tmp_path / "plain.mfss"
+        save_space(category.space, path)
+        assert "fields" not in json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert load_space(path).fields == ()
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_set("weights", "not base64!"), r"fields\[0\]: Error: "),
+        (_set("weights", 12), r"fields\[0\]: TypeError: "),
+        (_weights_one_short, r"fields\[0\]: ValueError: weights are \d+ bytes, n=\d+ requires"),
+        (_weights_with_nan, r"fields\[0\]: ValueError: weights contain non-finite entries"),
+        (_set("mesh_sha1", "ABC"), r"mesh_sha1 'ABC' is not a sha1 hex digest"),
+        (_set("seed", True), r"seed True is not an integer >= 0"),
+        (_set("salt", -1), r"salt -1 is not an integer >= 0"),
+        (_set("iterations", 2.0), r"iterations 2.0 is not an integer >= 0"),
+        (_set("converged", 1), r"converged 1 is not true or false"),
+        (_drop("salt"), r"fields\[0\]: KeyError: 'salt'"),
+        (lambda h: h["fields"].__setitem__(0, 5), r"fields\[0\]: TypeError: not an object"),
+        (lambda h: h["fields"].__setitem__(0, [1]), r"fields\[0\]: TypeError: not an object"),
+        (lambda h: h.__setitem__("fields", {"0": 1}), r'"fields" is not a list'),
+    ], ids=["base64", "weights-type", "length", "non-finite", "sha1", "seed-bool", "salt-negative",
+            "iterations-float", "converged-int", "missing-key", "entry-number", "entry-list",
+            "member-object"])
+    def test_malformed_training_field_rejected(self, category, tmp_path, mutate, message):
+        path = tmp_path / "bad.mfss"
+        save_space(_kept_space(category), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        mutate(meta)
+        path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+        with pytest.raises(SpaceFileError, match=r"bad\.mfss: .*" + message):
+            load_space(path)
+
+    def test_training_field_must_share_the_canonical_cloud(self, category):
+        (kept, *_) = _kept_space(category).fields
+        moved = DeformationField(sphere_cloud(len(category.canonical_cloud), seed=1),
+                                 kept.field.weights, category.beta)
+        space = category.space
+        with pytest.raises(ValidationError, match="fields\\[0\\] is not anchored"):
+            ShapeSpace(space.canonical, space.beta, space.mean, space.basis, space.latent_dim,
+                       space.registration, [dataclasses.replace(kept, field=moved)])
