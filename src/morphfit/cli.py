@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="morphfit",
         description="Category-level deformation spaces, synthetic datasets, and completion.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="run seed for all stochastic steps")
+    parser.add_argument("--seed", type=int, default=0, help="run seed (>= 0) for all stochastic steps")
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="parallelism bound, >= 1 (execution is currently sequential)",
@@ -168,6 +168,8 @@ def validate_config(args) -> list[str]:
         if value is not None and not (np.isfinite(value) and value > 0):
             problems.append(f"{label} must be > 0 (kernel width and regularization invariants), got {value}")
 
+    if args.seed < 0:
+        problems.append(f"--seed must be >= 0, got {args.seed}")
     if args.jobs < 1:
         problems.append(f"--jobs must be >= 1, got {args.jobs}")
     res = getattr(args, "res", None)
@@ -434,7 +436,3 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,7 +23,7 @@ from .cpd import cpd_nonrigid
 from .dataset import densify_mesh, register_instances, target_delta, warn_if_capped
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import Mesh, PointCloud, apply_deformation, voxel_downsample
-from .imaging import rasterize_target, splat_position_image, target_field, zoom
+from .imaging import _built, rasterize_target, splat_position_image, target_field, zoom
 from .oracle import OracleSample, OracleSpec, infer
 from .shape_space import ShapeSpace
 
@@ -106,7 +106,8 @@ def _shifted(image, offset: np.ndarray):
     """A position or deformation image minus ``offset`` on its foreground."""
     if not offset.any():
         return image
-    return type(image)(np.where(image.mask[..., None], image.data - offset, 0.0), image.mask)
+    return _built(type(image), np.where(image.mask[..., None], image.data - offset, 0.0),
+                  image.mask)
 
 
 def prepare_instance(

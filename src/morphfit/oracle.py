@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import OracleError, ValidationError
-from .imaging import DeformationImage, PositionImage
+from .imaging import DeformationImage, PositionImage, _built
 from .io import read_mask, read_tensor, write_tensor
 
 if TYPE_CHECKING:
@@ -27,6 +27,11 @@ if TYPE_CHECKING:
 __all__ = ["OracleSpec", "OracleSample", "load_sample", "infer"]
 
 _KINDS = ("ground_truth", "noisy", "external")
+
+# Environment of the external oracle's process; None passes this process's
+# own.  The command-line entry point sets the one it started with, before
+# it pinned the BLAS thread count.
+CHILD_ENV = None
 
 
 @dataclass(frozen=True)
@@ -82,18 +87,18 @@ def infer(spec: OracleSpec, sample: OracleSample, seed: int = 0) -> DeformationI
     Always returns values in meters with scale 1 and background exactly
     zero.  An exported record is inferred as ``infer(spec, load_sample(record))``.
     """
-    truth_meters = sample.target.in_meters()
-    mask = sample.target.mask
-    if spec.kind == "ground_truth":
-        return DeformationImage(
-            np.where(mask[..., None], truth_meters, 0.0), mask, 1.0
-        )
+    if spec.kind == "external":
+        return _infer_external(spec, sample)
+    data = sample.target.in_meters()
     if spec.kind == "noisy":
         rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-        noise = rng.normal(0.0, spec.noise_sigma, truth_meters.shape) if spec.noise_sigma > 0 else 0.0
-        data = np.where(mask[..., None], truth_meters + noise, 0.0)
-        return DeformationImage(data, mask, 1.0)
-    return _infer_external(spec, sample)
+        data = data + (rng.normal(0.0, spec.noise_sigma, data.shape) if spec.noise_sigma > 0 else 0.0)
+    mask = sample.target.mask
+    data = np.where(mask[..., None], data, 0.0)
+    # The one check that can fail here: the noise or the unscaling overflowed.
+    if not np.isfinite(data).all():
+        raise ValidationError("deformation image foreground contains non-finite values")
+    return _built(DeformationImage, data, mask)
 
 
 def _infer_external(spec: OracleSpec, sample: OracleSample) -> DeformationImage:
@@ -120,7 +125,8 @@ def _infer_external(spec: OracleSpec, sample: OracleSample) -> DeformationImage:
         (tmp / "request.json").write_text(json.dumps(request) + "\n")
         argv = shlex.split(spec.command) + [str(tmp)]
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=600,
+                                  env=CHILD_ENV)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise OracleError(
                 f"oracle command failed to run: {exc}",

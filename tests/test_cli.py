@@ -94,6 +94,11 @@ class TestValidateConfig:
         assert len(problems) == 1
         assert "--beta" in problems[0] and "kernel" in problems[0]
 
+    def test_negative_seed_names_the_flag(self, space_path):
+        args = parse(["--seed", "-1", "cross-register", "--space", str(space_path),
+                      "--latent-a", "0,0", "--latent-b", "0,0", "--out", "pair"])
+        assert validate_config(args) == ["--seed must be >= 0, got -1"]
+
     def test_latent_capped_by_instance_count(self, mesh_dir, tmp_path):
         few = tmp_path / "three"
         few.mkdir()
@@ -706,7 +711,12 @@ def _latent_file(content):
     return make
 
 
+def _negative_seed(tmp_path, flags):
+    return {"--seed": -1}
+
+
 @pytest.mark.parametrize("command, make_inputs, code", [
+    ("register", _negative_seed, 2),
     ("register", _malformed_pose, 1),
     ("register", _malformed_ply, 1),
     ("register", _space_without_registration, 1),
@@ -716,8 +726,8 @@ def _latent_file(content):
     ("cross-register", _latent_file("{not json"), 2),
     ("cross-register", _latent_file('{"residual": 0.5}'), 2),
     ("cross-register", _latent_file('{"latent": 0.5}'), 2),
-], ids=["pose-json", "ply-vertex-row", "space-no-registration", "space-header-list",
-        "space-header-string", "latent-missing",
+], ids=["negative-seed", "pose-json", "ply-vertex-row", "space-no-registration",
+        "space-header-list", "space-header-string", "latent-missing",
         "latent-json", "latent-key", "latent-scalar"])
 def test_bad_input_ends_in_one_error_line(command, make_inputs, code, mesh_dir, space_path,
                                          pose_path, tmp_path):
@@ -729,7 +739,8 @@ def test_bad_input_ends_in_one_error_line(command, make_inputs, code, mesh_dir, 
     else:
         flags.update({"--latent-a": "0,0", "--latent-b": "0,0", "--out": tmp_path / "pair"})
     flags.update(make_inputs(tmp_path, flags))
-    argv = [command] + [str(item) for pair in flags.items() for item in pair]
+    argv = ["--seed", str(flags.pop("--seed", 0)), command]
+    argv += [str(item) for pair in flags.items() for item in pair]
     proc = subprocess.run([sys.executable, "-m", "morphfit", *argv], capture_output=True,
                           text=True, timeout=120, env=package_env())
     assert proc.returncode == code, proc.stderr
@@ -758,6 +769,8 @@ class TestConsoleScript:
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["morphfit"]
+        # The entry point that sets the BLAS thread policy, not cli.main.
+        assert target == "morphfit.__main__:main"
         module, attr = target.split(":")
         script = tmp_path / "morphfit"
         script.write_text(
@@ -781,3 +794,91 @@ class TestConsoleScript:
         for name in ("build-space", "gen-dataset", "register", "evaluate",
                      "pose-noise-eval", "cross-register"):
             assert name in commands
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+RECORDING_ORACLE = """\
+import json, os, sys
+from pathlib import Path
+
+Path(sys.argv[1]).write_text(json.dumps({name: os.environ.get(name) for name in %r}))
+tmp = Path(sys.argv[2])
+req = json.loads((tmp / "request.json").read_text())
+w, h = req["resolution"]
+(tmp / req["output"]).write_bytes(bytes(4 * 3 * w * h))
+(tmp / (req["output"] + ".json")).write_text(
+    json.dumps({"shape": [h, w, 3], "dtype": "f32", "semantic": "prediction"}) + "\\n"
+)
+""" % (THREAD_VARIABLES,)
+
+
+def run_python(args, **threads):
+    """A child interpreter with the BLAS thread variables set to ``threads`` only."""
+    env = {k: v for k, v in package_env().items() if k not in THREAD_VARIABLES}
+    proc = subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          timeout=300, env={**env, **threads})
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+class TestBlasThreadPolicy:
+    def test_outputs_do_not_depend_on_the_thread_count(self, mesh_dir, category, tmp_path):
+        digests = {}
+        for label, threads in (("default", {}), ("pinned", dict.fromkeys(THREAD_VARIABLES, "1"))):
+            out = tmp_path / label
+            out.mkdir()
+            run_python(["-m", "morphfit", "--seed", "1", "build-space",
+                        "--canonical", mesh_dir / "canonical.ply",
+                        "--instances", mesh_dir / "instances", "--beta", category.beta,
+                        "--latent", "2", "--out", out / "space.mfss"], **threads)
+            run_python(["-m", "morphfit", "--seed", "1", "evaluate", "--space", out / "space.mfss",
+                        "--canonical", mesh_dir / "canonical.ply",
+                        "--instance", mesh_dir / "observed.ply", "--views", "4",
+                        "--res", "96x72", "--out", out / "report.csv",
+                        "--json", out / "report.json"], **threads)
+            digests[label] = {path.name: hashlib.sha1(path.read_bytes()).hexdigest()
+                              for path in sorted(out.iterdir())}
+        assert len(digests["default"]) == 3
+        assert digests["default"] == digests["pinned"]
+
+    @pytest.mark.parametrize("threads", [{}, {"OMP_NUM_THREADS": "2"}], ids=["unset", "user-set"])
+    def test_external_oracle_sees_the_starting_environment(self, threads, mesh_dir, space_path,
+                                                           pose_path, tmp_path):
+        script = tmp_path / "oracle.py"
+        script.write_text(RECORDING_ORACLE)
+        seen = tmp_path / "seen.json"
+        run_python(["-m", "morphfit", "register", "--space", space_path,
+                    "--canonical", mesh_dir / "canonical.ply",
+                    "--observed", mesh_dir / "observed.ply", "--pose", pose_path,
+                    "--res", "96x72", "--oracle", "external",
+                    "--oracle-cmd", f"{sys.executable} {script} {seen}",
+                    "--out", tmp_path / "recon.ply"], **threads)
+        assert json.loads(seen.read_text()) == {name: threads.get(name)
+                                                for name in THREAD_VARIABLES}
+
+    @pytest.mark.parametrize("threads, expected", [
+        ({}, dict.fromkeys(THREAD_VARIABLES, "1")),
+        ({"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2",
+                                    "MKL_NUM_THREADS": None}),
+    ], ids=["unset", "user-set"])
+    def test_entry_point_pins_only_when_no_variable_is_set(self, threads, expected):
+        # Setting the unset ones would override the user's choice: OpenBLAS
+        # reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS.
+        code = ("import json, os, sys\n"
+                "from morphfit.__main__ import main\n"
+                "assert main(['--seed', '-1', 'cross-register', '--space', 'x', '--latent-a', '0',"
+                " '--latent-b', '0', '--out', 'y']) == 2\n"
+                f"print(json.dumps({{name: os.environ.get(name) for name in {THREAD_VARIABLES!r}}}))\n")
+        assert json.loads(run_python(["-c", code], **threads).stdout) == expected
+
+    def test_a_process_with_numpy_loaded_keeps_its_environment(self, monkeypatch, space_path):
+        from morphfit import __main__ as entry, oracle
+
+        for name in THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        code = entry.main(["--seed", "-1", "cross-register", "--space", str(space_path),
+                           "--latent-a", "0,0", "--latent-b", "0,0", "--out", "pair"])
+        assert code == 2
+        assert not set(THREAD_VARIABLES) & set(os.environ)
+        assert oracle.CHILD_ENV is None

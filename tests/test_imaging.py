@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.interpolate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +21,9 @@ from morphfit import (
     target_field,
     zoom,
 )
-from morphfit import imaging
+from morphfit import evaluation, imaging
 from morphfit.geometry import distinct_rows
+from morphfit.oracle import OracleSample, OracleSpec, infer
 
 
 class TestImageTypes:
@@ -244,14 +246,14 @@ class TestRasterizeTarget:
         assert zoomed.padded is padded
         deltas = np.random.default_rng(5).normal(scale=0.01, size=(150, 3))
         evaluated = []
-        interpolator = imaging.RBFInterpolator
+        interpolator = scipy.interpolate.RBFInterpolator
 
         class Counting(interpolator):
             def __call__(self, x):
                 evaluated.append(len(x))
                 return super().__call__(x)
 
-        monkeypatch.setattr(imaging, "RBFInterpolator", Counting)
+        monkeypatch.setattr(scipy.interpolate, "RBFInterpolator", Counting)
         out = rasterize_target(zoomed.canonical, target_field(cloud, deltas))
         position = zoomed.canonical
         np.testing.assert_array_equal(out.mask, position.mask)
@@ -282,14 +284,14 @@ class TestRasterizeTarget:
         repeated = PointCloud(np.vstack([cloud.points, cloud.points[:1]]))
         d = np.array([0.01, -0.02, 0.005])
         smoothing = []
-        interpolator = imaging.RBFInterpolator
+        interpolator = scipy.interpolate.RBFInterpolator
 
         class Recording(interpolator):
             def __init__(self, *args, **kwargs):
                 smoothing.append(kwargs.get("smoothing", 0.0))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(imaging, "RBFInterpolator", Recording)
+        monkeypatch.setattr(scipy.interpolate, "RBFInterpolator", Recording)
         img = self._render(cloud)
         out = rasterize_target(img, target_field(repeated, np.tile(d, (121, 1))))
         assert smoothing[0] == 0.0 and smoothing[1] > 0.0 and len(smoothing) == 2
@@ -551,9 +553,32 @@ class TestBuiltImagesPassTheCheck:
         np.testing.assert_array_equal(_checked(out, "deformation image").mask, position.mask)
         assert out.scale == 1.0
 
+    @PROPERTY
+    @given(scene=scenes(), offset=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+           scale=st.floats(1e-3, 1e3))
+    def test_shifted(self, scene, offset, scale):
+        image = _render(*scene)
+        deltas = np.where(image.mask[..., None], image.data * scale, 0.0)
+        for shifted, name in (
+                (evaluation._shifted(image, np.array(offset)), "position image"),
+                (evaluation._shifted(DeformationImage(deltas, image.mask), np.array(offset)),
+                 "deformation image")):
+            np.testing.assert_array_equal(_checked(shifted, name).mask, image.mask)
+
+    @PROPERTY
+    @given(scene=scenes(), kind=st.sampled_from(["ground_truth", "noisy"]),
+           sigma=st.floats(0.0, 1.0), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**62))
+    def test_oracle(self, scene, kind, sigma, scale, seed):
+        image = _render(*scene)
+        target = DeformationImage(np.where(image.mask[..., None], image.data * scale, 0.0),
+                                  image.mask, scale)
+        out = infer(OracleSpec(kind, noise_sigma=sigma), OracleSample(image, image, target), seed)
+        np.testing.assert_array_equal(_checked(out, "deformation image").mask, image.mask)
+        assert out.scale == 1.0
+
 
 class TestNonFiniteGuards:
-    """The two checks that can fail inside the package keep the public messages."""
+    """The checks that can fail inside the package keep the public messages."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_never_reaches_the_image(self, bad):
@@ -578,6 +603,14 @@ class TestNonFiniteGuards:
         with pytest.raises(ValidationError,
                            match="^position image foreground contains non-finite values$"):
             splat_position_image(points, view)
+
+    def test_overflowing_oracle_noise_rejected(self):
+        view = look_at([0, 0, 1.0], resolution=(16, 12), focal=(10.0, 10.0))
+        image = splat_position_image(sphere_cloud(60, radius=0.3, seed=5), view)
+        sample = OracleSample(image, image, DeformationImage(np.zeros((12, 16, 3)), image.mask))
+        with pytest.raises(ValidationError,
+                           match="^deformation image foreground contains non-finite values$"):
+            infer(OracleSpec("noisy", noise_sigma=1e308), sample)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
     def test_non_finite_field_values_rejected(self, bad):
