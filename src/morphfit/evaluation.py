@@ -183,13 +183,14 @@ def complete_view(
     canonical_img = splat_position_image(canonical_dense + offset, view, splat_radius)
     zoomed = zoom(observed_img, canonical_img, zoom_resolution)
 
-    believed = _shifted(zoomed.canonical, offset)
+    # Rasterized at source resolution, then zoomed like the render.
+    believed = _shifted(canonical_img, offset)
     apparent = _shifted(rasterize_target(believed, true_field), offset)
-    sample = OracleSample(zoomed.observed, zoomed.canonical, apparent)
+    sample = OracleSample(zoomed.observed, zoomed.canonical, zoomed.resample(apparent))
     predicted = infer(oracle_spec, sample, seed=oracle_seed)
 
     sparse = pixels_to_sparse_deltas(
-        predicted.data, believed.data, predicted.mask, space.canonical
+        predicted.data, zoomed.resample(believed).data, predicted.mask, space.canonical
     )
     return fit_latent(space, sparse, ridge), observed_img
 

@@ -3,9 +3,10 @@
 A position image stores, per foreground pixel, the world coordinates of
 the surface point visible there.  Rendering is point splatting with a
 depth buffer; deformation targets are rasterized by scattered-data
-interpolation from canonical points to pixel positions, once per
-distinct position, which a nearest-neighbor zoom repeats; the zoom crops
-both views to a shared aspect-correct box around their foregrounds.
+interpolation from canonical points to the pixel positions of a
+source-resolution render, once per distinct position; a nearest-neighbor
+zoom crops both views, and any image of their frame, to a shared
+aspect-correct box around their foregrounds.
 
 Pixel conventions: pixel (row, col) spans [col, col+1) x [row, row+1)
 with its center at (col+0.5, row+0.5); column axis is image x.
@@ -13,9 +14,10 @@ with its center at (col+0.5, row+0.5); column axis is image x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
+from scipy.spatial.distance import cdist
 
 from .errors import (
     EmptyRenderError,
@@ -25,13 +27,11 @@ from .errors import (
 )
 from .geometry import CameraView, PointCloud, distinct_rows
 
-if TYPE_CHECKING:
-    from scipy.interpolate import RBFInterpolator
-
 __all__ = [
     "PositionImage",
     "DeformationImage",
     "ZoomResult",
+    "LinearRBF",
     "splat_position_image",
     "target_field",
     "rasterize_target",
@@ -117,6 +117,10 @@ class ZoomResult:
     scale_factors: tuple[float, float]
     padded: bool = False
 
+    def resample(self, image):
+        """Another image of the source frame, cropped and resampled like the views."""
+        return _resample_nearest(image, self.crop_box, self.canonical.mask.shape[::-1])
+
 
 def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> PositionImage:
     """Project points through a pinhole camera into a position image.
@@ -192,17 +196,84 @@ def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> Posi
     return _built(PositionImage, data, lit.reshape(height, width))
 
 
-def target_field(canonical: PointCloud, deltas: np.ndarray) -> RBFInterpolator:
+def _negative_distances(x: np.ndarray, centers: np.ndarray, out: np.ndarray) -> None:
+    """Write ``-|x_i - c_j|`` into ``out``, a few rows at a time.
+
+    A whole-size temporary from ``cdist`` costs about twice the time of
+    the loop: fresh pages and cache misses on every call.
+    """
+    for start in range(0, len(x), 128):
+        np.negative(cdist(x[start:start + 128], centers), out=out[start:start + 128])
+
+
+class LinearRBF:
+    """Linear radial kernel plus an affine tail through ``values`` at ``centers``.
+
+    The value at x is ``sum_j w_j * -|x - c_j| + a_0 + a . x_hat``, where
+    ``x_hat`` maps the centers' bounding box onto [-1, 1] per axis (an
+    axis with no extent keeps scale 1).  The weights solve the symmetric
+    system ``[[-r_ij + smoothing * I, P], [P^T, 0]] [w; a] = [values; 0]``
+    with ``P = [1, c_hat]`` by LAPACK ``gesv``, and evaluation multiplies
+    ``[-r, 1, x_hat]`` rows by them, one GEMM per block of rows: the
+    system, solver, row blocks and operation order of scipy's
+    ``RBFInterpolator(kernel="linear", degree=1)``, so the bits match it.
+    A singular system raises ``np.linalg.LinAlgError``.
+    """
+
+    def __init__(self, centers: np.ndarray, values: np.ndarray, smoothing: float = 0.0):
+        centers = np.ascontiguousarray(centers, dtype=np.float64)
+        n = len(centers)
+        low, high = centers.min(axis=0), centers.max(axis=0)
+        self.centers = centers
+        self.shift = (high + low) / 2
+        self.scale = (high - low) / 2
+        self.scale[self.scale == 0.0] = 1.0
+        tail = np.column_stack([np.ones(n), (centers - self.shift) / self.scale])
+        lhs = np.empty((n + 4, n + 4))
+        _negative_distances(centers, centers, lhs[:n, :n])
+        np.fill_diagonal(lhs[:n, :n], smoothing)  # -r_ii is -0.0, so this adds it
+        lhs[:n, n:] = tail
+        lhs[n:, :n] = tail.T
+        lhs[n:, n:] = 0.0
+        rhs = np.zeros((values.shape[1], n + 4)).T
+        rhs[:n] = values
+        # lhs is symmetric, so its transpose is the same matrix in the
+        # Fortran order gesv factors in place.
+        _, _, self.coefficients, info = dgesv(lhs.T, rhs, overwrite_a=True, overwrite_b=True)
+        if info > 0:
+            rank = np.linalg.matrix_rank(tail)
+            raise np.linalg.LinAlgError(
+                "Singular matrix." if rank == 4 else
+                "Singular matrix. The matrix of monomials evaluated at the data point "
+                f"coordinates does not have full column rank ({rank}/4)."
+            )
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        n = len(self.centers)
+        # The GEMM's row count picks the BLAS kernel and so the last bits;
+        # blocks of scipy's size (from the floats of x, the centers and the
+        # values) keep its bits and bound the memory of the rows.
+        budget = max(x.size + self.centers.size + n * self.coefficients.shape[1], 1_000_000)
+        step = budget // (n + 4) + 1
+        out = np.empty((len(x), self.coefficients.shape[1]))
+        for start in range(0, len(x), step):
+            block = x[start:start + step]
+            rows = np.empty((len(block), n + 4))
+            _negative_distances(block, self.centers, rows[:, :n])
+            rows[:, n] = 1.0
+            rows[:, n + 1:] = (block - self.shift) / self.scale
+            out[start:start + step] = rows @ self.coefficients
+        return out
+
+
+def target_field(canonical: PointCloud, deltas: np.ndarray) -> LinearRBF:
     """Interpolant of per-canonical-point deltas, solved once for :func:`rasterize_target`.
 
     A linear radial kernel plus an affine tail reproduces constant and
     affine delta fields exactly (up to conditioning), and positions on
     canonical points take exactly those points' rows.
     """
-    # Imported here: scipy.interpolate adds about 14 MB and 0.15 s to a
-    # process, and only the commands that rasterize need it.
-    from scipy.interpolate import RBFInterpolator
-
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.shape != (len(canonical), 3):
         raise ValidationError(f"deltas shape {deltas.shape} != ({len(canonical)}, 3)")
@@ -212,25 +283,24 @@ def target_field(canonical: PointCloud, deltas: np.ndarray) -> RBFInterpolator:
             f"interpolation needs at least 4 canonical points, got {len(canonical)}"
         )
     try:
-        return RBFInterpolator(canonical.points, deltas, kernel="linear", degree=1)
+        return LinearRBF(canonical.points, deltas)
     except np.linalg.LinAlgError:
         # Duplicate or near-duplicate anchors; retry once with a whisper of
         # smoothing proportional to scene size.
         diameter = float(np.linalg.norm(np.ptp(canonical.points, axis=0)))
         try:
-            return RBFInterpolator(canonical.points, deltas, kernel="linear", degree=1,
-                                   smoothing=1e-10 * max(diameter, 1.0))
+            return LinearRBF(canonical.points, deltas, smoothing=1e-10 * max(diameter, 1.0))
         except np.linalg.LinAlgError as exc:
             raise RasterizeError(f"interpolation system singular: {exc}") from exc
 
 
-def rasterize_target(position: PositionImage, field: RBFInterpolator) -> DeformationImage:
+def rasterize_target(position: PositionImage, field: LinearRBF) -> DeformationImage:
     """Evaluate a :func:`target_field` on every foreground pixel.
 
     A pixel's value depends on its position alone, so each distinct
-    position is evaluated once and copied to its repeats: a zoomed render
-    repeats its source pixels many times over, and the values are the
-    same as one per pixel.
+    position is evaluated once and copied to its repeats.  Callers
+    rasterize a source-resolution render and zoom the result with
+    :meth:`ZoomResult.resample`: every zoomed pixel copies a source pixel.
     """
     data = np.zeros(position.data.shape)
     foreground = np.flatnonzero(position.mask)
@@ -252,7 +322,7 @@ def mask_bounding_box(mask: np.ndarray) -> tuple[float, float, float, float]:
     return (float(cols[0]), float(rows[0]), float(cols[-1] + 1), float(rows[-1] + 1))
 
 
-def _resample_nearest(image: PositionImage, crop, out_size) -> PositionImage:
+def _resample_nearest(image, crop, out_size):
     x0, y0, w, h = crop
     out_w, out_h = out_size
     src_h, src_w = image.mask.shape
@@ -272,7 +342,7 @@ def _resample_nearest(image: PositionImage, crop, out_size) -> PositionImage:
     mask[:, ~col_ok] = False
     data[~row_ok] = 0.0
     data[:, ~col_ok] = 0.0
-    return _built(PositionImage, data, mask)
+    return _built(type(image), data, mask)
 
 
 def zoom(
@@ -287,10 +357,11 @@ def zoom(
     the source frame when possible.  Geometric channels and masks are
     resampled nearest-neighbor: interpolating world positions across
     silhouette edges would fabricate 3D points.  Every zoomed pixel thus
-    copies one source pixel exactly, which :func:`rasterize_target` uses
-    to interpolate each distinct position once.  The resample gathers the
-    sampled source rows, then the sampled columns of those, and blanks to
-    background only the pixels of a padded box that fall outside the frame.
+    copies one source pixel exactly, and :meth:`ZoomResult.resample` zooms
+    a target rasterized at source resolution the same way.  The resample
+    gathers the sampled source rows, then the sampled columns of those, and
+    blanks to background only the pixels of a padded box that fall outside
+    the frame.
     """
     if observed.mask.shape != canonical.mask.shape:
         raise ValidationError(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,9 @@ def read_ply(path) -> Mesh:
         return _parse_ply(path, text)
     except ValidationError:
         raise
-    except (ValueError, IndexError) as exc:
-        # A count or a row field that is missing or not a number.
+    except (ValueError, IndexError, OverflowError) as exc:
+        # A count or a row field that is missing, not a number, or an
+        # index beyond int64.
         raise ValidationError(f"{path}: malformed PLY data: {exc}") from exc
 
 
@@ -83,17 +85,23 @@ def _parse_ply(path: Path, text: str) -> Mesh:
     if names[:1] != ["vertex"] or "face" not in names:
         raise ValidationError(f"{path}: expected vertex and face elements, got {names}")
 
+    # The data rows, split, block by block; numpy converts each block's
+    # tokens at once and words a malformed number as float() and int() do.
+    body = (s for s in map(str.strip, lines) if s and not s.startswith("comment"))
     vertices = colors = faces = None
     for name, count, props in elements:
-        rows = [next_line().split() for _ in range(count)]
+        rows = [line.split() for line in islice(body, max(count, 0))]
+        if len(rows) < count:
+            raise ValidationError(f"{path}: truncated header")
         if name == "vertex":
             prop_names = [p[1] for p in props]
             if list(prop_names[:3]) != list(_VERTEX_PROPS):
                 raise ValidationError(f"{path}: vertex properties must start with x y z")
             has_color = tuple(prop_names[3:6]) == _COLOR_PROPS
-            data = np.array([[float(v) for v in row] for row in rows])
-            if data.shape[1] != len(prop_names):
+            data = np.array([v for row in rows for v in row], dtype=np.float64)
+            if any(len(row) != len(prop_names) for row in rows):
                 raise ValidationError(f"{path}: vertex row width mismatch")
+            data = data.reshape(len(rows), len(prop_names))
             vertices = data[:, :3]
             if has_color:
                 colors = data[:, 3:6]
@@ -101,16 +109,19 @@ def _parse_ply(path: Path, text: str) -> Mesh:
                     raise ValidationError(f"{path}: vertex colors must be in [0, 255]")
                 colors = colors.astype(np.uint8)
         elif name == "face":
-            face_rows = []
+            sizes = np.array([row[0] for row in rows], dtype=np.int64)
+            if (sizes != 3).any():
+                raise ValidationError(f"{path}: only triangular faces supported, "
+                                      f"got {sizes[sizes != 3][0]}-gon")
             for row in rows:
-                n = int(row[0])
-                if n != 3:
-                    raise ValidationError(f"{path}: only triangular faces supported, got {n}-gon")
-                if len(row) != n + 1:
+                if len(row) != 4:
                     raise ValidationError(f"{path}: malformed face row {row!r}")
-                face_rows.append([int(v) for v in row[1:]])
-            faces = np.array(face_rows, dtype=np.int64)
-    return Mesh(vertices, faces, colors)
+            faces = np.array([v for row in rows for v in row[1:]],
+                             dtype=np.int64).reshape(len(rows), 3)
+    try:
+        return Mesh(vertices, faces, colors)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def write_ply(path, shape: Mesh | PointCloud) -> None:

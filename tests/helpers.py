@@ -169,6 +169,13 @@ class SyntheticCategory:
         return mesh, cloud, field
 
 
+def scipy_rbf(points, deltas, smoothing=0.0) -> RBFInterpolator:
+    """scipy's linear RBF with an affine tail: the reference for
+    :class:`morphfit.imaging.LinearRBF`, which builds the same system itself.
+    """
+    return RBFInterpolator(points, deltas, kernel="linear", degree=1, smoothing=smoothing)
+
+
 def per_pixel_target(position, canonical, deltas) -> np.ndarray:
     """Target data interpolated at every foreground pixel, repeats included.
 
@@ -176,9 +183,8 @@ def per_pixel_target(position, canonical, deltas) -> np.ndarray:
     each distinct position once.
     """
     data = np.zeros(position.mask.shape + (3,))
-    data[position.mask] = RBFInterpolator(
-        canonical.points, np.asarray(deltas, dtype=float), kernel="linear", degree=1
-    )(position.data[position.mask])
+    data[position.mask] = scipy_rbf(canonical.points, np.asarray(deltas, dtype=float))(
+        position.data[position.mask])
     return data
 
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-import scipy.interpolate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import per_pixel_target, sphere_cloud
+from helpers import per_pixel_target, scipy_rbf, sphere_cloud
 
 from morphfit import (
     CameraView,
@@ -246,22 +245,30 @@ class TestRasterizeTarget:
         assert zoomed.padded is padded
         deltas = np.random.default_rng(5).normal(scale=0.01, size=(150, 3))
         evaluated = []
-        interpolator = scipy.interpolate.RBFInterpolator
 
-        class Counting(interpolator):
+        class Counting(imaging.LinearRBF):
             def __call__(self, x):
                 evaluated.append(len(x))
                 return super().__call__(x)
 
-        monkeypatch.setattr(scipy.interpolate, "RBFInterpolator", Counting)
-        out = rasterize_target(zoomed.canonical, target_field(cloud, deltas))
+        monkeypatch.setattr(imaging, "LinearRBF", Counting)
+        field = target_field(cloud, deltas)
+        out = rasterize_target(zoomed.canonical, field)
         position = zoomed.canonical
+        expected = per_pixel_target(position, cloud, deltas)
         np.testing.assert_array_equal(out.mask, position.mask)
-        np.testing.assert_allclose(out.data, per_pixel_target(position, cloud, deltas),
-                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(out.data, expected, rtol=0.0, atol=1e-12)
         distinct = np.unique(position.data[position.mask], axis=0)
         assert evaluated == [len(distinct)]
         assert len(distinct) < position.mask.sum()
+
+        # Rasterized at source resolution and zoomed: one evaluation per
+        # distinct source position, the same pixels and values.
+        source = zoomed.resample(rasterize_target(img, field))
+        assert isinstance(source, DeformationImage)
+        np.testing.assert_array_equal(source.mask, position.mask)
+        np.testing.assert_allclose(source.data, expected, rtol=0.0, atol=1e-12)
+        assert evaluated[1:] == [len(np.unique(img.data[img.mask], axis=0))]
 
     def test_distinct_rows_sharing_a_coordinate_stay_apart(self):
         rows = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0],
@@ -284,14 +291,13 @@ class TestRasterizeTarget:
         repeated = PointCloud(np.vstack([cloud.points, cloud.points[:1]]))
         d = np.array([0.01, -0.02, 0.005])
         smoothing = []
-        interpolator = scipy.interpolate.RBFInterpolator
 
-        class Recording(interpolator):
+        class Recording(imaging.LinearRBF):
             def __init__(self, *args, **kwargs):
                 smoothing.append(kwargs.get("smoothing", 0.0))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.interpolate, "RBFInterpolator", Recording)
+        monkeypatch.setattr(imaging, "LinearRBF", Recording)
         img = self._render(cloud)
         out = rasterize_target(img, target_field(repeated, np.tile(d, (121, 1))))
         assert smoothing[0] == 0.0 and smoothing[1] > 0.0 and len(smoothing) == 2
@@ -343,6 +349,54 @@ class TestRasterizeTarget:
         with pytest.raises(RasterizeError,
                            match=f"^interpolation needs at least 4 canonical points, got {count}$"):
             target_field(PointCloud(np.eye(3)[:count]), np.zeros((count, 3)))
+
+
+class TestLinearRBF:
+    """``target_field`` against scipy's ``RBFInterpolator(kernel="linear", degree=1)``."""
+
+    @staticmethod
+    def _scipy_field(points, deltas):
+        """scipy's interpolant under ``target_field``'s smoothing retry."""
+        try:
+            return scipy_rbf(points, deltas)
+        except np.linalg.LinAlgError:
+            diameter = float(np.linalg.norm(np.ptp(points, axis=0)))
+            return scipy_rbf(points, deltas, smoothing=1e-10 * max(diameter, 1.0))
+
+    @pytest.mark.parametrize("count, queries", [(120, 500), (600, 2500)],
+                             ids=["one-block", "two-blocks"])
+    def test_random_cloud_bit_for_bit(self, count, queries):
+        rng = np.random.default_rng(count)
+        points = rng.normal(scale=0.3, size=(count, 3))
+        deltas = rng.normal(scale=0.01, size=(count, 3))
+        x = rng.normal(scale=0.4, size=(queries, 3))
+        ours, ref = target_field(PointCloud(points), deltas), self._scipy_field(points, deltas)
+        np.testing.assert_array_equal(ours.coefficients, ref._coeffs)
+        np.testing.assert_array_equal(ours(x), ref(x))
+
+    def test_repeated_anchor_bit_for_bit(self):
+        cloud = sphere_cloud(120, radius=0.35, seed=2)
+        points = np.vstack([cloud.points, cloud.points[:1]])
+        deltas = np.random.default_rng(2).normal(scale=0.01, size=(121, 3))
+        x = np.random.default_rng(3).normal(scale=0.3, size=(400, 3))
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy_rbf(points, deltas)
+        ours, ref = target_field(PointCloud(points), deltas), self._scipy_field(points, deltas)
+        np.testing.assert_array_equal(ours.coefficients, ref._coeffs)
+        np.testing.assert_array_equal(ours(x), ref(x))
+
+    def test_planar_cloud_fails_as_scipy_does(self):
+        # A zero-extent axis keeps scale 1 and leaves the affine tail a zero
+        # column: the system is singular with or without smoothing.
+        rng = np.random.default_rng(7)
+        points = np.column_stack([rng.normal(size=(80, 2)), np.full(80, 0.3)])
+        deltas = rng.normal(scale=0.01, size=(80, 3))
+        with pytest.raises(np.linalg.LinAlgError) as scipy_error:
+            self._scipy_field(points, deltas)
+        with pytest.raises(RasterizeError) as ours:
+            target_field(PointCloud(points), deltas)
+        assert str(ours.value) == f"interpolation system singular: {scipy_error.value}"
+        assert str(scipy_error.value).endswith("full column rank (3/4).")
 
 
 class TestMaskBoundingBox:

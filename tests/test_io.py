@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,40 @@ class TestPly:
             "0 0 0\n1 0 0\n"
         )
         with pytest.raises(ValidationError, match="short.ply"):
+            read_ply(path)
+
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "vertex row width mismatch"),
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
+         "malformed PLY data: Python int too large"),
+        ("0 0 0\n1 0 zero\n0 1 0\n3 0 1 2\n",
+         "malformed PLY data: could not convert string to float: 'zero'"),
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n",
+         "malformed PLY data: invalid literal for int\\(\\) with base 10: 'x'"),
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 1\n", r"malformed face row \['3', '0', '1'\]"),
+        ("0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", "only triangular faces supported, got 4-gon"),
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n", "face index out of range"),
+    ], ids=["ragged-vertex", "index-beyond-int64", "float", "index", "short-face", "n-gon",
+            "index-out-of-range"])
+    def test_malformed_rows_rejected_with_filename(self, tmp_path, rows, message):
+        path = tmp_path / "bad.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "element face 1\nproperty list uchar int vertex_indices\nend_header\n" + rows
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}"):
+            read_ply(path)
+
+    def test_no_vertices_rejected_with_filename(self, tmp_path):
+        path = tmp_path / "empty.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 0\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "element face 1\nproperty list uchar int vertex_indices\nend_header\n3 0 1 2\n"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
             read_ply(path)
 
 

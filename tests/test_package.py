@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -41,19 +42,66 @@ class TestLazyExports:
                           "print('numpy' in sys.modules)") == ["False"]
 
 
-def test_build_space_never_loads_scipy_interpolate(category, tmp_path):
-    instances = tmp_path / "instances"
+# Runs the command line in a fresh interpreter; prints its status and
+# whether scipy.interpolate was loaded.
+RUN_MAIN = (
+    "import sys\n"
+    "from morphfit.__main__ import main\n"
+    "status = main(sys.argv[1:])\n"
+    "print(status, 'scipy.interpolate' in sys.modules)\n"
+)
+
+
+def _write_inputs(category, root):
+    instances = root / "instances"
     instances.mkdir()
-    write_ply(tmp_path / "canonical.ply", category.canonical_mesh)
+    write_ply(root / "canonical.ply", category.canonical_mesh)
     for index, mesh in enumerate(category.instance_meshes[:3]):
         write_ply(instances / f"m{index}.ply", mesh)
-    code = (
-        "import sys\n"
-        "from morphfit.__main__ import main\n"
-        "status = main(sys.argv[1:])\n"
-        "print(status, 'scipy.interpolate' in sys.modules)\n"
-    )
-    out = run_python(code, "build-space", "--canonical", tmp_path / "canonical.ply",
+    return instances
+
+
+def test_build_space_never_loads_scipy_interpolate(category, tmp_path):
+    instances = _write_inputs(category, tmp_path)
+    out = run_python(RUN_MAIN, "build-space", "--canonical", tmp_path / "canonical.ply",
                      "--instances", instances, "--beta", category.beta, "--latent", "1",
                      "--out", tmp_path / "space.mfss")
+    assert out[-2:] == ["0", "False"]
+
+
+@pytest.fixture(scope="module")
+def built_space(category, tmp_path_factory):
+    """Inputs and a space file for the commands that rasterize targets."""
+    from morphfit import look_at, rotation_to_quaternion
+    from morphfit.cli import main
+
+    root = tmp_path_factory.mktemp("rasterizing")
+    instances = _write_inputs(category, root)
+    write_ply(root / "held_out.ply", category.held_out()[0])
+    view = look_at([0.07, -0.04, 0.6], focal=(51.5, 51.5), resolution=(48, 36))
+    (root / "pose.json").write_text(json.dumps({
+        "quaternion": rotation_to_quaternion(view.rotation).tolist(),
+        "translation": view.translation.tolist(),
+        "focal": list(view.focal),
+        "resolution": list(view.resolution),
+    }))
+    assert main(["build-space", "--canonical", str(root / "canonical.ply"),
+                 "--instances", str(instances), "--beta", str(category.beta),
+                 "--latent", "1", "--out", str(root / "space.mfss")]) == 0
+    return root
+
+
+RASTERIZING = {
+    "gen-dataset": "--models {inputs}/instances --rhos 0 --views 2 --out {out}/corpus",
+    "register": "--observed {inputs}/held_out.ply --pose {inputs}/pose.json --out {out}/r.ply",
+    "evaluate": "--instance {inputs}/held_out.ply --views 2 --out {out}/e.csv",
+    "pose-noise-eval": "--instance {inputs}/held_out.ply --views 2 --draws 1 --out {out}/p.csv",
+}
+
+
+@pytest.mark.parametrize("command", RASTERIZING)
+def test_rasterizing_commands_never_load_scipy_interpolate(built_space, tmp_path, command):
+    args = RASTERIZING[command].format(inputs=built_space, out=tmp_path).split()
+    out = run_python(RUN_MAIN, command, "--space", built_space / "space.mfss",
+                     "--canonical", built_space / "canonical.ply", "--res", "48x36", *args)
     assert out[-2:] == ["0", "False"]
