@@ -365,7 +365,7 @@ def generate_dataset(
                     zoomed = zoom(observed, canon_render, zoom_resolution)
                     if isinstance(field, MorphFitError):
                         raise field
-                    target = zoomed.resample(rasterize_target(canon_render, field))
+                    target = zoomed.expand(rasterize_target(zoomed.sampled(canon_render), field))
                 except MorphFitError as exc:
                     skipped += 1
                     records.append(SampleRecord(

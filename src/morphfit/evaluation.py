@@ -23,7 +23,7 @@ from .cpd import cpd_nonrigid
 from .dataset import densify_mesh, register_instances, target_delta, warn_if_capped
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import Mesh, PointCloud, apply_deformation, voxel_downsample
-from .imaging import _built, rasterize_target, splat_position_image, target_field, zoom
+from .imaging import _like, rasterize_target, splat_position_image, target_field, zoom
 from .oracle import OracleSample, OracleSpec, infer
 from .shape_space import ShapeSpace
 
@@ -106,8 +106,7 @@ def _shifted(image, offset: np.ndarray):
     """A position or deformation image minus ``offset`` on its foreground."""
     if not offset.any():
         return image
-    return _built(type(image), np.where(image.mask[..., None], image.data - offset, 0.0),
-                  image.mask)
+    return _like(image, np.where(image.mask[..., None], image.data - offset, 0.0), image.mask)
 
 
 def prepare_instance(
@@ -183,14 +182,14 @@ def complete_view(
     canonical_img = splat_position_image(canonical_dense + offset, view, splat_radius)
     zoomed = zoom(observed_img, canonical_img, zoom_resolution)
 
-    # Rasterized at source resolution, then zoomed like the render.
-    believed = _shifted(canonical_img, offset)
+    # Rasterized on the source pixels the zoom copies, then zoomed like the render.
+    believed = _shifted(zoomed.sampled(canonical_img), offset)
     apparent = _shifted(rasterize_target(believed, true_field), offset)
-    sample = OracleSample(zoomed.observed, zoomed.canonical, zoomed.resample(apparent))
+    sample = OracleSample(zoomed.observed, zoomed.canonical, zoomed.expand(apparent))
     predicted = infer(oracle_spec, sample, seed=oracle_seed)
 
     sparse = pixels_to_sparse_deltas(
-        predicted.data, zoomed.resample(believed).data, predicted.mask, space.canonical
+        predicted.data, zoomed.expand(believed).data, predicted.mask, space.canonical
     )
     return fit_latent(space, sparse, ridge), observed_img
 

@@ -3,10 +3,10 @@
 A position image stores, per foreground pixel, the world coordinates of
 the surface point visible there.  Rendering is point splatting with a
 depth buffer; deformation targets are rasterized by scattered-data
-interpolation from canonical points to the pixel positions of a
-source-resolution render, once per distinct position; a nearest-neighbor
-zoom crops both views, and any image of their frame, to a shared
-aspect-correct box around their foregrounds.
+interpolation from canonical points to the source pixels a zoom copies,
+once per distinct position; a nearest-neighbor zoom crops both views,
+and any image of their frame, to a shared aspect-correct box around
+their foregrounds.
 
 Pixel conventions: pixel (row, col) spans [col, col+1) x [row, row+1)
 with its center at (col+0.5, row+0.5); column axis is image x.
@@ -100,26 +100,59 @@ class DeformationImage:
         return self.data / self.scale
 
 
+def _like(image, data, mask):
+    """An image of ``image``'s type, and scale, over arrays built like :func:`_built`'s."""
+    out = _built(type(image), data, mask)
+    if isinstance(image, DeformationImage):
+        object.__setattr__(out, "scale", image.scale)
+    return out
+
+
 @dataclass(frozen=True)
 class ZoomResult:
     """Both views cropped to a shared box and resampled to a fixed size.
 
     ``crop_box`` is (x0, y0, width, height) in source-pixel units with
     width/height exactly at the target aspect ratio; ``scale_factors``
-    is (target_w / width, target_h / height).  ``padded`` is set when the
-    box could not fit inside the source frame and out-of-frame pixels
-    were filled with background.
+    is (target_w / width, target_h / height); ``source_shape`` is the
+    source frame's (height, width).  ``padded`` is set when the box could
+    not fit inside the source frame and out-of-frame pixels were filled
+    with background.
     """
 
     observed: PositionImage
     canonical: PositionImage
     crop_box: tuple[float, float, float, float]
     scale_factors: tuple[float, float]
+    source_shape: tuple[int, int]
     padded: bool = False
 
-    def resample(self, image):
-        """Another image of the source frame, cropped and resampled like the views."""
-        return _resample_nearest(image, self.crop_box, self.canonical.mask.shape[::-1])
+    def _grid(self):
+        return _sample_grid(self.crop_box, self.canonical.mask.shape[::-1], self.source_shape)
+
+    def sampled(self, image):
+        """The pixels of a source-frame image that the zoom copies, as a grid.
+
+        The grid keeps each distinct source row and column the zoom samples
+        inside the frame, so it is no larger than the zoomed views or the
+        source along either axis, and :meth:`expand` zooms it like the
+        views.  Rasterizing it evaluates the zoomed render's distinct
+        positions, so the expanded target equals the zoomed render's bit for
+        bit whether the zoom enlarges or shrinks.
+        """
+        if image.mask.shape != self.source_shape:
+            raise ValidationError(
+                f"image resolution {image.mask.shape} != source {self.source_shape}")
+        (rows, _), (cols, _) = self._grid()
+        return _gather(image, rows, cols)
+
+    def expand(self, image):
+        """An image of the :meth:`sampled` grid, resampled to the zoomed views' size."""
+        (rows, row_at), (cols, col_at) = self._grid()
+        if image.mask.shape != (len(rows), len(cols)):
+            raise ValidationError(
+                f"image resolution {image.mask.shape} != sampled grid {(len(rows), len(cols))}")
+        return _spread(image, row_at, col_at)
 
 
 def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> PositionImage:
@@ -299,8 +332,9 @@ def rasterize_target(position: PositionImage, field: LinearRBF) -> DeformationIm
 
     A pixel's value depends on its position alone, so each distinct
     position is evaluated once and copied to its repeats.  Callers
-    rasterize a source-resolution render and zoom the result with
-    :meth:`ZoomResult.resample`: every zoomed pixel copies a source pixel.
+    rasterize the grid of source pixels a zoom copies
+    (:meth:`ZoomResult.sampled`) and zoom the result with
+    :meth:`ZoomResult.expand`.
     """
     data = np.zeros(position.data.shape)
     foreground = np.flatnonzero(position.mask)
@@ -322,27 +356,56 @@ def mask_bounding_box(mask: np.ndarray) -> tuple[float, float, float, float]:
     return (float(cols[0]), float(rows[0]), float(cols[-1] + 1), float(rows[-1] + 1))
 
 
-def _resample_nearest(image, crop, out_size):
+def _sample_axis(start, length, out_n, src_n):
+    """Distinct in-frame source indices one axis of a zoom copies, and the
+    place among them of each output index (-1 outside the frame)."""
+    src = np.floor(start + (np.arange(out_n) + 0.5) * (length / out_n)).astype(np.int64)
+    inside = (src >= 0) & (src < src_n)
+    kept, place = np.unique(src[inside], return_inverse=True)
+    at = np.full(out_n, -1, dtype=np.int64)
+    at[inside] = place
+    return kept, at
+
+
+def _sample_grid(crop, out_size, src_shape):
+    """Per axis (rows, then columns), :func:`_sample_axis` of a crop resampled to ``out_size``."""
     x0, y0, w, h = crop
     out_w, out_h = out_size
-    src_h, src_w = image.mask.shape
-    xs = x0 + (np.arange(out_w) + 0.5) * (w / out_w)
-    ys = y0 + (np.arange(out_h) + 0.5) * (h / out_h)
-    col = np.floor(xs).astype(np.int64)
-    row = np.floor(ys).astype(np.int64)
-    col_ok = (col >= 0) & (col < src_w)
-    row_ok = (row >= 0) & (row < src_h)
-    col_c = np.clip(col, 0, src_w - 1)
-    row_c = np.clip(row, 0, src_h - 1)
-    mask = image.mask[row_c][:, col_c]
-    data = image.data[row_c][:, col_c]
-    # A padded crop copied the nearest edge pixel outside the frame; make
-    # those pixels background.
-    mask[~row_ok] = False
-    mask[:, ~col_ok] = False
-    data[~row_ok] = 0.0
-    data[:, ~col_ok] = 0.0
-    return _built(type(image), data, mask)
+    src_h, src_w = src_shape
+    return _sample_axis(y0, h, out_h, src_h), _sample_axis(x0, w, out_w, src_w)
+
+
+def _take(image, at):
+    """An image of ``image``'s pixels at flat indices ``at``, shaped like ``at``.
+
+    One take of whole pixels is several times faster than gathering rows,
+    then columns.
+    """
+    return _like(image, np.take(image.data.reshape(-1, 3), at, axis=0),
+                 np.take(image.mask.reshape(-1), at))
+
+
+def _gather(image, rows, cols):
+    """The grid of ``image``'s pixels at ``rows`` x ``cols``."""
+    return _take(image, rows[:, None] * image.mask.shape[1] + cols)
+
+
+def _spread(image, row_at, col_at):
+    """Output pixel (i, j) copies ``image[row_at[i], col_at[j]]``, background where -1."""
+    # Index -1 picks an appended background row or column: the pixels of
+    # a padded crop that fall outside the frame.
+    height, width = image.mask.shape
+    mask = np.zeros((height + 1, width + 1), dtype=bool)
+    data = np.zeros((height + 1, width + 1, 3))
+    mask[:height, :width] = image.mask
+    data[:height, :width] = image.data
+    at = (row_at % (height + 1))[:, None] * (width + 1) + col_at % (width + 1)
+    return _take(_like(image, data, mask), at)
+
+
+def _resample_nearest(image, crop, out_size):
+    (rows, row_at), (cols, col_at) = _sample_grid(crop, out_size, image.mask.shape)
+    return _spread(_gather(image, rows, cols), row_at, col_at)
 
 
 def zoom(
@@ -357,11 +420,12 @@ def zoom(
     the source frame when possible.  Geometric channels and masks are
     resampled nearest-neighbor: interpolating world positions across
     silhouette edges would fabricate 3D points.  Every zoomed pixel thus
-    copies one source pixel exactly, and :meth:`ZoomResult.resample` zooms
-    a target rasterized at source resolution the same way.  The resample
-    gathers the sampled source rows, then the sampled columns of those, and
-    blanks to background only the pixels of a padded box that fall outside
-    the frame.
+    copies one source pixel exactly.  The resample gathers the distinct
+    source rows and columns the crop samples into a grid
+    (:meth:`ZoomResult.sampled`), spreads the grid to the target size
+    (:meth:`ZoomResult.expand`) and blanks to background only the pixels
+    of a padded box that fall outside the frame; a target rasterized on
+    the grid is zoomed the same way.
     """
     if observed.mask.shape != canonical.mask.shape:
         raise ValidationError(
@@ -400,5 +464,6 @@ def zoom(
         canonical=_resample_nearest(canonical, crop, out_size),
         crop_box=crop,
         scale_factors=(target_w / crop_w, target_h / crop_h),
+        source_shape=(src_h, src_w),
         padded=padded,
     )

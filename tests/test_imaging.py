@@ -236,9 +236,12 @@ class TestRasterizeTarget:
         view = look_at([0.05, -0.1, 1.4], resolution=resolution, focal=(55.0, 55.0))
         return splat_position_image(cloud, view)
 
-    @pytest.mark.parametrize("target_resolution, padded", [((96, 72), False), ((24, 72), True)])
+    @pytest.mark.parametrize("target_resolution, padded, enlarged", [
+        ((96, 72), False, True), ((24, 72), True, True), ((10, 40), True, False),
+        ((16, 12), False, False)], ids=["target_resolution0-False", "target_resolution1-True",
+                                        "shrunk-padded", "shrunk"])
     def test_zoomed_render_matches_per_pixel_interpolation(
-            self, monkeypatch, target_resolution, padded):
+            self, monkeypatch, target_resolution, padded, enlarged):
         cloud = sphere_cloud(150, radius=0.35, seed=5)
         img = self._render(cloud)
         zoomed = zoom(img, img, target_resolution)
@@ -260,15 +263,19 @@ class TestRasterizeTarget:
         np.testing.assert_allclose(out.data, expected, rtol=0.0, atol=1e-12)
         distinct = np.unique(position.data[position.mask], axis=0)
         assert evaluated == [len(distinct)]
-        assert len(distinct) < position.mask.sum()
+        if enlarged:
+            assert len(distinct) < position.mask.sum()
 
-        # Rasterized at source resolution and zoomed: one evaluation per
-        # distinct source position, the same pixels and values.
-        source = zoomed.resample(rasterize_target(img, field))
+        # Rasterized on the source pixels the zoom copies and zoomed: the
+        # same distinct positions in one evaluation, so the same bits,
+        # whether the zoom enlarges or shrinks the render.
+        sampled = zoomed.sampled(img)
+        assert (sampled.mask.sum() < img.mask.sum()) is not enlarged
+        source = zoomed.expand(rasterize_target(sampled, field))
         assert isinstance(source, DeformationImage)
-        np.testing.assert_array_equal(source.mask, position.mask)
-        np.testing.assert_allclose(source.data, expected, rtol=0.0, atol=1e-12)
-        assert evaluated[1:] == [len(np.unique(img.data[img.mask], axis=0))]
+        np.testing.assert_array_equal(source.mask, out.mask)
+        np.testing.assert_array_equal(source.data, out.data)
+        assert evaluated[1:] == [len(distinct)]
 
     def test_distinct_rows_sharing_a_coordinate_stay_apart(self):
         rows = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0],
@@ -534,6 +541,16 @@ class TestZoom:
         np.testing.assert_array_equal(out.mask, expected_mask)
         np.testing.assert_array_equal(out.data, expected)
 
+    def test_sampled_and_expand_check_their_frame(self):
+        obs = _image_with_pixels((20, 30), [(5, 6, [1, 1, 1])])
+        can = _image_with_pixels((20, 30), [(9, 12, [2, 2, 2])])
+        zoomed = zoom(obs, can, target_resolution=(16, 12))
+        np.testing.assert_array_equal(zoomed.expand(zoomed.sampled(can)).data, zoomed.canonical.data)
+        with pytest.raises(ValidationError, match="source"):
+            zoomed.sampled(zoomed.canonical)
+        with pytest.raises(ValidationError, match="sampled grid"):
+            zoomed.expand(can)
+
     def test_resolution_mismatch_rejected(self):
         obs = _image_with_pixels((10, 10), [(1, 1, [1, 1, 1])])
         can = _image_with_pixels((12, 10), [(1, 1, [1, 1, 1])])
@@ -587,9 +604,33 @@ class TestBuiltImagesPassTheCheck:
     def test_zoom(self, scene, shift, target):
         cloud, view, radius = scene
         observed = _render(PointCloud(cloud.points + shift), view, radius)
-        zoomed = zoom(observed, _render(cloud, view, radius), target)
+        canonical = _render(cloud, view, radius)
+        zoomed = zoom(observed, canonical, target)
         for image in (zoomed.observed, zoomed.canonical):
             assert _checked(image, "position image").mask.shape == target[::-1]
+
+        # The sampled grid holds each source row and column the zoom copies
+        # once, and expanding it gives the zoomed view.
+        rows, cols = np.indices(canonical.mask.shape)
+        where = PositionImage(np.dstack([rows, cols, rows + 1.0]), np.ones_like(canonical.mask))
+        grid = zoomed.sampled(where).data
+        zoomed_where = imaging._resample_nearest(where, zoomed.crop_box, target)
+        np.testing.assert_array_equal(zoomed.expand(zoomed.sampled(where)).data, zoomed_where.data)
+        assert grid.shape[0] <= min(target[1], rows.shape[0])
+        assert grid.shape[1] <= min(target[0], rows.shape[1])
+        pixels = {tuple(rc) for rc in grid[..., :2].reshape(-1, 2)}
+        assert len(pixels) == grid.shape[0] * grid.shape[1]
+        assert pixels == {tuple(rc) for rc in zoomed_where.data[zoomed_where.mask][:, :2]}
+        sampled = _checked(zoomed.sampled(canonical), "position image")
+        expanded = _checked(zoomed.expand(sampled), "position image")
+        np.testing.assert_array_equal(expanded.mask, zoomed.canonical.mask)
+        np.testing.assert_array_equal(expanded.data, zoomed.canonical.data)
+
+        # A deformation image keeps its type and scale through both.
+        deltas = DeformationImage(canonical.data * 2.0, canonical.mask, scale=1000.0)
+        for image in (zoomed.sampled(deltas), zoomed.expand(zoomed.sampled(deltas))):
+            assert isinstance(image, DeformationImage)
+            assert _checked(image, "deformation image").scale == 1000.0
 
     @PROPERTY
     @given(scene=scenes(), target=st.tuples(st.integers(1, 60), st.integers(1, 60)),
