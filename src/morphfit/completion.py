@@ -115,18 +115,20 @@ def pixels_to_sparse_deltas(
     deformation_data = np.asarray(deformation_data, dtype=np.float64)
     position_data = np.asarray(position_data, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
-    if deformation_data.shape != position_data.shape or deformation_data.shape[:2] != mask.shape:
+    if (deformation_data.shape != position_data.shape or deformation_data.shape[:2] != mask.shape
+            or deformation_data.shape[2:] != (3,)):
         raise ValidationError(
             f"resolution mismatch: deform {deformation_data.shape}, "
             f"positions {position_data.shape}, mask {mask.shape}"
         )
-    if not mask.any():
+    foreground = np.flatnonzero(mask)
+    if not foreground.size:
         raise NoVisiblePointsError("mask has no foreground pixels")
     # A pixel's owner depends on its position alone; a nearest-neighbor
     # zoom repeats positions, so query each distinct one once.
-    distinct, repeat = distinct_rows(position_data[mask])
+    distinct, repeat = distinct_rows(np.take(position_data.reshape(-1, 3), foreground, axis=0))
     owners = nearest_canonical_points(canonical, distinct)[repeat]
-    pixel_deltas = deformation_data[mask]
+    pixel_deltas = np.take(deformation_data.reshape(-1, 3), foreground, axis=0)
     n = len(canonical)
     # bincount sums in input order, as np.add.at does, at a tenth of its cost.
     sums = np.stack([np.bincount(owners, weights=pixel_deltas[:, axis], minlength=n)

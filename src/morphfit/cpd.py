@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 
 from .errors import SolverError, ValidationError
@@ -22,6 +22,10 @@ __all__ = ["CpdConfig", "CpdResult", "cpd_nonrigid", "e_step"]
 _LOG_CUT = float(np.log(np.finfo(float).eps)) - 1.0
 # sigma^2 never falls below this fraction of its starting value.
 _SIGMA2_FLOOR = 1e-12
+# A moving point whose M-step diagonal c / m would pass this gets W = 0.
+_MAX_DIAGONAL = 1e300
+# Largest cloud CPD registers; its n x n kernel and system take 1 GB at it.
+MAX_CLOUD_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,14 @@ def e_step(fixed, moved, sigma2: float, outlier_weight: float = 0.0) -> np.ndarr
     x = fixed.points if isinstance(fixed, PointCloud) else np.asarray(fixed, float)
     t = moved.points if isinstance(moved, PointCloud) else np.asarray(moved, float)
     n_moved, n_fixed = t.shape[0], x.shape[0]
-    resp = cdist(t, x, "sqeuclidean")
-    resp /= -2.0 * sigma2
-    # Shift each column by its max so the softmax never overflows; the
-    # clutter constant rides along in the same shifted frame.
-    shift = resp.max(axis=0)
-    resp -= shift
+    # On clouds scaled by 1/sqrt(2 sigma^2), cdist gives d^2 / (2 sigma^2).
+    scale = 1.0 / np.sqrt(2.0 * sigma2)
+    resp = cdist(t * scale, x * scale, "sqeuclidean")
+    # Shift each column's log-weights by their max, the nearest centroid's,
+    # so the softmax never overflows; the clutter constant rides along in
+    # the same shifted frame.
+    shift = resp.min(axis=0)
+    np.subtract(shift, resp, out=resp)
     # Terms below the cut would underflow into exp's slow denormal path:
     # clamp them to the cut, exponentiate, then zero them.
     keep = resp > _LOG_CUT
@@ -104,9 +110,12 @@ def e_step(fixed, moved, sigma2: float, outlier_weight: float = 0.0) -> np.ndarr
             + np.log(outlier_weight / (1.0 - outlier_weight))
             + np.log(n_moved / n_fixed)
         )
-        denom = denom + np.exp(log_clutter - shift)
+        # Past exp's range every kept term is under 1/inf of the clutter
+        # term: the overflow to inf gives the column its limit, all zeros.
+        with np.errstate(over="ignore"):
+            denom = denom + np.exp(log_clutter + shift)
     np.maximum(denom, np.finfo(float).tiny, out=denom)
-    resp /= denom
+    resp *= 1.0 / denom
     return resp
 
 
@@ -114,21 +123,31 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
     """Register ``moving`` onto ``fixed``, recovering a smooth warp.
 
     EM loop: soft-assign data points to the warped moving cloud, solve the
-    regularized linear system (diag(m) G + regularization sigma^2 I) W =
-    P X - diag(m) Y for offset weights, update the mixture variance from
-    the weighted residual, repeat until the EM objective
+    regularized linear system for offset weights, update the mixture
+    variance from the weighted residual, repeat until the EM objective
     Q = 1.5 N_P log(sigma^2) + (regularization / 2) tr(W^T G W) changes by
     at most ``tolerance`` per unit of posterior mass N_P, or the iteration
-    cap is hit (Myronenko & Song, TPAMI 2010).  sigma^2 is floored at 1e-12
-    of its starting value, so exact correspondences converge too.
+    cap is hit.  sigma^2 is floored at 1e-12 of its starting value, so
+    exact correspondences converge too.  A cloud of more than
+    ``MAX_CLOUD_POINTS`` points is a ValidationError.
 
-    The system is solved by Cholesky in its symmetric positive-definite
-    form, scaled by r = sqrt(m) on both sides; a moving point with zero
-    posterior mass m gets an exactly zero weight row.
+    The M-step system is taken in the symmetric positive-definite form of
+    Myronenko & Song (TPAMI 2010, arXiv:0905.2635),
+    (G + c diag(m)^-1) W = diag(m)^-1 P X - Y with c = regularization
+    sigma^2 and m the posterior mass per moving point, and solved by
+    Cholesky over the points that carry mass.  A moving point whose mass
+    is 0, or so small that c / m would pass 1e300, gets an exactly zero
+    weight row: its weights would be under 1e-300 of its right-hand side.
     """
     x = fixed.points if isinstance(fixed, PointCloud) else PointCloud(fixed).points
     y = moving.points if isinstance(moving, PointCloud) else PointCloud(moving).points
     n_fixed, n_moving = x.shape[0], y.shape[0]
+    if max(n_fixed, n_moving) > MAX_CLOUD_POINTS:
+        raise ValidationError(
+            f"registration clouds of {n_fixed} and {n_moving} points, over the "
+            f"{MAX_CLOUD_POINTS}-point limit: raise --cloud-leaf or lower --dense-count "
+            "(the space's \"registration\")"
+        )
 
     kernel = gaussian_kernel(y, y, config.beta)
     sigma2 = cdist(y, x, "sqeuclidean").sum() / (3.0 * n_fixed * n_moving)
@@ -139,52 +158,49 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
         return CpdResult(field, 0.0, 0, True)
 
     sigma2_floor = _SIGMA2_FLOOR * sigma2
-    weights = np.zeros((n_moving, 3))
+    # One GEMM of the posterior with [X, 1, |x|^2] gives P X, the mass per
+    # moving point and its share of the fit term sum_j (P^T 1)_j |x_j|^2.
+    augmented = np.column_stack([x, np.ones(n_fixed), np.einsum("ij,ij->i", x, x)])
     moved = y
     objective = np.inf
     # One buffer for the M-step matrix: a fresh (n, n) array per iteration
     # costs page faults that also slow the next E-step.
-    system = np.empty_like(kernel)
+    buffer = np.empty(n_moving * n_moving)
     converged = False
     iteration = 0
     for iteration in range(1, config.max_iterations + 1):
         posterior = e_step(x, moved, sigma2, config.outlier_weight)
-        mass_per_centroid = posterior.sum(axis=1)
-        mass_per_point = posterior.sum(axis=0)
-        total_mass = mass_per_centroid.sum()
-        if not (total_mass > 0.0):
+        sums = posterior @ augmented
+        weighted_targets, mass = sums[:, :3], sums[:, 3]
+        total_mass = mass.sum()
+        c = config.regularization * sigma2
+        solved = mass > c / _MAX_DIAGONAL
+        k = int(np.count_nonzero(solved))
+        if k == 0:
             raise SolverError("posterior mass vanished", iteration=iteration)
-        weighted_targets = posterior @ x
 
-        # (diag(m) G + c I) W = P X - diag(m) Y, c = reg*sigma2, in its
-        # symmetric positive-definite form: with r = sqrt(m) and W = r V,
-        # (diag(r) G diag(r) + c I) V = rhs / r.  Rows with zero mass have
-        # a zero rhs, so they get V = 0 and W = 0 exactly.
-        root = np.sqrt(mass_per_centroid)
-        np.multiply(root[:, None], kernel, out=system)
-        system *= root
-        system[np.diag_indices_from(system)] += config.regularization * sigma2
-        rhs = weighted_targets - mass_per_centroid[:, None] * y
-        scaled = np.divide(rhs, root[:, None], out=np.zeros_like(rhs),
-                           where=root[:, None] > 0.0)
-        try:
-            # The system is symmetric, so its transpose is the same matrix
-            # in Fortran order: LAPACK factors it in place, without a copy.
-            factor = cho_factor(system.T, lower=True, overwrite_a=True,
-                                check_finite=False)
-        except np.linalg.LinAlgError as exc:
+        system = buffer[: k * k].reshape(k, k)
+        np.copyto(system, kernel if k == n_moving else kernel[np.ix_(solved, solved)])
+        system.reshape(-1)[:: k + 1] += c / mass[solved]
+        rhs = weighted_targets[solved] / mass[solved, None] - y[solved]
+        # The system is symmetric, so its transpose is the same matrix in
+        # Fortran order: LAPACK factors it in place, without a copy.
+        factor, info = dpotrf(system.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            solution, info = dpotrs(factor, rhs, lower=1, overwrite_b=1)
+        if info != 0:
             raise SolverError(
-                f"regularized system not positive definite: {exc}",
+                f"regularized system not positive definite (LAPACK info {info})",
                 iteration=iteration,
-            ) from exc
-        weights = root[:, None] * cho_solve(factor, scaled, overwrite_b=True,
-                                            check_finite=False)
+            )
+        weights = np.zeros((n_moving, 3))
+        weights[solved] = solution
 
         offsets = kernel @ weights
         moved = y + offsets
-        fit = (mass_per_point * np.einsum("ij,ij->i", x, x)).sum()
+        fit = sums[:, 4].sum()
         cross = np.einsum("ij,ij->", weighted_targets, moved)
-        spread = (mass_per_centroid * np.einsum("ij,ij->i", moved, moved)).sum()
+        spread = (mass * np.einsum("ij,ij->i", moved, moved)).sum()
         sigma2 = max((fit - 2.0 * cross + spread) / (3.0 * total_mass), sigma2_floor)
 
         previous, objective = objective, (

@@ -191,9 +191,10 @@ def per_pixel_target(position, canonical, deltas) -> np.ndarray:
 def lu_cpd_nonrigid(fixed: PointCloud, moving: PointCloud, config: CpdConfig):
     """``(moved points, sigma^2, iterations)`` of CPD with an LU M-step.
 
-    The reference for :func:`morphfit.cpd_nonrigid`, which solves the same
-    system (diag(m) G + c I) W = P X - diag(m) Y in its symmetric
-    positive-definite form by Cholesky; this one LU-solves it as written.
+    The reference for :func:`morphfit.cpd_nonrigid`, which solves the
+    system (diag(m) G + c I) W = P X - diag(m) Y in the symmetric
+    positive-definite form (G + c diag(m)^-1) W = diag(m)^-1 P X - Y by
+    Cholesky; this one LU-solves it as written.
     """
     x, y = fixed.points, moving.points
     kernel = gaussian_kernel(y, y, config.beta)

@@ -29,6 +29,7 @@ from morphfit import (
     write_ply,
 )
 from morphfit import cli as cli_module
+from morphfit import cpd as cpd_module
 from morphfit import dataset as dataset_module
 from morphfit.cli import _load_camera, _views_for, build_parser, main, validate_config
 
@@ -226,6 +227,19 @@ class TestBuildSpace:
         ])
         assert code == 0
         assert out.read_bytes() == space_path.read_bytes()
+
+    def test_oversized_cloud_ends_in_one_line(self, mesh_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cpd_module, "MAX_CLOUD_POINTS", 50)
+        out = tmp_path / "fine.mfss"
+        code = main([
+            "build-space", "--canonical", str(mesh_dir / "canonical.ply"),
+            "--instances", str(mesh_dir / "instances"), "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValidationError: registration clouds of ")
+        assert err.count("\n") == 1 and "--cloud-leaf" in err and "--dense-count" in err
+        assert not out.exists()
 
 
 class TestGenDataset:

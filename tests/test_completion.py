@@ -185,6 +185,13 @@ class TestPixelsToSparseDeltas:
                 np.zeros((2, 3, 3)), np.zeros((2, 2, 3)), np.ones((2, 3), dtype=bool), canonical
             )
 
+    def test_images_without_three_channels_rejected(self):
+        canonical = sphere_cloud(5, seed=6)
+        with pytest.raises(ValidationError, match="resolution mismatch"):
+            pixels_to_sparse_deltas(
+                np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), np.ones((2, 3), dtype=bool), canonical
+            )
+
 
 class TestFitLatent:
     def test_mean_field_fixed_point(self, category):

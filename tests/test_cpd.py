@@ -9,6 +9,7 @@ from morphfit import (
     CpdConfig,
     DeformationField,
     PointCloud,
+    SolverError,
     ValidationError,
     apply_deformation,
     cpd_nonrigid,
@@ -86,6 +87,15 @@ class TestEStep:
         else:
             assert (sums < 1.0 - 1e-9).all()
 
+    def test_point_lost_to_clutter_gets_a_zero_column(self):
+        # 50 units from every centroid at sigma^2 0.5, the clutter term is
+        # past exp's range; the column is all zeros, without a RuntimeWarning.
+        moved = sphere_cloud(30, seed=15).points
+        fixed = np.vstack([moved[:20] + 0.01, [[50.0, 0.0, 0.0]]])
+        p = e_step(fixed, moved, 0.5, 0.1)
+        np.testing.assert_array_equal(p[:, -1], 0.0)
+        assert (p[:, :-1].sum(axis=0) > 0.5).all()
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValidationError):
             e_step(sphere_cloud(3), sphere_cloud(3), 0.0, 0.0)
@@ -129,10 +139,17 @@ class TestCpdStoppingRule:
 
 
 class TestCpdMStep:
-    @pytest.mark.parametrize("case", ["category", "outliers"])
+    @pytest.mark.parametrize("case", ["category", "outliers", "sphere360"])
     def test_matches_lu_reference(self, category, case):
         if case == "category":
             fixed, moving = category.instance_clouds[1], category.canonical_cloud
+            config = CpdConfig(beta=0.1)
+        elif case == "sphere360":
+            # The benchmark's scale: about 360 points on a 0.15 m sphere,
+            # registered onto a radially bulged one at beta 0.1.
+            moving = sphere_cloud(360, radius=0.15, seed=31)
+            bulged = sphere_cloud(340, radius=0.15, seed=32).points
+            fixed = PointCloud(bulged * (1.0 + 0.25 * bulged[:, 2:] / 0.15))
             config = CpdConfig(beta=0.1)
         else:
             moving = sphere_cloud(90, seed=21)
@@ -160,10 +177,50 @@ class TestCpdMStep:
 
         monkeypatch.setattr(cpd, "e_step", recording_e_step)
         result = cpd_nonrigid(fixed, moving, CpdConfig(beta=0.5))
+        # One E-step per iteration, through the module-level name.
+        assert len(posteriors) == result.iterations > 1
         assert posteriors[0][-1].sum() > 0
         assert posteriors[-1][-1].sum() == 0.0
         np.testing.assert_array_equal(result.field.weights[-1], 0.0)
         assert np.isfinite(result.field.weights).all()
+
+    def test_vanishing_mass_point_gets_zero_weights(self, monkeypatch):
+        # A moving point whose posterior mass is positive but so small that
+        # its diagonal c / m would overflow is solved as a zero-mass point,
+        # without a RuntimeWarning (the test configuration makes it an error).
+        fixed = sphere_cloud(80, seed=25)
+        moving = sphere_cloud(60, seed=26)
+        masses = []
+
+        def starving_e_step(*args):
+            posterior = e_step(*args)
+            posterior[-1] *= 1e-320
+            masses.append(posterior[-1].sum())
+            return posterior
+
+        monkeypatch.setattr(cpd, "e_step", starving_e_step)
+        config = CpdConfig(beta=0.5)
+        result = cpd_nonrigid(fixed, moving, config)
+        assert 0.0 < max(masses) < 1e-300 * config.regularization * result.sigma2
+        np.testing.assert_array_equal(result.field.weights[-1], 0.0)
+        assert np.isfinite(result.field.weights).all()
+
+    def test_failed_factorization_raises_solver_error(self, monkeypatch):
+        # LAPACK reports a non-positive pivot by info > 0; the third
+        # factorization here reports one.
+        dpotrf, factorizations = cpd.dpotrf, []
+
+        def failing_dpotrf(a, **kwargs):
+            factorizations.append(a.shape)
+            factor, info = dpotrf(a, **kwargs)
+            return factor, (2 if len(factorizations) == 3 else info)
+
+        monkeypatch.setattr(cpd, "dpotrf", failing_dpotrf)
+        with pytest.raises(SolverError, match="not positive definite") as exc:
+            cpd_nonrigid(sphere_cloud(70, seed=29), sphere_cloud(50, seed=30),
+                         CpdConfig(beta=1.0))
+        assert exc.value.iteration == 3
+        assert factorizations == [(50, 50)] * 3
 
 
 class TestCpdRecovery:
@@ -199,6 +256,23 @@ class TestCpdRecovery:
         np.testing.assert_array_equal(r1.field.weights, r2.field.weights)
         assert r1.sigma2 == r2.sigma2
         assert r1.iterations == r2.iterations
+
+
+class TestCloudLimit:
+    def test_cloud_over_the_limit_is_rejected(self):
+        # 40,000 data points: the posterior against 10 centroids is small,
+        # but such a cloud as the moving one would need a 12 GiB kernel.
+        dense = sphere_cloud(40000, seed=33)
+        with pytest.raises(ValidationError,
+                           match=r"clouds of 40000 and 10 points, over the 8192-point limit: "
+                                 r"raise --cloud-leaf or lower --dense-count"):
+            cpd_nonrigid(dense, sphere_cloud(10, seed=34))
+
+    def test_limit_holds_for_the_moving_cloud(self, monkeypatch):
+        monkeypatch.setattr(cpd, "MAX_CLOUD_POINTS", 30)
+        cpd_nonrigid(sphere_cloud(30, seed=35), sphere_cloud(30, seed=36))
+        with pytest.raises(ValidationError, match="clouds of 30 and 31 points"):
+            cpd_nonrigid(sphere_cloud(30, seed=35), sphere_cloud(31, seed=36))
 
 
 class TestCpdConfig:
