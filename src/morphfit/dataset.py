@@ -24,12 +24,20 @@ from .geometry import (
     DeformationField,
     Mesh,
     PointCloud,
+    barycentric_points,
     gaussian_kernel,
     rotation_to_quaternion,
     sample_mesh_surface,
     voxel_downsample,
 )
-from .imaging import rasterize_target, splat_position_image, target_field, zoom
+from .imaging import (
+    PositionImage,
+    _built,
+    rasterize_target,
+    splat_position_image,
+    target_field,
+    zoom,
+)
 from .io import write_mask, write_tensor
 from .shape_space import Registration, TrainingField
 
@@ -152,17 +160,18 @@ def register_instances(canonical_cloud: PointCloud, instances, registration: Reg
 
     A Mesh first becomes its :func:`mesh_cloud`, drawn from the stream
     salted with its index plus one; a PointCloud is registered as it is.
-    ``stored`` holds TrainingFields made by this cloud and recipe (a
-    space's ``fields``): a Mesh whose digest, seed and salt match one of
-    them takes it instead of being registered again, which gives the same
-    field.  Every instance whose CPD stopped at the iteration cap is
-    reported by a ``warning:`` line on stderr, which names it by its entry
-    in ``labels`` (default: its index).  Returns the TrainingFields,
-    anchored at the canonical cloud.
+    ``stored`` holds TrainingFields made by this cloud (a space's
+    ``fields``): a Mesh whose digest, seed and salt match one of them that
+    was registered by ``registration`` takes it instead of being registered
+    again, which gives the same field.  Every instance whose CPD stopped at
+    the iteration cap is reported by a ``warning:`` line on stderr, which
+    names it by its entry in ``labels`` (default: its index).  Returns the
+    TrainingFields, anchored at the canonical cloud.
     """
     instances = tuple(instances)
     labels = range(len(instances)) if labels is None else labels
-    reusable = {(t.mesh_sha1, t.seed, t.salt): t for t in stored}
+    reusable = {(t.mesh_sha1, t.seed, t.salt): t for t in stored
+                if t.registration == registration}
     trained = []
     for index, (instance, label) in enumerate(zip(instances, labels, strict=True)):
         salt, digest, kept = index + 1, None, None
@@ -174,7 +183,7 @@ def register_instances(canonical_cloud: PointCloud, instances, registration: Reg
         if kept is None:
             result = cpd_nonrigid(instance, canonical_cloud, registration.cpd)
             kept = TrainingField(result.field, digest, seed, salt, result.iterations,
-                                 result.converged)
+                                 result.converged, registration)
         warn_if_capped(kept, f"registration of instance {label}")
         trained.append(kept)
     return tuple(trained)
@@ -313,7 +322,10 @@ def generate_dataset(
     canon_pts, _, _ = densify_mesh(
         category.canonical_mesh, view_distance, focal, densify_per_pixel, densify_max, canon_rng
     )
-    canon_renders = []
+    # Each canonical view is kept as its foreground alone (flat pixel indices
+    # and positions); a sample rebuilds its full frame just before the zoom,
+    # so the run holds one frame at a time, not one per view.
+    canon_views = []
     poses = []
     for view in views:
         poses.append({
@@ -324,11 +336,12 @@ def generate_dataset(
             "resolution": list(view.resolution),
         })
         try:
-            canon_renders.append(splat_position_image(canon_pts, view, splat_radius))
+            canon_views.append(_foreground(splat_position_image(canon_pts, view, splat_radius)))
         except MorphFitError as exc:
             # A view that cannot see the canonical model fails every sample
             # that uses it; record the failure per sample instead of aborting.
-            canon_renders.append(exc)
+            canon_views.append(exc)
+    del canon_pts
 
     common = dict(resolution=tuple(int(v) for v in zoom_resolution),
                   export_scale=float(export_scale), splat_radius=int(splat_radius),
@@ -346,26 +359,34 @@ def generate_dataset(
             morphed = interpolate_instance(mesh, category.fields[inst], rho)
             # Same barycentric pattern re-posed on the morphed vertices, so
             # surface samples correspond across rho values.
-            obs_pts = np.einsum("ij,ijk->ik", bary, morphed.vertices[morphed.faces][face_idx])
+            obs_pts = barycentric_points(morphed.vertices[morphed.faces], face_idx, bary)
             try:
                 field = target_field(category.canonical_cloud, target_delta(category.fields[inst], rho))
             except MorphFitError as exc:  # fails each sample, like a blind canonical view
                 field = exc
-            for view_index, (view, pose, canon_render) in enumerate(
-                    zip(views, poses, canon_renders)):
+            for view_index, (view, pose, canon_view) in enumerate(
+                    zip(views, poses, canon_views)):
                 draw = np.random.default_rng(
                     np.random.SeedSequence([int(seed), inst, rho_index, view_index])
                 ).random()
                 base = dict(common, instance_index=inst, rho=rho, view_index=view_index,
                             pose=pose, split="train" if draw < split_fraction else "val")
                 try:
-                    if isinstance(canon_render, MorphFitError):
-                        raise canon_render
+                    if isinstance(canon_view, MorphFitError):
+                        raise canon_view
                     observed = splat_position_image(obs_pts, view, splat_radius)
+                    canon_render = _frame(canon_view, view.resolution)
                     zoomed = zoom(observed, canon_render, zoom_resolution)
+                    grid = zoomed.sampled(canon_render)
+                    # Freed before the rasterize, the source frames leave it their
+                    # memory.  Held, they lift the sample's heap high-water enough
+                    # that malloc often returns the heap top to the system after
+                    # each sample, and the next one faults it back in: about 1,000
+                    # page faults per sample at 256x192.
+                    del observed, canon_render
                     if isinstance(field, MorphFitError):
                         raise field
-                    target = zoomed.expand(rasterize_target(zoomed.sampled(canon_render), field))
+                    target = zoomed.expand(rasterize_target(grid, field))
                 except MorphFitError as exc:
                     skipped += 1
                     records.append(SampleRecord(
@@ -390,7 +411,7 @@ def generate_dataset(
                 ))
                 # Free this sample's images before the next one renders; held
                 # across iterations they add about 6 MB to the peak RSS.
-                del observed, zoomed, target
+                del zoomed, grid, target
 
     manifest_partial = out_dir / (MANIFEST_NAME + ".partial")
     with open(manifest_partial, "w") as fh:
@@ -417,6 +438,23 @@ def generate_dataset(
         )
     manifest_partial.rename(out_dir / MANIFEST_NAME)
     return records
+
+
+def _foreground(image: PositionImage) -> tuple[np.ndarray, np.ndarray]:
+    """An image's flat foreground pixel indices and their positions, for :func:`_frame`."""
+    lit = np.flatnonzero(image.mask)
+    return lit, image.data.reshape(-1, 3)[lit]
+
+
+def _frame(view, resolution) -> PositionImage:
+    """The position image of a :func:`_foreground` pair at ``resolution`` (width, height)."""
+    lit, positions = view
+    width, height = resolution
+    data = np.zeros((height * width, 3))
+    data[lit] = positions
+    mask = np.zeros(height * width, dtype=bool)
+    mask[lit] = True
+    return _built(PositionImage, data.reshape(height, width, 3), mask.reshape(height, width))
 
 
 def read_manifest(path) -> tuple[dict, list[SampleRecord]]:

@@ -128,7 +128,7 @@ def write_ply(path, shape: Mesh | PointCloud) -> None:
     """Write a Mesh, or a PointCloud as vertices with ``element face 0``."""
     path = Path(path)
     if isinstance(shape, PointCloud):
-        vertices, faces, colors = shape.points, (), None
+        vertices, faces, colors = shape.points, np.empty((0, 3), np.int64), None
     else:
         vertices, faces, colors = shape.vertices, shape.faces, shape.vertex_colors
     header = ["ply", "format ascii 1.0", f"element vertex {len(vertices)}"]
@@ -140,14 +140,11 @@ def write_ply(path, shape: Mesh | PointCloud) -> None:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    body = []
-    for i, v in enumerate(vertices):
-        row = f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}"
-        if colors is not None:
-            c = colors[i]
-            row += f" {c[0]} {c[1]} {c[2]}"
-        body.append(row)
-    body += [f"3 {f[0]} {f[1]} {f[2]}" for f in faces]
+    # Python floats and ints format as the numpy scalars do, and faster.
+    body = [f"{x:.9g} {y:.9g} {z:.9g}" for x, y, z in vertices.tolist()]
+    if colors is not None:
+        body = [f"{row} {r} {g} {b}" for row, (r, g, b) in zip(body, colors.tolist())]
+    body += [f"3 {a} {b} {c}" for a, b, c in faces.tolist()]
     path.write_text("\n".join(header + body) + "\n")
 
 

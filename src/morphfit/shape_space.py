@@ -63,6 +63,7 @@ class TrainingField:
     cloud was drawn from the stream ``(seed, 3, salt)`` of the mesh whose
     ``mesh_sha1`` this is (None for an instance given as a cloud), and CPD
     ran ``iterations`` iterations, stopping at its cap unless ``converged``.
+    ``registration`` is the recipe it was registered by, None if unknown.
     """
 
     field: DeformationField
@@ -71,6 +72,7 @@ class TrainingField:
     salt: int
     iterations: int
     converged: bool
+    registration: Registration | None = None
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,26 @@ def relative_residual(space: ShapeSpace, field, eps: float = 1e-12) -> float:
 # The header's "registration" object holds the recipe's CPD settings (beta
 # is the header's own), cloud leaf and dense count.  Its optional "fields"
 # list holds the space's TrainingFields, each with its weights as base64 of
-# little-endian f64, point-major.
+# little-endian f64, point-major, and the recipe it was registered by as a
+# "registration" object of the same form.  An entry without one (a file
+# written before entries recorded it) takes the header's recipe.
+
+
+def _recipe_settings(recipe: Registration) -> dict:
+    """The header form of a recipe: its settings without beta."""
+    settings = dataclasses.asdict(recipe.cpd)
+    del settings["beta"]
+    settings.update(cloud_leaf=recipe.cloud_leaf, dense_count=recipe.dense_count)
+    return settings
+
+
+def _recipe_of(s, beta: float) -> Registration:
+    """The recipe of header-form settings ``s``; a malformed ``s`` raises KeyError,
+    TypeError, ValueError or OverflowError."""
+    cpd = CpdConfig(beta, float(s["regularization"]), float(s["outlier_weight"]),
+                    int(s["max_iterations"]), float(s["tolerance"]))
+    return Registration(cpd, float(s["cloud_leaf"]), int(s["dense_count"]))
+
 
 def save_space(space: ShapeSpace, path) -> None:
     header = {
@@ -215,20 +236,10 @@ def save_space(space: ShapeSpace, path) -> None:
         "flattening": "point-major",
         "dtype": "f64",
     }
-    recipe = space.registration
-    if recipe is not None:
-        header["registration"] = settings = dataclasses.asdict(recipe.cpd)
-        del settings["beta"]
-        settings.update(cloud_leaf=recipe.cloud_leaf, dense_count=recipe.dense_count)
+    if space.registration is not None:
+        header["registration"] = _recipe_settings(space.registration)
     if space.fields:
-        header["fields"] = [
-            {"mesh_sha1": kept.mesh_sha1, "seed": int(kept.seed), "salt": int(kept.salt),
-             "iterations": int(kept.iterations), "converged": bool(kept.converged),
-             "weights": base64.b64encode(
-                 np.ascontiguousarray(kept.field.weights, dtype="<f8").tobytes()
-             ).decode("ascii")}
-            for kept in space.fields
-        ]
+        header["fields"] = [_field_entry(kept) for kept in space.fields]
     blocks = [
         np.ascontiguousarray(space.canonical.points, dtype="<f8").tobytes(),
         np.ascontiguousarray(space.mean, dtype="<f8").tobytes(),
@@ -273,10 +284,7 @@ def load_space(path) -> ShapeSpace:
         n = int(header["n"])
         latent_dim = int(header["latent_dim"])
         beta = float(header["beta"])
-        s = header["registration"]
-        cpd = CpdConfig(beta, float(s["regularization"]), float(s["outlier_weight"]),
-                        int(s["max_iterations"]), float(s["tolerance"]))
-        registration = Registration(cpd, float(s["cloud_leaf"]), int(s["dense_count"]))
+        registration = _recipe_of(header["registration"], beta)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpaceFileError(f"{path}: malformed header fields: {exc}") from exc
     if n < 1 or latent_dim < 1:
@@ -288,7 +296,7 @@ def load_space(path) -> ShapeSpace:
             f"{path}: payload is {len(payload)} bytes, header (n={n}, "
             f"l={latent_dim}) requires {expected}"
         )
-    stored = _stored_fields(path, header.get("fields", []), n)
+    stored = _stored_fields(path, header.get("fields", []), n, registration)
     floats = np.frombuffer(payload, dtype="<f8")
     canonical = floats[: 3 * n].reshape(n, 3)
     mean = floats[3 * n : 6 * n]
@@ -303,8 +311,21 @@ def load_space(path) -> ShapeSpace:
         raise SpaceFileError(f"{path}: invalid space content: {exc}") from exc
 
 
-def _stored_fields(path: Path, entries, n: int) -> list:
-    """(weights, metadata) of each entry of a space header's "fields" member."""
+def _field_entry(kept: TrainingField) -> dict:
+    """The "fields" entry of a TrainingField."""
+    entry = {"mesh_sha1": kept.mesh_sha1, "seed": int(kept.seed), "salt": int(kept.salt),
+             "iterations": int(kept.iterations), "converged": bool(kept.converged),
+             "weights": base64.b64encode(
+                 np.ascontiguousarray(kept.field.weights, dtype="<f8").tobytes()
+             ).decode("ascii")}
+    if kept.registration is not None:
+        entry["registration"] = _recipe_settings(kept.registration)
+    return entry
+
+
+def _stored_fields(path: Path, entries, n: int, registration: Registration) -> list:
+    """(weights, metadata) of each entry of a space header's "fields" member;
+    ``registration`` is the header's recipe, taken by an entry without its own."""
     if not isinstance(entries, list):
         raise SpaceFileError(f'{path}: "fields" is not a list')
     stored = []
@@ -327,7 +348,9 @@ def _stored_fields(path: Path, entries, n: int) -> list:
                     raise ValueError(f"{key} {meta[key]!r} is not an integer >= 0")
             if type(meta["converged"]) is not bool:
                 raise ValueError(f"converged {meta['converged']!r} is not true or false")
-        except (KeyError, TypeError, ValueError) as exc:
+            meta["registration"] = (_recipe_of(entry["registration"], registration.cpd.beta)
+                                    if "registration" in entry else registration)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpaceFileError(
                 f"{path}: malformed fields[{index}]: {type(exc).__name__}: {exc}"
             ) from exc

@@ -401,6 +401,24 @@ class TestStoredFields:
         del kept["manifest.jsonl"], again["manifest.jsonl"]
         assert kept == again
 
+    @pytest.mark.parametrize("key", ["cloud_leaf", "regularization"])
+    def test_a_hand_edited_recipe_registers_every_model(self, mesh_dir, space_path, tmp_path,
+                                                        cpd_calls, key):
+        header, payload = space_path.read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        meta["registration"][key] *= 1.5
+        edited = tmp_path / "edited.mfss"
+        edited.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+        assert self.gen(mesh_dir, edited, mesh_dir / "instances", tmp_path / "out") == 0
+        assert len(cpd_calls) == 6
+        # Entries written before they recorded their recipe take the header's.
+        for entry in meta["fields"]:
+            del entry["registration"]
+        edited.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+        cpd_calls.clear()
+        assert self.gen(mesh_dir, edited, mesh_dir / "instances", tmp_path / "old") == 0
+        assert len(cpd_calls) == 0
+
     def test_reused_capped_fields_warn_as_re_registration_does(
             self, mesh_dir, category, tmp_path, monkeypatch, capsys, cpd_calls):
         monkeypatch.setattr(cli_module, "CpdConfig",

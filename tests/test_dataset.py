@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,47 @@ class TestGenerateDataset:
         assert header["skipped"] == 1
         assert parsed[0].status == "skipped"
         assert "EmptyRenderError" in parsed[0].reason
+
+    def test_blind_canonical_view_fails_every_sample_that_uses_it(self, category, tmp_path):
+        spec = category.category_spec()
+        pair = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
+                            spec.instance_meshes[:2], spec.fields[:2])
+        away = look_at([0.0, 0.0, 0.6], target=[0.0, 0.0, 1.2],
+                       focal=(103.125, 103.125), resolution=(96, 72))
+        views = small_views(2)
+        out = tmp_path / "blind"
+        with pytest.raises(DatasetError):
+            generate_dataset(pair, [views[0], away, views[1]], [0.0, 0.5], out, seed=0,
+                             **GEN_KW)
+        header, records = read_manifest(out / (MANIFEST_NAME + ".partial"))
+        assert header["skipped"] == 4 and len(records) == 12
+        for record in records:
+            if record.view_index == 1:
+                assert record.status == "skipped" and record.paths == {}
+                assert record.reason == ("EmptyRenderError: no model point in front of "
+                                         "the camera")
+            else:
+                assert record.status == "ok" and len(record.paths) == 5
+
+    def test_memory_grows_with_foreground_not_with_views(self, category, tmp_path):
+        # Views beyond the first four add their foregrounds to the traced
+        # peak, not a full frame each.  The cameras stand where gen-dataset
+        # puts them, four bounding-box diagonals out.
+        spec = category.category_spec()
+        single = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
+                              spec.instance_meshes[:1], spec.fields[:1])
+        diag = float(np.linalg.norm(np.ptp(spec.canonical_mesh.vertices, axis=0)))
+        views = viewpoint_sphere(16, 4.0 * diag, focal=(137.5, 137.5), resolution=(128, 96))
+        peaks = []
+        for count in (4, 16):
+            tracemalloc.start()
+            try:
+                generate_dataset(single, views[:count], [0.0], tmp_path / str(count), seed=0,
+                                 **dict(GEN_KW, zoom_resolution=(128, 96)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 128 * 96 * 24
 
     def test_rho_validation(self, category, tmp_path):
         with pytest.raises(ValidationError):

@@ -20,7 +20,50 @@ from morphfit import (
     viewpoint_sphere,
     voxel_downsample,
 )
-from morphfit.geometry import distinct_rows, expand_kernel
+from morphfit.geometry import (
+    _BARY_BLOCK,
+    _DRAW_CELLS,
+    barycentric_points,
+    distinct_rows,
+    expand_kernel,
+)
+
+
+def _reference_samples(mesh, count, seed):
+    """sample_mesh_surface by ``Generator.choice`` and one whole-array einsum."""
+    rng = np.random.default_rng(seed)
+    tri = mesh.vertices[mesh.faces]
+    areas = 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+    face_idx = rng.choice(len(areas), size=count, p=areas / areas.sum())
+    u = rng.random(count)
+    v = rng.random(count)
+    flip = u + v > 1.0
+    u = np.where(flip, 1.0 - u, u)
+    v = np.where(flip, 1.0 - v, v)
+    bary = np.stack([1.0 - u - v, u, v], axis=1)
+    return np.einsum("ij,ijk->ik", bary, tri[face_idx]), face_idx, bary
+
+
+def _with_zero_area_faces(mesh):
+    """The mesh plus collinear, zero-area faces first, in the middle and last."""
+    n = len(mesh.vertices)
+    line = np.array([[0.0, 0.0, 0.0], [0.5, 0.25, 0.0], [1.0, 0.5, 0.0]])
+    flat = [n, n + 1, n + 2]
+    half = len(mesh.faces) // 2
+    faces = np.vstack([[flat, flat], mesh.faces[:half], [flat], mesh.faces[half:], [flat]])
+    return Mesh(np.vstack([mesh.vertices, line]), faces)
+
+
+def _grid_mesh(side):
+    """A bumpy square of side x side cells, two triangles each."""
+    x, y = np.meshgrid(np.arange(side + 1.0), np.arange(side + 1.0))
+    z = np.random.default_rng(19).uniform(0.0, 0.5, size=x.shape)
+    corner = (np.arange(side)[:, None] * (side + 1) + np.arange(side)).reshape(-1)
+    faces = np.concatenate([
+        np.stack([corner, corner + 1, corner + side + 2], axis=1),
+        np.stack([corner, corner + side + 2, corner + side + 1], axis=1),
+    ])
+    return Mesh(np.stack([x, y, z], axis=-1).reshape(-1, 3), faces)
 
 
 class TestPointCloud:
@@ -212,6 +255,19 @@ class TestVoxelDownsample:
         reference = sums / np.bincount(inverse)[:, None]
         np.testing.assert_array_equal(voxel_downsample(cloud, leaf).points, reference)
 
+    def test_sums_match_add_at_on_random_clouds(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            pts = rng.normal(scale=rng.uniform(0.1, 10.0), size=(rng.integers(1, 3000), 3))
+            leaf = rng.uniform(0.05, 2.0)
+            uniq, inverse = np.unique(np.floor(pts / leaf).astype(np.int64), axis=0,
+                                      return_inverse=True)
+            inverse = inverse.reshape(-1)
+            sums = np.zeros((len(uniq), 3))
+            np.add.at(sums, inverse, pts)
+            reference = sums / np.bincount(inverse)[:, None]
+            np.testing.assert_array_equal(voxel_downsample(pts, leaf).points, reference)
+
 
 class TestDistinctRows:
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
@@ -315,3 +371,25 @@ class TestSampleMeshSurface:
         a = sample_mesh_surface(mesh, 64, rng=17)[0]
         b = sample_mesh_surface(mesh, 64, rng=17)[0]
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("count", [1, _BARY_BLOCK - 1, _BARY_BLOCK, _BARY_BLOCK + 1, 60000])
+    def test_barycentric_points_match_the_whole_array_einsum(self, count):
+        mesh = icosphere(3)
+        tri = mesh.vertices[mesh.faces] * 1.7 + 0.3
+        rng = np.random.default_rng(count)
+        face_idx = rng.integers(0, len(tri), size=count)
+        bary = rng.dirichlet(np.ones(3), size=count)
+        assert (barycentric_points(tri, face_idx, bary).tobytes()
+                == np.einsum("ij,ijk->ik", bary, tri[face_idx]).tobytes())
+
+    @pytest.mark.parametrize("mesh", [
+        icosphere(3),
+        _with_zero_area_faces(icosphere(1)),
+        _grid_mesh(int(np.sqrt(_DRAW_CELLS / 2)) + 1),
+    ], ids=["icosphere", "zero-area-faces", "more-faces-than-cells"])
+    def test_matches_generator_choice_and_one_einsum(self, mesh):
+        for seed, count in enumerate([1, 2, 7, 100, 1000, _BARY_BLOCK + 1, 60000]):
+            got = sample_mesh_surface(mesh, count, rng=seed)
+            want = _reference_samples(mesh, count, seed)
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

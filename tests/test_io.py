@@ -40,6 +40,25 @@ class TestPly:
         back = read_ply(path)
         np.testing.assert_array_equal(back.vertex_colors, colored.vertex_colors)
 
+    def test_text_matches_numpy_scalar_formatting(self, tmp_path):
+        rng = np.random.default_rng(1)
+        for index in range(20):
+            mesh = icosphere(index % 3, radius=10.0 ** rng.uniform(-4, 4))
+            vertices = mesh.vertices * rng.choice([-1.0, 1.0], size=mesh.vertices.shape)
+            vertices[rng.integers(0, len(vertices), size=3)] = -0.0
+            colors = (rng.integers(0, 256, size=vertices.shape, dtype=np.uint8)
+                      if index % 2 else None)
+            mesh = Mesh(vertices, mesh.faces, colors)
+            path = tmp_path / f"m{index}.ply"
+            write_ply(path, mesh)
+            body = path.read_text().split("end_header\n", 1)[1].splitlines()
+            # Each row formatted from the arrays' numpy scalars.
+            rows = [f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in mesh.vertices]
+            if colors is not None:
+                rows = [f"{row} {c[0]} {c[1]} {c[2]}" for row, c in zip(rows, colors)]
+            assert body == rows + [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+            assert "-0 " in path.read_text()
+
     def test_header_comments_tolerated(self, tmp_path):
         path = tmp_path / "commented.ply"
         path.write_text(

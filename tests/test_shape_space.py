@@ -175,7 +175,8 @@ class TestBuildFromMeshes:
 
 def _kept_space(category):
     """The category's space keeping its fields as build-space's registrations."""
-    kept = [TrainingField(f, format(i, "040x"), 3, i + 1, 7 + i, i % 2 == 0)
+    kept = [TrainingField(f, format(i, "040x"), 3, i + 1, 7 + i, i % 2 == 0,
+                          category.registration)
             for i, f in enumerate(category.fields)]
     return dataclasses.replace(category.space, fields=kept)
 
@@ -317,8 +318,9 @@ class TestSaveLoad:
         assert len(back.fields) == len(space.fields) == 6
         for got, want in zip(back.fields, space.fields):
             assert got.field.weights.tobytes() == want.field.weights.tobytes()
-            assert (got.mesh_sha1, got.seed, got.salt, got.iterations, got.converged) == (
-                want.mesh_sha1, want.seed, want.salt, want.iterations, want.converged)
+            assert (got.mesh_sha1, got.seed, got.salt, got.iterations, got.converged,
+                    got.registration) == (want.mesh_sha1, want.seed, want.salt,
+                                          want.iterations, want.converged, want.registration)
             np.testing.assert_array_equal(got.field.anchors.points, back.canonical.points)
             assert got.field.beta == back.beta
         # Only the header grows: the binary payload is that of a space without them.
@@ -344,9 +346,11 @@ class TestSaveLoad:
         (lambda h: h["fields"].__setitem__(0, 5), r"fields\[0\]: TypeError: not an object"),
         (lambda h: h["fields"].__setitem__(0, [1]), r"fields\[0\]: TypeError: not an object"),
         (lambda h: h.__setitem__("fields", {"0": 1}), r'"fields" is not a list'),
+        (_set("registration", {"cloud_leaf": 0.1}), r"fields\[0\]: KeyError: 'regularization'"),
+        (_set("registration", 3), r"fields\[0\]: TypeError: "),
     ], ids=["base64", "weights-type", "length", "non-finite", "sha1", "seed-bool", "salt-negative",
             "iterations-float", "converged-int", "missing-key", "entry-number", "entry-list",
-            "member-object"])
+            "member-object", "recipe-missing-key", "recipe-number"])
     def test_malformed_training_field_rejected(self, category, tmp_path, mutate, message):
         path = tmp_path / "bad.mfss"
         save_space(_kept_space(category), path)
