@@ -163,30 +163,43 @@ def validate_config(args) -> list[str]:
         if path is not None and not Path(path).is_file():
             problems.append(f"{label} {path!r} is not a readable file")
 
-    def check_positive(attr, label):
+    # A flag the command lacks reads None, as does an unset --view-radius.
+    def check_positive(attr, label, why=""):
         value = getattr(args, attr, None)
         if value is not None and not (np.isfinite(value) and value > 0):
-            problems.append(f"{label} must be > 0 (kernel width and regularization invariants), got {value}")
+            problems.append(f"{label} must be > 0{why}, got {value}")
+
+    def check_nonnegative(attr, label):
+        value = getattr(args, attr, None)
+        if value is not None and not (np.isfinite(value) and value >= 0):
+            problems.append(f"{label} must be >= 0, got {value}")
 
     if args.seed < 0:
         problems.append(f"--seed must be >= 0, got {args.seed}")
     if args.jobs < 1:
         problems.append(f"--jobs must be >= 1, got {args.jobs}")
     res = getattr(args, "res", None)
-    if res is not None and res[0] * res[1] > MAX_PIXELS:
+    if res is not None and min(res) < 1:
+        problems.append(f"--res sides must be >= 1, got {res[0]}x{res[1]}")
+    elif res is not None and res[0] * res[1] > MAX_PIXELS:
         problems.append(f"--res {res[0]}x{res[1]} exceeds the {MAX_PIXELS}-pixel limit")
+    check_nonnegative("splat_radius", "--splat-radius")
+    check_positive("view_radius", "--view-radius")
+    check_positive("display_scale", "--display-scale")
+    check_nonnegative("noise_sigma", "--noise-sigma")
+    check_nonnegative("ridge", "--ridge")
+    check_nonnegative("noise_range", "--noise-range")
 
     if args.command == "build-space":
         check_file("canonical", "--canonical")
-        check_positive("beta", "--beta")
-        check_positive("regularization", "--lambda")
+        invariants = " (kernel width and regularization invariants)"
+        check_positive("beta", "--beta", invariants)
+        check_positive("regularization", "--lambda", invariants)
         if not (0.0 <= args.outlier_weight < 1.0):
             problems.append(f"--outlier-weight must be in [0, 1), got {args.outlier_weight}")
         if args.latent < 1:
             problems.append(f"--latent must be >= 1, got {args.latent}")
-        leaf = args.cloud_leaf
-        if leaf is not None and not (np.isfinite(leaf) and leaf > 0):
-            problems.append(f"--cloud-leaf must be > 0, got {leaf}")
+        check_positive("cloud_leaf", "--cloud-leaf")
         if args.dense_count < 1:
             problems.append(f"--dense-count must be >= 1, got {args.dense_count}")
         instances = _list_meshes(args.instances)
@@ -218,8 +231,6 @@ def validate_config(args) -> list[str]:
             problems.append(f"--views must be >= 1, got {args.views}")
         if not (0.0 < args.split <= 1.0):
             problems.append(f"--split must be in (0, 1], got {args.split}")
-        if args.splat_radius < 0:
-            problems.append(f"--splat-radius must be >= 0, got {args.splat_radius}")
     elif args.command in ("register", "evaluate", "pose-noise-eval"):
         for attr in ("space", "canonical", "observed", "pose", "instance"):
             check_file(attr, "--" + attr)
@@ -227,17 +238,10 @@ def validate_config(args) -> list[str]:
             problems.append(f"--oracle must be gt, noisy, or external, got {args.oracle!r}")
         if args.oracle == "external" and not args.oracle_cmd.strip():
             problems.append("--oracle external requires --oracle-cmd")
-        if args.noise_sigma < 0:
-            problems.append(f"--noise-sigma must be >= 0, got {args.noise_sigma}")
-        if args.ridge < 0:
-            problems.append(f"--ridge must be >= 0, got {args.ridge}")
         if args.command != "register" and args.views < 1:
             problems.append(f"--views must be >= 1, got {args.views}")
-        if args.command == "pose-noise-eval":
-            if args.noise_range < 0:
-                problems.append(f"--noise-range must be >= 0, got {args.noise_range}")
-            if args.draws < 1:
-                problems.append(f"--draws must be >= 1, got {args.draws}")
+        if args.command == "pose-noise-eval" and args.draws < 1:
+            problems.append(f"--draws must be >= 1, got {args.draws}")
     elif args.command == "cross-register":
         check_file("space", "--space")
         if args.latent_a.shape != args.latent_b.shape:

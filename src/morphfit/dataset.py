@@ -30,15 +30,9 @@ from .geometry import (
     sample_mesh_surface,
     voxel_downsample,
 )
-from .imaging import (
-    PositionImage,
-    _built,
-    rasterize_target,
-    splat_position_image,
-    target_field,
-    zoom,
-)
+from .imaging import PositionImage, _built, splat_position_image, target_field, zoom
 from .io import write_mask, write_tensor
+from .oracle import zoomed_sample
 from .shape_space import Registration, TrainingField
 
 __all__ = [
@@ -154,37 +148,31 @@ def build_category(
                         [t.field for t in trained])
 
 
-def register_instances(canonical_cloud: PointCloud, instances, registration: Registration,
-                       *, seed: int = 0, labels=None, stored=()):
-    """Register instances onto the canonical cloud by the category's recipe.
+def register_instances(canonical_cloud: PointCloud, meshes, registration: Registration,
+                       *, seed: int = 0, stored=()):
+    """Register meshes onto the canonical cloud by the category's recipe.
 
-    A Mesh first becomes its :func:`mesh_cloud`, drawn from the stream
-    salted with its index plus one; a PointCloud is registered as it is.
-    ``stored`` holds TrainingFields made by this cloud (a space's
-    ``fields``): a Mesh whose digest, seed and salt match one of them that
-    was registered by ``registration`` takes it instead of being registered
-    again, which gives the same field.  Every instance whose CPD stopped at
-    the iteration cap is reported by a ``warning:`` line on stderr, which
-    names it by its entry in ``labels`` (default: its index).  Returns the
+    Each mesh first becomes its :func:`mesh_cloud`, drawn from the stream
+    salted with its index plus one.  ``stored`` holds TrainingFields made
+    by this cloud (a space's ``fields``): a mesh whose digest, seed and
+    salt match one of them that was registered by ``registration`` takes
+    it instead of being registered again, which gives the same field.
+    Every mesh whose CPD stopped at the iteration cap is reported by a
+    ``warning:`` line on stderr, which names it by its index.  Returns the
     TrainingFields, anchored at the canonical cloud.
     """
-    instances = tuple(instances)
-    labels = range(len(instances)) if labels is None else labels
     reusable = {(t.mesh_sha1, t.seed, t.salt): t for t in stored
                 if t.registration == registration}
     trained = []
-    for index, (instance, label) in enumerate(zip(instances, labels, strict=True)):
-        salt, digest, kept = index + 1, None, None
-        if isinstance(instance, Mesh):
-            digest = _mesh_sha1(instance)
-            kept = reusable.get((digest, seed, salt))
-            if kept is None:
-                instance = mesh_cloud(instance, registration, seed, salt)
+    for index, mesh in enumerate(meshes):
+        salt, digest = index + 1, _mesh_sha1(mesh)
+        kept = reusable.get((digest, seed, salt))
         if kept is None:
-            result = cpd_nonrigid(instance, canonical_cloud, registration.cpd)
+            result = cpd_nonrigid(mesh_cloud(mesh, registration, seed, salt), canonical_cloud,
+                                  registration.cpd)
             kept = TrainingField(result.field, digest, seed, salt, result.iterations,
                                  result.converged, registration)
-        warn_if_capped(kept, f"registration of instance {label}")
+        warn_if_capped(kept, f"registration of instance {index}")
         trained.append(kept)
     return tuple(trained)
 
@@ -256,14 +244,16 @@ def target_delta(field: DeformationField, rho: float) -> np.ndarray:
     return kernel @ ((1.0 - rho) * field.weights)
 
 
-def densify_mesh(mesh: Mesh, view_distance: float, focal, per_pixel: float = 20.0,
-                 max_points: int = 60000, rng=None):
+def densify_mesh(mesh: Mesh, views, per_pixel: float, max_points: int, rng):
     """Surface samples dense enough for gap-free splatting.
 
     Point count targets ``per_pixel`` samples per expected pixel footprint
-    at the given viewing distance; returns (points, face_indices,
-    barycentric) so the pattern can be re-posed on a morphed copy.
+    at the views' mean distance and the first view's focal lengths;
+    returns (points, face_indices, barycentric) so the pattern can be
+    re-posed on a morphed copy.
     """
+    view_distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
+    focal = views[0].focal
     tri = mesh.vertices[mesh.faces]
     area = float(
         0.5 * np.linalg.norm(
@@ -315,12 +305,9 @@ def generate_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    view_distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
-    focal = views[0].focal
-
     canon_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2**31]))
     canon_pts, _, _ = densify_mesh(
-        category.canonical_mesh, view_distance, focal, densify_per_pixel, densify_max, canon_rng
+        category.canonical_mesh, views, densify_per_pixel, densify_max, canon_rng
     )
     # Each canonical view is kept as its foreground alone (flat pixel indices
     # and positions); a sample rebuilds its full frame just before the zoom,
@@ -352,9 +339,7 @@ def generate_dataset(
     for inst in range(category.instance_count):
         mesh = category.instance_meshes[inst]
         inst_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2**31 + 1, inst]))
-        _, face_idx, bary = densify_mesh(
-            mesh, view_distance, focal, densify_per_pixel, densify_max, inst_rng
-        )
+        _, face_idx, bary = densify_mesh(mesh, views, densify_per_pixel, densify_max, inst_rng)
         for rho_index, rho in enumerate(rhos):
             morphed = interpolate_instance(mesh, category.fields[inst], rho)
             # Same barycentric pattern re-posed on the morphed vertices, so
@@ -374,19 +359,17 @@ def generate_dataset(
                 try:
                     if isinstance(canon_view, MorphFitError):
                         raise canon_view
-                    observed = splat_position_image(obs_pts, view, splat_radius)
-                    canon_render = _frame(canon_view, view.resolution)
-                    zoomed = zoom(observed, canon_render, zoom_resolution)
-                    grid = zoomed.sampled(canon_render)
-                    # Freed before the rasterize, the source frames leave it their
-                    # memory.  Held, they lift the sample's heap high-water enough
-                    # that malloc often returns the heap top to the system after
-                    # each sample, and the next one faults it back in: about 1,000
-                    # page faults per sample at 256x192.
-                    del observed, canon_render
+                    # The source frames are temporaries, freed before the
+                    # rasterize so that it reuses their memory.  Held, they lift
+                    # the sample's heap high-water enough that malloc often
+                    # returns the heap top to the system after each sample, and
+                    # the next one faults it back in: about 1,000 page faults
+                    # per sample at 256x192.
+                    zoomed = zoom(splat_position_image(obs_pts, view, splat_radius),
+                                  _frame(canon_view, view.resolution), zoom_resolution)
                     if isinstance(field, MorphFitError):
                         raise field
-                    target = zoomed.expand(rasterize_target(grid, field))
+                    sample = zoomed_sample(zoomed, field)
                 except MorphFitError as exc:
                     skipped += 1
                     records.append(SampleRecord(
@@ -397,13 +380,13 @@ def generate_dataset(
                 sample_dir = out_dir / str(inst) / format(rho, "g") / str(view_index)
                 sample_dir.mkdir(parents=True, exist_ok=True)
                 paths = {name: str(sample_dir / name) for name in SAMPLE_FILES}
-                write_tensor(paths["canon.pos.f32"], zoomed.canonical.data,
+                write_tensor(paths["canon.pos.f32"], sample.canonical.data,
                              "canonical position image (m)")
-                write_mask(paths["canon.mask.pgm"], zoomed.canonical.mask)
-                write_tensor(paths["obs.pos.f32"], zoomed.observed.data,
+                write_mask(paths["canon.mask.pgm"], sample.canonical.mask)
+                write_tensor(paths["obs.pos.f32"], sample.observed.data,
                              "observed position image (m)")
-                write_mask(paths["obs.mask.pgm"], zoomed.observed.mask)
-                write_tensor(paths["target.f32"], target.data * export_scale,
+                write_mask(paths["obs.mask.pgm"], sample.observed.mask)
+                write_tensor(paths["target.f32"], sample.target.data * export_scale,
                              f"target deformation image (m x {export_scale:g})")
                 records.append(SampleRecord(
                     paths=paths, crop_box=tuple(zoomed.crop_box),
@@ -411,7 +394,7 @@ def generate_dataset(
                 ))
                 # Free this sample's images before the next one renders; held
                 # across iterations they add about 6 MB to the peak RSS.
-                del zoomed, grid, target
+                del zoomed, sample
 
     manifest_partial = out_dir / (MANIFEST_NAME + ".partial")
     with open(manifest_partial, "w") as fh:

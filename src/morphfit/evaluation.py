@@ -20,11 +20,11 @@ from scipy.spatial import cKDTree
 
 from .completion import fit_latent, pixels_to_sparse_deltas
 from .cpd import cpd_nonrigid
-from .dataset import densify_mesh, register_instances, target_delta, warn_if_capped
+from .dataset import densify_mesh, target_delta, warn_if_capped
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import Mesh, PointCloud, apply_deformation, voxel_downsample
-from .imaging import _like, rasterize_target, splat_position_image, target_field, zoom
-from .oracle import OracleSample, OracleSpec, infer
+from .imaging import splat_position_image, target_field, zoom
+from .oracle import OracleSpec, infer, shifted, zoomed_sample
 from .shape_space import ShapeSpace
 
 __all__ = [
@@ -102,13 +102,6 @@ def _median_spacing(points: np.ndarray) -> float:
     return spacing if spacing > 0 else 1e-6
 
 
-def _shifted(image, offset: np.ndarray):
-    """A position or deformation image minus ``offset`` on its foreground."""
-    if not offset.any():
-        return image
-    return _like(image, np.where(image.mask[..., None], image.data - offset, 0.0), image.mask)
-
-
 def prepare_instance(
     space: ShapeSpace,
     instance_mesh: Mesh,
@@ -137,19 +130,18 @@ def prepare_instance(
         raise ValidationError("need at least one view")
     if space.registration is None:
         raise ValidationError("the space carries no registration settings")
-    distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
     canonical_dense, observed_dense = (
         densify_mesh(
-            mesh, distance, views[0].focal, densify_per_pixel, densify_max,
+            mesh, views, densify_per_pixel, densify_max,
             np.random.default_rng(np.random.SeedSequence([int(seed), 8, salt])),
         )[0]
         for salt, mesh in enumerate((canonical_mesh, instance_mesh))
     )
     if oracle_spec.kind == "external":
         return canonical_dense, observed_dense, np.zeros((len(space.canonical), 3))
-    (trained,) = register_instances(space.canonical, [instance_cloud], space.registration,
-                                    labels=[instance_label])
-    return canonical_dense, observed_dense, target_delta(trained.field, 0.0)
+    registered = cpd_nonrigid(instance_cloud, space.canonical, space.registration.cpd)
+    warn_if_capped(registered, f"registration of instance {instance_label}")
+    return canonical_dense, observed_dense, target_delta(registered.field, 0.0)
 
 
 def complete_view(
@@ -179,17 +171,13 @@ def complete_view(
     """
     offset = np.asarray(offset, dtype=np.float64)
     observed_img = splat_position_image(observed_dense, view, splat_radius)
-    canonical_img = splat_position_image(canonical_dense + offset, view, splat_radius)
-    zoomed = zoom(observed_img, canonical_img, zoom_resolution)
-
-    # Rasterized on the source pixels the zoom copies, then zoomed like the render.
-    believed = _shifted(zoomed.sampled(canonical_img), offset)
-    apparent = _shifted(rasterize_target(believed, true_field), offset)
-    sample = OracleSample(zoomed.observed, zoomed.canonical, zoomed.expand(apparent))
-    predicted = infer(oracle_spec, sample, seed=oracle_seed)
+    zoomed = zoom(observed_img,
+                  splat_position_image(canonical_dense + offset, view, splat_radius),
+                  zoom_resolution)
+    predicted = infer(oracle_spec, zoomed_sample(zoomed, true_field, offset), seed=oracle_seed)
 
     sparse = pixels_to_sparse_deltas(
-        predicted.data, zoomed.expand(believed).data, predicted.mask, space.canonical
+        predicted.data, shifted(zoomed.canonical, offset).data, predicted.mask, space.canonical
     )
     return fit_latent(space, sparse, ridge), observed_img
 

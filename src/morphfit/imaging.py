@@ -4,9 +4,9 @@ A position image stores, per foreground pixel, the world coordinates of
 the surface point visible there.  Rendering is point splatting with a
 depth buffer; deformation targets are rasterized by scattered-data
 interpolation from canonical points to the source pixels a zoom copies,
-once per distinct position; a nearest-neighbor zoom crops both views,
-and any image of their frame, to a shared aspect-correct box around
-their foregrounds.
+once per distinct position; a nearest-neighbor zoom crops both views to
+a shared aspect-correct box around their foregrounds, and zooms any
+image of the canonical view's copied pixels the same way.
 
 Pixel conventions: pixel (row, col) spans [col, col+1) x [row, row+1)
 with its center at (col+0.5, row+0.5); column axis is image x.
@@ -114,45 +114,36 @@ class ZoomResult:
 
     ``crop_box`` is (x0, y0, width, height) in source-pixel units with
     width/height exactly at the target aspect ratio; ``scale_factors``
-    is (target_w / width, target_h / height); ``source_shape`` is the
-    source frame's (height, width).  ``padded`` is set when the box could
-    not fit inside the source frame and out-of-frame pixels were filled
-    with background.
+    is (target_w / width, target_h / height).  ``grid`` holds the
+    canonical view's source pixels the zoom copies: each distinct source
+    row and column the crop samples inside the frame, so it is no larger
+    than the zoomed views or the source along either axis.  Zoomed row i
+    copies grid row ``row_at[i]`` and zoomed column j grid column
+    ``col_at[j]``; -1 marks a pixel of a padded box outside the frame.
+    ``padded`` is set when the box could not fit inside the source frame
+    and out-of-frame pixels were filled with background.
     """
 
     observed: PositionImage
     canonical: PositionImage
+    grid: PositionImage
+    row_at: np.ndarray
+    col_at: np.ndarray
     crop_box: tuple[float, float, float, float]
     scale_factors: tuple[float, float]
-    source_shape: tuple[int, int]
     padded: bool = False
 
-    def _grid(self):
-        return _sample_grid(self.crop_box, self.canonical.mask.shape[::-1], self.source_shape)
-
-    def sampled(self, image):
-        """The pixels of a source-frame image that the zoom copies, as a grid.
-
-        The grid keeps each distinct source row and column the zoom samples
-        inside the frame, so it is no larger than the zoomed views or the
-        source along either axis, and :meth:`expand` zooms it like the
-        views.  Rasterizing it evaluates the zoomed render's distinct
-        positions, so the expanded target equals the zoomed render's bit for
-        bit whether the zoom enlarges or shrinks.
-        """
-        if image.mask.shape != self.source_shape:
-            raise ValidationError(
-                f"image resolution {image.mask.shape} != source {self.source_shape}")
-        (rows, _), (cols, _) = self._grid()
-        return _gather(image, rows, cols)
-
     def expand(self, image):
-        """An image of the :meth:`sampled` grid, resampled to the zoomed views' size."""
-        (rows, row_at), (cols, col_at) = self._grid()
-        if image.mask.shape != (len(rows), len(cols)):
+        """An image of the :attr:`grid`'s size, resampled to the zoomed views' size.
+
+        Rasterizing the grid evaluates the zoomed render's distinct
+        positions, so the expanded target equals the zoomed render's bit
+        for bit whether the zoom enlarges or shrinks.
+        """
+        if image.mask.shape != self.grid.mask.shape:
             raise ValidationError(
-                f"image resolution {image.mask.shape} != sampled grid {(len(rows), len(cols))}")
-        return _spread(image, row_at, col_at)
+                f"image resolution {image.mask.shape} != sampled grid {self.grid.mask.shape}")
+        return _spread(image, self.row_at, self.col_at)
 
 
 def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> PositionImage:
@@ -333,7 +324,7 @@ def rasterize_target(position: PositionImage, field: LinearRBF) -> DeformationIm
     A pixel's value depends on its position alone, so each distinct
     position is evaluated once and copied to its repeats.  Callers
     rasterize the grid of source pixels a zoom copies
-    (:meth:`ZoomResult.sampled`) and zoom the result with
+    (:attr:`ZoomResult.grid`) and zoom the result with
     :meth:`ZoomResult.expand`.
     """
     data = np.zeros(position.data.shape)
@@ -367,14 +358,6 @@ def _sample_axis(start, length, out_n, src_n):
     return kept, at
 
 
-def _sample_grid(crop, out_size, src_shape):
-    """Per axis (rows, then columns), :func:`_sample_axis` of a crop resampled to ``out_size``."""
-    x0, y0, w, h = crop
-    out_w, out_h = out_size
-    src_h, src_w = src_shape
-    return _sample_axis(y0, h, out_h, src_h), _sample_axis(x0, w, out_w, src_w)
-
-
 def _take(image, at):
     """An image of ``image``'s pixels at flat indices ``at``, shaped like ``at``.
 
@@ -403,11 +386,6 @@ def _spread(image, row_at, col_at):
     return _take(_like(image, data, mask), at)
 
 
-def _resample_nearest(image, crop, out_size):
-    (rows, row_at), (cols, col_at) = _sample_grid(crop, out_size, image.mask.shape)
-    return _spread(_gather(image, rows, cols), row_at, col_at)
-
-
 def zoom(
     observed: PositionImage,
     canonical: PositionImage,
@@ -422,10 +400,10 @@ def zoom(
     silhouette edges would fabricate 3D points.  Every zoomed pixel thus
     copies one source pixel exactly.  The resample gathers the distinct
     source rows and columns the crop samples into a grid
-    (:meth:`ZoomResult.sampled`), spreads the grid to the target size
-    (:meth:`ZoomResult.expand`) and blanks to background only the pixels
-    of a padded box that fall outside the frame; a target rasterized on
-    the grid is zoomed the same way.
+    (:attr:`ZoomResult.grid` for the canonical view), spreads the grid
+    to the target size (:meth:`ZoomResult.expand`) and blanks to
+    background only the pixels of a padded box that fall outside the
+    frame; a target rasterized on the grid is zoomed the same way.
     """
     if observed.mask.shape != canonical.mask.shape:
         raise ValidationError(
@@ -457,13 +435,16 @@ def zoom(
         # it stays at least union-sized, which aspect expansion guarantees.
         crop_x = min(max(crop_x, 0.0), src_w - crop_w)
         crop_y = min(max(crop_y, 0.0), src_h - crop_h)
-    crop = (crop_x, crop_y, crop_w, crop_h)
-    out_size = (target_w, target_h)
+    rows, row_at = _sample_axis(crop_y, crop_h, target_h, src_h)
+    cols, col_at = _sample_axis(crop_x, crop_w, target_w, src_w)
+    grid = _gather(canonical, rows, cols)
     return ZoomResult(
-        observed=_resample_nearest(observed, crop, out_size),
-        canonical=_resample_nearest(canonical, crop, out_size),
-        crop_box=crop,
+        observed=_spread(_gather(observed, rows, cols), row_at, col_at),
+        canonical=_spread(grid, row_at, col_at),
+        grid=grid,
+        row_at=row_at,
+        col_at=col_at,
+        crop_box=(crop_x, crop_y, crop_w, crop_h),
         scale_factors=(target_w / crop_w, target_h / crop_h),
-        source_shape=(src_h, src_w),
         padded=padded,
     )

@@ -1,7 +1,9 @@
 """Deformation-prediction oracles standing in for a trained network.
 
 Given the four zoomed pipeline inputs, an oracle produces the per-pixel
-deformation image the downstream completion consumes.  Three kinds:
+deformation image the downstream completion consumes.
+:func:`zoomed_sample` builds those inputs and their true target from a
+zoom, for gen-dataset and the single-view pipeline alike.  Three kinds:
 exact ground truth, ground truth plus seeded noise, and an external
 child process speaking a file-based protocol.
 """
@@ -18,13 +20,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import OracleError, ValidationError
-from .imaging import DeformationImage, PositionImage, _built
+from .imaging import (
+    DeformationImage, LinearRBF, PositionImage, ZoomResult, _built, _like, rasterize_target,
+)
 from .io import read_mask, read_tensor, write_tensor
 
 if TYPE_CHECKING:
     from .dataset import SampleRecord
 
-__all__ = ["OracleSpec", "OracleSample", "load_sample", "infer"]
+__all__ = ["OracleSpec", "OracleSample", "shifted", "zoomed_sample", "load_sample", "infer"]
 
 _KINDS = ("ground_truth", "noisy", "external")
 
@@ -56,6 +60,28 @@ class OracleSample:
     observed: PositionImage
     canonical: PositionImage
     target: DeformationImage
+
+
+def shifted(image, offset: np.ndarray):
+    """A position or deformation image minus ``offset`` on its foreground."""
+    if not offset.any():
+        return image
+    return _like(image, np.where(image.mask[..., None], image.data - offset, 0.0), image.mask)
+
+
+def zoomed_sample(zoomed: ZoomResult, field: LinearRBF, offset=(0.0, 0.0, 0.0)) -> OracleSample:
+    """The zoomed views and the target of ``field``: a dataset sample or an oracle's input.
+
+    The target is rasterized on the zoom's
+    :attr:`~morphfit.imaging.ZoomResult.grid` and zoomed like the render.
+    ``offset`` is the error of the believed pose the canonical view was
+    rendered at: the target is rasterized at the believed positions and
+    holds the field's deltas minus the pose error.
+    """
+    offset = np.asarray(offset, dtype=np.float64)
+    believed = shifted(zoomed.grid, offset)
+    apparent = shifted(rasterize_target(believed, field), offset)
+    return OracleSample(zoomed.observed, zoomed.canonical, zoomed.expand(apparent))
 
 
 def load_sample(record: SampleRecord) -> OracleSample:

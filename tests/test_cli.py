@@ -138,6 +138,31 @@ class TestValidateConfig:
         problems = validate_config(args)
         assert len(problems) == 1 and problems[0].startswith(flag)
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("register", "--splat-radius", "-1"), ("evaluate", "--splat-radius", "-1"),
+        ("pose-noise-eval", "--splat-radius", "-1"),
+        ("gen-dataset", "--view-radius", "-1"), ("gen-dataset", "--view-radius", "nan"),
+        ("evaluate", "--view-radius", "0"), ("pose-noise-eval", "--view-radius", "inf"),
+        ("evaluate", "--display-scale", "-1"), ("pose-noise-eval", "--display-scale", "nan"),
+        ("register", "--res", "0x5"), ("gen-dataset", "--res", "96x0"),
+        ("evaluate", "--res", "0x0"),
+        ("register", "--noise-sigma", "nan"), ("evaluate", "--noise-sigma", "inf"),
+        ("register", "--ridge", "nan"), ("pose-noise-eval", "--ridge", "inf"),
+        ("pose-noise-eval", "--noise-range", "nan"), ("pose-noise-eval", "--noise-range", "inf"),
+    ])
+    def test_pipeline_numbers_checked(self, mesh_dir, space_path, command, flag, value):
+        files = {
+            "gen-dataset": ["--models", str(mesh_dir / "instances")],
+            "register": ["--observed", str(mesh_dir / "observed.ply"),
+                         "--pose", str(mesh_dir / "canonical.ply")],
+        }.get(command, ["--instance", str(mesh_dir / "observed.ply")])
+        args = parse([
+            command, "--space", str(space_path), "--canonical", str(mesh_dir / "canonical.ply"),
+            *files, flag, value, "--out", "o",
+        ])
+        problems = validate_config(args)
+        assert len(problems) == 1 and problems[0].startswith(flag)
+
     @pytest.mark.parametrize("command, flag", [
         ("gen-dataset", "--lambda"), ("gen-dataset", "--cloud-leaf"),
         ("gen-dataset", "--dense-count"),

@@ -32,6 +32,7 @@ from morphfit import (
 from morphfit import dataset as dataset_module
 from morphfit.dataset import register_instances
 from morphfit.imaging import PositionImage, rasterize_target, target_field
+from morphfit.oracle import load_sample, zoomed_sample
 
 
 def small_views(count=2, resolution=(96, 72)):
@@ -178,6 +179,33 @@ class TestGenerateDataset:
         for a, b in zip(records[:4], again[:4]):
             for name in SAMPLE_FILES:
                 assert Path(a.paths[name]).read_bytes() == Path(b.paths[name]).read_bytes()
+
+    def test_exported_samples_load_as_built(self, category, tmp_path, monkeypatch):
+        # The files of each sample hold the sample the pipeline's builder
+        # returned, up to the f32 rounding of the data.
+        built = []
+
+        def keep(zoomed, field, *args):
+            built.append(zoomed_sample(zoomed, field, *args))
+            return built[-1]
+
+        monkeypatch.setattr(dataset_module, "zoomed_sample", keep)
+        spec = category.category_spec()
+        pair = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
+                            spec.instance_meshes[:2], spec.fields[:2])
+        records = generate_dataset(pair, small_views(2), [0.0, 0.5], tmp_path, seed=4, **GEN_KW)
+        ok = [r for r in records if r.status == "ok"]
+        assert len(ok) == len(built) == 8
+        for record, sample in zip(ok, built):
+            loaded = load_sample(record)
+            for name in ("observed", "canonical"):
+                image, stored = getattr(sample, name), getattr(loaded, name)
+                np.testing.assert_array_equal(stored.mask, image.mask)
+                np.testing.assert_array_equal(stored.data, image.data.astype(np.float32))
+            np.testing.assert_array_equal(loaded.target.mask, sample.target.mask)
+            assert loaded.target.scale == record.export_scale
+            np.testing.assert_array_equal(
+                loaded.target.data, (sample.target.data * record.export_scale).astype(np.float32))
 
     def test_unit_dataset(self, category, tmp_path):
         spec = category.category_spec()
@@ -421,21 +449,6 @@ class TestBuildCategory:
             f"warning: registration of instance {i} hit the 1-iteration cap without converging"
             for i in range(2)
         ]
-
-    def test_warnings_name_the_given_labels(self, category, capsys):
-        capped = Registration(CpdConfig(beta=category.beta, max_iterations=1),
-                              category.registration.cloud_leaf, 2000)
-        register_instances(category.canonical_cloud, category.instance_clouds[:2], capped,
-                           labels=["chair", "stool"])
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning: registration of instance {name} hit the 1-iteration cap without converging"
-            for name in ("chair", "stool")
-        ]
-
-    def test_one_label_per_instance(self, category):
-        with pytest.raises(ValueError):
-            register_instances(category.canonical_cloud, category.instance_clouds[:2],
-                               category.registration, labels=["chair"])
 
     def test_converged_registrations_stay_quiet(self, category, capsys):
         build_category(category.canonical_mesh, category.instance_meshes[:1],

@@ -20,7 +20,7 @@ from morphfit import (
     target_field,
     zoom,
 )
-from morphfit import evaluation, imaging
+from morphfit import imaging, oracle
 from morphfit.geometry import distinct_rows
 from morphfit.oracle import OracleSample, OracleSpec, infer
 
@@ -269,9 +269,9 @@ class TestRasterizeTarget:
         # Rasterized on the source pixels the zoom copies and zoomed: the
         # same distinct positions in one evaluation, so the same bits,
         # whether the zoom enlarges or shrinks the render.
-        sampled = zoomed.sampled(img)
-        assert (sampled.mask.sum() < img.mask.sum()) is not enlarged
-        source = zoomed.expand(rasterize_target(sampled, field))
+        grid = zoomed.grid
+        assert (grid.mask.sum() < img.mask.sum()) is not enlarged
+        source = zoomed.expand(rasterize_target(grid, field))
         assert isinstance(source, DeformationImage)
         np.testing.assert_array_equal(source.mask, out.mask)
         np.testing.assert_array_equal(source.data, out.data)
@@ -519,35 +519,42 @@ class TestZoom:
                 assert x0 <= src_x <= x0 + w
                 assert y0 <= src_y <= y0 + h
 
-    @pytest.mark.parametrize("crop", [(3.25, 2.5, 12.0, 9.0), (-4.5, -3.0, 30.0, 22.5)],
-                             ids=["plain", "padded"])
-    def test_resample_matches_per_pixel_reference(self, crop):
+    @pytest.mark.parametrize("region, target, padded", [
+        ((slice(3, 12), slice(4, 15)), (24, 18), False),
+        ((slice(None), slice(None)), (30, 9), True),
+    ], ids=["plain", "padded"])
+    def test_resample_matches_per_pixel_reference(self, region, target, padded):
         rng = np.random.default_rng(4)
-        mask = rng.random((16, 20)) < 0.5
-        mask[[0, -1]] = mask[:, [0, -1]] = True  # a foreground frame edge
-        data = np.where(mask[..., None], rng.normal(size=(16, 20, 3)), 0.0)
-        out_w, out_h = 24, 18
-        out = imaging._resample_nearest(PositionImage(data, mask), crop, (out_w, out_h))
-        x0, y0, w, h = crop
-        expected_mask = np.zeros((out_h, out_w), dtype=bool)
-        expected = np.zeros((out_h, out_w, 3))
-        for i in range(out_h):
-            for j in range(out_w):
-                row = int(np.floor(y0 + (i + 0.5) * (h / out_h)))
-                col = int(np.floor(x0 + (j + 0.5) * (w / out_w)))
-                if 0 <= row < 16 and 0 <= col < 20 and mask[row, col]:
-                    expected_mask[i, j] = True
-                    expected[i, j] = data[row, col]
-        np.testing.assert_array_equal(out.mask, expected_mask)
-        np.testing.assert_array_equal(out.data, expected)
+        views = []
+        for _ in range(2):
+            mask = np.zeros((16, 20), dtype=bool)
+            inside = rng.random((16, 20))[region] < 0.5
+            inside[[0, -1]] = inside[:, [0, -1]] = True  # a foreground region edge
+            mask[region] = inside
+            views.append(PositionImage(
+                np.where(mask[..., None], rng.normal(size=(16, 20, 3)), 0.0), mask))
+        zoomed = zoom(*views, target_resolution=target)
+        assert zoomed.padded is padded
+        x0, y0, w, h = zoomed.crop_box
+        out_w, out_h = target
+        for source, out in zip(views, (zoomed.observed, zoomed.canonical)):
+            expected_mask = np.zeros((out_h, out_w), dtype=bool)
+            expected = np.zeros((out_h, out_w, 3))
+            for i in range(out_h):
+                for j in range(out_w):
+                    row = int(np.floor(y0 + (i + 0.5) * (h / out_h)))
+                    col = int(np.floor(x0 + (j + 0.5) * (w / out_w)))
+                    if 0 <= row < 16 and 0 <= col < 20 and source.mask[row, col]:
+                        expected_mask[i, j] = True
+                        expected[i, j] = source.data[row, col]
+            np.testing.assert_array_equal(out.mask, expected_mask)
+            np.testing.assert_array_equal(out.data, expected)
 
-    def test_sampled_and_expand_check_their_frame(self):
+    def test_expand_checks_its_frame(self):
         obs = _image_with_pixels((20, 30), [(5, 6, [1, 1, 1])])
         can = _image_with_pixels((20, 30), [(9, 12, [2, 2, 2])])
         zoomed = zoom(obs, can, target_resolution=(16, 12))
-        np.testing.assert_array_equal(zoomed.expand(zoomed.sampled(can)).data, zoomed.canonical.data)
-        with pytest.raises(ValidationError, match="source"):
-            zoomed.sampled(zoomed.canonical)
+        np.testing.assert_array_equal(zoomed.expand(zoomed.grid).data, zoomed.canonical.data)
         with pytest.raises(ValidationError, match="sampled grid"):
             zoomed.expand(can)
 
@@ -609,28 +616,34 @@ class TestBuiltImagesPassTheCheck:
         for image in (zoomed.observed, zoomed.canonical):
             assert _checked(image, "position image").mask.shape == target[::-1]
 
-        # The sampled grid holds each source row and column the zoom copies
-        # once, and expanding it gives the zoomed view.
-        rows, cols = np.indices(canonical.mask.shape)
-        where = PositionImage(np.dstack([rows, cols, rows + 1.0]), np.ones_like(canonical.mask))
-        grid = zoomed.sampled(where).data
-        zoomed_where = imaging._resample_nearest(where, zoomed.crop_box, target)
-        np.testing.assert_array_equal(zoomed.expand(zoomed.sampled(where)).data, zoomed_where.data)
-        assert grid.shape[0] <= min(target[1], rows.shape[0])
-        assert grid.shape[1] <= min(target[0], rows.shape[1])
-        pixels = {tuple(rc) for rc in grid[..., :2].reshape(-1, 2)}
-        assert len(pixels) == grid.shape[0] * grid.shape[1]
-        assert pixels == {tuple(rc) for rc in zoomed_where.data[zoomed_where.mask][:, :2]}
-        sampled = _checked(zoomed.sampled(canonical), "position image")
-        expanded = _checked(zoomed.expand(sampled), "position image")
+        grid = _checked(zoomed.grid, "position image")
+        expanded = _checked(zoomed.expand(grid), "position image")
         np.testing.assert_array_equal(expanded.mask, zoomed.canonical.mask)
         np.testing.assert_array_equal(expanded.data, zoomed.canonical.data)
 
-        # A deformation image keeps its type and scale through both.
-        deltas = DeformationImage(canonical.data * 2.0, canonical.mask, scale=1000.0)
-        for image in (zoomed.sampled(deltas), zoomed.expand(zoomed.sampled(deltas))):
-            assert isinstance(image, DeformationImage)
-            assert _checked(image, "deformation image").scale == 1000.0
+        # The grid holds each source pixel the zoom copies once: a canonical
+        # view on the same mask that holds each pixel's (row, col) zooms to
+        # the same box and shows which pixels those are.
+        rows, cols = np.indices(canonical.mask.shape)
+        where = PositionImage(np.where(canonical.mask[..., None],
+                                       np.dstack([rows, cols, rows + 1.0]), 0.0), canonical.mask)
+        zoomed_where = zoom(observed, where, target)
+        assert zoomed_where.crop_box == zoomed.crop_box
+        grid_where = zoomed_where.grid
+        assert grid_where.mask.shape == grid.mask.shape
+        assert grid.mask.shape[0] <= min(target[1], rows.shape[0])
+        assert grid.mask.shape[1] <= min(target[0], rows.shape[1])
+        copied = grid_where.data[grid_where.mask][:, :2]
+        pixels = {tuple(rc) for rc in copied}
+        assert len(pixels) == len(copied)
+        shown = zoomed_where.canonical
+        assert pixels == {tuple(rc) for rc in shown.data[shown.mask][:, :2]}
+
+        # A deformation image of the grid keeps its type and scale.
+        deltas = DeformationImage(grid.data * 2.0, grid.mask, scale=1000.0)
+        image = zoomed.expand(deltas)
+        assert isinstance(image, DeformationImage)
+        assert _checked(image, "deformation image").scale == 1000.0
 
     @PROPERTY
     @given(scene=scenes(), target=st.tuples(st.integers(1, 60), st.integers(1, 60)),
@@ -655,8 +668,8 @@ class TestBuiltImagesPassTheCheck:
         image = _render(*scene)
         deltas = np.where(image.mask[..., None], image.data * scale, 0.0)
         for shifted, name in (
-                (evaluation._shifted(image, np.array(offset)), "position image"),
-                (evaluation._shifted(DeformationImage(deltas, image.mask), np.array(offset)),
+                (oracle.shifted(image, np.array(offset)), "position image"),
+                (oracle.shifted(DeformationImage(deltas, image.mask), np.array(offset)),
                  "deformation image")):
             np.testing.assert_array_equal(_checked(shifted, name).mask, image.mask)
 
