@@ -35,7 +35,7 @@ from .evaluation import (
     report_to_json,
 )
 from .geometry import MAX_PIXELS, CameraView, quaternion_to_rotation, viewpoint_sphere
-from .imaging import target_field
+from .imaging import splat_position_image, target_field
 from .io import read_ply, write_ply
 from .oracle import OracleSpec
 from .shape_space import Registration, load_space, save_space, space_from_fields
@@ -70,8 +70,11 @@ def _latent_arg(text: str):
             )
         if latent.ndim != 1:
             raise argparse.ArgumentTypeError(f"'latent' in {text[1:]!r} is not a list of numbers")
-        return latent
-    return np.asarray(_parse_floats(text), dtype=np.float64)
+    else:
+        latent = np.asarray(_parse_floats(text), dtype=np.float64)
+    if not np.all(np.isfinite(latent)):
+        raise argparse.ArgumentTypeError(f"latent code {text!r} has non-finite entries")
+    return latent
 
 
 def _add_pipeline_flags(p) -> None:
@@ -356,9 +359,10 @@ def _cmd_register(args) -> int:
         space, observed_mesh, observed_cloud, [view], oracle_spec, canonical_mesh,
         instance_label=Path(args.observed).stem, seed=args.seed,
     )
-    result, _ = complete_view(
-        space, canonical_dense, observed_dense, view,
-        target_field(space.canonical, delta_true), oracle_spec,
+    true_field = target_field(space.canonical, delta_true)
+    observed_img = splat_position_image(observed_dense, view, args.splat_radius)
+    result = complete_view(
+        space, canonical_dense, observed_img, view, true_field, oracle_spec,
         zoom_resolution=args.res, splat_radius=args.splat_radius,
         oracle_seed=args.seed, ridge=args.ridge,
     )

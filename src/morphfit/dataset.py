@@ -38,7 +38,6 @@ from .shape_space import Registration, TrainingField
 __all__ = [
     "CategorySpec",
     "SampleRecord",
-    "build_category",
     "register_instances",
     "warn_if_capped",
     "default_cloud_leaf",
@@ -126,26 +125,6 @@ class SampleRecord:
         )
         raw["resolution"] = tuple(raw["resolution"])
         return SampleRecord(**raw)
-
-
-def build_category(
-    canonical_mesh: Mesh,
-    instance_meshes,
-    registration: Registration,
-    *,
-    seed: int = 0,
-) -> CategorySpec:
-    """Derive the canonical cloud by the recipe and register every instance onto it.
-
-    Hold test instances out by not passing them.
-    """
-    instance_meshes = tuple(instance_meshes)
-    if not instance_meshes:
-        raise ValidationError("need at least one instance mesh")
-    canonical_cloud = mesh_cloud(canonical_mesh, registration, seed, 0)
-    trained = register_instances(canonical_cloud, instance_meshes, registration, seed=seed)
-    return CategorySpec(canonical_mesh, canonical_cloud, instance_meshes,
-                        [t.field for t in trained])
 
 
 def register_instances(canonical_cloud: PointCloud, meshes, registration: Registration,

@@ -1,11 +1,11 @@
 """The single-view pipeline, its error metric and the viewpoint sweeps.
 
 :func:`prepare_instance` runs once per observed instance and
-:func:`complete_view` once per view: render, zoom, oracle, completion.
-``register`` runs them for one view; the experiments run them per view,
-next to a raw registration baseline and the undeformed canonical
-baseline, under optional translational pose noise on the believed
-canonical pose.  The metric is the mean, over query points, of the
+:func:`complete_view` once per observed render and believed pose: zoom,
+oracle, completion.  ``register`` runs them for one view; the
+experiments run them per view and pose draw, next to a raw registration
+baseline and the undeformed canonical baseline, under optional
+translational pose noise on the believed canonical pose.  The metric is the mean, over query points, of the
 squared distance to the nearest reference point.  It is deliberately
 asymmetric.
 """
@@ -147,7 +147,7 @@ def prepare_instance(
 def complete_view(
     space: ShapeSpace,
     canonical_dense: np.ndarray,
-    observed_dense: np.ndarray,
+    observed_img,
     view,
     true_field,
     oracle_spec: OracleSpec,
@@ -158,19 +158,19 @@ def complete_view(
     oracle_seed: int = 0,
     ridge: float = 0.0,
 ):
-    """One view through render, zoom, rasterize, oracle and completion.
+    """One view through zoom, rasterize, oracle and completion.
 
-    ``offset`` displaces the believed canonical pose: the canonical model
-    is rendered shifted, the pipeline maps its own render back through the
-    believed pose, and the oracle reports the apparent offsets between the
-    two renders (true deltas minus the pose error), which is what a
-    consistent predictor would see.  ``true_field`` is the
+    ``observed_img`` is the observed instance's render from ``view``; only
+    the canonical model is rendered here.  ``offset`` displaces the
+    believed canonical pose: the canonical model is rendered shifted, the
+    pipeline maps its own render back through the believed pose, and the
+    oracle reports the apparent offsets between the two renders (true
+    deltas minus the pose error), which is what a consistent predictor
+    would see.  ``true_field`` is the
     :func:`~morphfit.imaging.target_field` of the true deltas.  Returns the
-    :class:`~morphfit.completion.CompletionResult` and the observed render
-    (for the raw-registration baseline).
+    :class:`~morphfit.completion.CompletionResult`.
     """
     offset = np.asarray(offset, dtype=np.float64)
-    observed_img = splat_position_image(observed_dense, view, splat_radius)
     zoomed = zoom(observed_img,
                   splat_position_image(canonical_dense + offset, view, splat_radius),
                   zoom_resolution)
@@ -179,7 +179,7 @@ def complete_view(
     sparse = pixels_to_sparse_deltas(
         predicted.data, shifted(zoomed.canonical, offset).data, predicted.mask, space.canonical
     )
-    return fit_latent(space, sparse, ridge), observed_img
+    return fit_latent(space, sparse, ridge)
 
 
 def pose_noise_experiment(
@@ -203,36 +203,55 @@ def pose_noise_experiment(
 ):
     """Viewpoint sweep of the full pipeline against the baselines.
 
-    Per draw and view, a per-axis uniform translation in
-    [-noise_range, noise_range] displaces the believed canonical pose;
-    rows pool all draws.  The defaults are the plain sweep: no pose noise,
-    one draw, every condition.  The instance must be held out of the
-    space's construction for the numbers to mean anything; that
-    discipline is the caller's.
+    Each view's observed render is made once.  The pipeline runs on it once
+    per draw, a per-axis uniform translation in [-noise_range, noise_range]
+    displacing the believed canonical pose; then the raw registration
+    baseline runs once on the same render, since pose noise touches only
+    the canonical render.  Rows pool all draws, draw-major.  The defaults
+    are the plain sweep: no pose noise, one draw, every condition.  A
+    condition whose every view fails raises an EvaluationError naming the
+    first failure.  The instance must be held out of the space's
+    construction for the numbers to mean anything; that discipline is the
+    caller's.
     """
     if noise_range < 0 or not np.isfinite(noise_range):
         raise ValidationError(f"noise_range must be >= 0, got {noise_range}")
     if draws < 1:
         raise ValidationError(f"draws must be >= 1, got {draws}")
+    conditions = tuple(conditions)
+    for condition in conditions:
+        if condition not in DEFAULT_CONDITIONS:
+            raise ValidationError(f"unknown condition {condition!r}")
     views = list(views)
     canonical_dense, observed_dense, delta_true = prepare_instance(
         space, instance_mesh, instance_cloud, views, oracle_spec, canonical_mesh,
         instance_label=instance_label, seed=seed, densify_per_pixel=densify_per_pixel,
         densify_max=densify_max,
     )
-    conditions = tuple(conditions)
-    pipeline_errors, cpd_errors = [], []
-    pipeline_failed = cpd_failed = cpd_capped = 0
+    # Per condition: the error of each succeeded cell, and why each failed one failed.
+    errors = {COND_PIPELINE: {}, COND_RAW_CPD: {}}
+    failures = {COND_PIPELINE: [], COND_RAW_CPD: []}
+    cpd_capped = 0
     leaf = _median_spacing(space.canonical.points)
     want_pipeline = COND_PIPELINE in conditions
     want_cpd = COND_RAW_CPD in conditions
     if want_pipeline:
         try:
             true_field = target_field(space.canonical, delta_true)
-        except MorphFitError:  # every view rasterizes with it, so every view fails
-            pipeline_failed, want_pipeline = draws * len(views), False
-    for draw_index in range(draws):
-        for view_index, view in enumerate(views):
+        except MorphFitError as exc:  # every view rasterizes with it, so every view fails
+            failures[COND_PIPELINE] = [_why("target field", exc)] * (draws * len(views))
+            want_pipeline = False
+    for view_index, view in enumerate(views if want_pipeline or want_cpd else ()):
+        try:
+            observed_img = splat_position_image(observed_dense, view, splat_radius)
+        except MorphFitError as exc:
+            reason = _why(f"view {view_index}", exc)
+            if want_pipeline:
+                failures[COND_PIPELINE] += [reason] * draws
+            if want_cpd:
+                failures[COND_RAW_CPD].append(reason)
+            continue
+        for draw_index in range(draws if want_pipeline else 0):
             oracle_seed = int(
                 np.random.default_rng(
                     np.random.SeedSequence([int(seed), 5, draw_index, view_index])
@@ -243,56 +262,46 @@ def pose_noise_experiment(
                 offset = np.random.default_rng(
                     np.random.SeedSequence([int(seed), 4, draw_index, view_index])
                 ).uniform(-noise_range, noise_range, 3)
-            observed_img = None
-            if want_pipeline:
-                try:
-                    result, observed_img = complete_view(
-                        space, canonical_dense, observed_dense, view, true_field,
-                        oracle_spec, offset=offset, zoom_resolution=zoom_resolution,
-                        splat_radius=splat_radius, oracle_seed=oracle_seed, ridge=ridge,
-                    )
-                    reconstructed = apply_deformation(space.canonical, result.field)
-                    pipeline_errors.append(
-                        registration_error(instance_cloud, reconstructed)
-                    )
-                except MorphFitError:
-                    pipeline_failed += 1
-            if want_cpd and draw_index == 0:
-                # The observed render does not depend on the pose draw.
-                try:
-                    if observed_img is None:
-                        observed_img = splat_position_image(
-                            observed_dense, view, splat_radius
-                        )
-                    partial = voxel_downsample(observed_img.data[observed_img.mask], leaf)
-                    registered = cpd_nonrigid(partial, space.canonical, space.registration.cpd)
-                    cpd_capped += warn_if_capped(
-                        registered, f"raw-CPD baseline of view {view_index}"
-                    )
-                    moved = apply_deformation(space.canonical, registered.field)
-                    cpd_errors.append(registration_error(instance_cloud, moved))
-                except MorphFitError:
-                    cpd_failed += 1
+            try:
+                result = complete_view(
+                    space, canonical_dense, observed_img, view, true_field, oracle_spec,
+                    offset=offset, zoom_resolution=zoom_resolution,
+                    splat_radius=splat_radius, oracle_seed=oracle_seed, ridge=ridge,
+                )
+                reconstructed = apply_deformation(space.canonical, result.field)
+                errors[COND_PIPELINE][draw_index, view_index] = registration_error(
+                    instance_cloud, reconstructed
+                )
+            except MorphFitError as exc:
+                failures[COND_PIPELINE].append(_why(f"view {view_index}", exc))
+        if want_cpd:
+            try:
+                partial = voxel_downsample(observed_img.data[observed_img.mask], leaf)
+                registered = cpd_nonrigid(partial, space.canonical, space.registration.cpd)
+                cpd_capped += warn_if_capped(registered, f"raw-CPD baseline of view {view_index}")
+                moved = apply_deformation(space.canonical, registered.field)
+                errors[COND_RAW_CPD][view_index] = registration_error(instance_cloud, moved)
+            except MorphFitError as exc:
+                failures[COND_RAW_CPD].append(_why(f"view {view_index}", exc))
+        # Freed before the next view renders, so two frames are never held.
+        del observed_img
 
     rows = []
-    n_cells = draws * len(views)
     for condition in conditions:
-        if condition == COND_PIPELINE:
-            rows.append(EvalRow(instance_label, condition, tuple(pipeline_errors), pipeline_failed))
-        elif condition == COND_RAW_CPD:
-            rows.append(EvalRow(instance_label, condition, tuple(cpd_errors), cpd_failed,
-                                cpd_capped))
-        elif condition == COND_CANONICAL:
+        if condition == COND_CANONICAL:
             base = registration_error(instance_cloud, space.canonical)
-            rows.append(EvalRow(instance_label, condition, (base,) * n_cells, 0))
-        else:
-            raise ValidationError(f"unknown condition {condition!r}")
-    for row in rows:
-        if row.condition != COND_CANONICAL and row.n_views == 0:
-            raise EvaluationError(
-                f"every view failed for condition {row.condition!r}"
-            )
+            rows.append(EvalRow(instance_label, condition, (base,) * (draws * len(views))))
+            continue
+        done, failed = errors[condition], failures[condition]
+        if not done:
+            raise EvaluationError(f"every view failed for condition {condition!r} ({failed[0]})")
+        rows.append(EvalRow(instance_label, condition, tuple(done[k] for k in sorted(done)),
+                            len(failed), cpd_capped if condition == COND_RAW_CPD else 0))
     return rows
+
+
+def _why(where: str, exc: MorphFitError) -> str:
+    return f"{where}: {type(exc).__name__}: {exc}"
 
 
 def report_to_csv(rows, path, display_scale: float = 1.0) -> None:

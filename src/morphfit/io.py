@@ -84,6 +84,10 @@ def _parse_ply(path: Path, text: str) -> Mesh:
     names = [e[0] for e in elements]
     if names[:1] != ["vertex"] or "face" not in names:
         raise ValidationError(f"{path}: expected vertex and face elements, got {names}")
+    if any(name == "face" and count == 0 for name, count, _ in elements):
+        raise ValidationError(
+            f"{path}: holds a point cloud (element face 0) where a triangle mesh is needed"
+        )
 
     # The data rows, split, block by block; numpy converts each block's
     # tokens at once and words a malformed number as float() and int() do.
@@ -125,12 +129,21 @@ def _parse_ply(path: Path, text: str) -> Mesh:
 
 
 def write_ply(path, shape: Mesh | PointCloud) -> None:
-    """Write a Mesh, or a PointCloud as vertices with ``element face 0``."""
+    """Write a Mesh, or a PointCloud as vertices with ``element face 0``.
+
+    Coordinates beyond the float32 range the header declares are rejected
+    before the file is opened.
+    """
     path = Path(path)
     if isinstance(shape, PointCloud):
         vertices, faces, colors = shape.points, np.empty((0, 3), np.int64), None
     else:
         vertices, faces, colors = shape.vertices, shape.faces, shape.vertex_colors
+    largest = float(np.abs(vertices).max())
+    if largest > float(np.finfo(np.float32).max):
+        raise ValidationError(
+            f"a coordinate of {largest:.3g} m exceeds the float32 range of PLY 'property float'"
+        )
     header = ["ply", "format ascii 1.0", f"element vertex {len(vertices)}"]
     header += [f"property float {p}" for p in _VERTEX_PROPS]
     if colors is not None:

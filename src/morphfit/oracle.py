@@ -165,8 +165,12 @@ def _infer_external(spec: OracleSpec, sample: OracleSample) -> DeformationImage:
             "stderr": proc.stderr[-4000:],
         }
         if proc.returncode != 0:
+            # The child's last words on stderr usually say why.
+            why = next((line.strip() for line in reversed(proc.stderr.splitlines())
+                        if line.strip()), "")
             raise OracleError(
-                f"oracle command exited with {proc.returncode}", diagnostics=diagnostics
+                f"oracle command exited with {proc.returncode}" + (f": {why}" if why else ""),
+                diagnostics=diagnostics,
             )
         try:
             output, _ = read_tensor(tmp / "output.f32")

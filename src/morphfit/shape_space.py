@@ -61,18 +61,18 @@ class TrainingField:
 
     ``field`` warps the canonical cloud onto the instance.  The instance's
     cloud was drawn from the stream ``(seed, 3, salt)`` of the mesh whose
-    ``mesh_sha1`` this is (None for an instance given as a cloud), and CPD
-    ran ``iterations`` iterations, stopping at its cap unless ``converged``.
-    ``registration`` is the recipe it was registered by, None if unknown.
+    ``mesh_sha1`` this is, and CPD ran ``iterations`` iterations, stopping
+    at its cap unless ``converged``.  ``registration`` is the recipe it was
+    registered by.
     """
 
     field: DeformationField
-    mesh_sha1: str | None
+    mesh_sha1: str
     seed: int
     salt: int
     iterations: int
     converged: bool
-    registration: Registration | None = None
+    registration: Registration
 
 
 @dataclass(frozen=True)
@@ -130,26 +130,13 @@ class ShapeSpace:
         object.__setattr__(self, "latent_dim", int(self.latent_dim))
         object.__setattr__(self, "fields", fields)
 
-    @property
-    def n_points(self) -> int:
-        return len(self.canonical)
-
-
-def _weights_of(field) -> np.ndarray:
-    if isinstance(field, DeformationField):
-        return field.weights
-    return np.asarray(field, dtype=np.float64)
-
 
 def space_from_fields(canonical: PointCloud, fields, beta: float, latent_dim: int,
                       registration: Registration | None = None):
-    """Principal-component space of the given deformation fields.
-
-    ``fields`` may be DeformationFields or bare (n, 3) weight matrices:
-    registered ones, with the ``registration`` that produced them, or
-    analytically known ones in tests and experiments.
-    """
-    stacked = np.stack([flatten_offsets(_weights_of(f)) for f in fields])
+    """Principal-component space of the given DeformationFields: registered
+    ones, with the ``registration`` that produced them, or analytically known
+    ones in tests and experiments."""
+    stacked = np.stack([flatten_offsets(f.weights) for f in fields])
     count, n3 = stacked.shape
     if count < 2:
         raise ValidationError(f"need >= 2 instance fields, got {count}")
@@ -192,9 +179,9 @@ def project_field(space: ShapeSpace, field: DeformationField) -> np.ndarray:
     return space.basis.T @ (flatten_offsets(field.weights) - space.mean)
 
 
-def relative_residual(space: ShapeSpace, field, eps: float = 1e-12) -> float:
+def relative_residual(space: ShapeSpace, field: DeformationField, eps: float = 1e-12) -> float:
     """How far a field sits outside the space, relative to its centered size."""
-    centered = flatten_offsets(_weights_of(field)) - space.mean
+    centered = flatten_offsets(field.weights) - space.mean
     off_span = centered - space.basis @ (space.basis.T @ centered)
     return float(np.linalg.norm(off_span) / max(np.linalg.norm(centered), eps))
 
@@ -313,14 +300,12 @@ def load_space(path) -> ShapeSpace:
 
 def _field_entry(kept: TrainingField) -> dict:
     """The "fields" entry of a TrainingField."""
-    entry = {"mesh_sha1": kept.mesh_sha1, "seed": int(kept.seed), "salt": int(kept.salt),
-             "iterations": int(kept.iterations), "converged": bool(kept.converged),
-             "weights": base64.b64encode(
-                 np.ascontiguousarray(kept.field.weights, dtype="<f8").tobytes()
-             ).decode("ascii")}
-    if kept.registration is not None:
-        entry["registration"] = _recipe_settings(kept.registration)
-    return entry
+    return {"mesh_sha1": kept.mesh_sha1, "seed": int(kept.seed), "salt": int(kept.salt),
+            "iterations": int(kept.iterations), "converged": bool(kept.converged),
+            "weights": base64.b64encode(
+                np.ascontiguousarray(kept.field.weights, dtype="<f8").tobytes()
+            ).decode("ascii"),
+            "registration": _recipe_settings(kept.registration)}
 
 
 def _stored_fields(path: Path, entries, n: int, registration: Registration) -> list:

@@ -18,7 +18,6 @@ from morphfit import (
     CpdConfig,
     Registration,
     ValidationError,
-    build_category,
     cpd_nonrigid,
     generate_dataset,
     load_space,
@@ -32,6 +31,7 @@ from morphfit import cli as cli_module
 from morphfit import cpd as cpd_module
 from morphfit import dataset as dataset_module
 from morphfit.cli import _load_camera, _views_for, build_parser, main, validate_config
+from morphfit.dataset import mesh_cloud, register_instances
 
 PACKAGE_ROOT = str(Path(morphfit.__file__).resolve().parents[1])
 
@@ -331,8 +331,10 @@ class TestGenDataset:
         recipe = Registration(
             CpdConfig(beta=category.beta, regularization=3.5, outlier_weight=0.1), 0.04, 3000
         )
-        spec = build_category(canonical, [read_ply(p) for p in sorted(models.glob("*.ply"))],
-                              recipe, seed=5)
+        meshes = [read_ply(p) for p in sorted(models.glob("*.ply"))]
+        canonical_cloud = mesh_cloud(canonical, recipe, 5, 0)
+        trained = register_instances(canonical_cloud, meshes, recipe, seed=5)
+        spec = CategorySpec(canonical, canonical_cloud, meshes, [t.field for t in trained])
         records = generate_dataset(
             spec, _views_for(parse(argv[2:]), canonical), [0.0, 0.5], tmp_path / "lib",
             zoom_resolution=(96, 72), seed=5,
@@ -616,6 +618,20 @@ class TestRegister:
         assert "OracleError" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_oracle_says_why(self, mesh_dir, space_path, pose_path, tmp_path, capsys):
+        code = main([
+            "register", "--space", str(space_path),
+            "--canonical", str(mesh_dir / "canonical.ply"),
+            "--observed", str(mesh_dir / "observed.ply"),
+            "--pose", str(pose_path), "--res", "96x72",
+            "--oracle", "external", "--oracle-cmd", FAILING_ORACLE,
+            "--out", str(tmp_path / "never.ply"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: OracleError: oracle command exited with 3: model weights missing"
+        ]
+
 
 class TestEvaluateCommands:
     def test_evaluate_writes_reports(self, mesh_dir, space_path, tmp_path, capsys):
@@ -655,6 +671,27 @@ class TestEvaluateCommands:
         by_condition = {r[1]: r for r in rows[1:]}
         assert set(by_condition) == {"oracle-pipeline", "canonical-baseline"}
         assert by_condition["oracle-pipeline"][2] == "4"  # draws x views
+
+    def test_every_view_failing_names_the_first_failure(self, mesh_dir, space_path, tmp_path,
+                                                         capsys):
+        code = main([
+            "evaluate", "--space", str(space_path),
+            "--canonical", str(mesh_dir / "canonical.ply"),
+            "--instance", str(mesh_dir / "observed.ply"),
+            "--views", "2", "--res", "96x72",
+            "--oracle", "external", "--oracle-cmd", FAILING_ORACLE,
+            "--out", str(tmp_path / "report.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: EvaluationError: every view failed for condition 'oracle-pipeline' "
+            "(view 0: OracleError: oracle command exited with 3: model weights missing)"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
+# An external oracle that explains its failure on stderr, after a line of noise.
+FAILING_ORACLE = "sh -c 'echo loading >&2; echo model weights missing >&2; echo >&2; exit 3'"
 
 
 @pytest.fixture(scope="module")
@@ -718,6 +755,25 @@ class TestCrossRegister:
         ])
         assert code == 0
         assert Path(str(prefix) + "_a.ply").exists()
+
+    def test_coordinates_beyond_float32_exit_1_and_leave_nothing(self, space_path, tmp_path,
+                                                                 capsys):
+        code = main([
+            "cross-register", "--space", str(space_path),
+            "--latent-a", "1e300,0", "--latent-b", "0,0", "--out", str(tmp_path / "z"),
+        ])
+        assert code == 1
+        assert "exceeds the float32 range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("latent", ["nan,0", "0,inf", "0,1e999"])
+    def test_non_finite_latent_exits_2(self, space_path, tmp_path, capsys, latent):
+        with pytest.raises(SystemExit) as exc:
+            main(["cross-register", "--space", str(space_path),
+                  "--latent-a", latent, "--latent-b", "0,0", "--out", str(tmp_path / "z")])
+        assert exc.value.code == 2
+        assert f"latent code '{latent}' has non-finite entries" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_dimension_mismatch_exits_2(self, space_path, tmp_path, capsys):
         code = main([

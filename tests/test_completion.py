@@ -197,7 +197,7 @@ class TestFitLatent:
     def test_mean_field_fixed_point(self, category):
         space = category.space
         deltas = in_span_deltas(space, np.zeros(2))
-        visible = np.arange(0, space.n_points, 2)
+        visible = np.arange(0, len(space.canonical), 2)
         masked = np.zeros_like(deltas)
         masked[visible] = deltas[visible]
         result = fit_latent(space, SparseDeltas(masked, visible))
@@ -209,7 +209,7 @@ class TestFitLatent:
         rng = np.random.default_rng(6)
         x0 = rng.uniform(-1, 1, size=2)
         deltas = in_span_deltas(space, x0)
-        result = fit_latent(space, SparseDeltas(deltas, np.arange(space.n_points)))
+        result = fit_latent(space, SparseDeltas(deltas, np.arange(len(space.canonical))))
         assert np.linalg.norm(result.latent - x0) < 1e-6
         assert result.residual < 1e-12
 
@@ -219,7 +219,7 @@ class TestFitLatent:
         x0 = rng.uniform(-1, 1, size=2)
         deltas = in_span_deltas(space, x0)
         visible = np.sort(
-            rng.choice(space.n_points, size=space.n_points // 2, replace=False)
+            rng.choice(len(space.canonical), size=len(space.canonical) // 2, replace=False)
         )
         masked = np.zeros_like(deltas)
         masked[visible] = deltas[visible]
@@ -231,7 +231,7 @@ class TestFitLatent:
         rng = np.random.default_rng(8)
         deltas = in_span_deltas(space, rng.uniform(-1, 1, size=2))
         deltas = deltas + rng.normal(scale=1e-4, size=deltas.shape)
-        visible = np.sort(rng.choice(space.n_points, size=80, replace=False))
+        visible = np.sort(rng.choice(len(space.canonical), size=80, replace=False))
         masked = np.zeros_like(deltas)
         masked[visible] = deltas[visible]
         result = fit_latent(space, SparseDeltas(masked, visible))
@@ -248,7 +248,7 @@ class TestFitLatent:
         rng = np.random.default_rng(9)
         deltas = in_span_deltas(space, rng.uniform(-1, 1, size=2))
         deltas = deltas + rng.normal(scale=2e-3, size=deltas.shape)
-        full = np.sort(rng.choice(space.n_points, size=100, replace=False))
+        full = np.sort(rng.choice(len(space.canonical), size=100, replace=False))
         sub = np.sort(rng.choice(full, size=40, replace=False))
         masked_full = np.zeros_like(deltas)
         masked_full[full] = deltas[full]
@@ -296,7 +296,7 @@ class TestFitLatent:
         np.testing.assert_allclose(result.latent, np.linalg.pinv(a) @ b, atol=1e-8)
 
     def test_negative_ridge_rejected(self, category):
-        sparse = SparseDeltas(np.zeros((category.space.n_points, 3)), [0])
+        sparse = SparseDeltas(np.zeros((len(category.space.canonical), 3)), [0])
         with pytest.raises(ValidationError):
             fit_latent(category.space, sparse, ridge=-1.0)
 
@@ -316,7 +316,7 @@ class TestReconstructMesh:
         rng = np.random.default_rng(15)
         deltas = in_span_deltas(category.space, rng.uniform(-1, 1, size=2))
         result = fit_latent(
-            category.space, SparseDeltas(deltas, np.arange(category.space.n_points))
+            category.space, SparseDeltas(deltas, np.arange(len(category.space.canonical)))
         )
         out = reconstruct_mesh(result, category.canonical_mesh)
         np.testing.assert_array_equal(out.faces, category.canonical_mesh.faces)

@@ -17,7 +17,6 @@ from morphfit import (
     SampleRecord,
     ValidationError,
     Registration,
-    build_category,
     gaussian_kernel,
     generate_dataset,
     interpolate_instance,
@@ -30,7 +29,7 @@ from morphfit import (
     viewpoint_sphere,
 )
 from morphfit import dataset as dataset_module
-from morphfit.dataset import register_instances
+from morphfit.dataset import mesh_cloud, register_instances
 from morphfit.imaging import PositionImage, rasterize_target, target_field
 from morphfit.oracle import load_sample, zoomed_sample
 
@@ -416,14 +415,17 @@ class TestReadManifest:
             read_manifest(path)
 
 
+def registered_category(category, meshes, seed=0):
+    """The CategorySpec of ``meshes`` registered as build-space and gen-dataset do."""
+    canonical_cloud = mesh_cloud(category.canonical_mesh, category.registration, seed, 0)
+    trained = register_instances(canonical_cloud, meshes, category.registration, seed=seed)
+    return CategorySpec(category.canonical_mesh, canonical_cloud, meshes,
+                        [t.field for t in trained])
+
+
 class TestBuildCategory:
     def test_meshes_to_spec(self, category):
-        spec = build_category(
-            category.canonical_mesh,
-            category.instance_meshes[:2],
-            category.registration,
-            seed=3,
-        )
+        spec = registered_category(category, category.instance_meshes[:2], seed=3)
         assert spec.instance_count == 2
         assert len(spec.fields) == 2
         for field in spec.fields:
@@ -434,8 +436,8 @@ class TestBuildCategory:
         assert 50 < len(spec.canonical_cloud) < 2000
 
     def test_requires_instances(self, category):
-        with pytest.raises(ValidationError):
-            build_category(category.canonical_mesh, [], category.registration)
+        with pytest.raises(ValidationError, match="needs at least one training instance"):
+            CategorySpec(category.canonical_mesh, category.canonical_cloud, [], [])
 
     def test_unconverged_registrations_are_reported(self, category, capsys):
         capped = Registration(CpdConfig(beta=category.beta, max_iterations=1),
@@ -451,6 +453,5 @@ class TestBuildCategory:
         ]
 
     def test_converged_registrations_stay_quiet(self, category, capsys):
-        build_category(category.canonical_mesh, category.instance_meshes[:1],
-                       category.registration)
+        registered_category(category, category.instance_meshes[:1])
         assert capsys.readouterr().err == ""

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from helpers import per_pixel_target
 
 from morphfit import (
     CpdConfig,
+    EmptyRenderError,
     EvalRow,
     EvaluationError,
     OracleSpec,
     PointCloud,
+    RasterizeError,
     ValidationError,
     pose_noise_experiment,
     registration_error,
@@ -29,7 +32,7 @@ from morphfit.evaluation import (
     complete_view,
     prepare_instance,
 )
-from morphfit.imaging import PositionImage, target_field
+from morphfit.imaging import PositionImage, splat_position_image, target_field
 
 FAST = dict(densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72))
 
@@ -204,6 +207,44 @@ class TestEvaluateInstance:
                 category.canonical_mesh, conditions=(COND_PIPELINE,), **FAST,
             )
 
+    def test_failed_target_field_is_named(self, category, held_out, few_views, monkeypatch):
+        mesh, cloud = held_out
+
+        def fail(*args, **kwargs):
+            raise RasterizeError("no solution")
+
+        monkeypatch.setattr(evaluation_module, "target_field", fail)
+        with pytest.raises(EvaluationError, match=re.escape(
+                "'oracle-pipeline' (target field: RasterizeError: no solution)")):
+            pose_noise_experiment(
+                category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
+                category.canonical_mesh, conditions=(COND_PIPELINE,), **FAST,
+            )
+
+    def test_failed_observed_render_is_named_and_counted(self, category, held_out, few_views,
+                                                         monkeypatch):
+        mesh, cloud = held_out
+        views = list(few_views)
+
+        def blind_first_view(view):
+            if view is views[0]:
+                raise EmptyRenderError("nothing in view")
+
+        _on_observed_renders(monkeypatch, blind_first_view)
+        rows = pose_noise_experiment(
+            category.space, mesh, cloud, views, OracleSpec("ground_truth"),
+            category.canonical_mesh, 0.02, draws=2, **FAST,
+        )
+        by = {row.condition: row for row in rows}
+        assert (by[COND_PIPELINE].failed, by[COND_PIPELINE].n_views) == (2, 2 * len(views) - 2)
+        assert (by[COND_RAW_CPD].failed, by[COND_RAW_CPD].n_views) == (1, len(views) - 1)
+        with pytest.raises(EvaluationError, match=re.escape(
+                "(view 0: EmptyRenderError: nothing in view)")):
+            pose_noise_experiment(
+                category.space, mesh, cloud, views[:1], OracleSpec("ground_truth"),
+                category.canonical_mesh, conditions=(COND_RAW_CPD,), **FAST,
+            )
+
 
 class TestTargetValues:
     @pytest.mark.parametrize("zoom_resolution, padded", [((96, 72), False), ((48, 72), True)])
@@ -233,7 +274,8 @@ class TestTargetValues:
             instance_label="held-out", **options,
         )
         offset = np.array([0.004, -0.003, 0.002])
-        complete_view(category.space, canonical_dense, observed_dense, few_views[0],
+        complete_view(category.space, canonical_dense,
+                      splat_position_image(observed_dense, few_views[0]), few_views[0],
                       target_field(category.space.canonical, delta_true), oracle,
                       offset=offset, zoom_resolution=zoom_resolution)
         assert seen["zoom"].padded is padded
@@ -278,6 +320,27 @@ class TestPoseNoise:
         assert noisy_row.n_views == 2 * len(few_views)
         assert noisy_row.mean >= clean_row.mean
 
+    def test_each_observed_view_is_rendered_once(self, category, held_out, few_views,
+                                                 monkeypatch):
+        mesh, cloud = held_out
+        observed_renders = []
+        _on_observed_renders(monkeypatch, observed_renders.append)
+        three = pose_noise_experiment(
+            category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
+            category.canonical_mesh, 0.05, draws=3, seed=3, **FAST,
+        )
+        assert observed_renders == list(few_views)
+        # Rows pool the draws draw-major: the first draw's errors are those of a one-draw run.
+        one = pose_noise_experiment(
+            category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
+            category.canonical_mesh, 0.05, draws=1, conditions=(COND_PIPELINE,), seed=3,
+            **FAST,
+        )
+        by = {row.condition: row for row in three}
+        assert by[COND_PIPELINE].errors[:len(few_views)] == one[0].errors
+        assert by[COND_PIPELINE].n_views == 3 * len(few_views)
+        assert by[COND_RAW_CPD].n_views == len(few_views)
+
     def test_negative_range_rejected(self, category, held_out, few_views):
         mesh, cloud = held_out
         with pytest.raises(ValidationError):
@@ -285,6 +348,25 @@ class TestPoseNoise:
                 category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
                 category.canonical_mesh, -0.1, **FAST,
             )
+
+
+def _on_observed_renders(monkeypatch, action):
+    """Call ``action(view)`` before each of evaluation's renders of the observed points."""
+    prepare, splat = evaluation_module.prepare_instance, evaluation_module.splat_position_image
+    observed = []
+
+    def keep_observed(*args, **kwargs):
+        prepared = prepare(*args, **kwargs)
+        observed.append(prepared[1])
+        return prepared
+
+    def spy(points, view, *args, **kwargs):
+        if any(points is dense for dense in observed):
+            action(view)
+        return splat(points, view, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation_module, "prepare_instance", keep_observed)
+    monkeypatch.setattr(evaluation_module, "splat_position_image", spy)
 
 
 class TestReports:

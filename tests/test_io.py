@@ -8,6 +8,7 @@ from helpers import icosphere
 
 from morphfit import (
     Mesh,
+    PointCloud,
     ValidationError,
     read_mask,
     read_ply,
@@ -133,6 +134,21 @@ class TestPly:
         )
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
             read_ply(path)
+
+    def test_point_cloud_rejected_as_mesh_with_filename(self, tmp_path):
+        # The layout cross-register writes: vertices and "element face 0".
+        path = tmp_path / "cloud.ply"
+        write_ply(path, PointCloud(icosphere(0).vertices))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: holds a point "
+                                                  r"cloud \(element face 0\) where a triangle"):
+            read_ply(path)
+
+    def test_coordinates_beyond_float32_rejected_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "far.ply"
+        cloud = PointCloud([[0.0, 0.0, 0.0], [0.0, -1e39, 0.0]])
+        with pytest.raises(ValidationError, match="1e[+]39 m exceeds the float32 range"):
+            write_ply(path, cloud)
+        assert not path.exists()
 
 
 class TestTensor:

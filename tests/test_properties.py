@@ -115,11 +115,11 @@ def space_file(tmp_path_factory):
     cloud = sphere_cloud(4, seed=2)
     rng = np.random.default_rng(3)
     recipe = Registration(CpdConfig(beta=0.5), 0.1, 64)
-    weights = [rng.normal(size=(4, 3)) for _ in range(3)]
+    fields = [DeformationField(cloud, rng.normal(size=(4, 3)), 0.5) for _ in range(3)]
     space = dataclasses.replace(
-        space_from_fields(cloud, weights, 0.5, 2, recipe),
-        fields=[TrainingField(DeformationField(cloud, w, 0.5), "0" * 40, 0, i + 1, 5, True)
-                for i, w in enumerate(weights)],
+        space_from_fields(cloud, fields, 0.5, 2, recipe),
+        fields=[TrainingField(f, "0" * 40, 0, i + 1, 5, True, recipe)
+                for i, f in enumerate(fields)],
     )
     path = tmp_path_factory.mktemp("space") / "s.mfss"
     save_space(space, path)

@@ -80,7 +80,7 @@ class TestConstruction:
         rng = np.random.default_rng(3)
         noise = DeformationField(
             category.space.canonical,
-            rng.normal(scale=0.01, size=(category.space.n_points, 3)),
+            rng.normal(scale=0.01, size=(len(category.space.canonical), 3)),
             category.beta,
         )
         assert relative_residual(category.space, noise) > 0.5
@@ -125,8 +125,8 @@ class TestProjection:
 
     def test_anchor_mismatch_rejected(self, category):
         other = DeformationField(
-            sphere_cloud(category.space.n_points, seed=4),
-            np.zeros((category.space.n_points, 3)),
+            sphere_cloud(len(category.space.canonical), seed=4),
+            np.zeros((len(category.space.canonical), 3)),
             category.beta,
         )
         with pytest.raises(ValidationError):
@@ -138,7 +138,7 @@ class TestProjection:
 
     def test_off_span_residual_orthogonal_to_basis(self, category):
         rng = np.random.default_rng(21)
-        weights = rng.normal(scale=0.01, size=(category.space.n_points, 3))
+        weights = rng.normal(scale=0.01, size=(len(category.space.canonical), 3))
         field = DeformationField(category.space.canonical, weights, category.beta)
         latent = project_field(category.space, field)
         flat = flatten_offsets(weights)
@@ -323,6 +323,8 @@ class TestSaveLoad:
                                           want.iterations, want.converged, want.registration)
             np.testing.assert_array_equal(got.field.anchors.points, back.canonical.points)
             assert got.field.beta == back.beta
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert all("registration" in entry for entry in header["fields"])
         # Only the header grows: the binary payload is that of a space without them.
         assert path.read_bytes().split(b"\n", 1)[1] == plain.read_bytes().split(b"\n", 1)[1]
 
