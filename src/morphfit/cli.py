@@ -3,16 +3,15 @@
 Subcommands: build-space, gen-dataset, register, evaluate,
 pose-noise-eval, cross-register.  Validation reports every problem at
 once and exits 2; runtime failures exit 1 with a structured message;
-successful runs leave their declared outputs and exit 0.  Failed runs
-never leave unmarked partial outputs: single-file outputs are written to
-``<name>.partial`` and renamed only on success.
+successful runs leave their declared outputs and exit 0.  Output locations
+are checked with the arguments, and every command writes all of its outputs or
+none (:func:`morphfit.io.commit`), so failed runs leave only ``.partial`` files.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .evaluation import (
 )
 from .geometry import MAX_PIXELS, CameraView, quaternion_to_rotation, viewpoint_sphere
 from .imaging import splat_position_image, target_field
-from .io import read_ply, write_ply
+from .io import commit, read_ply, write_ply
 from .oracle import OracleSpec
 from .shape_space import Registration, load_space, save_space, space_from_fields
 
@@ -192,6 +191,7 @@ def validate_config(args) -> list[str]:
     check_nonnegative("noise_sigma", "--noise-sigma")
     check_nonnegative("ridge", "--ridge")
     check_nonnegative("noise_range", "--noise-range")
+    problems += _output_problems(args)
 
     if args.command == "build-space":
         check_file("canonical", "--canonical")
@@ -254,6 +254,32 @@ def validate_config(args) -> list[str]:
     return problems
 
 
+def _outputs(args) -> list[Path]:
+    """The files a command other than gen-dataset writes, in the order it writes them."""
+    out = Path(args.out)
+    if args.command == "register":
+        return [out, out.parent / (out.stem + ".latent.json")]
+    if args.command == "cross-register":
+        return [Path(f"{out}_a.ply"), Path(f"{out}_b.ply")]
+    return [out] + ([Path(args.json)] if getattr(args, "json", None) else [])
+
+
+def _output_problems(args) -> list[str]:
+    """Output locations that cannot take a command's outputs."""
+    out, report = Path(args.out), getattr(args, "json", None)
+    if args.command == "gen-dataset":  # it makes the missing directories
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        taken = not existing.is_dir()
+        return [f"--out {args.out!r}: {str(existing)!r} is not a directory"] if taken else []
+    problems = [f"{flag} {value!r}: {str(Path(value).parent)!r} is not an existing directory"
+                for flag, value in (("--out", args.out), ("--json", report))
+                if value is not None and not Path(value).parent.is_dir()]
+    problems += [f"output {str(path)!r} is a directory" for path in _outputs(args) if path.is_dir()]
+    if report and Path(report).resolve() == out.resolve():
+        problems.append(f"--json {report!r} names the --out file")
+    return problems
+
+
 def _list_meshes(directory):
     path = Path(directory)
     if not path.is_dir():
@@ -268,14 +294,6 @@ def _oracle_spec(args) -> OracleSpec:
 
 # ---------------------------------------------------------------------------
 # Command bodies.
-
-def _final_write(path, writer) -> None:
-    """Write through a .partial name, renaming only on success."""
-    path = Path(path)
-    partial = Path(str(path) + ".partial")
-    writer(partial)
-    os.replace(partial, path)
-
 
 def _load_camera(pose_path, resolution):
     """Camera of a pose file: world-to-camera ``x_cam = R x_world + t``."""
@@ -322,7 +340,7 @@ def _cmd_build_space(args) -> int:
                           registration),
         fields=trained,
     )
-    _final_write(args.out, lambda p: save_space(space, p))
+    commit({args.out: lambda p: save_space(space, p)})
     print(
         f"built shape space: {len(trained)} instances, "
         f"{len(space.canonical)} canonical points, latent dim {space.latent_dim} -> {args.out}"
@@ -367,13 +385,11 @@ def _cmd_register(args) -> int:
         oracle_seed=args.seed, ridge=args.ridge,
     )
     mesh_out = reconstruct_mesh(result, canonical_mesh)
-    _final_write(args.out, lambda p: write_ply(p, mesh_out))
-    latent_path = Path(str(args.out)).with_suffix(".latent.json")
-    _final_write(latent_path, lambda p: p.write_text(json.dumps({
-        "latent": result.latent.tolist(),
-        "residual": result.residual,
-        "degenerate": result.degenerate,
-    }, indent=2) + "\n"))
+    mesh_path, latent_path = _outputs(args)
+    latent = {"latent": result.latent.tolist(), "residual": result.residual,
+              "degenerate": result.degenerate}
+    commit({mesh_path: lambda p: write_ply(p, mesh_out),
+            latent_path: lambda p: p.write_text(json.dumps(latent, indent=2) + "\n")})
 
     err_recon = registration_error(observed_cloud, mesh_out.vertices)
     err_canon = registration_error(observed_cloud, canonical_mesh.vertices)
@@ -396,9 +412,9 @@ def _cmd_evaluate(args, with_noise: bool) -> int:
         instance_label=Path(args.instance).stem, zoom_resolution=args.res,
         splat_radius=args.splat_radius, seed=args.seed, ridge=args.ridge,
     )
-    _final_write(args.out, lambda p: report_to_csv(rows, p, args.display_scale))
-    if args.json:
-        _final_write(args.json, lambda p: report_to_json(rows, p, args.display_scale))
+    # Without --json, _outputs names the CSV alone and zip drops the JSON writer.
+    commit(dict(zip(_outputs(args), (lambda p: report_to_csv(rows, p, args.display_scale),
+                                     lambda p: report_to_json(rows, p, args.display_scale)))))
     for row in rows:
         flag = "  [FLAGGED: >5% views failed]" if row.flagged else ""
         print(
@@ -411,10 +427,9 @@ def _cmd_evaluate(args, with_noise: bool) -> int:
 def _cmd_cross_register(args) -> int:
     space = load_space(args.space)
     cloud_a, cloud_b = cross_instance_correspondence(space, args.latent_a, args.latent_b)
-    prefix = str(args.out)
-    for suffix, cloud in (("_a.ply", cloud_a), ("_b.ply", cloud_b)):
-        _final_write(prefix + suffix, lambda p, c=cloud: write_ply(p, c))
-    print(f"wrote {prefix}_a.ply and {prefix}_b.ply ({len(cloud_a)} corresponding points)")
+    path_a, path_b = _outputs(args)
+    commit({path_a: lambda p: write_ply(p, cloud_a), path_b: lambda p: write_ply(p, cloud_b)})
+    print(f"wrote {path_a} and {path_b} ({len(cloud_a)} corresponding points)")
     return 0
 
 

@@ -31,7 +31,7 @@ from .geometry import (
     voxel_downsample,
 )
 from .imaging import PositionImage, _built, splat_position_image, target_field, zoom
-from .io import write_mask, write_tensor
+from .io import commit, write_mask, write_tensor
 from .oracle import zoomed_sample
 from .shape_space import Registration, TrainingField
 
@@ -265,10 +265,10 @@ def generate_dataset(
 ) -> list[SampleRecord]:
     """Export every (instance, rho, view) sample plus the manifest.
 
-    The manifest is written as ``manifest.jsonl.partial`` during the run
-    and renamed only on success, so interrupted runs are recognizable.
+    The manifest is committed through :func:`morphfit.io.commit`, so an
+    interrupted run leaves it only as ``manifest.jsonl.partial``.
     Individual render failures are recorded as skipped; more than 0.1% of
-    them abort the run.
+    them abort the run, leaving the manifest under that name.
     """
     views = list(views)
     rhos = [float(r) for r in rhos]
@@ -375,30 +375,32 @@ def generate_dataset(
                 # across iterations they add about 6 MB to the peak RSS.
                 del zoomed, sample
 
-    manifest_partial = out_dir / (MANIFEST_NAME + ".partial")
-    with open(manifest_partial, "w") as fh:
-        header = {
-            "kind": "header",
-            "instances": category.instance_count,
-            "rhos": rhos,
-            "views": len(views),
-            "zoom_resolution": list(zoom_resolution),
-            "export_scale": export_scale,
-            "seed": int(seed),
-            "split_fraction": split_fraction,
-            "splat_radius": splat_radius,
-            "records": total,
-            "skipped": skipped,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for record in records:
-            fh.write(record.to_json() + "\n")
-    if skipped > MAX_SKIP_FRACTION * total:
-        raise DatasetError(
-            f"{skipped} of {total} samples failed (> {MAX_SKIP_FRACTION:.1%}); "
-            f"manifest left at {manifest_partial}"
-        )
-    manifest_partial.rename(out_dir / MANIFEST_NAME)
+    header = {
+        "kind": "header",
+        "instances": category.instance_count,
+        "rhos": rhos,
+        "views": len(views),
+        "zoom_resolution": list(zoom_resolution),
+        "export_scale": export_scale,
+        "seed": int(seed),
+        "split_fraction": split_fraction,
+        "splat_radius": splat_radius,
+        "records": total,
+        "skipped": skipped,
+    }
+
+    def write_manifest(path):
+        with open(path, "w") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for record in records:
+                fh.write(record.to_json() + "\n")
+        if skipped > MAX_SKIP_FRACTION * total:
+            raise DatasetError(
+                f"{skipped} of {total} samples failed (> {MAX_SKIP_FRACTION:.1%}); "
+                f"manifest left at {path}"
+            )
+
+    commit({out_dir / MANIFEST_NAME: write_manifest})
     return records
 
 

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import MorphFitError, ValidationError
 from .geometry import Mesh, PointCloud
 
 __all__ = [
@@ -23,6 +24,19 @@ __all__ = [
     "write_mask",
     "read_mask",
 ]
+
+
+def commit(outputs) -> None:
+    """Write a command's ``{path: writer}`` outputs all or nothing: each ``writer(partial)``
+    writes ``<path>.partial``, and all are renamed once the last writer has returned.
+    An OSError ends in one MorphFitError naming the path."""
+    try:
+        for path, writer in outputs.items():
+            writer(Path(f"{path}.partial"))
+        for path in outputs:
+            os.replace(f"{path}.partial", path)
+    except OSError as exc:
+        raise MorphFitError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def load_space(path) -> ShapeSpace:
             f"{path}: payload is {len(payload)} bytes, header (n={n}, "
             f"l={latent_dim}) requires {expected}"
         )
-    stored = _stored_fields(path, header.get("fields", []), n, registration)
+    stored = _stored_fields(path, header.get("fields", []), n, beta)
     floats = np.frombuffer(payload, dtype="<f8")
     canonical = floats[: 3 * n].reshape(n, 3)
     mean = floats[3 * n : 6 * n]
@@ -308,9 +308,8 @@ def _field_entry(kept: TrainingField) -> dict:
             "registration": _recipe_settings(kept.registration)}
 
 
-def _stored_fields(path: Path, entries, n: int, registration: Registration) -> list:
-    """(weights, metadata) of each entry of a space header's "fields" member;
-    ``registration`` is the header's recipe, taken by an entry without its own."""
+def _stored_fields(path: Path, entries, n: int, beta: float) -> list:
+    """(weights, metadata) of each entry of a space header's "fields" member."""
     if not isinstance(entries, list):
         raise SpaceFileError(f'{path}: "fields" is not a list')
     stored = []
@@ -318,6 +317,9 @@ def _stored_fields(path: Path, entries, n: int, registration: Registration) -> l
         try:
             if not isinstance(entry, dict):
                 raise TypeError("not an object")
+            if "registration" not in entry:
+                raise SpaceFileError(f"{path}: fields[{index}] records no registration "
+                                     "settings; rebuild the space with build-space")
             raw = base64.b64decode(entry["weights"], validate=True)
             if len(raw) != 24 * n:
                 raise ValueError(f"weights are {len(raw)} bytes, n={n} requires {24 * n}")
@@ -333,8 +335,7 @@ def _stored_fields(path: Path, entries, n: int, registration: Registration) -> l
                     raise ValueError(f"{key} {meta[key]!r} is not an integer >= 0")
             if type(meta["converged"]) is not bool:
                 raise ValueError(f"converged {meta['converged']!r} is not true or false")
-            meta["registration"] = (_recipe_of(entry["registration"], registration.cpd.beta)
-                                    if "registration" in entry else registration)
+            meta["registration"] = _recipe_of(entry["registration"], beta)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpaceFileError(
                 f"{path}: malformed fields[{index}]: {type(exc).__name__}: {exc}"

@@ -1,4 +1,5 @@
 import csv
+import errno
 import functools
 import hashlib
 import json
@@ -7,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -430,7 +432,7 @@ class TestStoredFields:
 
     @pytest.mark.parametrize("key", ["cloud_leaf", "regularization"])
     def test_a_hand_edited_recipe_registers_every_model(self, mesh_dir, space_path, tmp_path,
-                                                        cpd_calls, key):
+                                                        cpd_calls, capsys, key):
         header, payload = space_path.read_bytes().split(b"\n", 1)
         meta = json.loads(header)
         meta["registration"][key] *= 1.5
@@ -438,13 +440,19 @@ class TestStoredFields:
         edited.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
         assert self.gen(mesh_dir, edited, mesh_dir / "instances", tmp_path / "out") == 0
         assert len(cpd_calls) == 6
-        # Entries written before they recorded their recipe take the header's.
+        # An entry without its own recipe does not take the header's: the
+        # space is refused before anything is registered or written.
         for entry in meta["fields"]:
             del entry["registration"]
         edited.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
         cpd_calls.clear()
-        assert self.gen(mesh_dir, edited, mesh_dir / "instances", tmp_path / "old") == 0
+        capsys.readouterr()
+        assert self.gen(mesh_dir, edited, mesh_dir / "instances", tmp_path / "old") == 1
+        assert capsys.readouterr().err == (
+            f"error: SpaceFileError: {edited}: fields[0] records no registration settings; "
+            "rebuild the space with build-space\n")
         assert len(cpd_calls) == 0
+        assert not (tmp_path / "old").exists()
 
     def test_reused_capped_fields_warn_as_re_registration_does(
             self, mesh_dir, category, tmp_path, monkeypatch, capsys, cpd_calls):
@@ -782,6 +790,139 @@ class TestCrossRegister:
             "--out", str(tmp_path / "bad"),
         ])
         assert code == 2
+
+
+def command_argv(command, mesh_dir, space_path, pose_path, out, *extra):
+    """A small run of ``command`` that writes to ``out``."""
+    canonical, observed = mesh_dir / "canonical.ply", mesh_dir / "observed.ply"
+    sweep = ["--space", space_path, "--canonical", canonical, "--instance", observed,
+             "--views", "1", "--res", "96x72"]
+    inputs = {
+        "build-space": ["--canonical", canonical, "--instances", mesh_dir / "instances",
+                        "--latent", "2"],
+        "gen-dataset": ["--space", space_path, "--canonical", canonical,
+                        "--models", mesh_dir / "instances", "--views", "1", "--rhos", "0",
+                        "--res", "48x36"],
+        "register": ["--space", space_path, "--canonical", canonical, "--observed", observed,
+                     "--pose", pose_path, "--res", "96x72"],
+        "evaluate": sweep,
+        "pose-noise-eval": [*sweep, "--draws", "1"],
+        "cross-register": ["--space", space_path, "--latent-a", "0.1,0", "--latent-b", "0,0"],
+    }[command]
+    return [command, *map(str, inputs), *map(str, extra), "--out", str(out)]
+
+
+class TestOutputLocations:
+    """Output locations are checked with the arguments: exit 2 before any work,
+    one line each, and no file made."""
+
+    @pytest.mark.parametrize("command", [
+        "build-space", "register", "evaluate", "pose-noise-eval", "cross-register"])
+    def test_out_in_a_missing_directory(self, command, mesh_dir, space_path, pose_path,
+                                        tmp_path, capsys):
+        out = tmp_path / "missing" / "out"
+        assert main(command_argv(command, mesh_dir, space_path, pose_path, out)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {str(out)!r}: {str(out.parent)!r} is not an existing directory"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_in_a_missing_directory(self, mesh_dir, space_path, pose_path, tmp_path,
+                                         capsys):
+        report = tmp_path / "missing" / "report.json"
+        argv = command_argv("evaluate", mesh_dir, space_path, pose_path,
+                            tmp_path / "report.csv", "--json", report)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --json {str(report)!r}: {str(report.parent)!r} is not an existing directory"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_json_naming_the_out_file(self, mesh_dir, space_path, pose_path, tmp_path, capsys):
+        same = f"{tmp_path}/./report.csv"
+        argv = command_argv("evaluate", mesh_dir, space_path, pose_path,
+                            tmp_path / "report.csv", "--json", same)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --json {same!r} names the --out file"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", ["notes", "notes/corpus"])
+    def test_gen_dataset_out_through_a_file(self, out, mesh_dir, space_path, pose_path,
+                                            tmp_path, capsys):
+        notes = tmp_path / "notes"
+        notes.write_text("notes\n")
+        argv = command_argv("gen-dataset", mesh_dir, space_path, pose_path, tmp_path / out)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out {str(tmp_path / out)!r}: {str(notes)!r} is not a directory"]
+        assert list(tmp_path.iterdir()) == [notes]
+        assert notes.read_text() == "notes\n"
+
+    @pytest.mark.parametrize("command, out, taken", [
+        ("register", "recon.ply", "recon.latent.json"),
+        ("cross-register", "z", "z_b.ply"),
+    ])
+    def test_output_naming_a_directory(self, command, out, taken, mesh_dir, space_path,
+                                       pose_path, tmp_path, capsys):
+        (tmp_path / taken).mkdir()
+        argv = command_argv(command, mesh_dir, space_path, pose_path, tmp_path / out)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: output {str(tmp_path / taken)!r} is a directory"]
+        assert list(tmp_path.iterdir()) == [tmp_path / taken]
+
+
+def _no_space_left(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAllOrNothing:
+    """A command's outputs are committed together: after a failure each exists
+    only under its .partial name."""
+
+    def test_cross_register_failing_on_the_second_cloud(self, space_path, tmp_path, capsys):
+        code = main(["cross-register", "--space", str(space_path), "--latent-a", "0,0",
+                     "--latent-b", "1e300,0", "--out", str(tmp_path / "z")])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ValidationError: a coordinate of ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["z_a.ply.partial"]
+
+    def test_register_failing_on_the_latent_file(self, mesh_dir, space_path, pose_path,
+                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "json",
+                            types.SimpleNamespace(loads=json.loads, dumps=_no_space_left))
+        out = tmp_path / "recon.ply"
+        assert main(command_argv("register", mesh_dir, space_path, pose_path, out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: MorphFitError: cannot write {tmp_path / 'recon.latent.json'}: "
+            "No space left on device"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["recon.ply.partial"]
+
+    def test_evaluate_failing_on_the_json_report(self, mesh_dir, space_path, pose_path,
+                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "report_to_json", _no_space_left)
+        argv = command_argv("evaluate", mesh_dir, space_path, pose_path,
+                            tmp_path / "report.csv", "--json", tmp_path / "report.json")
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: MorphFitError: cannot write {tmp_path / 'report.json'}: "
+            "No space left on device")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv.partial"]
+
+    def test_os_error_at_commit_ends_in_one_line(self, mesh_dir, space_path, pose_path,
+                                                 tmp_path):
+        # A directory where the second cloud's partial file goes: the write
+        # itself fails, after the first cloud is written.
+        (tmp_path / "z_b.ply.partial").mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphfit", *command_argv(
+                "cross-register", mesh_dir, space_path, pose_path, tmp_path / "z")],
+            capture_output=True, text=True, timeout=120, env=package_env())
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: MorphFitError: cannot write {tmp_path / 'z_b.ply'}: Is a directory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "z_a.ply.partial", "z_b.ply.partial"]
 
 
 def _malformed_pose(tmp_path, flags):

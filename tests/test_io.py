@@ -8,6 +8,7 @@ from helpers import icosphere
 
 from morphfit import (
     Mesh,
+    MorphFitError,
     PointCloud,
     ValidationError,
     read_mask,
@@ -17,6 +18,7 @@ from morphfit import (
     write_ply,
     write_tensor,
 )
+from morphfit.io import commit
 
 
 class TestPly:
@@ -243,3 +245,35 @@ class TestMask:
         path.write_bytes(b"P2\n3 2\n255\n0 0 0 0 0 0\n")
         with pytest.raises(ValidationError, match="p2.pgm"):
             read_mask(path)
+
+
+class TestCommit:
+    def test_renames_every_output_after_the_last_writer(self, tmp_path):
+        seen = []
+
+        def writer(text):
+            def write(path):
+                seen.append(sorted(p.name for p in tmp_path.iterdir()))
+                path.write_text(text)
+            return write
+
+        commit({tmp_path / "a.txt": writer("a"), tmp_path / "b.txt": writer("b")})
+        assert seen == [[], ["a.txt.partial"]]
+        assert (tmp_path / "a.txt").read_text() == "a"
+        assert (tmp_path / "b.txt").read_text() == "b"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+    def test_a_failing_writer_leaves_earlier_outputs_partial(self, tmp_path):
+        def fail(path):
+            raise ValidationError("no good")
+
+        with pytest.raises(ValidationError, match="^no good$"):
+            commit({tmp_path / "a.txt": lambda p: p.write_text("a"), tmp_path / "b.txt": fail})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt.partial"]
+
+    def test_os_error_names_the_output(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        taken = re.escape(str(tmp_path / "taken"))
+        with pytest.raises(MorphFitError, match=f"^cannot write {taken}: "):
+            commit({tmp_path / "taken": lambda p: p.write_text("x")})
+        assert (tmp_path / "taken.partial").read_text() == "x"

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -105,3 +106,21 @@ def test_rasterizing_commands_never_load_scipy_interpolate(built_space, tmp_path
     out = run_python(RUN_MAIN, command, "--space", built_space / "space.mfss",
                      "--canonical", built_space / "canonical.ply", "--res", "48x36", *args)
     assert out[-2:] == ["0", "False"]
+
+
+def test_only_io_names_partial_files():
+    """io.commit is the one place that spells the ``.partial`` suffix; docstrings
+    may describe it."""
+    offenders = []
+    for source in sorted(Path(morphfit.__file__).parent.rglob("*.py")):
+        if source.name == "io.py":
+            continue
+        tree = ast.parse(source.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        offenders += [f"{source.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and ".partial" in node.value and id(node) not in docstrings]
+    assert offenders == []

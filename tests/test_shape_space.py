@@ -350,9 +350,11 @@ class TestSaveLoad:
         (lambda h: h.__setitem__("fields", {"0": 1}), r'"fields" is not a list'),
         (_set("registration", {"cloud_leaf": 0.1}), r"fields\[0\]: KeyError: 'regularization'"),
         (_set("registration", 3), r"fields\[0\]: TypeError: "),
+        (_drop("registration"),
+         r"fields\[0\] records no registration settings; rebuild the space with build-space$"),
     ], ids=["base64", "weights-type", "length", "non-finite", "sha1", "seed-bool", "salt-negative",
             "iterations-float", "converged-int", "missing-key", "entry-number", "entry-list",
-            "member-object", "recipe-missing-key", "recipe-number"])
+            "member-object", "recipe-missing-key", "recipe-number", "recipe-missing"])
     def test_malformed_training_field_rejected(self, category, tmp_path, mutate, message):
         path = tmp_path / "bad.mfss"
         save_space(_kept_space(category), path)
