@@ -38,7 +38,7 @@ _EXPORTS = {
         "splat_position_image", "target_field", "zoom",
     ),
     "dataset": (
-        "MANIFEST_NAME", "SAMPLE_FILES", "CategorySpec", "SampleRecord", "generate_dataset",
+        "MANIFEST_NAME", "SAMPLE_FILES", "SampleRecord", "generate_dataset",
         "interpolate_instance", "read_manifest", "sample_count_formula", "target_delta",
     ),
     "oracle": ("OracleSample", "OracleSpec", "infer", "load_sample"),

@@ -5,7 +5,8 @@ pose-noise-eval, cross-register.  Validation reports every problem at
 once and exits 2; runtime failures exit 1 with a structured message;
 successful runs leave their declared outputs and exit 0.  Output locations
 are checked with the arguments, and every command writes all of its outputs or
-none (:func:`morphfit.io.commit`), so failed runs leave only ``.partial`` files.
+none (:func:`morphfit.io.commit`), so failed runs leave only ``.partial`` files;
+gen-dataset's sample files stay, and its manifest is the run's record.
 """
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ import numpy as np
 
 from .completion import cross_instance_correspondence, reconstruct_mesh
 from .cpd import CpdConfig
-from .dataset import (
-    CategorySpec, default_cloud_leaf, generate_dataset, mesh_cloud, register_instances,
-)
+from .dataset import default_cloud_leaf, generate_dataset, mesh_cloud, register_instances
 from .errors import MorphFitError, ValidationError
 from .evaluation import (
     DEFAULT_CONDITIONS,
@@ -110,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cloud-leaf", type=float, default=None, help="voxel size for cloud derivation (m)")
     p.add_argument("--dense-count", type=int, default=8192)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_build_space)
 
     p = sub.add_parser("gen-dataset", help="generate the training corpus")
     p.add_argument("--space", required=True)
@@ -123,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float, default=0.9, help="train fraction for the split tag")
     p.add_argument("--splat-radius", type=int, default=1)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_gen_dataset)
 
     p = sub.add_parser("register", help="single-view completion of an observed mesh")
     _add_pipeline_flags(p)
@@ -130,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pose", required=True,
                    help="camera pose JSON: world-to-camera quaternion (wxyz) and translation")
     p.add_argument("--out", required=True, help="reconstructed mesh (PLY)")
+    p.set_defaults(run=_cmd_register)
 
     for name, extra in (("evaluate", False), ("pose-noise-eval", True)):
         p = sub.add_parser(name, help="viewpoint sweep" + (" under pose noise" if extra else ""))
@@ -141,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiply reported errors (1e6 echoes micro-scaled tables)")
         p.add_argument("--out", required=True, help="CSV report path")
         p.add_argument("--json", default=None, help="optional JSON report path")
+        p.set_defaults(run=_cmd_evaluate)
         if extra:
             p.add_argument("--noise-range", type=float, default=0.05)
             p.add_argument("--draws", type=int, default=5)
@@ -151,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated floats or @completion.json")
     p.add_argument("--latent-b", type=_latent_arg, required=True)
     p.add_argument("--out", required=True, help="output prefix; writes <out>_a.ply and <out>_b.ply")
+    p.set_defaults(run=_cmd_cross_register)
     return parser
 
 
@@ -221,9 +225,10 @@ def validate_config(args) -> list[str]:
         check_file("space", "--space")
         check_file("canonical", "--canonical")
         check_positive("scale", "--scale")
-        if _list_meshes(args.models) is None:
+        models = _list_meshes(args.models)
+        if models is None:
             problems.append(f"--models {args.models!r} is not a directory")
-        elif not _list_meshes(args.models):
+        elif not models:
             problems.append(f"--models {args.models!r} contains no PLY meshes")
         for rho in args.rhos:
             if not (0.0 <= rho <= 1.0):
@@ -354,10 +359,9 @@ def _cmd_gen_dataset(args) -> int:
     meshes = [read_ply(p) for p in _list_meshes(args.models)]
     trained = register_instances(space.canonical, meshes, space.registration, seed=args.seed,
                                  stored=space.fields)
-    category = CategorySpec(canonical_mesh, space.canonical, meshes, [t.field for t in trained])
     views = _views_for(args, canonical_mesh)
     records = generate_dataset(
-        category, views, args.rhos, args.out,
+        canonical_mesh, meshes, [t.field for t in trained], views, args.rhos, args.out,
         zoom_resolution=args.res, export_scale=args.scale, seed=args.seed,
         split_fraction=args.split, splat_radius=args.splat_radius,
     )
@@ -398,7 +402,8 @@ def _cmd_register(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args, with_noise: bool) -> int:
+def _cmd_evaluate(args) -> int:
+    with_noise = args.command == "pose-noise-eval"
     space = load_space(args.space)
     canonical_mesh = read_ply(args.canonical)
     instance_mesh = read_ply(args.instance)
@@ -434,28 +439,14 @@ def _cmd_cross_register(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     problems = validate_config(args)
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
-        if args.command == "build-space":
-            return _cmd_build_space(args)
-        if args.command == "gen-dataset":
-            return _cmd_gen_dataset(args)
-        if args.command == "register":
-            return _cmd_register(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args, with_noise=False)
-        if args.command == "pose-noise-eval":
-            return _cmd_evaluate(args, with_noise=True)
-        if args.command == "cross-register":
-            return _cmd_cross_register(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except MorphFitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0

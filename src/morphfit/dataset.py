@@ -31,12 +31,11 @@ from .geometry import (
     voxel_downsample,
 )
 from .imaging import PositionImage, _built, splat_position_image, target_field, zoom
-from .io import commit, write_mask, write_tensor
+from .io import commit, write_mask, write_tensor, writing
 from .oracle import zoomed_sample
 from .shape_space import Registration, TrainingField
 
 __all__ = [
-    "CategorySpec",
     "SampleRecord",
     "register_instances",
     "warn_if_capped",
@@ -54,43 +53,6 @@ MANIFEST_NAME = "manifest.jsonl"
 SAMPLE_FILES = ("canon.pos.f32", "canon.mask.pgm", "obs.pos.f32", "obs.mask.pgm", "target.f32")
 # Skipped samples beyond this fraction of the run abort it.
 MAX_SKIP_FRACTION = 0.001
-
-
-@dataclass(frozen=True)
-class CategorySpec:
-    """One object category prepared for generation.
-
-    ``fields[i]`` warps the canonical cloud onto instance i.  Held-out
-    test instances must simply not be included here.
-    """
-
-    canonical_mesh: Mesh
-    canonical_cloud: PointCloud
-    instance_meshes: tuple
-    fields: tuple
-
-    def __post_init__(self):
-        meshes = tuple(self.instance_meshes)
-        fields = tuple(self.fields)
-        if len(meshes) != len(fields):
-            raise ValidationError(
-                f"instance lists disagree: {len(meshes)} meshes, {len(fields)} fields"
-            )
-        if len(meshes) < 1:
-            raise ValidationError("category needs at least one training instance")
-        for index, f in enumerate(fields):
-            if not isinstance(f, DeformationField):
-                raise ValidationError(f"fields[{index}] is not a DeformationField")
-            if not np.array_equal(f.anchors.points, self.canonical_cloud.points):
-                raise ValidationError(
-                    f"fields[{index}] is not anchored at the canonical cloud"
-                )
-        object.__setattr__(self, "instance_meshes", meshes)
-        object.__setattr__(self, "fields", fields)
-
-    @property
-    def instance_count(self) -> int:
-        return len(self.instance_meshes)
 
 
 @dataclass(frozen=True)
@@ -250,7 +212,9 @@ def sample_count_formula(total_models: int, n_rhos: int, n_views: int) -> int:
 
 
 def generate_dataset(
-    category: CategorySpec,
+    canonical_mesh: Mesh,
+    meshes,
+    fields,
     views,
     rhos,
     out_dir,
@@ -265,13 +229,18 @@ def generate_dataset(
 ) -> list[SampleRecord]:
     """Export every (instance, rho, view) sample plus the manifest.
 
+    ``fields[i]`` warps the canonical cloud, its anchors, onto
+    ``meshes[i]``; held-out test instances must simply not be passed.
     The manifest is committed through :func:`morphfit.io.commit`, so an
     interrupted run leaves it only as ``manifest.jsonl.partial``.
     Individual render failures are recorded as skipped; more than 0.1% of
     them abort the run, leaving the manifest under that name.
     """
-    views = list(views)
+    meshes, fields, views = list(meshes), list(fields), list(views)
     rhos = [float(r) for r in rhos]
+    if not meshes or len(fields) != len(meshes):
+        raise ValidationError(f"need at least one mesh and one field per mesh, "
+                              f"got {len(meshes)} meshes and {len(fields)} fields")
     if not views or not rhos:
         raise ValidationError("need at least one view and one rho")
     for r in rhos:
@@ -282,12 +251,12 @@ def generate_dataset(
     if export_scale <= 0:
         raise ValidationError(f"export_scale must be > 0, got {export_scale}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     canon_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2**31]))
-    canon_pts, _, _ = densify_mesh(
-        category.canonical_mesh, views, densify_per_pixel, densify_max, canon_rng
-    )
+    canon_pts, _, _ = densify_mesh(canonical_mesh, views, densify_per_pixel, densify_max,
+                                   canon_rng)
     # Each canonical view is kept as its foreground alone (flat pixel indices
     # and positions); a sample rebuilds its full frame just before the zoom,
     # so the run holds one frame at a time, not one per view.
@@ -314,20 +283,19 @@ def generate_dataset(
                   seed=int(seed))
     records: list[SampleRecord] = []
     skipped = 0
-    total = category.instance_count * len(rhos) * len(views)
-    for inst in range(category.instance_count):
-        mesh = category.instance_meshes[inst]
+    total = len(meshes) * len(rhos) * len(views)
+    for inst, (mesh, field) in enumerate(zip(meshes, fields)):
         inst_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2**31 + 1, inst]))
         _, face_idx, bary = densify_mesh(mesh, views, densify_per_pixel, densify_max, inst_rng)
         for rho_index, rho in enumerate(rhos):
-            morphed = interpolate_instance(mesh, category.fields[inst], rho)
+            morphed = interpolate_instance(mesh, field, rho)
             # Same barycentric pattern re-posed on the morphed vertices, so
             # surface samples correspond across rho values.
             obs_pts = barycentric_points(morphed.vertices[morphed.faces], face_idx, bary)
             try:
-                field = target_field(category.canonical_cloud, target_delta(category.fields[inst], rho))
+                target = target_field(field.anchors, target_delta(field, rho))
             except MorphFitError as exc:  # fails each sample, like a blind canonical view
-                field = exc
+                target = exc
             for view_index, (view, pose, canon_view) in enumerate(
                     zip(views, poses, canon_views)):
                 draw = np.random.default_rng(
@@ -346,9 +314,9 @@ def generate_dataset(
                     # per sample at 256x192.
                     zoomed = zoom(splat_position_image(obs_pts, view, splat_radius),
                                   _frame(canon_view, view.resolution), zoom_resolution)
-                    if isinstance(field, MorphFitError):
-                        raise field
-                    sample = zoomed_sample(zoomed, field)
+                    if isinstance(target, MorphFitError):
+                        raise target
+                    sample = zoomed_sample(zoomed, target)
                 except MorphFitError as exc:
                     skipped += 1
                     records.append(SampleRecord(
@@ -357,16 +325,17 @@ def generate_dataset(
                     ))
                     continue
                 sample_dir = out_dir / str(inst) / format(rho, "g") / str(view_index)
-                sample_dir.mkdir(parents=True, exist_ok=True)
                 paths = {name: str(sample_dir / name) for name in SAMPLE_FILES}
-                write_tensor(paths["canon.pos.f32"], sample.canonical.data,
-                             "canonical position image (m)")
-                write_mask(paths["canon.mask.pgm"], sample.canonical.mask)
-                write_tensor(paths["obs.pos.f32"], sample.observed.data,
-                             "observed position image (m)")
-                write_mask(paths["obs.mask.pgm"], sample.observed.mask)
-                write_tensor(paths["target.f32"], sample.target.data * export_scale,
-                             f"target deformation image (m x {export_scale:g})")
+                with writing(sample_dir):
+                    sample_dir.mkdir(parents=True, exist_ok=True)
+                    write_tensor(paths["canon.pos.f32"], sample.canonical.data,
+                                 "canonical position image (m)")
+                    write_mask(paths["canon.mask.pgm"], sample.canonical.mask)
+                    write_tensor(paths["obs.pos.f32"], sample.observed.data,
+                                 "observed position image (m)")
+                    write_mask(paths["obs.mask.pgm"], sample.observed.mask)
+                    write_tensor(paths["target.f32"], sample.target.data * export_scale,
+                                 f"target deformation image (m x {export_scale:g})")
                 records.append(SampleRecord(
                     paths=paths, crop_box=tuple(zoomed.crop_box),
                     scale_factors=tuple(zoomed.scale_factors), padded=zoomed.padded, **base,
@@ -377,7 +346,7 @@ def generate_dataset(
 
     header = {
         "kind": "header",
-        "instances": category.instance_count,
+        "instances": len(meshes),
         "rhos": rhos,
         "views": len(views),
         "zoom_resolution": list(zoom_resolution),

@@ -44,8 +44,8 @@ COND_PIPELINE = "oracle-pipeline"
 COND_RAW_CPD = "raw-CPD-baseline"
 COND_CANONICAL = "canonical-baseline"
 DEFAULT_CONDITIONS = (COND_PIPELINE, COND_RAW_CPD, COND_CANONICAL)
-# Raw registration is pointless to repeat per pose draw (pose noise touches
-# only the canonical render), so pose-noise-eval runs the cheap pair.
+# Pose noise moves only the believed canonical pose, which the raw baseline
+# never uses, so its row would repeat evaluate's; pose-noise-eval leaves it out.
 POSE_NOISE_CONDITIONS = (COND_PIPELINE, COND_CANONICAL)
 
 

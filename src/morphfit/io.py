@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -26,17 +27,25 @@ __all__ = [
 ]
 
 
+@contextmanager
+def writing(path):
+    """End an OSError raised inside the block in one MorphFitError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise MorphFitError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def commit(outputs) -> None:
     """Write a command's ``{path: writer}`` outputs all or nothing: each ``writer(partial)``
     writes ``<path>.partial``, and all are renamed once the last writer has returned.
     An OSError ends in one MorphFitError naming the path."""
-    try:
-        for path, writer in outputs.items():
+    for path, writer in outputs.items():
+        with writing(path):
             writer(Path(f"{path}.partial"))
-        for path in outputs:
+    for path in outputs:
+        with writing(path):
             os.replace(f"{path}.partial", path)
-    except OSError as exc:
-        raise MorphFitError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def relative_residual(space: ShapeSpace, field: DeformationField, eps: float = 1
 # list holds the space's TrainingFields, each with its weights as base64 of
 # little-endian f64, point-major, and the recipe it was registered by as a
 # "registration" object of the same form.  An entry without one (a file
-# written before entries recorded it) takes the header's recipe.
+# written before entries recorded it) is rejected: rebuild the space.
 
 
 def _recipe_settings(recipe: Registration) -> dict:

@@ -11,7 +11,6 @@ from scipy.interpolate import RBFInterpolator
 from scipy.spatial.distance import cdist
 
 from morphfit import (
-    CategorySpec,
     CpdConfig,
     DeformationField,
     Mesh,
@@ -153,12 +152,6 @@ class SyntheticCategory:
     def warp_mesh(self, field: DeformationField) -> Mesh:
         return self.canonical_mesh.with_vertices(
             apply_deformation(self.canonical_mesh.vertices, field)
-        )
-
-    def category_spec(self) -> CategorySpec:
-        return CategorySpec(
-            self.canonical_mesh, self.canonical_cloud,
-            self.instance_meshes, self.fields,
         )
 
     def held_out(self, amplitudes=(0.45, -0.6)):

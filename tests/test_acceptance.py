@@ -14,7 +14,6 @@ import pytest
 from helpers import SyntheticCategory, icosphere, smooth_weights, sphere_cloud
 
 from morphfit import (
-    CategorySpec,
     PointCloud,
     CpdConfig,
     DeformationField,
@@ -179,7 +178,7 @@ def test_criterion_6_dataset_arithmetic(tmp_path):
         cat = SyntheticCategory(n_instances=size - 3)
         out = tmp_path / f"size-{size}"
         records = generate_dataset(
-            cat.category_spec(), views, [0.25], out, seed=size,
+            cat.canonical_mesh, cat.instance_meshes, cat.fields, views, [0.25], out, seed=size,
             densify_per_pixel=2.0, densify_max=8000, zoom_resolution=(64, 48),
         )
         header, parsed = read_manifest(out / "manifest.jsonl")

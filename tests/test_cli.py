@@ -16,7 +16,6 @@ import pytest
 
 import morphfit
 from morphfit import (
-    CategorySpec,
     CpdConfig,
     Registration,
     ValidationError,
@@ -336,9 +335,9 @@ class TestGenDataset:
         meshes = [read_ply(p) for p in sorted(models.glob("*.ply"))]
         canonical_cloud = mesh_cloud(canonical, recipe, 5, 0)
         trained = register_instances(canonical_cloud, meshes, recipe, seed=5)
-        spec = CategorySpec(canonical, canonical_cloud, meshes, [t.field for t in trained])
         records = generate_dataset(
-            spec, _views_for(parse(argv[2:]), canonical), [0.0, 0.5], tmp_path / "lib",
+            canonical, meshes, [t.field for t in trained], _views_for(parse(argv[2:]), canonical),
+            [0.0, 0.5], tmp_path / "lib",
             zoom_resolution=(96, 72), seed=5,
         )
         assert len(records) == 8 and all(r.status == "ok" for r in records)
@@ -548,15 +547,11 @@ class TestPoseFile:
     def test_manifest_pose_round_trips(self, category, tmp_path):
         # A record's pose is the world-to-camera rotation and translation of
         # the view it was rendered from, in the form --pose reads.
-        spec = category.category_spec()
-        single = CategorySpec(
-            spec.canonical_mesh, spec.canonical_cloud,
-            spec.instance_meshes[:1], spec.fields[:1],
-        )
         view = look_at([0.07, -0.04, 0.6], focal=(103.125, 99.5),
                        principal_point=(50.0, 33.0), resolution=(96, 72))
         (record,) = generate_dataset(
-            single, [view], [0.0], tmp_path / "data", seed=9,
+            category.canonical_mesh, category.instance_meshes[:1], category.fields[:1],
+            [view], [0.0], tmp_path / "data", seed=9,
             densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72),
         )
         pose_path = tmp_path / "pose.json"
@@ -923,6 +918,36 @@ class TestAllOrNothing:
             f"error: MorphFitError: cannot write {tmp_path / 'z_b.ply'}: Is a directory"]
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "z_a.ply.partial", "z_b.ply.partial"]
+
+
+class TestSampleWrites:
+    """gen-dataset writes its samples before it commits the manifest: a failed
+    sample write ends in one line, exit 1, and no manifest."""
+
+    def test_sample_directory_through_a_file(self, mesh_dir, space_path, pose_path, tmp_path):
+        out = tmp_path / "corpus"
+        out.mkdir()
+        (out / "0").write_text("notes\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphfit",
+             *command_argv("gen-dataset", mesh_dir, space_path, pose_path, out)],
+            capture_output=True, text=True, timeout=120, env=package_env())
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+            f"error: MorphFitError: cannot write {out / '0' / '0' / '0'}: Not a directory"]
+        assert sorted(p.name for p in out.iterdir()) == ["0"]
+
+    def test_full_disk_during_a_sample_write(self, mesh_dir, space_path, pose_path, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.setattr(dataset_module, "write_mask", _no_space_left)
+        out = tmp_path / "corpus"
+        assert main(command_argv("gen-dataset", mesh_dir, space_path, pose_path, out)) == 1
+        assert [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("error:")] == [
+            f"error: MorphFitError: cannot write {out / '0' / '0' / '0'}: "
+            "No space left on device"]
+        assert not (out / "manifest.jsonl").exists()
 
 
 def _malformed_pose(tmp_path, flags):

@@ -9,7 +9,6 @@ import pytest
 from helpers import SyntheticCategory, per_pixel_target
 
 from morphfit import (
-    CategorySpec,
     CpdConfig,
     DatasetError,
     MANIFEST_NAME,
@@ -107,7 +106,8 @@ class TestCountFormula:
 def generated(tmp_path_factory, category):
     out = tmp_path_factory.mktemp("dataset")
     records = generate_dataset(
-        category.category_spec(), small_views(), [0.0, 0.5], out, seed=5, **GEN_KW
+        category.canonical_mesh, category.instance_meshes, category.fields, small_views(),
+        [0.0, 0.5], out, seed=5, **GEN_KW
     )
     return out, records
 
@@ -163,8 +163,8 @@ class TestGenerateDataset:
     def test_split_tags_deterministic(self, generated, category, tmp_path):
         out, records = generated
         again = generate_dataset(
-            category.category_spec(), small_views(), [0.0, 0.5], tmp_path / "again",
-            seed=5, **GEN_KW
+            category.canonical_mesh, category.instance_meshes, category.fields, small_views(),
+            [0.0, 0.5], tmp_path / "again", seed=5, **GEN_KW
         )
         assert [r.split for r in again] == [r.split for r in records]
 
@@ -172,8 +172,8 @@ class TestGenerateDataset:
         out, records = generated
         again_dir = tmp_path / "regen"
         again = generate_dataset(
-            category.category_spec(), small_views(), [0.0, 0.5], again_dir,
-            seed=5, **GEN_KW
+            category.canonical_mesh, category.instance_meshes, category.fields, small_views(),
+            [0.0, 0.5], again_dir, seed=5, **GEN_KW
         )
         for a, b in zip(records[:4], again[:4]):
             for name in SAMPLE_FILES:
@@ -189,10 +189,9 @@ class TestGenerateDataset:
             return built[-1]
 
         monkeypatch.setattr(dataset_module, "zoomed_sample", keep)
-        spec = category.category_spec()
-        pair = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
-                            spec.instance_meshes[:2], spec.fields[:2])
-        records = generate_dataset(pair, small_views(2), [0.0, 0.5], tmp_path, seed=4, **GEN_KW)
+        records = generate_dataset(category.canonical_mesh, category.instance_meshes[:2],
+                                   category.fields[:2], small_views(2), [0.0, 0.5], tmp_path,
+                                   seed=4, **GEN_KW)
         ok = [r for r in records if r.status == "ok"]
         assert len(ok) == len(built) == 8
         for record, sample in zip(ok, built):
@@ -207,29 +206,21 @@ class TestGenerateDataset:
                 loaded.target.data, (sample.target.data * record.export_scale).astype(np.float32))
 
     def test_unit_dataset(self, category, tmp_path):
-        spec = category.category_spec()
-        single = CategorySpec(
-            spec.canonical_mesh, spec.canonical_cloud,
-            spec.instance_meshes[:1], spec.fields[:1],
-        )
         records = generate_dataset(
-            single, small_views(1), [0.25], tmp_path / "unit", seed=0, **GEN_KW
+            category.canonical_mesh, category.instance_meshes[:1], category.fields[:1],
+            small_views(1), [0.25], tmp_path / "unit", seed=0, **GEN_KW
         )
         assert len(records) == 1
         assert records[0].status == "ok"
         assert len(records[0].paths) == 5
 
     def test_failing_view_aborts_with_partial_manifest(self, category, tmp_path):
-        spec = category.category_spec()
-        single = CategorySpec(
-            spec.canonical_mesh, spec.canonical_cloud,
-            spec.instance_meshes[:1], spec.fields[:1],
-        )
         away = look_at([0.0, 0.0, 0.6], target=[0.0, 0.0, 1.2],
                        focal=(103.125, 103.125), resolution=(96, 72))
         out = tmp_path / "broken"
         with pytest.raises(DatasetError):
-            generate_dataset(single, [away], [0.0], out, seed=0, **GEN_KW)
+            generate_dataset(category.canonical_mesh, category.instance_meshes[:1],
+                             category.fields[:1], [away], [0.0], out, seed=0, **GEN_KW)
         assert (out / (MANIFEST_NAME + ".partial")).exists()
         assert not (out / MANIFEST_NAME).exists()
         header, parsed = read_manifest(out / (MANIFEST_NAME + ".partial"))
@@ -238,16 +229,14 @@ class TestGenerateDataset:
         assert "EmptyRenderError" in parsed[0].reason
 
     def test_blind_canonical_view_fails_every_sample_that_uses_it(self, category, tmp_path):
-        spec = category.category_spec()
-        pair = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
-                            spec.instance_meshes[:2], spec.fields[:2])
         away = look_at([0.0, 0.0, 0.6], target=[0.0, 0.0, 1.2],
                        focal=(103.125, 103.125), resolution=(96, 72))
         views = small_views(2)
         out = tmp_path / "blind"
         with pytest.raises(DatasetError):
-            generate_dataset(pair, [views[0], away, views[1]], [0.0, 0.5], out, seed=0,
-                             **GEN_KW)
+            generate_dataset(category.canonical_mesh, category.instance_meshes[:2],
+                             category.fields[:2], [views[0], away, views[1]], [0.0, 0.5], out,
+                             seed=0, **GEN_KW)
         header, records = read_manifest(out / (MANIFEST_NAME + ".partial"))
         assert header["skipped"] == 4 and len(records) == 12
         for record in records:
@@ -262,16 +251,15 @@ class TestGenerateDataset:
         # Views beyond the first four add their foregrounds to the traced
         # peak, not a full frame each.  The cameras stand where gen-dataset
         # puts them, four bounding-box diagonals out.
-        spec = category.category_spec()
-        single = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
-                              spec.instance_meshes[:1], spec.fields[:1])
-        diag = float(np.linalg.norm(np.ptp(spec.canonical_mesh.vertices, axis=0)))
+        diag = float(np.linalg.norm(np.ptp(category.canonical_mesh.vertices, axis=0)))
         views = viewpoint_sphere(16, 4.0 * diag, focal=(137.5, 137.5), resolution=(128, 96))
         peaks = []
         for count in (4, 16):
             tracemalloc.start()
             try:
-                generate_dataset(single, views[:count], [0.0], tmp_path / str(count), seed=0,
+                generate_dataset(category.canonical_mesh, category.instance_meshes[:1],
+                                 category.fields[:1], views[:count], [0.0],
+                                 tmp_path / str(count), seed=0,
                                  **dict(GEN_KW, zoom_resolution=(128, 96)))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
@@ -281,7 +269,8 @@ class TestGenerateDataset:
     def test_rho_validation(self, category, tmp_path):
         with pytest.raises(ValidationError):
             generate_dataset(
-                category.category_spec(), small_views(1), [1.5], tmp_path / "bad", **GEN_KW
+                category.canonical_mesh, category.instance_meshes, category.fields,
+                small_views(1), [1.5], tmp_path / "bad", **GEN_KW
             )
 
 
@@ -301,17 +290,15 @@ class TestTargetValues:
 
         monkeypatch.setattr(dataset_module, "write_tensor", keep(dataset_module.write_tensor))
         monkeypatch.setattr(dataset_module, "write_mask", keep(dataset_module.write_mask))
-        spec = category.category_spec()
-        single = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
-                              spec.instance_meshes[1:2], spec.fields[1:2])
         (record,) = generate_dataset(
-            single, small_views(1), [0.25], tmp_path, seed=0,
+            category.canonical_mesh, category.instance_meshes[1:2], category.fields[1:2],
+            small_views(1), [0.25], tmp_path, seed=0,
             **{**GEN_KW, "zoom_resolution": zoom_resolution},
         )
         assert record.padded is padded
         canonical = PositionImage(written["canon.pos.f32"], written["canon.mask.pgm"])
-        expected = per_pixel_target(canonical, spec.canonical_cloud,
-                                    target_delta(spec.fields[1], 0.25))
+        expected = per_pixel_target(canonical, category.canonical_cloud,
+                                    target_delta(category.fields[1], 0.25))
         target = written["target.f32"] / record.export_scale
         np.testing.assert_array_equal(np.any(target != 0.0, axis=2), canonical.mask)
         np.testing.assert_allclose(target, expected, rtol=0.0, atol=1e-12)
@@ -330,16 +317,15 @@ class TestTargetValues:
 
         monkeypatch.setattr(dataset_module, "write_tensor", keep(dataset_module.write_tensor))
         monkeypatch.setattr(dataset_module, "write_mask", keep(dataset_module.write_mask))
-        spec = category.category_spec()
-        pair = CategorySpec(spec.canonical_mesh, spec.canonical_cloud,
-                            spec.instance_meshes[:2], spec.fields[:2])
-        records = generate_dataset(pair, small_views(2), [0.0, 0.5], tmp_path, seed=3, **GEN_KW)
+        records = generate_dataset(category.canonical_mesh, category.instance_meshes[:2],
+                                   category.fields[:2], small_views(2), [0.0, 0.5], tmp_path,
+                                   seed=3, **GEN_KW)
         assert len(records) == 8 and all(r.status == "ok" for r in records)
         for record in records:
             position = PositionImage(written[record.paths["canon.pos.f32"]],
                                      written[record.paths["canon.mask.pgm"]])
-            field = target_field(spec.canonical_cloud,
-                                 target_delta(spec.fields[record.instance_index], record.rho))
+            field = target_field(category.canonical_cloud,
+                                 target_delta(category.fields[record.instance_index], record.rho))
             expected = rasterize_target(position, field).data * record.export_scale
             assert (Path(record.paths["target.f32"]).read_bytes()
                     == np.asarray(expected, "<f4").tobytes())
@@ -415,29 +401,39 @@ class TestReadManifest:
             read_manifest(path)
 
 
-def registered_category(category, meshes, seed=0):
-    """The CategorySpec of ``meshes`` registered as build-space and gen-dataset do."""
+def registered_fields(category, meshes, seed=0):
+    """The canonical cloud and the fields of ``meshes``, registered as build-space and
+    gen-dataset do."""
     canonical_cloud = mesh_cloud(category.canonical_mesh, category.registration, seed, 0)
     trained = register_instances(canonical_cloud, meshes, category.registration, seed=seed)
-    return CategorySpec(category.canonical_mesh, canonical_cloud, meshes,
-                        [t.field for t in trained])
+    return canonical_cloud, [t.field for t in trained]
 
 
 class TestBuildCategory:
     def test_meshes_to_spec(self, category):
-        spec = registered_category(category, category.instance_meshes[:2], seed=3)
-        assert spec.instance_count == 2
-        assert len(spec.fields) == 2
-        for field in spec.fields:
-            np.testing.assert_array_equal(
-                field.anchors.points, spec.canonical_cloud.points
-            )
+        canonical_cloud, fields = registered_fields(category, category.instance_meshes[:2],
+                                                    seed=3)
+        assert len(fields) == 2
+        for field in fields:
+            np.testing.assert_array_equal(field.anchors.points, canonical_cloud.points)
             assert np.all(np.isfinite(field.weights))
-        assert 50 < len(spec.canonical_cloud) < 2000
+        assert 50 < len(canonical_cloud) < 2000
 
-    def test_requires_instances(self, category):
-        with pytest.raises(ValidationError, match="needs at least one training instance"):
-            CategorySpec(category.canonical_mesh, category.canonical_cloud, [], [])
+    def test_requires_instances(self, category, tmp_path):
+        self._assert_rejected(category, tmp_path, 0, 0)
+
+    def test_requires_one_field_per_mesh(self, category, tmp_path):
+        self._assert_rejected(category, tmp_path, 2, 1)
+
+    @staticmethod
+    def _assert_rejected(category, tmp_path, meshes, fields):
+        with pytest.raises(ValidationError, match=(
+                f"^need at least one mesh and one field per mesh, got {meshes} meshes "
+                f"and {fields} fields$")):
+            generate_dataset(category.canonical_mesh, category.instance_meshes[:meshes],
+                             category.fields[:fields], small_views(1), [0.0], tmp_path / "out",
+                             **GEN_KW)
+        assert not (tmp_path / "out").exists()
 
     def test_unconverged_registrations_are_reported(self, category, capsys):
         capped = Registration(CpdConfig(beta=category.beta, max_iterations=1),
@@ -453,5 +449,5 @@ class TestBuildCategory:
         ]
 
     def test_converged_registrations_stay_quiet(self, category, capsys):
-        registered_category(category, category.instance_meshes[:1])
+        registered_fields(category, category.instance_meshes[:1])
         assert capsys.readouterr().err == ""

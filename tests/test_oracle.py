@@ -8,7 +8,6 @@ import pytest
 from helpers import SyntheticCategory
 
 from morphfit import (
-    CategorySpec,
     OracleError,
     OracleSample,
     OracleSpec,
@@ -23,14 +22,10 @@ from morphfit import (
 
 @pytest.fixture(scope="module")
 def sample_record(tmp_path_factory, category):
-    spec = category.category_spec()
-    single = CategorySpec(
-        spec.canonical_mesh, spec.canonical_cloud,
-        spec.instance_meshes[:1], spec.fields[:1],
-    )
     views = viewpoint_sphere(1, 0.6, focal=(103.125, 103.125), resolution=(96, 72))
     records = generate_dataset(
-        single, views, [0.0], tmp_path_factory.mktemp("oracle-data"),
+        category.canonical_mesh, category.instance_meshes[:1], category.fields[:1],
+        views, [0.0], tmp_path_factory.mktemp("oracle-data"),
         seed=9, densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72),
     )
     assert records[0].status == "ok"
