@@ -6,7 +6,8 @@ once and exits 2; runtime failures exit 1 with a structured message;
 successful runs leave their declared outputs and exit 0.  Output locations
 are checked with the arguments, and every command writes all of its outputs or
 none (:func:`morphfit.io.commit`), so failed runs leave only ``.partial`` files;
-gen-dataset's sample files stay, and its manifest is the run's record.
+gen-dataset's sample files stay, and its manifest is the run's record.  build-space
+refuses a canonical cloud that admits no target interpolant (``RasterizeError``).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .completion import cross_instance_correspondence, reconstruct_mesh
 from .cpd import CpdConfig
 from .dataset import default_cloud_leaf, generate_dataset, mesh_cloud, register_instances
-from .errors import MorphFitError, ValidationError
+from .errors import MorphFitError, RasterizeError, ValidationError
 from .evaluation import (
     DEFAULT_CONDITIONS,
     POSE_NOISE_CONDITIONS,
@@ -32,15 +33,14 @@ from .evaluation import (
     report_to_csv,
     report_to_json,
 )
-from .geometry import MAX_PIXELS, CameraView, quaternion_to_rotation, viewpoint_sphere
-from .imaging import splat_position_image, target_field
+from .geometry import (
+    DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, CameraView, quaternion_to_rotation,
+    viewpoint_sphere,
+)
+from .imaging import DEFAULT_SPLAT_RADIUS, splat_position_image, target_field
 from .io import commit, read_ply, write_ply
 from .oracle import OracleSpec
 from .shape_space import Registration, load_space, save_space, space_from_fields
-
-DEFAULT_RESOLUTION = (256, 192)
-# Horizontal field of view of roughly 50 degrees at the default width.
-FOCAL_PER_WIDTH = 275.0 / 256.0
 
 
 def _parse_resolution(text: str):
@@ -82,9 +82,9 @@ def _add_pipeline_flags(p) -> None:
     p.add_argument("--oracle", default="gt", help="gt | noisy | external")
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--oracle-cmd", default="", help="command for the external oracle")
-    p.add_argument("--res", type=_parse_resolution, default=DEFAULT_RESOLUTION)
+    p.add_argument("--res", type=_parse_resolution, default=DEFAULT_VIEW_RESOLUTION)
     p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--splat-radius", type=int, default=1)
+    p.add_argument("--splat-radius", type=int, default=DEFAULT_SPLAT_RADIUS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhos", type=_parse_floats, default=[0.0, 0.25, 0.5, 0.75])
     p.add_argument("--views", type=int, default=74)
     p.add_argument("--view-radius", type=float, default=None, help="camera distance (m); default 4x canonical extent")
-    p.add_argument("--res", type=_parse_resolution, default=DEFAULT_RESOLUTION)
+    p.add_argument("--res", type=_parse_resolution, default=DEFAULT_VIEW_RESOLUTION)
     p.add_argument("--scale", type=float, default=1000.0, help="target export scale factor")
     p.add_argument("--split", type=float, default=0.9, help="train fraction for the split tag")
-    p.add_argument("--splat-radius", type=int, default=1)
+    p.add_argument("--splat-radius", type=int, default=DEFAULT_SPLAT_RADIUS)
     p.add_argument("--out", required=True)
     p.set_defaults(run=_cmd_gen_dataset)
 
@@ -306,8 +306,7 @@ def _load_camera(pose_path, resolution):
         payload = json.loads(Path(pose_path).read_text())
         rotation = quaternion_to_rotation(payload["quaternion"])
         resolution = tuple(payload.get("resolution", resolution))
-        width = resolution[0]
-        focal = tuple(payload.get("focal", (FOCAL_PER_WIDTH * width, FOCAL_PER_WIDTH * width)))
+        focal = tuple(payload.get("focal", (FOCAL_PER_WIDTH * resolution[0],) * 2))
         return CameraView(rotation, payload["translation"], focal=focal,
                           principal_point=payload.get("principal_point"), resolution=resolution)
     except KeyError as exc:
@@ -320,9 +319,8 @@ def _views_for(args, canonical_mesh):
     radius = args.view_radius
     if radius is None:
         radius = 4.0 * float(np.linalg.norm(np.ptp(canonical_mesh.vertices, axis=0)))
-    width = args.res[0]
-    focal = (FOCAL_PER_WIDTH * width, FOCAL_PER_WIDTH * width)
-    return viewpoint_sphere(args.views, radius, focal=focal, resolution=args.res)
+    return viewpoint_sphere(args.views, radius, focal=(FOCAL_PER_WIDTH * args.res[0],) * 2,
+                            resolution=args.res)
 
 
 def _observed_cloud(space, mesh, seed):
@@ -337,6 +335,11 @@ def _cmd_build_space(args) -> int:
     cpd = CpdConfig(args.beta, args.regularization, args.outlier_weight)
     registration = Registration(cpd, leaf, args.dense_count)
     canonical_cloud = mesh_cloud(canonical_mesh, registration, args.seed, 0)
+    try:  # every later command interpolates its targets over this cloud
+        target_field(canonical_cloud, np.zeros((len(canonical_cloud), 3)))
+    except RasterizeError as exc:
+        raise ValidationError(f"canonical cloud of {len(canonical_cloud)} point(s) at --cloud-leaf "
+                              f"{leaf:g} admits no target interpolant: {exc}") from exc
     trained = register_instances(
         canonical_cloud, [read_ply(p) for p in instance_paths], registration, seed=args.seed
     )
@@ -377,11 +380,10 @@ def _cmd_register(args) -> int:
     view = _load_camera(args.pose, args.res)
     oracle_spec = _oracle_spec(args)
     observed_cloud = _observed_cloud(space, observed_mesh, args.seed)
-    canonical_dense, observed_dense, delta_true = prepare_instance(
+    canonical_dense, observed_dense, true_field = prepare_instance(
         space, observed_mesh, observed_cloud, [view], oracle_spec, canonical_mesh,
         instance_label=Path(args.observed).stem, seed=args.seed,
     )
-    true_field = target_field(space.canonical, delta_true)
     observed_img = splat_position_image(observed_dense, view, args.splat_radius)
     result = complete_view(
         space, canonical_dense, observed_img, view, true_field, oracle_spec,

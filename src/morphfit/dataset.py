@@ -8,7 +8,6 @@ needed to regenerate any single sample byte-for-byte.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -21,6 +20,7 @@ import numpy as np
 from .cpd import cpd_nonrigid
 from .errors import DatasetError, MorphFitError, ValidationError
 from .geometry import (
+    DEFAULT_VIEW_RESOLUTION,
     DeformationField,
     Mesh,
     PointCloud,
@@ -30,7 +30,9 @@ from .geometry import (
     sample_mesh_surface,
     voxel_downsample,
 )
-from .imaging import PositionImage, _built, splat_position_image, target_field, zoom
+from .imaging import (
+    DEFAULT_SPLAT_RADIUS, PositionImage, _built, splat_position_image, target_field, zoom,
+)
 from .io import commit, write_mask, write_tensor, writing
 from .oracle import zoomed_sample
 from .shape_space import Registration, TrainingField
@@ -53,6 +55,8 @@ MANIFEST_NAME = "manifest.jsonl"
 SAMPLE_FILES = ("canon.pos.f32", "canon.mask.pgm", "obs.pos.f32", "obs.mask.pgm", "target.f32")
 # Skipped samples beyond this fraction of the run abort it.
 MAX_SKIP_FRACTION = 0.001
+DENSIFY_PER_PIXEL = 20.0  # densify_mesh's samples per expected pixel footprint
+DENSIFY_MAX = 60000  # densify_mesh's cap on them
 
 
 @dataclass(frozen=True)
@@ -76,15 +80,13 @@ class SampleRecord:
     reason: str | None = None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "SampleRecord":
         raw = json.loads(line)
-        raw["crop_box"] = tuple(raw["crop_box"]) if raw["crop_box"] is not None else None
-        raw["scale_factors"] = (
-            tuple(raw["scale_factors"]) if raw["scale_factors"] is not None else None
-        )
+        for key in ("crop_box", "scale_factors"):  # None on a skipped record
+            raw[key] = tuple(raw[key]) if raw[key] is not None else None
         raw["resolution"] = tuple(raw["resolution"])
         return SampleRecord(**raw)
 
@@ -219,13 +221,13 @@ def generate_dataset(
     rhos,
     out_dir,
     *,
-    zoom_resolution: tuple[int, int] = (256, 192),
+    zoom_resolution: tuple[int, int] = DEFAULT_VIEW_RESOLUTION,
     export_scale: float = 1000.0,
     seed: int = 0,
     split_fraction: float = 0.9,
-    splat_radius: int = 1,
-    densify_per_pixel: float = 20.0,
-    densify_max: int = 60000,
+    splat_radius: int = DEFAULT_SPLAT_RADIUS,
+    densify_per_pixel: float = DENSIFY_PER_PIXEL,
+    densify_max: int = DENSIFY_MAX,
 ) -> list[SampleRecord]:
     """Export every (instance, rho, view) sample plus the manifest.
 
@@ -234,7 +236,8 @@ def generate_dataset(
     The manifest is committed through :func:`morphfit.io.commit`, so an
     interrupted run leaves it only as ``manifest.jsonl.partial``.
     Individual render failures are recorded as skipped; more than 0.1% of
-    them abort the run, leaving the manifest under that name.
+    them abort the run, leaving the manifest under that name.  A target
+    field's RasterizeError (the shared anchors decide it) ends the run at once.
     """
     meshes, fields, views = list(meshes), list(fields), list(views)
     rhos = [float(r) for r in rhos]
@@ -292,10 +295,7 @@ def generate_dataset(
             # Same barycentric pattern re-posed on the morphed vertices, so
             # surface samples correspond across rho values.
             obs_pts = barycentric_points(morphed.vertices[morphed.faces], face_idx, bary)
-            try:
-                target = target_field(field.anchors, target_delta(field, rho))
-            except MorphFitError as exc:  # fails each sample, like a blind canonical view
-                target = exc
+            target = target_field(field.anchors, target_delta(field, rho))
             for view_index, (view, pose, canon_view) in enumerate(
                     zip(views, poses, canon_views)):
                 draw = np.random.default_rng(
@@ -314,8 +314,6 @@ def generate_dataset(
                     # per sample at 256x192.
                     zoomed = zoom(splat_position_image(obs_pts, view, splat_radius),
                                   _frame(canon_view, view.resolution), zoom_resolution)
-                    if isinstance(target, MorphFitError):
-                        raise target
                     sample = zoomed_sample(zoomed, target)
                 except MorphFitError as exc:
                     skipped += 1

@@ -20,10 +20,10 @@ from scipy.spatial import cKDTree
 
 from .completion import fit_latent, pixels_to_sparse_deltas
 from .cpd import cpd_nonrigid
-from .dataset import densify_mesh, target_delta, warn_if_capped
+from .dataset import DENSIFY_MAX, DENSIFY_PER_PIXEL, densify_mesh, target_delta, warn_if_capped
 from .errors import EvaluationError, MorphFitError, ValidationError
-from .geometry import Mesh, PointCloud, apply_deformation, voxel_downsample
-from .imaging import splat_position_image, target_field, zoom
+from .geometry import DEFAULT_VIEW_RESOLUTION, Mesh, PointCloud, apply_deformation, voxel_downsample
+from .imaging import DEFAULT_SPLAT_RADIUS, splat_position_image, target_field, zoom
 from .oracle import OracleSpec, infer, shifted, zoomed_sample
 from .shape_space import ShapeSpace
 
@@ -112,18 +112,19 @@ def prepare_instance(
     *,
     instance_label: str,
     seed: int = 0,
-    densify_per_pixel: float = 20.0,
-    densify_max: int = 60000,
+    densify_per_pixel: float = DENSIFY_PER_PIXEL,
+    densify_max: int = DENSIFY_MAX,
 ):
-    """Dense samples of both meshes and the instance's true canonical deltas.
+    """Dense samples of both meshes and the instance's true target field.
 
     The samples are dense enough for gap-free splats at the views' mean
-    distance.  The deltas are the instance's full deformation, recovered
-    once by registering ``instance_cloud`` with the space's recipe and
-    reused for every view's ground-truth target; a cap warning names it
-    ``instance_label``.  The external oracle reads only that target's mask
-    and scale, so it gets zeros and no registration runs.  Returns
-    ``(canonical_dense, observed_dense, delta_true)``.
+    distance.  The field is the :func:`~morphfit.imaging.target_field` of
+    the instance's full deformation, recovered once by registering
+    ``instance_cloud`` with the space's recipe and reused for every view's
+    ground-truth target; a cap warning names it ``instance_label``.  The
+    external oracle reads only that target's mask and scale, so its field
+    interpolates zeros and no registration runs.  Returns
+    ``(canonical_dense, observed_dense, true_field)``.
     """
     views = list(views)
     if not views:
@@ -131,17 +132,16 @@ def prepare_instance(
     if space.registration is None:
         raise ValidationError("the space carries no registration settings")
     canonical_dense, observed_dense = (
-        densify_mesh(
-            mesh, views, densify_per_pixel, densify_max,
-            np.random.default_rng(np.random.SeedSequence([int(seed), 8, salt])),
-        )[0]
+        densify_mesh(mesh, views, densify_per_pixel, densify_max,
+                     np.random.default_rng(np.random.SeedSequence([int(seed), 8, salt])))[0]
         for salt, mesh in enumerate((canonical_mesh, instance_mesh))
     )
-    if oracle_spec.kind == "external":
-        return canonical_dense, observed_dense, np.zeros((len(space.canonical), 3))
-    registered = cpd_nonrigid(instance_cloud, space.canonical, space.registration.cpd)
-    warn_if_capped(registered, f"registration of instance {instance_label}")
-    return canonical_dense, observed_dense, target_delta(registered.field, 0.0)
+    delta_true = np.zeros((len(space.canonical), 3))
+    if oracle_spec.kind != "external":
+        registered = cpd_nonrigid(instance_cloud, space.canonical, space.registration.cpd)
+        warn_if_capped(registered, f"registration of instance {instance_label}")
+        delta_true = target_delta(registered.field, 0.0)
+    return canonical_dense, observed_dense, target_field(space.canonical, delta_true)
 
 
 def complete_view(
@@ -153,8 +153,8 @@ def complete_view(
     oracle_spec: OracleSpec,
     *,
     offset=(0.0, 0.0, 0.0),
-    zoom_resolution=(256, 192),
-    splat_radius: int = 1,
+    zoom_resolution=DEFAULT_VIEW_RESOLUTION,
+    splat_radius: int = DEFAULT_SPLAT_RADIUS,
     oracle_seed: int = 0,
     ridge: float = 0.0,
 ):
@@ -166,8 +166,8 @@ def complete_view(
     pipeline maps its own render back through the believed pose, and the
     oracle reports the apparent offsets between the two renders (true
     deltas minus the pose error), which is what a consistent predictor
-    would see.  ``true_field`` is the
-    :func:`~morphfit.imaging.target_field` of the true deltas.  Returns the
+    would see.  ``true_field`` is the target field
+    :func:`prepare_instance` returns.  Returns the
     :class:`~morphfit.completion.CompletionResult`.
     """
     offset = np.asarray(offset, dtype=np.float64)
@@ -194,12 +194,12 @@ def pose_noise_experiment(
     draws: int = 1,
     instance_label: str = "instance",
     conditions=DEFAULT_CONDITIONS,
-    zoom_resolution=(256, 192),
-    splat_radius: int = 1,
+    zoom_resolution=DEFAULT_VIEW_RESOLUTION,
+    splat_radius: int = DEFAULT_SPLAT_RADIUS,
     seed: int = 0,
     ridge: float = 0.0,
-    densify_per_pixel: float = 20.0,
-    densify_max: int = 60000,
+    densify_per_pixel: float = DENSIFY_PER_PIXEL,
+    densify_max: int = DENSIFY_MAX,
 ):
     """Viewpoint sweep of the full pipeline against the baselines.
 
@@ -210,7 +210,8 @@ def pose_noise_experiment(
     the canonical render.  Rows pool all draws, draw-major.  The defaults
     are the plain sweep: no pose noise, one draw, every condition.  A
     condition whose every view fails raises an EvaluationError naming the
-    first failure.  The instance must be held out of the space's
+    first failure; :func:`prepare_instance`'s RasterizeError ends the run
+    before any view does.  The instance must be held out of the space's
     construction for the numbers to mean anything; that discipline is the
     caller's.
     """
@@ -223,7 +224,7 @@ def pose_noise_experiment(
         if condition not in DEFAULT_CONDITIONS:
             raise ValidationError(f"unknown condition {condition!r}")
     views = list(views)
-    canonical_dense, observed_dense, delta_true = prepare_instance(
+    canonical_dense, observed_dense, true_field = prepare_instance(
         space, instance_mesh, instance_cloud, views, oracle_spec, canonical_mesh,
         instance_label=instance_label, seed=seed, densify_per_pixel=densify_per_pixel,
         densify_max=densify_max,
@@ -235,21 +236,13 @@ def pose_noise_experiment(
     leaf = _median_spacing(space.canonical.points)
     want_pipeline = COND_PIPELINE in conditions
     want_cpd = COND_RAW_CPD in conditions
-    if want_pipeline:
-        try:
-            true_field = target_field(space.canonical, delta_true)
-        except MorphFitError as exc:  # every view rasterizes with it, so every view fails
-            failures[COND_PIPELINE] = [_why("target field", exc)] * (draws * len(views))
-            want_pipeline = False
     for view_index, view in enumerate(views if want_pipeline or want_cpd else ()):
         try:
             observed_img = splat_position_image(observed_dense, view, splat_radius)
-        except MorphFitError as exc:
-            reason = _why(f"view {view_index}", exc)
-            if want_pipeline:
-                failures[COND_PIPELINE] += [reason] * draws
-            if want_cpd:
-                failures[COND_RAW_CPD].append(reason)
+        except MorphFitError as exc:  # an unwanted condition's list is never read
+            reason = _why(view_index, exc)
+            failures[COND_PIPELINE] += [reason] * draws
+            failures[COND_RAW_CPD].append(reason)
             continue
         for draw_index in range(draws if want_pipeline else 0):
             oracle_seed = int(
@@ -273,7 +266,7 @@ def pose_noise_experiment(
                     instance_cloud, reconstructed
                 )
             except MorphFitError as exc:
-                failures[COND_PIPELINE].append(_why(f"view {view_index}", exc))
+                failures[COND_PIPELINE].append(_why(view_index, exc))
         if want_cpd:
             try:
                 partial = voxel_downsample(observed_img.data[observed_img.mask], leaf)
@@ -282,7 +275,7 @@ def pose_noise_experiment(
                 moved = apply_deformation(space.canonical, registered.field)
                 errors[COND_RAW_CPD][view_index] = registration_error(instance_cloud, moved)
             except MorphFitError as exc:
-                failures[COND_RAW_CPD].append(_why(f"view {view_index}", exc))
+                failures[COND_RAW_CPD].append(_why(view_index, exc))
         # Freed before the next view renders, so two frames are never held.
         del observed_img
 
@@ -300,8 +293,8 @@ def pose_noise_experiment(
     return rows
 
 
-def _why(where: str, exc: MorphFitError) -> str:
-    return f"{where}: {type(exc).__name__}: {exc}"
+def _why(view_index: int, exc: MorphFitError) -> str:
+    return f"view {view_index}: {type(exc).__name__}: {exc}"
 
 
 def report_to_csv(rows, path, display_scale: float = 1.0) -> None:

@@ -38,8 +38,9 @@ __all__ = [
     "quaternion_to_rotation",
 ]
 
-DEFAULT_VIEW_RESOLUTION = (256, 192)
-DEFAULT_FOCAL = (275.0, 275.0)
+DEFAULT_VIEW_RESOLUTION = (256, 192)  # also the zoomed images' size
+FOCAL_PER_WIDTH = 275.0 / 256.0  # a horizontal field of view of about 50 degrees
+DEFAULT_FOCAL = (FOCAL_PER_WIDTH * DEFAULT_VIEW_RESOLUTION[0],) * 2
 MAX_PIXELS = 4096 * 4096  # largest camera image; its position image takes 400 MB
 _DRAW_CELLS = 2**16  # most cells of sample_mesh_surface's face-draw table
 _BARY_BLOCK = 8192  # rows per corner gather in barycentric_points

@@ -25,7 +25,7 @@ from .errors import (
     RasterizeError,
     ValidationError,
 )
-from .geometry import CameraView, PointCloud, distinct_rows
+from .geometry import DEFAULT_VIEW_RESOLUTION, CameraView, PointCloud, distinct_rows
 
 __all__ = [
     "PositionImage",
@@ -38,6 +38,8 @@ __all__ = [
     "mask_bounding_box",
     "zoom",
 ]
+
+DEFAULT_SPLAT_RADIUS = 1  # pixels around each projected point
 
 
 def _check_image(data, mask, name: str):
@@ -146,7 +148,8 @@ class ZoomResult:
         return _spread(image, self.row_at, self.col_at)
 
 
-def splat_position_image(model, view: CameraView, splat_radius: int = 1) -> PositionImage:
+def splat_position_image(model, view: CameraView,
+                         splat_radius: int = DEFAULT_SPLAT_RADIUS) -> PositionImage:
     """Project points through a pinhole camera into a position image.
 
     Each point covers the pixel disc of ``splat_radius`` around its
@@ -389,7 +392,7 @@ def _spread(image, row_at, col_at):
 def zoom(
     observed: PositionImage,
     canonical: PositionImage,
-    target_resolution: tuple[int, int] = (256, 192),
+    target_resolution: tuple[int, int] = DEFAULT_VIEW_RESOLUTION,
 ) -> ZoomResult:
     """Crop both views to one aspect-correct box and resample to target size.
 

@@ -26,6 +26,8 @@ from morphfit import (
     read_manifest,
     read_ply,
     rotation_to_quaternion,
+    save_space,
+    space_from_fields,
     write_ply,
 )
 from morphfit import cli as cli_module
@@ -495,34 +497,65 @@ class TestStoredFields:
         assert runs[0][1] == runs[1][1]
 
 
-def test_one_point_canonical_cloud_ends_in_one_error_line(category, pose_path, tmp_path,
-                                                          capsys):
-    # Meshes 5 m off the origin and a 10 m voxel leaf: one canonical point,
-    # too few for the target interpolation's affine tail.
-    instances = tmp_path / "instances"
+def _one_point_inputs(category, root):
+    """Meshes 5 m off the origin: a 10 m voxel leaf merges each into one point,
+    too few for the target interpolation's affine tail."""
+    instances = root / "instances"
     instances.mkdir()
-    write_ply(tmp_path / "canonical.ply",
+    write_ply(root / "canonical.ply",
               category.canonical_mesh.with_vertices(category.canonical_mesh.vertices + 5.0))
     for index, mesh in enumerate(category.instance_meshes[:3]):
         write_ply(instances / f"m{index}.ply", mesh.with_vertices(mesh.vertices + 5.0))
+    return instances
+
+
+def test_one_point_canonical_cloud_ends_in_one_error_line(category, tmp_path, capsys, cpd_calls):
+    instances = _one_point_inputs(category, tmp_path)
     space = tmp_path / "one.mfss"
     assert main(["build-space", "--canonical", str(tmp_path / "canonical.ply"),
                  "--instances", str(instances), "--beta", "0.1", "--latent", "1",
-                 "--cloud-leaf", "10", "--out", str(space)]) == 0
-    assert len(load_space(space).canonical) == 1
-    capsys.readouterr()
-    common = ["--space", str(space), "--canonical", str(tmp_path / "canonical.ply"),
-              "--res", "48x36"]
-    assert main(["gen-dataset", *common, "--models", str(instances), "--views", "1",
-                 "--rhos", "0", "--out", str(tmp_path / "corpus")]) == 1
+                 "--cloud-leaf", "10", "--out", str(space)]) == 1
     assert capsys.readouterr().err == (
-        "error: DatasetError: 3 of 3 samples failed (> 0.1%); manifest left at "
-        f"{tmp_path / 'corpus' / 'manifest.jsonl.partial'}\n")
-    # register builds the target interpolant before it renders anything.
-    assert main(["register", *common, "--observed", str(instances / "m0.ply"),
-                 "--pose", str(pose_path), "--out", str(tmp_path / "r.ply")]) == 1
+        "error: ValidationError: canonical cloud of 1 point(s) at --cloud-leaf 10 admits no "
+        "target interpolant: interpolation needs at least 4 canonical points, got 1\n")
+    # Refused before any instance is registered, and nothing is written.
+    assert cpd_calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["canonical.ply", "instances"]
+
+
+@pytest.fixture(scope="module")
+def one_point_space(category, tmp_path_factory):
+    """A one-point space as build-space used to write it, saved with save_space."""
+    root = tmp_path_factory.mktemp("one-point")
+    instances = _one_point_inputs(category, root)
+    registration = Registration(CpdConfig(0.1, 2.0, 0.0), 10.0, 8192)
+    cloud = mesh_cloud(read_ply(root / "canonical.ply"), registration, 0, 0)
+    assert len(cloud) == 1
+    trained = register_instances(cloud, [read_ply(p) for p in sorted(instances.glob("*.ply"))],
+                                 registration)
+    save_space(space_from_fields(cloud, [t.field for t in trained], 0.1, 1, registration),
+               root / "one.mfss")
+    return root
+
+
+ONE_POINT_RUNS = {
+    "gen-dataset": "--models {inputs}/instances --views 1 --rhos 0 --out {out}/corpus",
+    "register": "--observed {inputs}/instances/m0.ply --pose {pose} --out {out}/r.ply",
+    "evaluate": "--instance {inputs}/instances/m0.ply --views 1 --out {out}/e.csv",
+}
+
+
+@pytest.mark.parametrize("command", ONE_POINT_RUNS)
+def test_space_no_target_can_span_ends_in_one_error_line(command, one_point_space, pose_path,
+                                                          tmp_path, capsys):
+    args = ONE_POINT_RUNS[command].format(inputs=one_point_space, out=tmp_path,
+                                          pose=pose_path).split()
+    assert main([command, "--space", str(one_point_space / "one.mfss"),
+                 "--canonical", str(one_point_space / "canonical.ply"), "--res", "48x36",
+                 *args]) == 1
     assert capsys.readouterr().err == (
         "error: RasterizeError: interpolation needs at least 4 canonical points, got 1\n")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def write_pose(path, view):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -12,6 +13,7 @@ from morphfit import (
     CpdConfig,
     DatasetError,
     MANIFEST_NAME,
+    RasterizeError,
     SAMPLE_FILES,
     SampleRecord,
     ValidationError,
@@ -247,6 +249,19 @@ class TestGenerateDataset:
             else:
                 assert record.status == "ok" and len(record.paths) == 5
 
+    def test_failing_target_field_ends_the_run_before_any_write(self, category, tmp_path,
+                                                                monkeypatch):
+        def fail(*args, **kwargs):
+            raise RasterizeError("no solution")
+
+        monkeypatch.setattr(dataset_module, "target_field", fail)
+        out = tmp_path / "no-target"
+        with pytest.raises(RasterizeError, match="^no solution$"):
+            generate_dataset(category.canonical_mesh, category.instance_meshes[:2],
+                             category.fields[:2], small_views(2), [0.0, 0.5], out,
+                             seed=0, **GEN_KW)
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
     def test_memory_grows_with_foreground_not_with_views(self, category, tmp_path):
         # Views beyond the first four add their foregrounds to the traced
         # peak, not a full frame each.  The cameras stand where gen-dataset
@@ -343,6 +358,21 @@ class TestSampleRecord:
         )
         back = SampleRecord.from_json(record.to_json())
         assert back == record
+
+    def test_json_is_the_asdict_form(self):
+        ok = SampleRecord(
+            instance_index=1, rho=0.25, view_index=3,
+            paths={name: f"/tmp/{name}" for name in SAMPLE_FILES},
+            pose={"quaternion": [1.0, 0.0, 0.0, 0.0], "translation": [0.1, -0.2, 0.6],
+                  "focal": [103.125, 103.125], "resolution": [96, 72]},
+            crop_box=(1.0, 2.0, 30.0, 22.5), scale_factors=(np.float64(3.2), 1 / 3),
+            padded=False, resolution=(96, 72), export_scale=1000.0,
+            splat_radius=1, split="train", seed=7,
+        )
+        skipped = dataclasses.replace(ok, paths={}, crop_box=None, scale_factors=None,
+                                      status="skipped", reason="EmptyRenderError: nothing")
+        for record in (ok, skipped):
+            assert record.to_json() == json.dumps(dataclasses.asdict(record), sort_keys=True)
 
 
 class TestReadManifest:

@@ -17,6 +17,7 @@ from morphfit import (
     PointCloud,
     RasterizeError,
     ValidationError,
+    cpd_nonrigid,
     pose_noise_experiment,
     registration_error,
     report_to_csv,
@@ -208,18 +209,26 @@ class TestEvaluateInstance:
             )
 
     def test_failed_target_field_is_named(self, category, held_out, few_views, monkeypatch):
+        # The instance's registration is the one CPD before the target field
+        # fails; its error ends the sweep before any view or raw-CPD baseline.
         mesh, cloud = held_out
+        cpd_calls = []
 
         def fail(*args, **kwargs):
             raise RasterizeError("no solution")
 
+        def counted(*args, **kwargs):
+            cpd_calls.append(1)
+            return cpd_nonrigid(*args, **kwargs)
+
         monkeypatch.setattr(evaluation_module, "target_field", fail)
-        with pytest.raises(EvaluationError, match=re.escape(
-                "'oracle-pipeline' (target field: RasterizeError: no solution)")):
+        monkeypatch.setattr(evaluation_module, "cpd_nonrigid", counted)
+        with pytest.raises(RasterizeError, match="^no solution$"):
             pose_noise_experiment(
                 category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
-                category.canonical_mesh, conditions=(COND_PIPELINE,), **FAST,
+                category.canonical_mesh, **FAST,
             )
+        assert cpd_calls == [1]
 
     def test_failed_observed_render_is_named_and_counted(self, category, held_out, few_views,
                                                          monkeypatch):
@@ -263,21 +272,26 @@ class TestTargetValues:
             seen["sample"] = sample
             return infer(spec, sample, **kwargs)
 
+        def keep_deltas(canonical, deltas):
+            seen["deltas"] = deltas
+            return target_field(canonical, deltas)
+
         monkeypatch.setattr(evaluation_module, "zoom", keep_zoom)
         monkeypatch.setattr(evaluation_module, "infer", keep_sample)
+        monkeypatch.setattr(evaluation_module, "target_field", keep_deltas)
         mesh, cloud = held_out
         oracle = OracleSpec("ground_truth")
         options = dict(densify_per_pixel=FAST["densify_per_pixel"],
                        densify_max=FAST["densify_max"])
-        canonical_dense, observed_dense, delta_true = prepare_instance(
+        canonical_dense, observed_dense, true_field = prepare_instance(
             category.space, mesh, cloud, few_views[:1], oracle, category.canonical_mesh,
             instance_label="held-out", **options,
         )
+        delta_true = seen["deltas"]
         offset = np.array([0.004, -0.003, 0.002])
         complete_view(category.space, canonical_dense,
                       splat_position_image(observed_dense, few_views[0]), few_views[0],
-                      target_field(category.space.canonical, delta_true), oracle,
-                      offset=offset, zoom_resolution=zoom_resolution)
+                      true_field, oracle, offset=offset, zoom_resolution=zoom_resolution)
         assert seen["zoom"].padded is padded
 
         canonical = seen["sample"].canonical

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -124,3 +126,60 @@ def test_only_io_names_partial_files():
                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
                       and ".partial" in node.value and id(node) not in docstrings]
     assert offenders == []
+
+
+def test_each_pipeline_default_is_one_constant():
+    """The image size, splat radius, densify recipe and focal rule are each decided
+    once: every signature default and command-line default for them is that constant."""
+    from morphfit import cli, dataset, geometry, imaging
+
+    constants = {
+        "resolution": geometry.DEFAULT_VIEW_RESOLUTION,
+        "zoom_resolution": geometry.DEFAULT_VIEW_RESOLUTION,
+        "target_resolution": geometry.DEFAULT_VIEW_RESOLUTION,
+        "focal": geometry.DEFAULT_FOCAL,
+        "splat_radius": imaging.DEFAULT_SPLAT_RADIUS,
+        "densify_per_pixel": dataset.DENSIFY_PER_PIXEL,
+        "densify_max": dataset.DENSIFY_MAX,
+    }
+    checked, drifted = set(), []
+    for source in sorted(Path(morphfit.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"morphfit.{source.stem}")
+        for name, obj in vars(module).items():
+            if not (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    or obj.__module__ != module.__name__:
+                continue
+            try:
+                parameters = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):  # a class without an inspectable signature
+                continue
+            for param in parameters:
+                if param.name in constants and param.default is not param.empty:
+                    checked.add(f"{name}.{param.name}")
+                    if param.default != constants[param.name]:
+                        drifted.append(f"{name}.{param.name} = {param.default!r}")
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            flag = {"res": "resolution", "splat_radius": "splat_radius"}.get(action.dest)
+            if flag is not None:
+                checked.add(f"{command} {action.option_strings[0]}")
+                if action.default != constants[flag]:
+                    drifted.append(f"{command} {action.option_strings[0]} = {action.default!r}")
+    assert drifted == []
+    # The focal rule: one ratio, which the camera default and the command line share.
+    assert cli.FOCAL_PER_WIDTH is geometry.FOCAL_PER_WIDTH
+    assert geometry.DEFAULT_FOCAL == (geometry.FOCAL_PER_WIDTH * 256,) * 2 == (275.0, 275.0)
+    # Every copy the guard is meant to see was seen.
+    expected = {"CameraView.focal", "CameraView.resolution", "zoom.target_resolution",
+                "splat_position_image.splat_radius"}
+    expected |= {f"{fn}.{name}" for fn in ("complete_view", "pose_noise_experiment",
+                                           "generate_dataset")
+                 for name in ("zoom_resolution", "splat_radius")}
+    expected |= {f"{fn}.{name}" for fn in ("prepare_instance", "pose_noise_experiment",
+                                           "generate_dataset")
+                 for name in ("densify_per_pixel", "densify_max")}
+    expected |= {f"{command} {flag}" for command in ("gen-dataset", "register", "evaluate",
+                                                     "pose-noise-eval")
+                 for flag in ("--res", "--splat-radius")}
+    assert checked == expected
