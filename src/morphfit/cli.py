@@ -2,12 +2,14 @@
 
 Subcommands: build-space, gen-dataset, register, evaluate,
 pose-noise-eval, cross-register.  Validation reports every problem at
-once and exits 2; runtime failures exit 1 with a structured message;
-successful runs leave their declared outputs and exit 0.  Output locations
-are checked with the arguments, and every command writes all of its outputs or
-none (:func:`morphfit.io.commit`), so failed runs leave only ``.partial`` files;
-gen-dataset's sample files stay, and its manifest is the run's record.  build-space
-refuses a canonical cloud that admits no target interpolant (``RasterizeError``).
+once and exits 2 (each numeric flag by its one row of :data:`NUMERIC_RULES`;
+an oracle flag the chosen oracle would ignore is refused); runtime failures
+exit 1 with a structured message; successful runs leave their declared outputs
+and exit 0.  Output locations are checked with the arguments, and every command
+writes all of its outputs or none (:func:`morphfit.io.commit`), so failed runs
+leave only ``.partial`` files; gen-dataset's sample files stay, and its manifest
+is the run's record.  build-space refuses a canonical cloud that admits no
+target interpolant (``RasterizeError``).
 """
 from __future__ import annotations
 
@@ -34,10 +36,10 @@ from .evaluation import (
     report_to_json,
 )
 from .geometry import (
-    DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, CameraView, quaternion_to_rotation,
-    viewpoint_sphere,
+    DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, MAX_SURFACE_SAMPLES, MAX_VIEWS,
+    CameraView, quaternion_to_rotation, viewpoint_sphere,
 )
-from .imaging import DEFAULT_SPLAT_RADIUS, splat_position_image, target_field
+from .imaging import DEFAULT_SPLAT_RADIUS, MAX_SPLAT_RADIUS, splat_position_image, target_field
 from .io import commit, read_ply, write_ply
 from .oracle import OracleSpec
 from .shape_space import Registration, load_space, save_space, space_from_fields
@@ -161,101 +163,86 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Validation: every violation reported, not just the first.
 
+_INVARIANTS = " (kernel width and regularization invariants)"
+
+# One row per numeric flag: (dest, flag, rule, test).  Each comparison is
+# False for NaN, and a float rule bounded by inf refuses inf.  A flag the
+# command lacks, or an unset --view-radius, reads None and is skipped.
+NUMERIC_RULES = (
+    ("seed", "--seed", ">= 0", lambda v: v >= 0),
+    ("jobs", "--jobs", ">= 1", lambda v: v >= 1),
+    ("beta", "--beta", "> 0" + _INVARIANTS, lambda v: 0 < v < np.inf),
+    ("regularization", "--lambda", "> 0" + _INVARIANTS, lambda v: 0 < v < np.inf),
+    ("outlier_weight", "--outlier-weight", "in [0, 1)", lambda v: 0 <= v < 1),
+    ("latent", "--latent", ">= 1", lambda v: v >= 1),
+    ("cloud_leaf", "--cloud-leaf", "> 0", lambda v: 0 < v < np.inf),
+    ("dense_count", "--dense-count", f"in [1, {MAX_SURFACE_SAMPLES}]",
+     lambda v: 1 <= v <= MAX_SURFACE_SAMPLES),
+    ("views", "--views", f"in [1, {MAX_VIEWS}]", lambda v: 1 <= v <= MAX_VIEWS),
+    ("view_radius", "--view-radius", "> 0", lambda v: 0 < v < np.inf),
+    ("scale", "--scale", "> 0", lambda v: 0 < v < np.inf),
+    ("split", "--split", "in (0, 1]", lambda v: 0 < v <= 1),
+    ("splat_radius", "--splat-radius", f"in [0, {MAX_SPLAT_RADIUS}]",
+     lambda v: 0 <= v <= MAX_SPLAT_RADIUS),
+    ("noise_sigma", "--noise-sigma", ">= 0", lambda v: 0 <= v < np.inf),
+    ("ridge", "--ridge", ">= 0", lambda v: 0 <= v < np.inf),
+    ("display_scale", "--display-scale", "> 0", lambda v: 0 < v < np.inf),
+    ("noise_range", "--noise-range", ">= 0", lambda v: 0 <= v < np.inf),
+    ("draws", "--draws", ">= 1", lambda v: v >= 1),
+)
+
+
 def validate_config(args) -> list[str]:
-    problems: list[str] = []
-
-    def check_file(attr, label):
-        path = getattr(args, attr, None)
+    problems = []
+    for dest, flag, rule, test in NUMERIC_RULES:
+        value = getattr(args, dest, None)
+        if value is not None and not test(value):
+            problems.append(f"{flag} must be {rule}, got {value}")
+    for dest in ("space", "canonical", "observed", "pose", "instance"):
+        path = getattr(args, dest, None)
         if path is not None and not Path(path).is_file():
-            problems.append(f"{label} {path!r} is not a readable file")
-
-    # A flag the command lacks reads None, as does an unset --view-radius.
-    def check_positive(attr, label, why=""):
-        value = getattr(args, attr, None)
-        if value is not None and not (np.isfinite(value) and value > 0):
-            problems.append(f"{label} must be > 0{why}, got {value}")
-
-    def check_nonnegative(attr, label):
-        value = getattr(args, attr, None)
-        if value is not None and not (np.isfinite(value) and value >= 0):
-            problems.append(f"{label} must be >= 0, got {value}")
-
-    if args.seed < 0:
-        problems.append(f"--seed must be >= 0, got {args.seed}")
-    if args.jobs < 1:
-        problems.append(f"--jobs must be >= 1, got {args.jobs}")
+            problems.append(f"--{dest} {path!r} is not a readable file")
     res = getattr(args, "res", None)
     if res is not None and min(res) < 1:
         problems.append(f"--res sides must be >= 1, got {res[0]}x{res[1]}")
     elif res is not None and res[0] * res[1] > MAX_PIXELS:
         problems.append(f"--res {res[0]}x{res[1]} exceeds the {MAX_PIXELS}-pixel limit")
-    check_nonnegative("splat_radius", "--splat-radius")
-    check_positive("view_radius", "--view-radius")
-    check_positive("display_scale", "--display-scale")
-    check_nonnegative("noise_sigma", "--noise-sigma")
-    check_nonnegative("ridge", "--ridge")
-    check_nonnegative("noise_range", "--noise-range")
     problems += _output_problems(args)
 
     if args.command == "build-space":
-        check_file("canonical", "--canonical")
-        invariants = " (kernel width and regularization invariants)"
-        check_positive("beta", "--beta", invariants)
-        check_positive("regularization", "--lambda", invariants)
-        if not (0.0 <= args.outlier_weight < 1.0):
-            problems.append(f"--outlier-weight must be in [0, 1), got {args.outlier_weight}")
-        if args.latent < 1:
-            problems.append(f"--latent must be >= 1, got {args.latent}")
-        check_positive("cloud_leaf", "--cloud-leaf")
-        if args.dense_count < 1:
-            problems.append(f"--dense-count must be >= 1, got {args.dense_count}")
         instances = _list_meshes(args.instances)
         if instances is None:
             problems.append(f"--instances {args.instances!r} is not a directory")
-        else:
-            if len(instances) < 2:
-                problems.append(
-                    f"--instances holds {len(instances)} PLY meshes; shape-space construction needs >= 2"
-                )
-            elif args.latent > len(instances) - 1:
-                problems.append(
-                    f"--latent {args.latent} exceeds #instances - 1 = {len(instances) - 1}"
-                )
+        elif len(instances) < 2:
+            problems.append(f"--instances holds {len(instances)} PLY meshes; "
+                            "shape-space construction needs >= 2")
+        elif args.latent > len(instances) - 1:
+            problems.append(f"--latent {args.latent} exceeds #instances - 1 = {len(instances) - 1}")
     elif args.command == "gen-dataset":
-        check_file("space", "--space")
-        check_file("canonical", "--canonical")
-        check_positive("scale", "--scale")
         models = _list_meshes(args.models)
         if models is None:
             problems.append(f"--models {args.models!r} is not a directory")
         elif not models:
             problems.append(f"--models {args.models!r} contains no PLY meshes")
-        for rho in args.rhos:
-            if not (0.0 <= rho <= 1.0):
-                problems.append(f"--rhos entries must be in [0, 1], got {rho}")
+        problems += [f"--rhos entries must be in [0, 1], got {rho}"
+                     for rho in args.rhos if not (0.0 <= rho <= 1.0)]
         if not args.rhos:
             problems.append("--rhos must list at least one value")
-        if args.views < 1:
-            problems.append(f"--views must be >= 1, got {args.views}")
-        if not (0.0 < args.split <= 1.0):
-            problems.append(f"--split must be in (0, 1], got {args.split}")
     elif args.command in ("register", "evaluate", "pose-noise-eval"):
-        for attr in ("space", "canonical", "observed", "pose", "instance"):
-            check_file(attr, "--" + attr)
+        # A flag the chosen oracle would ignore is refused; an infinite
+        # --noise-sigma has failed its row already.
         if args.oracle not in ("gt", "noisy", "external"):
             problems.append(f"--oracle must be gt, noisy, or external, got {args.oracle!r}")
         if args.oracle == "external" and not args.oracle_cmd.strip():
             problems.append("--oracle external requires --oracle-cmd")
-        if args.command != "register" and args.views < 1:
-            problems.append(f"--views must be >= 1, got {args.views}")
-        if args.command == "pose-noise-eval" and args.draws < 1:
-            problems.append(f"--draws must be >= 1, got {args.draws}")
-    elif args.command == "cross-register":
-        check_file("space", "--space")
-        if args.latent_a.shape != args.latent_b.shape:
-            problems.append(
-                f"latent dimensions differ: {args.latent_a.shape[0]} vs {args.latent_b.shape[0]}"
-            )
+        if args.oracle != "external" and args.oracle_cmd.strip():
+            problems.append(f"--oracle-cmd needs --oracle external, got --oracle {args.oracle}")
+        if args.oracle != "noisy" and 0 < args.noise_sigma < np.inf:
+            problems.append(f"--noise-sigma {args.noise_sigma} needs --oracle noisy, "
+                            f"got --oracle {args.oracle}")
+    elif args.command == "cross-register" and args.latent_a.shape != args.latent_b.shape:
+        problems.append(f"latent dimensions differ: "
+                        f"{args.latent_a.shape[0]} vs {args.latent_b.shape[0]}")
     return problems
 
 

@@ -237,7 +237,8 @@ def generate_dataset(
     interrupted run leaves it only as ``manifest.jsonl.partial``.
     Individual render failures are recorded as skipped; more than 0.1% of
     them abort the run, leaving the manifest under that name.  A target
-    field's RasterizeError (the shared anchors decide it) ends the run at once.
+    field's RasterizeError (the shared anchors decide it) ends the run at once,
+    before ``out_dir`` exists: the first sample written, or the manifest, makes it.
     """
     meshes, fields, views = list(meshes), list(fields), list(views)
     rhos = [float(r) for r in rhos]
@@ -254,8 +255,6 @@ def generate_dataset(
     if export_scale <= 0:
         raise ValidationError(f"export_scale must be > 0, got {export_scale}")
     out_dir = Path(out_dir)
-    with writing(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     canon_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2**31]))
     canon_pts, _, _ = densify_mesh(canonical_mesh, views, densify_per_pixel, densify_max,
@@ -326,14 +325,15 @@ def generate_dataset(
                 paths = {name: str(sample_dir / name) for name in SAMPLE_FILES}
                 with writing(sample_dir):
                     sample_dir.mkdir(parents=True, exist_ok=True)
+                    # Target first: one beyond float32 is refused before any file.
+                    write_tensor(paths["target.f32"], sample.target.data * export_scale,
+                                 f"target deformation image (m x {export_scale:g})")
                     write_tensor(paths["canon.pos.f32"], sample.canonical.data,
                                  "canonical position image (m)")
                     write_mask(paths["canon.mask.pgm"], sample.canonical.mask)
                     write_tensor(paths["obs.pos.f32"], sample.observed.data,
                                  "observed position image (m)")
                     write_mask(paths["obs.mask.pgm"], sample.observed.mask)
-                    write_tensor(paths["target.f32"], sample.target.data * export_scale,
-                                 f"target deformation image (m x {export_scale:g})")
                 records.append(SampleRecord(
                     paths=paths, crop_box=tuple(zoomed.crop_box),
                     scale_factors=tuple(zoomed.scale_factors), padded=zoomed.padded, **base,
@@ -367,6 +367,8 @@ def generate_dataset(
                 f"manifest left at {path}"
             )
 
+    with writing(out_dir):  # not yet made if every sample was skipped
+        out_dir.mkdir(parents=True, exist_ok=True)
     commit({out_dir / MANIFEST_NAME: write_manifest})
     return records
 

@@ -42,6 +42,8 @@ DEFAULT_VIEW_RESOLUTION = (256, 192)  # also the zoomed images' size
 FOCAL_PER_WIDTH = 275.0 / 256.0  # a horizontal field of view of about 50 degrees
 DEFAULT_FOCAL = (FOCAL_PER_WIDTH * DEFAULT_VIEW_RESOLUTION[0],) * 2
 MAX_PIXELS = 4096 * 4096  # largest camera image; its position image takes 400 MB
+MAX_VIEWS = 1024  # most viewpoint_sphere cameras, about 14x the paper's 74-view sphere
+MAX_SURFACE_SAMPLES = 2**20  # most sample_mesh_surface points, 128x build-space's default
 _DRAW_CELLS = 2**16  # most cells of sample_mesh_surface's face-draw table
 _BARY_BLOCK = 8192  # rows per corner gather in barycentric_points
 
@@ -341,8 +343,8 @@ def viewpoint_sphere(count: int, radius: float, **camera_kwargs) -> list[CameraV
     first sample is on the +z axis.  Extra keyword arguments (focal,
     resolution, ...) are forwarded to each CameraView.
     """
-    if count < 1:
-        raise ValidationError(f"viewpoint count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_VIEWS:
+        raise ValidationError(f"viewpoint count must be in [1, {MAX_VIEWS}], got {count}")
     if not (np.isfinite(radius) and radius > 0):
         raise ValidationError(f"viewpoint radius must be > 0, got {radius}")
     indices = np.arange(count, dtype=np.float64)
@@ -408,8 +410,8 @@ def sample_mesh_surface(mesh: Mesh, count: int, rng=None):
     pattern can be re-posed on a deformed copy of the mesh (same topology)
     by recombining barycentric coordinates with the new vertices.
     """
-    if count < 1:
-        raise ValidationError(f"sample count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_SURFACE_SAMPLES:
+        raise ValidationError(f"sample count must be in [1, {MAX_SURFACE_SAMPLES}], got {count}")
     rng = np.random.default_rng(rng)
     tri = mesh.vertices[mesh.faces]
     areas = 0.5 * np.linalg.norm(

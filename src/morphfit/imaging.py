@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_SPLAT_RADIUS = 1  # pixels around each projected point
+MAX_SPLAT_RADIUS = 32  # the splat's disc loop makes (2r+1)**2 passes over the points
 
 
 def _check_image(data, mask, name: str):
@@ -163,8 +164,9 @@ def splat_position_image(model, view: CameraView,
     depth first, then least index among exact depth ties.  Only the
     winners are ranked by (depth, index) and splatted.
     """
-    if splat_radius < 0:
-        raise ValidationError(f"splat_radius must be >= 0, got {splat_radius}")
+    if not 0 <= splat_radius <= MAX_SPLAT_RADIUS:
+        raise ValidationError(
+            f"splat_radius must be in [0, {MAX_SPLAT_RADIUS}], got {splat_radius}")
     pts = model.points if isinstance(model, PointCloud) else np.asarray(model, np.float64)
     width, height = view.resolution
     cam = view.to_camera(pts)

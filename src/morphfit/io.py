@@ -191,12 +191,17 @@ def write_tensor(path, array: np.ndarray, semantic: str) -> None:
     """Write ``array`` as raw little-endian float32 plus a JSON sidecar.
 
     The sidecar lives at ``<path>.json`` and records shape, dtype, and a
-    free-form semantic label so files on disk stay self-describing.
+    free-form semantic label so files on disk stay self-describing.  A value
+    beyond the float32 range is rejected before the file is opened.
     """
     path = Path(path)
-    array = np.asarray(array, dtype="<f4")
-    path.write_bytes(np.ascontiguousarray(array).data)
-    sidecar = {"shape": list(array.shape), "dtype": "f32", "semantic": semantic}
+    with np.errstate(over="ignore"):  # an overflowing cast is rejected below
+        data = np.asarray(array, dtype="<f4")
+    if np.isinf(data).any():
+        raise ValidationError(f"a value of {float(np.abs(array).max()):.3g} exceeds "
+                              f"the float32 range of tensor {path}")
+    path.write_bytes(np.ascontiguousarray(data).data)
+    sidecar = {"shape": list(data.shape), "dtype": "f32", "semantic": semantic}
     Path(str(path) + ".json").write_text(json.dumps(sidecar) + "\n")
 
 

@@ -192,6 +192,25 @@ class TestValidateConfig:
         ])
         assert any("1.5" in p for p in validate_config(args))
 
+    @pytest.mark.parametrize("flags, problem", [
+        (["--noise-sigma", "0.5"], "--noise-sigma 0.5 needs --oracle noisy, got --oracle gt"),
+        (["--oracle", "external", "--oracle-cmd", "cat", "--noise-sigma", "0.1"],
+         "--noise-sigma 0.1 needs --oracle noisy, got --oracle external"),
+        (["--oracle-cmd", "false"], "--oracle-cmd needs --oracle external, got --oracle gt"),
+        (["--oracle", "noisy", "--noise-sigma", "0.1", "--oracle-cmd", "cat"],
+         "--oracle-cmd needs --oracle external, got --oracle noisy"),
+        (["--oracle", "noisy", "--noise-sigma", "0.1"], None),
+        (["--oracle", "external", "--oracle-cmd", "cat"], None),
+        (["--oracle-cmd", "  "], None),
+    ])
+    def test_oracle_flags_pair(self, mesh_dir, space_path, flags, problem):
+        # A flag that the chosen oracle would ignore is refused.
+        args = parse([
+            "evaluate", "--space", str(space_path), "--canonical", str(mesh_dir / "canonical.ply"),
+            "--instance", str(mesh_dir / "observed.ply"), *flags, "--out", "o",
+        ])
+        assert validate_config(args) == ([problem] if problem else [])
+
     def test_external_oracle_needs_command(self, mesh_dir, space_path):
         args = parse([
             "register", "--space", str(space_path),
@@ -555,7 +574,8 @@ def test_space_no_target_can_span_ends_in_one_error_line(command, one_point_spac
                  *args]) == 1
     assert capsys.readouterr().err == (
         "error: RasterizeError: interpolation needs at least 4 canonical points, got 1\n")
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    # No file, and for gen-dataset no <out> directory either.
+    assert list(tmp_path.iterdir()) == []
 
 
 def write_pose(path, view):
@@ -1061,6 +1081,43 @@ def test_bad_input_ends_in_one_error_line(command, make_inputs, code, mesh_dir, 
     lines = proc.stderr.strip().splitlines()
     assert "error:" in lines[-1], proc.stderr
     assert code == 2 or len(lines) == 1, proc.stderr
+
+
+ESCAPES = {
+    "splat-radius": ("register", ["--splat-radius", "1000000"], 2,
+                     "error: --splat-radius must be in [0, 32], got 1000000"),
+    "dense-count": ("build-space", ["--dense-count", "100000000000"], 2,
+                    "error: --dense-count must be in [1, 1048576], got 100000000000"),
+    "views": ("evaluate", ["--views", "1000000000000"], 2,
+              "error: --views must be in [1, 1024], got 1000000000000"),
+    "noise-sigma": ("register", ["--oracle", "gt", "--noise-sigma", "0.5"], 2,
+                    "error: --noise-sigma 0.5 needs --oracle noisy, got --oracle gt"),
+    "oracle-cmd": ("register", ["--oracle-cmd", "false"], 2,
+                   "error: --oracle-cmd needs --oracle external, got --oracle gt"),
+    "scale": ("gen-dataset", ["--scale", "1e308"], 1,
+              "error: ValidationError: a value of "),
+}
+
+
+@pytest.mark.parametrize("case", ESCAPES)
+def test_refused_argument_ends_in_one_error_line(case, mesh_dir, space_path, pose_path,
+                                                 tmp_path):
+    """Arguments that would exhaust memory, that the run would ignore, or that scale
+    a target beyond float32: one error line, and no output or partial file."""
+    command, flags, code, line = ESCAPES[case]
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "morphfit",
+         *command_argv(command, mesh_dir, space_path, pose_path, out, *flags)],
+        capture_output=True, text=True, timeout=120, env=package_env())
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    errors = [text for text in proc.stderr.splitlines() if text.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(line), proc.stderr
+    if case == "scale":
+        assert errors[0].endswith(
+            f" exceeds the float32 range of tensor {out / '0' / '0' / '0' / 'target.f32'}")
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
 
 def test_python_dash_m_runs_the_cli():

@@ -23,6 +23,8 @@ from morphfit import (
 from morphfit.geometry import (
     _BARY_BLOCK,
     _DRAW_CELLS,
+    MAX_SURFACE_SAMPLES,
+    MAX_VIEWS,
     barycentric_points,
     distinct_rows,
     expand_kernel,
@@ -315,6 +317,11 @@ class TestViewpointSphere:
         with pytest.raises(ValidationError):
             viewpoint_sphere(0, 1.0)
 
+    def test_count_bounded_before_any_allocation(self):
+        assert len(viewpoint_sphere(MAX_VIEWS, 1.0)) == MAX_VIEWS
+        with pytest.raises(ValidationError, match=f"in \\[1, {MAX_VIEWS}\\], got {10**12}$"):
+            viewpoint_sphere(10**12, 1.0)
+
 
 class TestCameraView:
     def test_rejects_non_orthonormal(self):
@@ -365,6 +372,14 @@ class TestSampleMeshSurface:
         _, face_idx, _ = sample_mesh_surface(mesh, 20000, rng=16)
         big = (face_idx == 1).mean()
         assert 0.87 <= big <= 0.93
+
+    def test_count_bounded_before_any_allocation(self):
+        assert len(sample_mesh_surface(icosphere(1), MAX_SURFACE_SAMPLES, rng=0)[0]) \
+            == MAX_SURFACE_SAMPLES
+        for count in (0, MAX_SURFACE_SAMPLES + 1, 10**11):
+            with pytest.raises(ValidationError,
+                               match=f"in \\[1, {MAX_SURFACE_SAMPLES}\\], got {count}$"):
+                sample_mesh_surface(icosphere(1), count, rng=0)
 
     def test_deterministic_given_seed(self):
         mesh = icosphere(1)

@@ -230,6 +230,15 @@ class TestSplat:
         with pytest.raises(ValidationError):
             splat_position_image(PointCloud([[0, 0, 0]]), view, splat_radius=-1)
 
+    def test_radius_bounded_before_the_padded_grid(self):
+        view = look_at([0, 0, 1.0], resolution=(40, 30))
+        img = splat_position_image(PointCloud([[0, 0, 0]]), view,
+                                   splat_radius=imaging.MAX_SPLAT_RADIUS)
+        assert img.mask.all()
+        with pytest.raises(ValidationError, match=f"in \\[0, {imaging.MAX_SPLAT_RADIUS}\\], "
+                                                  "got 1000000$"):
+            splat_position_image(PointCloud([[0, 0, 0]]), view, splat_radius=10**6)
+
 
 class TestRasterizeTarget:
     def _render(self, cloud, resolution=(48, 36)):

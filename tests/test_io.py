@@ -168,6 +168,17 @@ class TestTensor:
         assert sidecar["semantic"] == "test-block"
         assert meta["semantic"] == "test-block"
 
+    def test_values_beyond_float32_rejected_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "t.f32"
+        with pytest.raises(ValidationError, match="1e[+]39 exceeds the float32 range of tensor"):
+            write_tensor(path, np.array([[0.0, 1e39, 2.0]]), semantic="x")
+        with pytest.raises(ValidationError, match="inf exceeds the float32 range"):
+            write_tensor(path, np.array([-np.inf]), semantic="x")
+        assert list(tmp_path.iterdir()) == []
+        largest = float(np.finfo(np.float32).max)
+        write_tensor(path, np.array([largest, -largest]), semantic="x")
+        assert read_tensor(path)[0].tolist() == [largest, -largest]
+
     def test_size_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.f32"
         write_tensor(path, np.zeros((2, 3), dtype=np.float32), semantic="x")

@@ -183,3 +183,24 @@ def test_each_pipeline_default_is_one_constant():
                                                      "pose-noise-eval")
                  for flag in ("--res", "--splat-radius")}
     assert checked == expected
+
+
+def test_each_numeric_flag_has_one_rule():
+    """Every int or float option of the command line is checked by exactly one row of
+    ``cli.NUMERIC_RULES``, every row names an option that some command has, and the
+    bounded rows read the constants the library checks."""
+    from morphfit import cli, geometry, imaging
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    numeric = {(action.dest, action.option_strings[0])
+               for p in (parser, *sub.choices.values()) for action in p._actions
+               if action.type in (int, float)}
+    rows = [(dest, flag) for dest, flag, _, _ in cli.NUMERIC_RULES]
+    assert len({dest for dest, _ in rows}) == len(rows)
+    assert set(rows) == numeric
+    tests = {dest: test for dest, _, _, test in cli.NUMERIC_RULES}
+    for dest, bound in (("splat_radius", imaging.MAX_SPLAT_RADIUS),
+                        ("dense_count", geometry.MAX_SURFACE_SAMPLES),
+                        ("views", geometry.MAX_VIEWS)):
+        assert tests[dest](bound) and not tests[dest](bound + 1)
