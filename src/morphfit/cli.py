@@ -23,7 +23,9 @@ import numpy as np
 
 from .completion import cross_instance_correspondence, reconstruct_mesh
 from .cpd import CpdConfig
-from .dataset import default_cloud_leaf, generate_dataset, mesh_cloud, register_instances
+from .dataset import (
+    default_cloud_leaf, generate_dataset, mesh_cloud, register_instances, rho_problems,
+)
 from .errors import MorphFitError, RasterizeError, ValidationError
 from .evaluation import (
     DEFAULT_CONDITIONS,
@@ -36,8 +38,8 @@ from .evaluation import (
     report_to_json,
 )
 from .geometry import (
-    DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, MAX_SURFACE_SAMPLES, MAX_VIEWS,
-    CameraView, quaternion_to_rotation, viewpoint_sphere,
+    CANONICAL_SALT, DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, MAX_SURFACE_SAMPLES,
+    MAX_VIEWS, OBSERVED_SALT, CameraView, quaternion_to_rotation, stream, viewpoint_sphere,
 )
 from .imaging import DEFAULT_SPLAT_RADIUS, MAX_SPLAT_RADIUS, splat_position_image, target_field
 from .io import commit, read_ply, write_ply
@@ -224,10 +226,7 @@ def validate_config(args) -> list[str]:
             problems.append(f"--models {args.models!r} is not a directory")
         elif not models:
             problems.append(f"--models {args.models!r} contains no PLY meshes")
-        problems += [f"--rhos entries must be in [0, 1], got {rho}"
-                     for rho in args.rhos if not (0.0 <= rho <= 1.0)]
-        if not args.rhos:
-            problems.append("--rhos must list at least one value")
+        problems += [f"--{problem}" for problem in rho_problems(args.rhos)]
     elif args.command in ("register", "evaluate", "pose-noise-eval"):
         # A flag the chosen oracle would ignore is refused; an infinite
         # --noise-sigma has failed its row already.
@@ -310,18 +309,13 @@ def _views_for(args, canonical_mesh):
                             resolution=args.res)
 
 
-def _observed_cloud(space, mesh, seed):
-    """The observed instance's cloud by the space's recipe; errors are measured on it."""
-    return mesh_cloud(mesh, space.registration, seed, 9)
-
-
 def _cmd_build_space(args) -> int:
     canonical_mesh = read_ply(args.canonical)
     instance_paths = _list_meshes(args.instances)
     leaf = default_cloud_leaf(canonical_mesh) if args.cloud_leaf is None else args.cloud_leaf
     cpd = CpdConfig(args.beta, args.regularization, args.outlier_weight)
     registration = Registration(cpd, leaf, args.dense_count)
-    canonical_cloud = mesh_cloud(canonical_mesh, registration, args.seed, 0)
+    canonical_cloud = mesh_cloud(canonical_mesh, registration, args.seed, CANONICAL_SALT)
     try:  # every later command interpolates its targets over this cloud
         target_field(canonical_cloud, np.zeros((len(canonical_cloud), 3)))
     except RasterizeError as exc:
@@ -366,7 +360,7 @@ def _cmd_register(args) -> int:
     observed_mesh = read_ply(args.observed)
     view = _load_camera(args.pose, args.res)
     oracle_spec = _oracle_spec(args)
-    observed_cloud = _observed_cloud(space, observed_mesh, args.seed)
+    observed_cloud = mesh_cloud(observed_mesh, space.registration, args.seed, OBSERVED_SALT)
     canonical_dense, observed_dense, true_field = prepare_instance(
         space, observed_mesh, observed_cloud, [view], oracle_spec, canonical_mesh,
         instance_label=Path(args.observed).stem, seed=args.seed,
@@ -375,7 +369,7 @@ def _cmd_register(args) -> int:
     result = complete_view(
         space, canonical_dense, observed_img, view, true_field, oracle_spec,
         zoom_resolution=args.res, splat_radius=args.splat_radius,
-        oracle_seed=args.seed, ridge=args.ridge,
+        oracle_noise=stream(args.seed, "oracle_noise", 0, 0), ridge=args.ridge,
     )
     mesh_out = reconstruct_mesh(result, canonical_mesh)
     mesh_path, latent_path = _outputs(args)
@@ -396,7 +390,7 @@ def _cmd_evaluate(args) -> int:
     space = load_space(args.space)
     canonical_mesh = read_ply(args.canonical)
     instance_mesh = read_ply(args.instance)
-    instance_cloud = _observed_cloud(space, instance_mesh, args.seed)
+    instance_cloud = mesh_cloud(instance_mesh, space.registration, args.seed, OBSERVED_SALT)
     views = _views_for(args, canonical_mesh)
     rows = pose_noise_experiment(
         space, instance_mesh, instance_cloud, views, _oracle_spec(args), canonical_mesh,

@@ -28,6 +28,8 @@ from .geometry import (
     gaussian_kernel,
     rotation_to_quaternion,
     sample_mesh_surface,
+    stream,
+    triangle_areas,
     voxel_downsample,
 )
 from .imaging import (
@@ -48,6 +50,7 @@ __all__ = [
     "read_manifest",
     "densify_mesh",
     "mesh_cloud",
+    "rho_problems",
     "sample_count_formula",
 ]
 
@@ -149,11 +152,11 @@ def mesh_cloud(mesh: Mesh, registration: Registration, seed: int, salt: int) -> 
     """Registration stand-in for a mesh by the category's recipe.
 
     The recipe's ``dense_count`` area-weighted surface samples, drawn from
-    the stream ``(seed, 3, salt)``, where ``salt`` tells apart the meshes
-    of one run, are merged per voxel of size ``cloud_leaf``.
+    the ``"cloud"`` stream at ``salt`` (see :data:`~morphfit.geometry.STREAMS`),
+    which tells apart the meshes of one run, are merged per voxel of size
+    ``cloud_leaf``.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 3, salt]))
-    pts, _, _ = sample_mesh_surface(mesh, registration.dense_count, rng)
+    pts, _, _ = sample_mesh_surface(mesh, registration.dense_count, stream(seed, "cloud", salt))
     return voxel_downsample(pts, registration.cloud_leaf)
 
 
@@ -197,15 +200,26 @@ def densify_mesh(mesh: Mesh, views, per_pixel: float, max_points: int, rng):
     """
     view_distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
     focal = views[0].focal
-    tri = mesh.vertices[mesh.faces]
-    area = float(
-        0.5 * np.linalg.norm(
-            np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
-        ).sum()
-    )
+    area = float(triangle_areas(mesh.vertices[mesh.faces]).sum())
     pixels = area * focal[0] * focal[1] / max(view_distance, 1e-9) ** 2
-    count = int(min(max(math.ceil(per_pixel * pixels), mesh.vertices.shape[0], 64), max_points))
+    # Clamped as a float, so an infinite pixel count takes the cap.
+    count = math.ceil(min(max(mesh.vertices.shape[0], 64, per_pixel * pixels), max_points))
     return sample_mesh_surface(mesh, count, rng)
+
+
+def rho_problems(rhos) -> list[str]:
+    """What is wrong with ``rhos``: none listed, one outside [0, 1], or two that
+    name one sample directory, ``format(rho, "g")``."""
+    problems = [] if rhos else ["rhos must list at least one value"]
+    problems += [f"rhos entries must be in [0, 1], got {rho}" for rho in rhos if not 0 <= rho <= 1]
+    named = {}
+    for rho in rhos:
+        name = format(rho, "g")
+        if name in named:
+            problems.append(f"rhos {named[name]!r} and {rho!r} both name sample directory {name!r}")
+        else:
+            named[name] = rho
+    return problems
 
 
 def sample_count_formula(total_models: int, n_rhos: int, n_views: int) -> int:
@@ -245,20 +259,18 @@ def generate_dataset(
     if not meshes or len(fields) != len(meshes):
         raise ValidationError(f"need at least one mesh and one field per mesh, "
                               f"got {len(meshes)} meshes and {len(fields)} fields")
-    if not views or not rhos:
-        raise ValidationError("need at least one view and one rho")
-    for r in rhos:
-        if not (0.0 <= r <= 1.0):
-            raise ValidationError(f"rho must be in [0, 1], got {r}")
+    if not views:
+        raise ValidationError("need at least one view")
+    if problems := rho_problems(rhos):
+        raise ValidationError(problems[0])
     if not (0.0 < split_fraction <= 1.0):
         raise ValidationError(f"split_fraction must be in (0, 1], got {split_fraction}")
     if export_scale <= 0:
         raise ValidationError(f"export_scale must be > 0, got {export_scale}")
     out_dir = Path(out_dir)
 
-    canon_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2**31]))
     canon_pts, _, _ = densify_mesh(canonical_mesh, views, densify_per_pixel, densify_max,
-                                   canon_rng)
+                                   stream(seed, "dataset_canonical"))
     # Each canonical view is kept as its foreground alone (flat pixel indices
     # and positions); a sample rebuilds its full frame just before the zoom,
     # so the run holds one frame at a time, not one per view.
@@ -287,8 +299,8 @@ def generate_dataset(
     skipped = 0
     total = len(meshes) * len(rhos) * len(views)
     for inst, (mesh, field) in enumerate(zip(meshes, fields)):
-        inst_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2**31 + 1, inst]))
-        _, face_idx, bary = densify_mesh(mesh, views, densify_per_pixel, densify_max, inst_rng)
+        _, face_idx, bary = densify_mesh(mesh, views, densify_per_pixel, densify_max,
+                                         stream(seed, "dataset_instance", inst))
         for rho_index, rho in enumerate(rhos):
             morphed = interpolate_instance(mesh, field, rho)
             # Same barycentric pattern re-posed on the morphed vertices, so
@@ -297,9 +309,7 @@ def generate_dataset(
             target = target_field(field.anchors, target_delta(field, rho))
             for view_index, (view, pose, canon_view) in enumerate(
                     zip(views, poses, canon_views)):
-                draw = np.random.default_rng(
-                    np.random.SeedSequence([int(seed), inst, rho_index, view_index])
-                ).random()
+                draw = stream(seed, "split", inst, rho_index, view_index).random()
                 base = dict(common, instance_index=inst, rho=rho, view_index=view_index,
                             pose=pose, split="train" if draw < split_fraction else "val")
                 try:

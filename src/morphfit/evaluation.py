@@ -22,7 +22,9 @@ from .completion import fit_latent, pixels_to_sparse_deltas
 from .cpd import cpd_nonrigid
 from .dataset import DENSIFY_MAX, DENSIFY_PER_PIXEL, densify_mesh, target_delta, warn_if_capped
 from .errors import EvaluationError, MorphFitError, ValidationError
-from .geometry import DEFAULT_VIEW_RESOLUTION, Mesh, PointCloud, apply_deformation, voxel_downsample
+from .geometry import (
+    DEFAULT_VIEW_RESOLUTION, Mesh, PointCloud, apply_deformation, stream, voxel_downsample,
+)
 from .imaging import DEFAULT_SPLAT_RADIUS, splat_position_image, target_field, zoom
 from .oracle import OracleSpec, infer, shifted, zoomed_sample
 from .shape_space import ShapeSpace
@@ -133,7 +135,7 @@ def prepare_instance(
         raise ValidationError("the space carries no registration settings")
     canonical_dense, observed_dense = (
         densify_mesh(mesh, views, densify_per_pixel, densify_max,
-                     np.random.default_rng(np.random.SeedSequence([int(seed), 8, salt])))[0]
+                     stream(seed, "pipeline_dense", salt))[0]
         for salt, mesh in enumerate((canonical_mesh, instance_mesh))
     )
     delta_true = np.zeros((len(space.canonical), 3))
@@ -155,7 +157,7 @@ def complete_view(
     offset=(0.0, 0.0, 0.0),
     zoom_resolution=DEFAULT_VIEW_RESOLUTION,
     splat_radius: int = DEFAULT_SPLAT_RADIUS,
-    oracle_seed: int = 0,
+    oracle_noise: np.random.Generator | None = None,
     ridge: float = 0.0,
 ):
     """One view through zoom, rasterize, oracle and completion.
@@ -167,14 +169,16 @@ def complete_view(
     oracle reports the apparent offsets between the two renders (true
     deltas minus the pose error), which is what a consistent predictor
     would see.  ``true_field`` is the target field
-    :func:`prepare_instance` returns.  Returns the
+    :func:`prepare_instance` returns; ``oracle_noise`` is the generator a
+    noisy oracle draws from.  Returns the
     :class:`~morphfit.completion.CompletionResult`.
     """
     offset = np.asarray(offset, dtype=np.float64)
     zoomed = zoom(observed_img,
                   splat_position_image(canonical_dense + offset, view, splat_radius),
                   zoom_resolution)
-    predicted = infer(oracle_spec, zoomed_sample(zoomed, true_field, offset), seed=oracle_seed)
+    predicted = infer(oracle_spec, zoomed_sample(zoomed, true_field, offset),
+                      noise=oracle_noise)
 
     sparse = pixels_to_sparse_deltas(
         predicted.data, shifted(zoomed.canonical, offset).data, predicted.mask, space.canonical
@@ -245,21 +249,14 @@ def pose_noise_experiment(
             failures[COND_RAW_CPD].append(reason)
             continue
         for draw_index in range(draws if want_pipeline else 0):
-            oracle_seed = int(
-                np.random.default_rng(
-                    np.random.SeedSequence([int(seed), 5, draw_index, view_index])
-                ).integers(2**62)
-            )
-            offset = np.zeros(3)
-            if noise_range > 0:
-                offset = np.random.default_rng(
-                    np.random.SeedSequence([int(seed), 4, draw_index, view_index])
-                ).uniform(-noise_range, noise_range, 3)
+            offset = stream(seed, "pose_noise", draw_index, view_index).uniform(
+                -noise_range, noise_range, 3)
             try:
                 result = complete_view(
                     space, canonical_dense, observed_img, view, true_field, oracle_spec,
                     offset=offset, zoom_resolution=zoom_resolution,
-                    splat_radius=splat_radius, oracle_seed=oracle_seed, ridge=ridge,
+                    splat_radius=splat_radius, ridge=ridge,
+                    oracle_noise=stream(seed, "oracle_noise", draw_index, view_index),
                 )
                 reconstructed = apply_deformation(space.canonical, result.field)
                 errors[COND_PIPELINE][draw_index, view_index] = registration_error(

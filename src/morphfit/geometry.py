@@ -8,6 +8,7 @@ Conventions fixed here and inherited by every other module:
 
 * Kernel matrices are oriented rows=queries, cols=anchors.
 * 3n-vectors flatten point-major: (p0x, p0y, p0z, p1x, ...).
+* Every seeded draw comes from :func:`stream`, by its tag in :data:`STREAMS`.
 """
 from __future__ import annotations
 
@@ -34,8 +35,10 @@ __all__ = [
     "look_at",
     "sample_mesh_surface",
     "barycentric_points",
+    "triangle_areas",
     "rotation_to_quaternion",
     "quaternion_to_rotation",
+    "stream",
 ]
 
 DEFAULT_VIEW_RESOLUTION = (256, 192)  # also the zoomed images' size
@@ -46,6 +49,30 @@ MAX_VIEWS = 1024  # most viewpoint_sphere cameras, about 14x the paper's 74-view
 MAX_SURFACE_SAMPLES = 2**20  # most sample_mesh_surface points, 128x build-space's default
 _DRAW_CELLS = 2**16  # most cells of sample_mesh_surface's face-draw table
 _BARY_BLOCK = 8192  # rows per corner gather in barycentric_points
+
+# Every seeded draw: tag -> (key word, index count).  A seed key is padded
+# with zero words to four, so [s, 3, 1] is also [s, 3, 1, 0]: hence one word
+# and one index count per tag, and no two draws share a stream.
+STREAMS = {
+    "dataset_canonical": (2**31, 0),  # gen-dataset's dense samples of the canonical mesh
+    "dataset_instance": (2**31 + 1, 1),  # ... of model i
+    "cloud": (3, 1),  # mesh_cloud's samples of the mesh of a salt (below)
+    "pose_noise": (4, 2),  # the sweep's believed-pose offset of (draw, view)
+    "oracle_noise": (5, 2),  # the noisy oracle's noise for (draw, view)
+    "split": (6, 3),  # gen-dataset's train/val draw of (instance, rho index, view)
+    "pipeline_dense": (8, 1),  # prepare_instance's dense samples: 0 canonical, 1 observed
+}
+# Cloud salts: CANONICAL_SALT, i + 1 for training mesh i, OBSERVED_SALT for a
+# held-out mesh.  OBSERVED_SALT is a ninth training mesh's, kept for its bytes.
+CANONICAL_SALT, OBSERVED_SALT = 0, 9
+
+
+def stream(seed: int, tag: str, *index: int) -> np.random.Generator:
+    """The generator of draw ``tag`` at ``index``, keyed ``[seed, word, *index]``."""
+    word, count = STREAMS[tag]
+    if len(index) != count:
+        raise ValueError(f"stream {tag!r} takes {count} indices, got {len(index)}")
+    return np.random.default_rng(np.random.SeedSequence([int(seed), word, *index]))
 
 
 def _as_readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -179,13 +206,21 @@ class CameraView:
             raise ValidationError(f"resolution must be positive, got {self.resolution}")
         if width * height > MAX_PIXELS:
             raise ValidationError(f"resolution {width}x{height} exceeds the {MAX_PIXELS}-pixel limit")
+        focal = (float(self.focal[0]), float(self.focal[1]))
+        # densify_mesh scales by the product: it must not round to 0 or inf.
+        if not (min(focal) > 0 and 0 < focal[0] * focal[1] < np.inf):
+            raise ValidationError(f"focal lengths must be > 0 with a finite, nonzero product, "
+                                  f"got {focal}")
         pp = self.principal_point
         if pp is None:
             pp = (width / 2.0, height / 2.0)
+        pp = (float(pp[0]), float(pp[1]))
+        if not np.isfinite(pp).all():
+            raise ValidationError(f"principal point must be finite, got {pp}")
         object.__setattr__(self, "rotation", _as_readonly(rot))
         object.__setattr__(self, "translation", _as_readonly(trans))
-        object.__setattr__(self, "focal", (float(self.focal[0]), float(self.focal[1])))
-        object.__setattr__(self, "principal_point", (float(pp[0]), float(pp[1])))
+        object.__setattr__(self, "focal", focal)
+        object.__setattr__(self, "principal_point", pp)
         object.__setattr__(self, "resolution", (int(width), int(height)))
 
     @property
@@ -414,9 +449,7 @@ def sample_mesh_surface(mesh: Mesh, count: int, rng=None):
         raise ValidationError(f"sample count must be in [1, {MAX_SURFACE_SAMPLES}], got {count}")
     rng = np.random.default_rng(rng)
     tri = mesh.vertices[mesh.faces]
-    areas = 0.5 * np.linalg.norm(
-        np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1
-    )
+    areas = triangle_areas(tri)
     total = areas.sum()
     if total <= 0:
         raise ValidationError("mesh has zero surface area")
@@ -454,6 +487,11 @@ def _draw_faces(p: np.ndarray, count: int, rng) -> np.ndarray:
     mixed = np.flatnonzero(mixed_cell[cell])
     face_idx[mixed] = cdf.searchsorted(keys[mixed], side="right")
     return face_idx
+
+
+def triangle_areas(tri: np.ndarray) -> np.ndarray:
+    """Area of each triangle of ``tri``, (f, 3, 3) corners."""
+    return 0.5 * np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
 
 
 def barycentric_points(tri: np.ndarray, face_idx: np.ndarray, bary: np.ndarray) -> np.ndarray:

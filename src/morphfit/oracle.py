@@ -107,18 +107,21 @@ def load_sample(record: SampleRecord) -> OracleSample:
     )
 
 
-def infer(spec: OracleSpec, sample: OracleSample, seed: int = 0) -> DeformationImage:
+def infer(spec: OracleSpec, sample: OracleSample, noise=None) -> DeformationImage:
     """Predict the per-pixel deformation image for one sample.
 
     Always returns values in meters with scale 1 and background exactly
-    zero.  An exported record is inferred as ``infer(spec, load_sample(record))``.
+    zero.  ``noise`` is the generator a noisy oracle draws from, such as
+    the ``"oracle_noise"`` :func:`~morphfit.geometry.stream`.  An exported
+    record is inferred as ``infer(spec, load_sample(record))``.
     """
     if spec.kind == "external":
         return _infer_external(spec, sample)
     data = sample.target.in_meters()
-    if spec.kind == "noisy":
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-        data = data + (rng.normal(0.0, spec.noise_sigma, data.shape) if spec.noise_sigma > 0 else 0.0)
+    if spec.kind == "noisy" and spec.noise_sigma > 0:
+        if noise is None:
+            raise ValidationError("a noisy oracle needs the generator of its noise")
+        data = data + noise.normal(0.0, spec.noise_sigma, data.shape)
     mask = sample.target.mask
     data = np.where(mask[..., None], data, 0.0)
     # The one check that can fail here: the noise or the unscaling overflowed.

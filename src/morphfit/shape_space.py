@@ -60,10 +60,10 @@ class TrainingField:
     """One instance's registration by a category's recipe, with what it came from.
 
     ``field`` warps the canonical cloud onto the instance.  The instance's
-    cloud was drawn from the stream ``(seed, 3, salt)`` of the mesh whose
-    ``mesh_sha1`` this is, and CPD ran ``iterations`` iterations, stopping
-    at its cap unless ``converged``.  ``registration`` is the recipe it was
-    registered by.
+    cloud was drawn from the ``"cloud"`` :func:`~morphfit.geometry.stream`
+    of ``seed`` at ``salt`` on the mesh whose ``mesh_sha1`` this is, and CPD
+    ran ``iterations`` iterations, stopping at its cap unless ``converged``.
+    ``registration`` is the recipe it was registered by.
     """
 
     field: DeformationField

@@ -627,6 +627,21 @@ class TestPoseFile:
         with pytest.raises(ValidationError, match="odd_pose.json"):
             _load_camera(path, (96, 72))
 
+    @pytest.mark.parametrize("field, value", [
+        ("focal", [0, 0]), ("focal", [-275, -275]), ("focal", [1e-300, 1e-300]),
+        ("focal", [1e308, 1e308]), ("principal_point", [float("nan"), 36.0]),
+    ])
+    def test_degenerate_camera_ends_in_one_error_line(self, mesh_dir, space_path, pose_path,
+                                                      tmp_path, capsys, field, value):
+        pose = {**json.loads(pose_path.read_text()), field: value}
+        path = tmp_path / "odd_pose.json"
+        path.write_text(json.dumps(pose))
+        out = tmp_path / "recon.ply"
+        assert main(command_argv("register", mesh_dir, space_path, path, out)) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: ValidationError: pose file {path} is not a valid pose")
+        assert not out.exists()
+
 
 class TestRegister:
     def run(self, mesh_dir, space_path, pose_path, out):
@@ -1096,6 +1111,8 @@ ESCAPES = {
                    "error: --oracle-cmd needs --oracle external, got --oracle gt"),
     "scale": ("gen-dataset", ["--scale", "1e308"], 1,
               "error: ValidationError: a value of "),
+    "rhos": ("gen-dataset", ["--rhos", "0.25,0.2500001"], 2,
+             "error: --rhos 0.25 and 0.2500001 both name sample directory '0.25'"),
 }
 
 

@@ -30,7 +30,8 @@ from morphfit import (
     viewpoint_sphere,
 )
 from morphfit import dataset as dataset_module
-from morphfit.dataset import mesh_cloud, register_instances
+from morphfit.dataset import densify_mesh, mesh_cloud, register_instances
+from morphfit.geometry import stream
 from morphfit.imaging import PositionImage, rasterize_target, target_field
 from morphfit.oracle import load_sample, zoomed_sample
 
@@ -170,6 +171,15 @@ class TestGenerateDataset:
         )
         assert [r.split for r in again] == [r.split for r in records]
 
+    def test_split_draws_its_own_stream(self, generated):
+        # SeedSequence zero-pads keys to four words, so an untagged split key
+        # [seed, 3, 1, 0] would be the salt-1 cloud's stream [seed, 3, 1].
+        out, records = generated
+        (record,) = [r for r in records if (r.instance_index, r.rho, r.view_index) == (3, 0.5, 0)]
+        draw = stream(5, "split", 3, 1, 0).random()
+        assert record.split == ("train" if draw < 0.9 else "val")
+        assert draw != stream(5, "cloud", 1).random()
+
     def test_regeneration_bitwise_identical(self, generated, category, tmp_path):
         out, records = generated
         again_dir = tmp_path / "regen"
@@ -287,6 +297,24 @@ class TestGenerateDataset:
                 category.canonical_mesh, category.instance_meshes, category.fields,
                 small_views(1), [1.5], tmp_path / "bad", **GEN_KW
             )
+
+    @pytest.mark.parametrize("rhos, name", [([0.25, 0.2500001], "0.25"), ([0.0, 0.0], "0")])
+    def test_rhos_naming_one_directory_rejected(self, category, tmp_path, rhos, name):
+        with pytest.raises(ValidationError, match=f"both name sample directory '{name}'"):
+            generate_dataset(
+                category.canonical_mesh, category.instance_meshes, category.fields,
+                small_views(1), rhos, tmp_path / "bad", **GEN_KW
+            )
+        assert not (tmp_path / "bad").exists()
+
+
+class TestDensifyMesh:
+    def test_infinite_pixel_count_takes_the_cap(self, category):
+        # A finite focal product whose pixel count overflows to inf.
+        view = look_at([0, 0, 0.01], focal=(1e154, 1e154))
+        points, _, _ = densify_mesh(category.canonical_mesh, [view], 20.0, 500,
+                                    np.random.default_rng(0))
+        assert len(points) == 500
 
 
 class TestTargetValues:

@@ -25,9 +25,11 @@ from morphfit.geometry import (
     _DRAW_CELLS,
     MAX_SURFACE_SAMPLES,
     MAX_VIEWS,
+    STREAMS,
     barycentric_points,
     distinct_rows,
     expand_kernel,
+    stream,
 )
 
 
@@ -335,6 +337,36 @@ class TestCameraView:
     def test_default_principal_point_is_center(self):
         view = look_at([0, 0, 2.0], resolution=(100, 60))
         assert view.principal_point == (50.0, 30.0)
+
+    @pytest.mark.parametrize("focal", [
+        (0.0, 0.0), (-275.0, -275.0), (275.0, np.nan), (np.inf, 275.0),
+        (1e-300, 1e-300), (1e308, 1e308),  # the product rounds to 0 or inf
+    ])
+    def test_rejects_degenerate_focal_lengths(self, focal):
+        with pytest.raises(ValidationError, match="focal lengths"):
+            CameraView(np.eye(3), [0, 0, 1.0], focal=focal)
+
+    @pytest.mark.parametrize("point", [(np.nan, 30.0), (50.0, np.inf)])
+    def test_rejects_non_finite_principal_point(self, point):
+        with pytest.raises(ValidationError, match="principal point"):
+            CameraView(np.eye(3), [0, 0, 1.0], principal_point=point)
+
+
+class TestStreams:
+    def test_each_tag_has_its_own_key_word(self):
+        words = [word for word, _ in STREAMS.values()]
+        assert len(set(words)) == len(words)
+
+    def test_index_count_is_fixed(self):
+        with pytest.raises(ValueError, match="takes 3 indices"):
+            stream(0, "split", 3, 1)
+
+    def test_no_two_draws_share_a_stream(self):
+        # Every key of every tag over small indices seeds its own generator.
+        states = [stream(7, tag, *index).bit_generator.state["state"]["state"]
+                  for tag, (_, count) in STREAMS.items()
+                  for index in np.ndindex(*(10,) * count)]
+        assert len(set(states)) == len(states)
 
 
 class TestQuaternions:

@@ -689,7 +689,8 @@ class TestBuiltImagesPassTheCheck:
         image = _render(*scene)
         target = DeformationImage(np.where(image.mask[..., None], image.data * scale, 0.0),
                                   image.mask, scale)
-        out = infer(OracleSpec(kind, noise_sigma=sigma), OracleSample(image, image, target), seed)
+        out = infer(OracleSpec(kind, noise_sigma=sigma), OracleSample(image, image, target),
+                    np.random.default_rng(seed))
         np.testing.assert_array_equal(_checked(out, "deformation image").mask, image.mask)
         assert out.scale == 1.0
 
@@ -727,7 +728,7 @@ class TestNonFiniteGuards:
         sample = OracleSample(image, image, DeformationImage(np.zeros((12, 16, 3)), image.mask))
         with pytest.raises(ValidationError,
                            match="^deformation image foreground contains non-finite values$"):
-            infer(OracleSpec("noisy", noise_sigma=1e308), sample)
+            infer(OracleSpec("noisy", noise_sigma=1e308), sample, np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
     def test_non_finite_field_values_rejected(self, bad):

@@ -88,15 +88,15 @@ class TestNoisyOracle:
     def test_zero_sigma_equals_ground_truth(self, sample_record):
         sample = load_sample(sample_record)
         truth = infer(OracleSpec("ground_truth"), sample)
-        noisy = infer(OracleSpec("noisy", noise_sigma=0.0), sample, seed=11)
+        noisy = infer(OracleSpec("noisy", noise_sigma=0.0), sample, np.random.default_rng(11))
         np.testing.assert_array_equal(noisy.data, truth.data)
 
     def test_deterministic_per_seed(self, sample_record):
         sample = load_sample(sample_record)
         spec = OracleSpec("noisy", noise_sigma=0.01)
-        a = infer(spec, sample, seed=4)
-        b = infer(spec, sample, seed=4)
-        c = infer(spec, sample, seed=5)
+        a = infer(spec, sample, np.random.default_rng(4))
+        b = infer(spec, sample, np.random.default_rng(4))
+        c = infer(spec, sample, np.random.default_rng(5))
         np.testing.assert_array_equal(a.data, b.data)
         assert np.any(a.data != c.data)
 
@@ -106,7 +106,8 @@ class TestNoisyOracle:
         truth = infer(OracleSpec("ground_truth"), sample)
         deltas = []
         for seed in range(6):
-            noisy = infer(OracleSpec("noisy", noise_sigma=sigma), sample, seed=seed)
+            noisy = infer(OracleSpec("noisy", noise_sigma=sigma), sample,
+                          np.random.default_rng(seed))
             deltas.append((noisy.data - truth.data)[sample.target.mask])
         deltas = np.concatenate([d.ravel() for d in deltas])
         assert deltas.size > 10_000
@@ -115,8 +116,12 @@ class TestNoisyOracle:
 
     def test_background_stays_zero(self, sample_record):
         sample = load_sample(sample_record)
-        noisy = infer(OracleSpec("noisy", noise_sigma=0.05), sample, seed=2)
+        noisy = infer(OracleSpec("noisy", noise_sigma=0.05), sample, np.random.default_rng(2))
         assert not noisy.data[~sample.target.mask].any()
+
+    def test_noise_needs_its_generator(self, sample_record):
+        with pytest.raises(ValidationError, match="generator of its noise"):
+            infer(OracleSpec("noisy", noise_sigma=0.01), load_sample(sample_record))
 
 
 EXTERNAL_OK = """\

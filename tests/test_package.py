@@ -128,6 +128,20 @@ def test_only_io_names_partial_files():
     assert offenders == []
 
 
+def test_only_geometry_seeds_streams():
+    """geometry.stream is the one place that builds a SeedSequence; every
+    other draw asks it for a named stream."""
+    offenders = []
+    for source in sorted(Path(morphfit.__file__).parent.rglob("*.py")):
+        if source.name == "geometry.py":
+            continue
+        tree = ast.parse(source.read_text())
+        offenders += [f"{source.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and node.id == "SeedSequence"
+                      or isinstance(node, ast.Attribute) and node.attr == "SeedSequence"]
+    assert offenders == []
+
+
 def test_each_pipeline_default_is_one_constant():
     """The image size, splat radius, densify recipe and focal rule are each decided
     once: every signature default and command-line default for them is that constant."""
