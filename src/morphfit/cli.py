@@ -38,8 +38,9 @@ from .evaluation import (
     report_to_json,
 )
 from .geometry import (
-    CANONICAL_SALT, DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, MAX_SURFACE_SAMPLES,
-    MAX_VIEWS, OBSERVED_SALT, CameraView, quaternion_to_rotation, stream, viewpoint_sphere,
+    CANONICAL_SALT, DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, MAX_SEED,
+    MAX_SURFACE_SAMPLES, MAX_VIEWS, OBSERVED_SALT, CameraView, quaternion_to_rotation, stream,
+    viewpoint_sphere,
 )
 from .imaging import DEFAULT_SPLAT_RADIUS, MAX_SPLAT_RADIUS, splat_position_image, target_field
 from .io import commit, read_ply, write_ply
@@ -96,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="morphfit",
         description="Category-level deformation spaces, synthetic datasets, and completion.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="run seed (>= 0) for all stochastic steps")
+    parser.add_argument("--seed", type=int, default=0,
+                        help=f"run seed in [0, {MAX_SEED}] for all stochastic steps")
     parser.add_argument(
         "--jobs", type=int, default=1,
         help="parallelism bound, >= 1 (execution is currently sequential)",
@@ -171,7 +173,7 @@ _INVARIANTS = " (kernel width and regularization invariants)"
 # False for NaN, and a float rule bounded by inf refuses inf.  A flag the
 # command lacks, or an unset --view-radius, reads None and is skipped.
 NUMERIC_RULES = (
-    ("seed", "--seed", ">= 0", lambda v: v >= 0),
+    ("seed", "--seed", f"in [0, {MAX_SEED}]", lambda v: 0 <= v <= MAX_SEED),
     ("jobs", "--jobs", ">= 1", lambda v: v >= 1),
     ("beta", "--beta", "> 0" + _INVARIANTS, lambda v: 0 < v < np.inf),
     ("regularization", "--lambda", "> 0" + _INVARIANTS, lambda v: 0 < v < np.inf),

@@ -8,6 +8,12 @@ baseline and the undeformed canonical baseline, under optional
 translational pose noise on the believed canonical pose.  The metric is the mean, over query points, of the
 squared distance to the nearest reference point.  It is deliberately
 asymmetric.
+
+The instance's registration does not depend on the pose, so the process
+keeps one, the most recent that succeeded: a later
+:func:`prepare_instance` call on the same instance cloud, canonical cloud
+and recipe, compared by value, reuses its CPD result and target field
+instead of registering again.
 """
 from __future__ import annotations
 
@@ -98,6 +104,10 @@ class EvalRow:
         return total > 0 and self.failed > 0.05 * total
 
 
+# prepare_instance's one kept registration: key -> (CpdResult, target field).
+_REMEMBERED: dict = {}
+
+
 def _median_spacing(points: np.ndarray) -> float:
     dist, _ = cKDTree(points).query(points, k=2)
     spacing = float(np.median(dist[:, 1]))
@@ -127,6 +137,14 @@ def prepare_instance(
     external oracle reads only that target's mask and scale, so its field
     interpolates zeros and no registration runs.  Returns
     ``(canonical_dense, observed_dense, true_field)``.
+
+    The registration and its field do not depend on the views, so the
+    process keeps one: that of the most recent instance, keyed by the
+    exact points of ``instance_cloud`` and ``space.canonical`` and by
+    ``space.registration``, all compared by value.  A later call with an
+    equal key reuses them and prints the same cap warning; the dense
+    samples are drawn on every call.  A registration or field that raised
+    is not kept, so the next call raises again.
     """
     views = list(views)
     if not views:
@@ -138,12 +156,19 @@ def prepare_instance(
                      stream(seed, "pipeline_dense", salt))[0]
         for salt, mesh in enumerate((canonical_mesh, instance_mesh))
     )
-    delta_true = np.zeros((len(space.canonical), 3))
-    if oracle_spec.kind != "external":
+    if oracle_spec.kind == "external":
+        zeros = np.zeros((len(space.canonical), 3))
+        return canonical_dense, observed_dense, target_field(space.canonical, zeros)
+    key = (instance_cloud.points.tobytes(), space.canonical.points.tobytes(), space.registration)
+    registered, true_field = _REMEMBERED.get(key, (None, None))
+    if registered is None:
         registered = cpd_nonrigid(instance_cloud, space.canonical, space.registration.cpd)
-        warn_if_capped(registered, f"registration of instance {instance_label}")
-        delta_true = target_delta(registered.field, 0.0)
-    return canonical_dense, observed_dense, target_field(space.canonical, delta_true)
+    warn_if_capped(registered, f"registration of instance {instance_label}")
+    if true_field is None:
+        true_field = target_field(space.canonical, target_delta(registered.field, 0.0))
+        _REMEMBERED.clear()
+        _REMEMBERED[key] = registered, true_field
+    return canonical_dense, observed_dense, true_field
 
 
 def complete_view(

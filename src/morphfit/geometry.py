@@ -47,6 +47,7 @@ DEFAULT_FOCAL = (FOCAL_PER_WIDTH * DEFAULT_VIEW_RESOLUTION[0],) * 2
 MAX_PIXELS = 4096 * 4096  # largest camera image; its position image takes 400 MB
 MAX_VIEWS = 1024  # most viewpoint_sphere cameras, about 14x the paper's 74-view sphere
 MAX_SURFACE_SAMPLES = 2**20  # most sample_mesh_surface points, 128x build-space's default
+MAX_SEED = 2**32 - 1  # largest seed that stays one key word (see stream)
 _DRAW_CELLS = 2**16  # most cells of sample_mesh_surface's face-draw table
 _BARY_BLOCK = 8192  # rows per corner gather in barycentric_points
 
@@ -68,7 +69,13 @@ CANONICAL_SALT, OBSERVED_SALT = 0, 9
 
 
 def stream(seed: int, tag: str, *index: int) -> np.random.Generator:
-    """The generator of draw ``tag`` at ``index``, keyed ``[seed, word, *index]``."""
+    """The generator of draw ``tag`` at ``index``, keyed ``[seed, word, *index]``.
+
+    A seed above :data:`MAX_SEED` would split into two key words and share
+    its streams with another seed's, so it is refused.
+    """
+    if not 0 <= seed <= MAX_SEED:
+        raise ValidationError(f"seed must be in [0, {MAX_SEED}], got {seed}")
     word, count = STREAMS[tag]
     if len(index) != count:
         raise ValueError(f"stream {tag!r} takes {count} indices, got {len(index)}")

@@ -7,7 +7,29 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import SyntheticCategory  # noqa: E402
 
-from morphfit import viewpoint_sphere  # noqa: E402
+from morphfit import cpd_nonrigid, dataset, evaluation, viewpoint_sphere  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def forget_registration():
+    # prepare_instance keeps the last instance's registration for the
+    # process; each test starts without it, so CPD call counts and patched
+    # target fields see every registration the test itself causes.
+    evaluation._REMEMBERED.clear()
+
+
+@pytest.fixture
+def cpd_calls(monkeypatch):
+    """One entry per `cpd_nonrigid` call made from `dataset` or `evaluation`."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cpd_nonrigid(*args, **kwargs)
+
+    for module in (dataset, evaluation):
+        monkeypatch.setattr(module, "cpd_nonrigid", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from morphfit import (
     CpdConfig,
     Registration,
     ValidationError,
-    cpd_nonrigid,
     generate_dataset,
     load_space,
     look_at,
@@ -101,7 +100,7 @@ class TestValidateConfig:
     def test_negative_seed_names_the_flag(self, space_path):
         args = parse(["--seed", "-1", "cross-register", "--space", str(space_path),
                       "--latent-a", "0,0", "--latent-b", "0,0", "--out", "pair"])
-        assert validate_config(args) == ["--seed must be >= 0, got -1"]
+        assert validate_config(args) == ["--seed must be in [0, 4294967295], got -1"]
 
     def test_latent_capped_by_instance_count(self, mesh_dir, tmp_path):
         few = tmp_path / "three"
@@ -368,19 +367,6 @@ class TestGenDataset:
             assert cli.read_bytes() == lib.read_bytes(), cli
 
 
-@pytest.fixture
-def cpd_calls(monkeypatch):
-    """One entry per CPD registration that build-space or gen-dataset runs."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return cpd_nonrigid(*args, **kwargs)
-
-    monkeypatch.setattr(dataset_module, "cpd_nonrigid", counted)
-    return calls
-
-
 def without_fields(space, out):
     """A copy of a space file without its "fields" member, as written before it existed."""
     header, payload = Path(space).read_bytes().split(b"\n", 1)
@@ -643,15 +629,65 @@ class TestPoseFile:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def moved_canonical_space_path(space_path, tmp_path_factory):
+    """The space with its canonical cloud scaled by 1.01 and all else kept."""
+    header, payload = space_path.read_bytes().split(b"\n", 1)
+    size = 24 * json.loads(header)["n"]
+    moved = np.frombuffer(payload[:size], "<f8") * 1.01
+    out = tmp_path_factory.mktemp("cli-moved") / "moved.mfss"
+    out.write_bytes(header + b"\n" + moved.tobytes() + payload[size:])
+    return out
+
+
 class TestRegister:
-    def run(self, mesh_dir, space_path, pose_path, out):
+    def run(self, mesh_dir, space_path, pose_path, out, seed=4, observed="observed.ply"):
         return main([
-            "--seed", "4", "register", "--space", str(space_path),
+            "--seed", str(seed), "register", "--space", str(space_path),
             "--canonical", str(mesh_dir / "canonical.ply"),
-            "--observed", str(mesh_dir / "observed.ply"),
+            "--observed", str(mesh_dir / observed),
             "--pose", str(pose_path), "--res", "96x72",
             "--out", str(out),
         ])
+
+    @pytest.mark.parametrize("space", ["space_path", "capped_space_path"])
+    def test_equal_requests_register_once(self, space, mesh_dir, pose_path, tmp_path,
+                                          request, capsys, cpd_calls):
+        # The second request reuses the first's registration, warns as it
+        # did, and writes the bytes the first wrote.
+        space = request.getfixturevalue(space)
+        errs = []
+        for out in (tmp_path / "a.ply", tmp_path / "b.ply"):
+            assert self.run(mesh_dir, space, pose_path, out) == 0
+            errs.append(capsys.readouterr().err)
+        assert cpd_calls == [1]
+        assert errs[0] == errs[1]
+        assert errs[0].count("warning: registration") == int(space.stem == "capped")
+        for suffix in (".ply", ".latent.json"):
+            a, b = (tmp_path / f"{name}{suffix}" for name in "ab")
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("key, value", [
+        ("observed", "instances/model_0.ply"), ("seed", 5),
+        ("space_path", "moved_canonical_space_path"), ("space_path", "capped_space_path"),
+    ], ids=["observed", "seed", "canonical-cloud", "recipe"])
+    def test_another_instance_or_space_registers_again(self, key, value, mesh_dir, space_path,
+                                                       pose_path, tmp_path, request,
+                                                       cpd_calls):
+        inputs = {"mesh_dir": mesh_dir, "space_path": space_path, "pose_path": pose_path}
+        assert self.run(**inputs, out=tmp_path / "a.ply") == 0
+        if key == "space_path":
+            value = request.getfixturevalue(value)
+        assert self.run(**{**inputs, key: value}, out=tmp_path / "b.ply") == 0
+        assert cpd_calls == [1, 1]
+
+    def test_external_oracle_never_registers(self, mesh_dir, space_path, pose_path,
+                                             tmp_path, cpd_calls):
+        argv = ["--oracle", "external", "--oracle-cmd", FAILING_ORACLE]
+        for _ in range(2):
+            assert main(command_argv("register", mesh_dir, space_path, pose_path,
+                                     tmp_path / "never.ply", *argv)) == 1
+        assert cpd_calls == []
 
     def test_writes_mesh_and_latent(self, mesh_dir, space_path, pose_path,
                                     tmp_path, category, capsys):
@@ -1058,12 +1094,13 @@ def _latent_file(content):
     return make
 
 
-def _negative_seed(tmp_path, flags):
-    return {"--seed": -1}
+def _seed(value):
+    return lambda tmp_path, flags: {"--seed": value}
 
 
 @pytest.mark.parametrize("command, make_inputs, code", [
-    ("register", _negative_seed, 2),
+    ("register", _seed(-1), 2),
+    ("register", _seed(2**32), 2),
     ("register", _malformed_pose, 1),
     ("register", _malformed_ply, 1),
     ("register", _space_without_registration, 1),
@@ -1073,8 +1110,8 @@ def _negative_seed(tmp_path, flags):
     ("cross-register", _latent_file("{not json"), 2),
     ("cross-register", _latent_file('{"residual": 0.5}'), 2),
     ("cross-register", _latent_file('{"latent": 0.5}'), 2),
-], ids=["negative-seed", "pose-json", "ply-vertex-row", "space-no-registration",
-        "space-header-list", "space-header-string", "latent-missing",
+], ids=["negative-seed", "seed-two-words", "pose-json", "ply-vertex-row",
+        "space-no-registration", "space-header-list", "space-header-string", "latent-missing",
         "latent-json", "latent-key", "latent-scalar"])
 def test_bad_input_ends_in_one_error_line(command, make_inputs, code, mesh_dir, space_path,
                                          pose_path, tmp_path):

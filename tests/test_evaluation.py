@@ -17,7 +17,6 @@ from morphfit import (
     PointCloud,
     RasterizeError,
     ValidationError,
-    cpd_nonrigid,
     pose_noise_experiment,
     registration_error,
     report_to_csv,
@@ -208,27 +207,40 @@ class TestEvaluateInstance:
                 category.canonical_mesh, conditions=(COND_PIPELINE,), **FAST,
             )
 
-    def test_failed_target_field_is_named(self, category, held_out, few_views, monkeypatch):
+    def test_failed_target_field_is_named(self, category, held_out, few_views, monkeypatch,
+                                          cpd_calls):
         # The instance's registration is the one CPD before the target field
         # fails; its error ends the sweep before any view or raw-CPD baseline.
         mesh, cloud = held_out
-        cpd_calls = []
 
         def fail(*args, **kwargs):
             raise RasterizeError("no solution")
 
-        def counted(*args, **kwargs):
-            cpd_calls.append(1)
-            return cpd_nonrigid(*args, **kwargs)
-
         monkeypatch.setattr(evaluation_module, "target_field", fail)
-        monkeypatch.setattr(evaluation_module, "cpd_nonrigid", counted)
-        with pytest.raises(RasterizeError, match="^no solution$"):
-            pose_noise_experiment(
-                category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
-                category.canonical_mesh, **FAST,
-            )
+        # A registration whose field failed is not kept: the next sweep
+        # registers and fails again.
+        for calls in ([1], [1, 1]):
+            with pytest.raises(RasterizeError, match="^no solution$"):
+                pose_noise_experiment(
+                    category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
+                    category.canonical_mesh, **FAST,
+                )
+            assert cpd_calls == calls
+
+    def test_external_oracle_field_stays_zero_after_a_registration(self, category, held_out,
+                                                                   few_views, cpd_calls):
+        mesh, cloud = held_out
+        truth, external = OracleSpec("ground_truth"), OracleSpec("external", command="false")
+        points = category.space.canonical.points
+        fields = [
+            prepare_instance(category.space, mesh, cloud, few_views, oracle,
+                             category.canonical_mesh, densify_per_pixel=4.0,
+                             densify_max=15000, instance_label="held-out")[2](points)
+            for oracle in (truth, external, truth)
+        ]
         assert cpd_calls == [1]
+        assert np.abs(fields[0]).max() > 0 and not fields[1].any()
+        np.testing.assert_array_equal(fields[2], fields[0])
 
     def test_failed_observed_render_is_named_and_counted(self, category, held_out, few_views,
                                                          monkeypatch):

@@ -23,6 +23,7 @@ from morphfit import (
 from morphfit.geometry import (
     _BARY_BLOCK,
     _DRAW_CELLS,
+    MAX_SEED,
     MAX_SURFACE_SAMPLES,
     MAX_VIEWS,
     STREAMS,
@@ -360,6 +361,14 @@ class TestStreams:
     def test_index_count_is_fixed(self):
         with pytest.raises(ValueError, match="takes 3 indices"):
             stream(0, "split", 3, 1)
+
+    def test_seed_stays_one_key_word(self):
+        # A larger seed would split into two words: [1 + 3 * 2**32, 3, 0]
+        # seeds what [1, 3, 3] does.
+        stream(MAX_SEED, "cloud", 0)
+        for seed in (-1, MAX_SEED + 1, 1 + 3 * 2**32):
+            with pytest.raises(ValidationError, match=f"seed must be in .*got {seed}"):
+                stream(seed, "cloud", 0)
 
     def test_no_two_draws_share_a_stream(self):
         # Every key of every tag over small indices seeds its own generator.

@@ -214,7 +214,8 @@ def test_each_numeric_flag_has_one_rule():
     assert len({dest for dest, _ in rows}) == len(rows)
     assert set(rows) == numeric
     tests = {dest: test for dest, _, _, test in cli.NUMERIC_RULES}
-    for dest, bound in (("splat_radius", imaging.MAX_SPLAT_RADIUS),
+    for dest, bound in (("seed", geometry.MAX_SEED),
+                        ("splat_radius", imaging.MAX_SPLAT_RADIUS),
                         ("dense_count", geometry.MAX_SURFACE_SAMPLES),
                         ("views", geometry.MAX_VIEWS)):
         assert tests[dest](bound) and not tests[dest](bound + 1)
