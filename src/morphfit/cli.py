@@ -31,6 +31,7 @@ from .evaluation import (
     DEFAULT_CONDITIONS,
     POSE_NOISE_CONDITIONS,
     complete_view,
+    observed_cloud,
     pose_noise_experiment,
     prepare_instance,
     registration_error,
@@ -39,8 +40,7 @@ from .evaluation import (
 )
 from .geometry import (
     CANONICAL_SALT, DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, MAX_SEED,
-    MAX_SURFACE_SAMPLES, MAX_VIEWS, OBSERVED_SALT, CameraView, quaternion_to_rotation, stream,
-    viewpoint_sphere,
+    MAX_SURFACE_SAMPLES, MAX_VIEWS, CameraView, quaternion_to_rotation, stream, viewpoint_sphere,
 )
 from .imaging import DEFAULT_SPLAT_RADIUS, MAX_SPLAT_RADIUS, splat_position_image, target_field
 from .io import commit, read_ply, write_ply
@@ -362,9 +362,9 @@ def _cmd_register(args) -> int:
     observed_mesh = read_ply(args.observed)
     view = _load_camera(args.pose, args.res)
     oracle_spec = _oracle_spec(args)
-    observed_cloud = mesh_cloud(observed_mesh, space.registration, args.seed, OBSERVED_SALT)
+    instance_cloud = observed_cloud(observed_mesh, space.registration, args.seed)
     canonical_dense, observed_dense, true_field = prepare_instance(
-        space, observed_mesh, observed_cloud, [view], oracle_spec, canonical_mesh,
+        space, observed_mesh, instance_cloud, [view], oracle_spec, canonical_mesh,
         instance_label=Path(args.observed).stem, seed=args.seed,
     )
     observed_img = splat_position_image(observed_dense, view, args.splat_radius)
@@ -380,8 +380,8 @@ def _cmd_register(args) -> int:
     commit({mesh_path: lambda p: write_ply(p, mesh_out),
             latent_path: lambda p: p.write_text(json.dumps(latent, indent=2) + "\n")})
 
-    err_recon = registration_error(observed_cloud, mesh_out.vertices)
-    err_canon = registration_error(observed_cloud, canonical_mesh.vertices)
+    err_recon = registration_error(instance_cloud, mesh_out.vertices)
+    err_canon = registration_error(instance_cloud, canonical_mesh.vertices)
     print(f"reconstruction error {err_recon:.3e} m^2 vs canonical baseline {err_canon:.3e} m^2")
     print(f"wrote {args.out} and {latent_path}")
     return 0
@@ -392,7 +392,7 @@ def _cmd_evaluate(args) -> int:
     space = load_space(args.space)
     canonical_mesh = read_ply(args.canonical)
     instance_mesh = read_ply(args.instance)
-    instance_cloud = mesh_cloud(instance_mesh, space.registration, args.seed, OBSERVED_SALT)
+    instance_cloud = observed_cloud(instance_mesh, space.registration, args.seed)
     views = _views_for(args, canonical_mesh)
     rows = pose_noise_experiment(
         space, instance_mesh, instance_cloud, views, _oracle_spec(args), canonical_mesh,

@@ -48,6 +48,7 @@ __all__ = [
     "target_delta",
     "generate_dataset",
     "read_manifest",
+    "densify_count",
     "densify_mesh",
     "mesh_cloud",
     "rho_problems",
@@ -190,21 +191,28 @@ def target_delta(field: DeformationField, rho: float) -> np.ndarray:
     return kernel @ ((1.0 - rho) * field.weights)
 
 
-def densify_mesh(mesh: Mesh, views, per_pixel: float, max_points: int, rng):
-    """Surface samples dense enough for gap-free splatting.
+def densify_count(mesh: Mesh, views, per_pixel: float, max_points: int) -> int:
+    """How many samples :func:`densify_mesh` draws, known before any draw.
 
-    Point count targets ``per_pixel`` samples per expected pixel footprint
-    at the views' mean distance and the first view's focal lengths;
-    returns (points, face_indices, barycentric) so the pattern can be
-    re-posed on a morphed copy.
+    ``per_pixel`` samples per expected pixel footprint at the views' mean
+    distance and the first view's focal lengths, at least the vertex
+    count and 64, at most ``max_points``.
     """
     view_distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
     focal = views[0].focal
     area = float(triangle_areas(mesh.vertices[mesh.faces]).sum())
     pixels = area * focal[0] * focal[1] / max(view_distance, 1e-9) ** 2
     # Clamped as a float, so an infinite pixel count takes the cap.
-    count = math.ceil(min(max(mesh.vertices.shape[0], 64, per_pixel * pixels), max_points))
-    return sample_mesh_surface(mesh, count, rng)
+    return math.ceil(min(max(mesh.vertices.shape[0], 64, per_pixel * pixels), max_points))
+
+
+def densify_mesh(mesh: Mesh, views, per_pixel: float, max_points: int, rng):
+    """Surface samples dense enough for gap-free splatting.
+
+    Draws :func:`densify_count` samples; returns (points, face_indices,
+    barycentric) so the pattern can be re-posed on a morphed copy.
+    """
+    return sample_mesh_surface(mesh, densify_count(mesh, views, per_pixel, max_points), rng)
 
 
 def rho_problems(rhos) -> list[str]:

@@ -9,11 +9,13 @@ translational pose noise on the believed canonical pose.  The metric is the mean
 squared distance to the nearest reference point.  It is deliberately
 asymmetric.
 
-The instance's registration does not depend on the pose, so the process
-keeps one, the most recent that succeeded: a later
-:func:`prepare_instance` call on the same instance cloud, canonical cloud
-and recipe, compared by value, reuses its CPD result and target field
-instead of registering again.
+Nothing an instance is prepared from depends on the pose, so the process
+keeps one prepared instance, in three parts: the observed instance's
+registration cloud (:func:`observed_cloud`), the dense samples of both
+meshes and the registration with its target field.  Each part keeps only
+its most recent entry that succeeded, keyed by value; a later call with
+an equal key reuses it instead of drawing or registering again.
+Separate processes share nothing.
 """
 from __future__ import annotations
 
@@ -26,14 +28,18 @@ from scipy.spatial import cKDTree
 
 from .completion import fit_latent, pixels_to_sparse_deltas
 from .cpd import cpd_nonrigid
-from .dataset import DENSIFY_MAX, DENSIFY_PER_PIXEL, densify_mesh, target_delta, warn_if_capped
+from .dataset import (
+    DENSIFY_MAX, DENSIFY_PER_PIXEL, densify_count, densify_mesh, mesh_cloud, target_delta,
+    warn_if_capped,
+)
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import (
-    DEFAULT_VIEW_RESOLUTION, Mesh, PointCloud, apply_deformation, stream, voxel_downsample,
+    DEFAULT_VIEW_RESOLUTION, OBSERVED_SALT, Mesh, PointCloud, _as_readonly, apply_deformation,
+    stream, voxel_downsample,
 )
 from .imaging import DEFAULT_SPLAT_RADIUS, splat_position_image, target_field, zoom
 from .oracle import OracleSpec, infer, shifted, zoomed_sample
-from .shape_space import ShapeSpace
+from .shape_space import Registration, ShapeSpace
 
 __all__ = [
     "COND_PIPELINE",
@@ -41,6 +47,7 @@ __all__ = [
     "COND_CANONICAL",
     "EvalRow",
     "registration_error",
+    "observed_cloud",
     "prepare_instance",
     "complete_view",
     "pose_noise_experiment",
@@ -104,8 +111,42 @@ class EvalRow:
         return total > 0 and self.failed > 0.05 * total
 
 
-# prepare_instance's one kept registration: key -> (CpdResult, target field).
-_REMEMBERED: dict = {}
+# The prepared instance's parts: part name -> (key, value), one entry each.
+_KEPT: dict = {}
+
+
+def _kept(part: str, key, make):
+    """``part``'s value at ``key``: the kept one if its key equals ``key``.
+
+    Otherwise the kept entry is dropped first, so a part never holds two
+    values, then ``make()`` is kept under ``key`` and returned.  A
+    ``make`` that raises leaves the part empty.
+    """
+    entry = _KEPT.get(part)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _KEPT.pop(part, None)
+    value = make()
+    _KEPT[part] = key, value
+    return value
+
+
+def _mesh_key(mesh: Mesh) -> tuple:
+    return mesh.vertices.tobytes(), mesh.faces.tobytes()
+
+
+def observed_cloud(mesh: Mesh, registration: Registration, seed: int) -> PointCloud:
+    """The registration cloud of an observed instance: its
+    :func:`~morphfit.dataset.mesh_cloud` at ``OBSERVED_SALT``.
+
+    Part of the prepared instance the process keeps (see
+    :func:`prepare_instance`): a later call whose mesh vertices and faces,
+    ``registration`` and ``seed`` are equal, by value, returns the kept
+    cloud without drawing.  One cloud is kept, the most recent; a draw that
+    raised is not kept.  Separate processes share nothing.
+    """
+    key = (*_mesh_key(mesh), registration, seed)
+    return _kept("cloud", key, lambda: mesh_cloud(mesh, registration, seed, OBSERVED_SALT))
 
 
 def _median_spacing(points: np.ndarray) -> float:
@@ -138,37 +179,45 @@ def prepare_instance(
     interpolates zeros and no registration runs.  Returns
     ``(canonical_dense, observed_dense, true_field)``.
 
-    The registration and its field do not depend on the views, so the
-    process keeps one: that of the most recent instance, keyed by the
-    exact points of ``instance_cloud`` and ``space.canonical`` and by
-    ``space.registration``, all compared by value.  A later call with an
-    equal key reuses them and prints the same cap warning; the dense
-    samples are drawn on every call.  A registration or field that raised
-    is not kept, so the next call raises again.
+    None of this depends on the views beyond the sample counts, so the
+    process keeps one prepared instance, one entry per part, the most
+    recent, compared by value: the registration cloud
+    (:func:`observed_cloud`); the dense samples, keyed by both meshes'
+    vertices and faces, ``seed`` and each mesh's
+    :func:`~morphfit.dataset.densify_count`; and the registration with its
+    field, keyed by the points of ``instance_cloud`` and
+    ``space.canonical`` and by ``space.registration``.  A later call with
+    an equal key reuses a part, and a reused registration prints the same
+    cap warning.  The kept samples are read-only.  A draw, registration or
+    field that raised is not kept, so the next call tries again.
+    Separate processes share nothing.
     """
     views = list(views)
     if not views:
         raise ValidationError("need at least one view")
     if space.registration is None:
         raise ValidationError("the space carries no registration settings")
-    canonical_dense, observed_dense = (
-        densify_mesh(mesh, views, densify_per_pixel, densify_max,
-                     stream(seed, "pipeline_dense", salt))[0]
-        for salt, mesh in enumerate((canonical_mesh, instance_mesh))
+    meshes = (canonical_mesh, instance_mesh)
+    counts = tuple(densify_count(mesh, views, densify_per_pixel, densify_max) for mesh in meshes)
+    canonical_dense, observed_dense = _kept(
+        "samples", (*map(_mesh_key, meshes), seed, counts),
+        lambda: tuple(_as_readonly(densify_mesh(mesh, views, densify_per_pixel, densify_max,
+                                                stream(seed, "pipeline_dense", salt))[0])
+                      for salt, mesh in enumerate(meshes)),
     )
     if oracle_spec.kind == "external":
         zeros = np.zeros((len(space.canonical), 3))
         return canonical_dense, observed_dense, target_field(space.canonical, zeros)
     key = (instance_cloud.points.tobytes(), space.canonical.points.tobytes(), space.registration)
-    registered, true_field = _REMEMBERED.get(key, (None, None))
-    if registered is None:
-        registered = cpd_nonrigid(instance_cloud, space.canonical, space.registration.cpd)
+    registered, true_field = _kept("registration", key, lambda: _registered(space, instance_cloud))
     warn_if_capped(registered, f"registration of instance {instance_label}")
-    if true_field is None:
-        true_field = target_field(space.canonical, target_delta(registered.field, 0.0))
-        _REMEMBERED.clear()
-        _REMEMBERED[key] = registered, true_field
     return canonical_dense, observed_dense, true_field
+
+
+def _registered(space: ShapeSpace, instance_cloud: PointCloud):
+    """``instance_cloud`` registered by the space's recipe, and its target field."""
+    registered = cpd_nonrigid(instance_cloud, space.canonical, space.registration.cpd)
+    return registered, target_field(space.canonical, target_delta(registered.field, 0.0))
 
 
 def complete_view(

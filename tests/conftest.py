@@ -7,15 +7,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import SyntheticCategory  # noqa: E402
 
-from morphfit import cpd_nonrigid, dataset, evaluation, viewpoint_sphere  # noqa: E402
+from morphfit import (  # noqa: E402
+    cpd_nonrigid, dataset, evaluation, sample_mesh_surface, viewpoint_sphere,
+)
 
 
 @pytest.fixture(autouse=True)
-def forget_registration():
-    # prepare_instance keeps the last instance's registration for the
-    # process; each test starts without it, so CPD call counts and patched
-    # target fields see every registration the test itself causes.
-    evaluation._REMEMBERED.clear()
+def forget_prepared_instance():
+    # The process keeps the last prepared instance: its cloud, dense samples
+    # and registration.  Each test starts without them, so sample and CPD
+    # call counts and patched target fields see every draw and registration
+    # the test itself causes.
+    evaluation._KEPT.clear()
 
 
 @pytest.fixture
@@ -29,6 +32,19 @@ def cpd_calls(monkeypatch):
 
     for module in (dataset, evaluation):
         monkeypatch.setattr(module, "cpd_nonrigid", counted)
+    return calls
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """One entry per `sample_mesh_surface` call, each a cloud's or a densify's draw."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample_mesh_surface(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "sample_mesh_surface", counted)
     return calls
 
 

@@ -33,7 +33,9 @@ from morphfit import cli as cli_module
 from morphfit import cpd as cpd_module
 from morphfit import dataset as dataset_module
 from morphfit.cli import _load_camera, _views_for, build_parser, main, validate_config
-from morphfit.dataset import mesh_cloud, register_instances
+from morphfit.dataset import (
+    DENSIFY_MAX, DENSIFY_PER_PIXEL, densify_count, mesh_cloud, register_instances,
+)
 
 PACKAGE_ROOT = str(Path(morphfit.__file__).resolve().parents[1])
 
@@ -651,16 +653,19 @@ class TestRegister:
         ])
 
     @pytest.mark.parametrize("space", ["space_path", "capped_space_path"])
-    def test_equal_requests_register_once(self, space, mesh_dir, pose_path, tmp_path,
-                                          request, capsys, cpd_calls):
-        # The second request reuses the first's registration, warns as it
-        # did, and writes the bytes the first wrote.
+    def test_equal_requests_register_once(self, space, mesh_dir, space_path, pose_path,
+                                          tmp_path, request, capsys, cpd_calls, sample_calls):
+        # The second request reuses the first's cloud, dense samples and
+        # registration, warns as it did, and writes the bytes the first wrote.
+        # space_path is a parameter so that its build-space registrations run
+        # before cpd_calls counts, also when this test runs alone.
         space = request.getfixturevalue(space)
         errs = []
         for out in (tmp_path / "a.ply", tmp_path / "b.ply"):
             assert self.run(mesh_dir, space, pose_path, out) == 0
             errs.append(capsys.readouterr().err)
         assert cpd_calls == [1]
+        assert len(sample_calls) == 3  # the cloud and the two meshes' dense samples
         assert errs[0] == errs[1]
         assert errs[0].count("warning: registration") == int(space.stem == "capped")
         for suffix in (".ply", ".latent.json"):
@@ -682,12 +687,76 @@ class TestRegister:
         assert cpd_calls == [1, 1]
 
     def test_external_oracle_never_registers(self, mesh_dir, space_path, pose_path,
-                                             tmp_path, cpd_calls):
+                                             tmp_path, cpd_calls, sample_calls):
         argv = ["--oracle", "external", "--oracle-cmd", FAILING_ORACLE]
         for _ in range(2):
             assert main(command_argv("register", mesh_dir, space_path, pose_path,
                                      tmp_path / "never.ply", *argv)) == 1
         assert cpd_calls == []
+        assert len(sample_calls) == 3  # it reuses the cloud and the dense samples
+
+    @pytest.mark.parametrize("change, draws, registrations", [
+        ("seed", 6, [1, 1]), ("observed", 6, [1, 1]), ("canonical", 5, [1]),
+    ], ids=["seed", "observed", "canonical"])
+    def test_another_input_draws_again(self, change, draws, registrations, mesh_dir,
+                                       space_path, pose_path, tmp_path, cpd_calls,
+                                       sample_calls):
+        # Another seed draws all three again; the observed file rewritten in
+        # place with one vertex moved, the cloud and the samples; another
+        # canonical mesh, only the samples, since the cloud and the
+        # registration do not read it.
+        meshes = tmp_path / "meshes"
+        meshes.mkdir()
+        for name in ("canonical.ply", "observed.ply"):
+            shutil.copy(mesh_dir / name, meshes / name)
+        assert self.run(meshes, space_path, pose_path, tmp_path / "a.ply") == 0
+        seed = 4
+        if change == "seed":
+            seed = 5
+        else:
+            path = meshes / f"{change}.ply"
+            mesh = read_ply(path)
+            vertices = np.array(mesh.vertices)
+            vertices[0] += 1e-3
+            write_ply(path, mesh.with_vertices(vertices))
+        assert self.run(meshes, space_path, pose_path, tmp_path / "b.ply", seed=seed) == 0
+        assert len(sample_calls) == draws
+        assert cpd_calls == registrations
+
+    def test_farther_pose_draws_fewer_samples_and_keeps_the_registration(
+            self, mesh_dir, space_path, pose_path, tmp_path, category, cpd_calls, sample_calls):
+        near = _load_camera(pose_path, (96, 72))
+        far = look_at(5.0 * near.position, focal=near.focal, resolution=(96, 72))
+        near_count, far_count = (
+            densify_count(category.canonical_mesh, [view], DENSIFY_PER_PIXEL, DENSIFY_MAX)
+            for view in (near, far))
+        assert near_count == DENSIFY_MAX > far_count
+        far_path = tmp_path / "far.json"
+        write_pose(far_path, far)
+        for pose, out in ((pose_path, "a.ply"), (far_path, "b.ply")):
+            assert self.run(mesh_dir, space_path, pose, tmp_path / out) == 0
+        assert len(sample_calls) == 5  # the cloud once, the dense samples twice
+        assert cpd_calls == [1]
+
+    @pytest.mark.parametrize("failing", [1, 3], ids=["cloud", "dense"])
+    def test_failed_draw_is_not_kept(self, failing, mesh_dir, space_path, pose_path,
+                                     tmp_path, monkeypatch, cpd_calls, sample_calls, capsys):
+        # Draw 1 is the observed cloud's, draw 3 the observed mesh's dense
+        # samples: after either fails, the next request draws that part again.
+        counted = dataset_module.sample_mesh_surface
+
+        def fail_once(*args, **kwargs):
+            if len(sample_calls) == failing - 1:
+                sample_calls.append(1)
+                raise ValidationError("draw failed")
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_module, "sample_mesh_surface", fail_once)
+        assert self.run(mesh_dir, space_path, pose_path, tmp_path / "a.ply") == 1
+        assert capsys.readouterr().err == "error: ValidationError: draw failed\n"
+        assert self.run(mesh_dir, space_path, pose_path, tmp_path / "b.ply") == 0
+        assert len(sample_calls) == failing + {1: 3, 3: 2}[failing]
+        assert cpd_calls == [1]
 
     def test_writes_mesh_and_latent(self, mesh_dir, space_path, pose_path,
                                     tmp_path, category, capsys):

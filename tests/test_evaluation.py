@@ -242,6 +242,18 @@ class TestEvaluateInstance:
         assert np.abs(fields[0]).max() > 0 and not fields[1].any()
         np.testing.assert_array_equal(fields[2], fields[0])
 
+    def test_kept_dense_samples_are_read_only(self, category, held_out, few_views):
+        # A later call reuses these arrays: a caller writing into them would
+        # change that call's samples.
+        mesh, cloud = held_out
+        prepared = prepare_instance(category.space, mesh, cloud, few_views,
+                                    OracleSpec("ground_truth"), category.canonical_mesh,
+                                    densify_per_pixel=4.0, densify_max=15000,
+                                    instance_label="held-out")
+        for dense in prepared[:2]:
+            with pytest.raises(ValueError, match="read-only"):
+                dense[0] = 0.0
+
     def test_failed_observed_render_is_named_and_counted(self, category, held_out, few_views,
                                                          monkeypatch):
         mesh, cloud = held_out
