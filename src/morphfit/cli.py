@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -92,7 +93,10 @@ def _add_pipeline_flags(p) -> None:
     p.add_argument("--splat-radius", type=int, default=DEFAULT_SPLAT_RADIUS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line tree, built once per process: parsing leaves it unchanged
+    and every default is immutable, so each ``main`` call parses as a fresh one."""
     parser = argparse.ArgumentParser(
         prog="morphfit",
         description="Category-level deformation spaces, synthetic datasets, and completion.",
@@ -121,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.add_argument("--canonical", required=True, help="canonical mesh (PLY), for rendering")
     p.add_argument("--models", required=True, help="directory of training instance PLY meshes")
-    p.add_argument("--rhos", type=_parse_floats, default=[0.0, 0.25, 0.5, 0.75])
+    p.add_argument("--rhos", type=_parse_floats, default=(0.0, 0.25, 0.5, 0.75))
     p.add_argument("--views", type=int, default=74)
     p.add_argument("--view-radius", type=float, default=None, help="camera distance (m); default 4x canonical extent")
     p.add_argument("--res", type=_parse_resolution, default=DEFAULT_VIEW_RESOLUTION)

@@ -17,6 +17,8 @@ from .geometry import (
     DeformationField,
     Mesh,
     PointCloud,
+    _as_readonly,
+    _kept,
     apply_deformation,
     distinct_rows,
     gaussian_kernel,
@@ -154,6 +156,14 @@ def _expanded_kernel_apply(kernel: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return mixed.reshape(3 * n, cols)
 
 
+def _blended(space: ShapeSpace):
+    """The space's kernel products: the expanded kernel of the canonical
+    cloud at width beta applied to the basis and to the mean, read-only."""
+    kernel = gaussian_kernel(space.canonical, space.canonical, space.beta)
+    return (_as_readonly(_expanded_kernel_apply(kernel, space.basis)),
+            _as_readonly(_expanded_kernel_apply(kernel, space.mean)))
+
+
 def fit_latent(space: ShapeSpace, sparse: SparseDeltas, ridge: float = 0.0) -> CompletionResult:
     """Least-squares latent fit to the visible deltas.
 
@@ -162,6 +172,12 @@ def fit_latent(space: ShapeSpace, sparse: SparseDeltas, ridge: float = 0.0) -> C
     visible deltas minus the mean field's contribution.  Rank deficiency
     with ridge = 0 yields the minimal-norm solution and sets the
     degeneracy flag.
+
+    The kernel products depend on the space alone, so the process keeps
+    one entry of them, the most recent, keyed by value: the canonical
+    points, the mean, the basis and beta.  A later call on an equal space,
+    loaded anew or not, reuses them; products that failed are not kept.
+    Separate processes share nothing.
     """
     if ridge < 0:
         raise ValidationError(f"ridge must be >= 0, got {ridge}")
@@ -170,9 +186,9 @@ def fit_latent(space: ShapeSpace, sparse: SparseDeltas, ridge: float = 0.0) -> C
         raise ValidationError(
             f"sparse deltas have {sparse.deltas.shape[0]} rows, canonical has {n}"
         )
-    kernel = gaussian_kernel(space.canonical, space.canonical, space.beta)
-    blended_basis = _expanded_kernel_apply(kernel, space.basis)
-    blended_mean = _expanded_kernel_apply(kernel, space.mean)
+    key = (space.canonical.points.tobytes(), space.mean.tobytes(), space.basis.tobytes(),
+           space.beta)
+    blended_basis, blended_mean = _kept("kernel products", key, lambda: _blended(space))
 
     vis = sparse.visible_indices
     rows = (3 * vis[:, None] + np.arange(3)[None, :]).reshape(-1)

@@ -34,8 +34,8 @@ from .dataset import (
 )
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import (
-    DEFAULT_VIEW_RESOLUTION, OBSERVED_SALT, Mesh, PointCloud, _as_readonly, apply_deformation,
-    stream, voxel_downsample,
+    DEFAULT_VIEW_RESOLUTION, OBSERVED_SALT, Mesh, PointCloud, _as_readonly, _kept,
+    apply_deformation, stream, voxel_downsample,
 )
 from .imaging import DEFAULT_SPLAT_RADIUS, splat_position_image, target_field, zoom
 from .oracle import OracleSpec, infer, shifted, zoomed_sample
@@ -109,26 +109,6 @@ class EvalRow:
     def flagged(self) -> bool:
         total = self.failed + self.n_views
         return total > 0 and self.failed > 0.05 * total
-
-
-# The prepared instance's parts: part name -> (key, value), one entry each.
-_KEPT: dict = {}
-
-
-def _kept(part: str, key, make):
-    """``part``'s value at ``key``: the kept one if its key equals ``key``.
-
-    Otherwise the kept entry is dropped first, so a part never holds two
-    values, then ``make()`` is kept under ``key`` and returned.  A
-    ``make`` that raises leaves the part empty.
-    """
-    entry = _KEPT.get(part)
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    _KEPT.pop(part, None)
-    value = make()
-    _KEPT[part] = key, value
-    return value
 
 
 def _mesh_key(mesh: Mesh) -> tuple:

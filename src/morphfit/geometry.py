@@ -88,6 +88,27 @@ def _as_readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
+# What the process keeps across calls (the prepared instance's parts and the
+# space's kernel products): part name -> (key, value), one entry each.
+_KEPT: dict = {}
+
+
+def _kept(part: str, key, make):
+    """``part``'s value at ``key``: the kept one if its key equals ``key``.
+
+    Otherwise the kept entry is dropped first, so a part never holds two
+    values, then ``make()`` is kept under ``key`` and returned.  A
+    ``make`` that raises leaves the part empty.
+    """
+    entry = _KEPT.get(part)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _KEPT.pop(part, None)
+    value = make()
+    _KEPT[part] = key, value
+    return value
+
+
 def _check_points(points: np.ndarray, name: str) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:

@@ -9,7 +9,6 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -112,23 +111,26 @@ def _parse_ply(path: Path, text: str) -> Mesh:
             f"{path}: holds a point cloud (element face 0) where a triangle mesh is needed"
         )
 
-    # The data rows, split, block by block; numpy converts each block's
-    # tokens at once and words a malformed number as float() and int() do.
-    body = (s for s in map(str.strip, lines) if s and not s.startswith("comment"))
+    # The data rows, block by block, each block's tokens converted at once.
+    # Blank lines and comment lines hold none; a file without the word
+    # "comment" holds no comment line to drop.
+    rows = list(filter(str.strip, lines))
+    if "comment" in text:
+        rows = [row for row in rows if not row.lstrip().startswith("comment")]
     vertices = colors = faces = None
+    start = 0
     for name, count, props in elements:
-        rows = [line.split() for line in islice(body, max(count, 0))]
-        if len(rows) < count:
-            raise ValidationError(f"{path}: truncated header")
+        block = rows[start:start + max(count, 0)]
+        start += len(block)
+        if len(block) < count:
+            raise ValidationError(f"{path}: truncated data: element {name} declares "
+                                  f"{count} rows, the file holds {len(block)}")
         if name == "vertex":
             prop_names = [p[1] for p in props]
             if list(prop_names[:3]) != list(_VERTEX_PROPS):
                 raise ValidationError(f"{path}: vertex properties must start with x y z")
             has_color = tuple(prop_names[3:6]) == _COLOR_PROPS
-            data = np.array([v for row in rows for v in row], dtype=np.float64)
-            if any(len(row) != len(prop_names) for row in rows):
-                raise ValidationError(f"{path}: vertex row width mismatch")
-            data = data.reshape(len(rows), len(prop_names))
+            data = _read_block(path, name, block, len(prop_names), np.float64)
             vertices = data[:, :3]
             if has_color:
                 colors = data[:, 3:6]
@@ -136,19 +138,60 @@ def _parse_ply(path: Path, text: str) -> Mesh:
                     raise ValidationError(f"{path}: vertex colors must be in [0, 255]")
                 colors = colors.astype(np.uint8)
         elif name == "face":
-            sizes = np.array([row[0] for row in rows], dtype=np.int64)
-            if (sizes != 3).any():
-                raise ValidationError(f"{path}: only triangular faces supported, "
-                                      f"got {sizes[sizes != 3][0]}-gon")
-            for row in rows:
-                if len(row) != 4:
-                    raise ValidationError(f"{path}: malformed face row {row!r}")
-            faces = np.array([v for row in rows for v in row[1:]],
-                             dtype=np.int64).reshape(len(rows), 3)
+            data = _read_block(path, name, block, 4, np.int64)
+            _triangles_only(path, data[:, 0])
+            faces = data[:, 1:]
     try:
         return Mesh(vertices, faces, colors)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+# Ends each row of a block in its joined text: not whitespace, and a token that
+# float() and int() both refuse.
+_ROW_END = "\0"
+
+
+def _read_block(path: Path, name: str, rows: list, width: int, dtype) -> np.ndarray:
+    """The (len(rows), width) array of a vertex or face block, each token
+    read as float() or int() reads it.
+
+    The rows are joined with an end token after each, split once, and every
+    ``width + 1``-th token is deleted.  When each row holds ``width`` tokens,
+    those are the end tokens; otherwise an end token stays among the numbers
+    or their count is off, and the conversion or the reshape fails.  A block
+    that fails gets the error :func:`_raise_row_error` words.
+    """
+    tokens = f" {_ROW_END} ".join([*rows, ""]).split()
+    del tokens[width::width + 1]
+    try:
+        return np.array(tokens, dtype=dtype).reshape(len(rows), width)
+    except (ValueError, OverflowError):
+        _raise_row_error(path, name, rows)
+
+
+def _raise_row_error(path: Path, name: str, rows: list):
+    """Raise the error of a vertex or face block that failed to read, found
+    row by row: in a vertex block the first token float() refuses, else the
+    width mismatch; in a face block the first size int() refuses, the first
+    size that is not 3, the first row that is not four tokens wide, then the
+    first index int() refuses."""
+    rows = [row.split() for row in rows]
+    if name == "vertex":
+        np.array([v for row in rows for v in row], dtype=np.float64)
+        raise ValidationError(f"{path}: vertex row width mismatch")
+    _triangles_only(path, np.array([row[0] for row in rows], dtype=np.int64))
+    for row in rows:
+        if len(row) != 4:
+            raise ValidationError(f"{path}: malformed face row {row!r}")
+    np.array([v for row in rows for v in row[1:]], dtype=np.int64)
+    raise AssertionError(f"{path}: a face block that read row by row failed as a block")
+
+
+def _triangles_only(path: Path, sizes: np.ndarray) -> None:
+    if (sizes != 3).any():
+        raise ValidationError(f"{path}: only triangular faces supported, "
+                              f"got {sizes[sizes != 3][0]}-gon")
 
 
 def write_ply(path, shape: Mesh | PointCloud) -> None:
@@ -176,12 +219,15 @@ def write_ply(path, shape: Mesh | PointCloud) -> None:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    # Python floats and ints format as the numpy scalars do, and faster.
-    body = [f"{x:.9g} {y:.9g} {z:.9g}" for x, y, z in vertices.tolist()]
+    # One %-format per block; '%.9g' % x is f'{x:.9g}', and colors 0-255
+    # held as floats print as the integers they are.
+    row = "%.9g %.9g %.9g"
     if colors is not None:
-        body = [f"{row} {r} {g} {b}" for row, (r, g, b) in zip(body, colors.tolist())]
-    body += [f"3 {a} {b} {c}" for a, b, c in faces.tolist()]
-    path.write_text("\n".join(header + body) + "\n")
+        row += " %d %d %d"
+        vertices = np.hstack([vertices, colors])
+    path.write_text("\n".join(header) + "\n"
+                    + (row + "\n") * len(vertices) % tuple(vertices.ravel().tolist())
+                    + "3 %d %d %d\n" * len(faces) % tuple(faces.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

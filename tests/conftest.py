@@ -8,17 +8,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import SyntheticCategory  # noqa: E402
 
 from morphfit import (  # noqa: E402
-    cpd_nonrigid, dataset, evaluation, sample_mesh_surface, viewpoint_sphere,
+    cpd_nonrigid, dataset, evaluation, geometry, sample_mesh_surface, viewpoint_sphere,
 )
 
 
 @pytest.fixture(autouse=True)
 def forget_prepared_instance():
-    # The process keeps the last prepared instance: its cloud, dense samples
-    # and registration.  Each test starts without them, so sample and CPD
-    # call counts and patched target fields see every draw and registration
-    # the test itself causes.
-    evaluation._KEPT.clear()
+    # The process keeps the last prepared instance (its cloud, dense samples
+    # and registration) and the last space's kernel products.  Each test
+    # starts without them, so sample, CPD and kernel call counts and patched
+    # target fields see every draw and registration the test itself causes.
+    geometry._KEPT.clear()
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import functools
@@ -255,6 +256,48 @@ class TestExitCodes:
     def test_success_exits_0(self, space_path):
         assert space_path.exists()
         assert not Path(str(space_path) + ".partial").exists()
+
+
+class TestOneParser:
+    """One process builds the command-line tree once and parses every command
+    with it as a fresh process would."""
+
+    def test_two_commands_build_the_tree_once(self, monkeypatch, tmp_path):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = ["cross-register", "--space", str(tmp_path / "missing.mfss"),
+                "--latent-a", "0", "--latent-b", "0", "--out", str(tmp_path / "pair")]
+        assert main(argv) == 2
+        assert main(argv) == 2
+        assert built.count("morphfit") == 1
+
+    def test_errors_after_a_command_print_what_a_fresh_process_prints(
+            self, space_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+        latents = ["--latent-a", "0,0", "--latent-b", "0,0"]
+        assert main(["cross-register", "--space", str(space_path), *latents,
+                     "--out", str(tmp_path / "pair")]) == 0
+        capsys.readouterr()
+        for argv in (["register", "--space", str(space_path)],  # argparse's usage error
+                     ["build-space", "--beta", "wide"],
+                     ["--seed", "-1", "cross-register", "--space", str(space_path), *latents,
+                      "--out", str(tmp_path / "refused")]):  # a NUMERIC_RULES row
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            fresh = subprocess.run([sys.executable, "-m", "morphfit", *argv],
+                                   capture_output=True, text=True, timeout=120,
+                                   env=package_env(COLUMNS="80"))
+            assert code == fresh.returncode == 2
+            assert capsys.readouterr().err == fresh.stderr
 
 
 class TestBuildSpace:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from morphfit import (
     unflatten_offsets,
     zoom,
 )
+from morphfit import completion, geometry
 from morphfit.geometry import expand_kernel
 
 
@@ -294,6 +297,29 @@ class TestFitLatent:
         a = (big @ space.basis)[rows]
         b = deltas[3] - (big @ space.mean)[rows]
         np.testing.assert_allclose(result.latent, np.linalg.pinv(a) @ b, atol=1e-8)
+
+    def test_kernel_products_kept_per_space_value(self, category, monkeypatch):
+        # A space equal by value, as a load builds anew, reuses the kept kernel
+        # products and fits the same latent; another beta computes its own.
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return gaussian_kernel(*args)
+
+        monkeypatch.setattr(completion, "gaussian_kernel", counted)
+        space = category.space
+        sparse = SparseDeltas(in_span_deltas(space, [0.3, -0.2]), np.arange(len(space.canonical)))
+        first = fit_latent(space, sparse)
+        loaded = dataclasses.replace(space, canonical=PointCloud(space.canonical.points.copy()),
+                                     mean=space.mean.copy(), basis=space.basis.copy())
+        assert fit_latent(loaded, sparse).latent.tobytes() == first.latent.tobytes()
+        assert calls == [1]
+        blended = geometry._KEPT["kernel products"][1]
+        assert not any(array.flags.writeable for array in blended)
+        wider = dataclasses.replace(space, beta=2 * space.beta, registration=None, fields=())
+        fit_latent(wider, sparse)
+        assert calls == [1, 1]
 
     def test_negative_ridge_rejected(self, category):
         sparse = SparseDeltas(np.zeros((len(category.space.canonical), 3)), [0])

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import icosphere
 
@@ -54,12 +56,7 @@ class TestPly:
             mesh = Mesh(vertices, mesh.faces, colors)
             path = tmp_path / f"m{index}.ply"
             write_ply(path, mesh)
-            body = path.read_text().split("end_header\n", 1)[1].splitlines()
-            # Each row formatted from the arrays' numpy scalars.
-            rows = [f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in mesh.vertices]
-            if colors is not None:
-                rows = [f"{row} {c[0]} {c[1]} {c[2]}" for row, c in zip(rows, colors)]
-            assert body == rows + [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+            assert path.read_text() == ply_reference(mesh)
             assert "-0 " in path.read_text()
 
     def test_header_comments_tolerated(self, tmp_path):
@@ -93,19 +90,46 @@ class TestPly:
             read_ply(path)
 
     def test_truncated_rejected(self, tmp_path):
+        # Data rows missing from a complete header: the element and both counts.
         path = tmp_path / "short.ply"
-        path.write_text(
-            "ply\nformat ascii 1.0\nelement vertex 3\n"
-            "property float x\nproperty float y\nproperty float z\n"
-            "element face 0\nproperty list uchar int vertex_indices\nend_header\n"
-            "0 0 0\n1 0 0\n"
+        header = ("ply\nformat ascii 1.0\nelement vertex 3\n"
+                  "property float x\nproperty float y\nproperty float z\n"
+                  "element face 2\nproperty list uchar int vertex_indices\nend_header\n")
+        for rows, element, declared, held in (("0 0 0\n1 0 0\n", "vertex", 3, 2),
+                                              ("0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "face", 2, 1)):
+            path.write_text(header + rows)
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: truncated data: "
+                                                      f"element {element} declares {declared} "
+                                                      f"rows, the file holds {held}$"):
+                read_ply(path)
+
+    def test_loose_layout_and_number_spellings(self, tmp_path):
+        # CRLF line ends, tabs, blank and comment lines among the rows, colors,
+        # and numbers as float() and int() spell them: a row-by-row read's mesh.
+        path = tmp_path / "loose.ply"
+        path.write_bytes(
+            b"ply\r\nformat ascii 1.0\r\nelement vertex 3\r\n"
+            b"property float x\r\nproperty float y\r\nproperty float z\r\n"
+            b"property uchar red\r\nproperty uchar green\r\nproperty uchar blue\r\n"
+            b"element face 1\r\nproperty list uchar int vertex_indices\r\nend_header\r\n"
+            b"1_0\t+1e-3 -0 1 2 3\r\n\r\ncomment between rows\r\n \t \r\n"
+            b"0 1 0\t255 0 1_0\r\n  comment indented\r\n0\t0\t1 0 +0 0\r\n"
+            b"3 -0 +1 0_2\r\n"
         )
-        with pytest.raises(ValidationError, match="short.ply"):
-            read_ply(path)
+        mesh = read_ply(path)
+        expected = np.array([[10.0, 0.001, -0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert mesh.vertices.tobytes() == expected.tobytes()  # -0 keeps its sign
+        np.testing.assert_array_equal(mesh.vertex_colors, [[1, 2, 3], [255, 0, 10], [0, 0, 0]])
+        assert mesh.vertex_colors.dtype == np.uint8
+        np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
+        assert mesh.faces.dtype == np.int64
 
 
     @pytest.mark.parametrize("rows, message", [
         ("0 0 0\n1 0\n0 1 0\n3 0 1 2\n", "vertex row width mismatch"),
+        ("0 0 0\n1 0\n0 1 0 5\n3 0 1 2\n", "vertex row width mismatch"),
+        ("0 0 0\n1 0 0\n0 1 0\n3 0 1 2 0\n3 1 2\n",
+         r"malformed face row \['3', '0', '1', '2', '0'\]"),
         ("0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n",
          "malformed PLY data: Python int too large"),
         ("0 0 0\n1 0 zero\n0 1 0\n3 0 1 2\n",
@@ -115,14 +139,17 @@ class TestPly:
         ("0 0 0\n1 0 0\n0 1 0\n3 0 1\n", r"malformed face row \['3', '0', '1'\]"),
         ("0 0 0\n1 0 0\n0 1 0\n4 0 1 2\n", "only triangular faces supported, got 4-gon"),
         ("0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n", "face index out of range"),
-    ], ids=["ragged-vertex", "index-beyond-int64", "float", "index", "short-face", "n-gon",
-            "index-out-of-range"])
+    ], ids=["ragged-vertex", "ragged-vertex-full-count", "ragged-face-full-count",
+            "index-beyond-int64", "float", "index", "short-face", "n-gon", "index-out-of-range"])
     def test_malformed_rows_rejected_with_filename(self, tmp_path, rows, message):
+        # Three vertex rows, then the face rows; the full-count cases hold as
+        # many tokens as their rows declare, in rows of the wrong widths.
         path = tmp_path / "bad.ply"
         path.write_text(
             "ply\nformat ascii 1.0\nelement vertex 3\n"
             "property float x\nproperty float y\nproperty float z\n"
-            "element face 1\nproperty list uchar int vertex_indices\nend_header\n" + rows
+            f"element face {len(rows.splitlines()) - 3}\n"
+            "property list uchar int vertex_indices\nend_header\n" + rows
         )
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {message}"):
             read_ply(path)
@@ -151,6 +178,120 @@ class TestPly:
         with pytest.raises(ValidationError, match="1e[+]39 m exceeds the float32 range"):
             write_ply(path, cloud)
         assert not path.exists()
+
+
+def ply_reference(mesh) -> str:
+    """A mesh's PLY text, one f-string per row from the arrays' numpy scalars."""
+    colors = mesh.vertex_colors
+    header = ["ply", "format ascii 1.0", f"element vertex {len(mesh.vertices)}",
+              "property float x", "property float y", "property float z"]
+    header += [] if colors is None else [f"property uchar {c}" for c in ("red", "green", "blue")]
+    header += [f"element face {len(mesh.faces)}", "property list uchar int vertex_indices",
+               "end_header"]
+    rows = [f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in mesh.vertices]
+    if colors is not None:
+        rows = [f"{row} {c[0]} {c[1]} {c[2]}" for row, c in zip(rows, colors)]
+    rows += [f"3 {f[0]} {f[1]} {f[2]}" for f in mesh.faces]
+    return "\n".join(header + rows) + "\n"
+
+
+def read_reference(body: str, faces: int):
+    """A three-vertex, ``faces``-face PLY body read one row at a time, each token
+    as float() or int() reads it: its Mesh, or None where such a read refuses it."""
+    rows = [line.split() for line in body.splitlines()
+            if line.strip() and not line.strip().startswith("comment")]
+    if len(rows) < 3 + faces or any(len(row) != 3 for row in rows[:3]) or any(
+            len(row) != 4 for row in rows[3:3 + faces]):
+        return None
+    try:
+        vertices = [[float(v) for v in row] for row in rows[:3]]
+        indices = np.array([[int(v) for v in row] for row in rows[3:3 + faces]], np.int64)
+        if (indices[:, 0] != 3).any():
+            return None
+        return Mesh(vertices, indices[:, 1:])
+    except (ValueError, OverflowError):  # ValidationError is a ValueError
+        return None
+
+
+# Spellings float() and int() read, spellings they refuse, and lines that hold no row.
+numbers = st.sampled_from(["0", "1", "-0", "+1", "1_0", "0_1", "+1e-3", "2.5", "1E2", "\u0662"])
+indices = [["0", "-0", "00", "+0"], ["1", "+1", "0_1", "\u0661"], ["2", "0_2", "002", "\u0662"]]
+refused = st.sampled_from(["nan", "1e400", "x", "1__0", "--1", "1.0", "-1", "3",
+                           "99999999999999999999"])
+layout = st.sampled_from(["", " ", "\t", "comment here", "  comment", "commentary 1 2"])
+
+
+@st.composite
+def ply_bodies(draw):
+    """Rows of three vertices and of faces in loose layouts, most well formed,
+    some with one defect: a wrong width, a refused token or size, a row short."""
+    faces = draw(st.integers(1, 3))
+    rows = [[draw(numbers) for _ in range(3)] for _ in range(3)]
+    rows += [["3"] + [draw(st.sampled_from(indices[i])) for i in draw(st.permutations(range(3)))]
+             for _ in range(faces)]
+    defect = draw(st.sampled_from([None, None, None, "width", "token", "size", "short"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    if defect == "width" and draw(st.booleans()):
+        row.insert(draw(st.integers(0, len(row))), draw(numbers))
+    elif defect == "width":
+        row.pop()
+    elif defect == "token":
+        row[draw(st.integers(0, len(row) - 1))] = draw(refused)
+    elif defect == "size":
+        rows[-1][0] = draw(st.sampled_from(["4", "+3", "3.0", "x"]))
+    elif defect == "short":
+        rows.pop()
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(layout, max_size=1))
+        lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(row))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n", faces
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(body=ply_bodies())
+def test_ply_read_matches_a_row_by_row_read(tmp_path_factory, body):
+    body, faces = body
+    path = tmp_path_factory.mktemp("rows") / "m.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\n"
+                    "property float y\nproperty float z\n"
+                    f"element face {faces}\nproperty list uchar int vertex_indices\n"
+                    "end_header\n" + body)
+    expected = read_reference(body, faces)
+    if expected is None:
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+            read_ply(path)
+    else:
+        mesh = read_ply(path)
+        assert mesh.vertices.tobytes() == expected.vertices.tobytes()
+        assert mesh.faces.tobytes() == expected.faces.tobytes()
+
+
+coordinates = (st.floats(-3e38, 3e38) | st.floats(-1e-3, 1e-3) | st.sampled_from([0.0, -0.0])
+               | st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def meshes(draw):
+    count = draw(st.integers(3, 12))
+    vertices = draw(st.lists(st.tuples(coordinates, coordinates, coordinates),
+                             min_size=count, max_size=count))
+    faces = draw(st.lists(st.permutations(range(count)).map(lambda p: p[:3]),
+                          min_size=1, max_size=8))
+    colors = draw(st.none() | st.lists(st.tuples(*[st.integers(0, 255)] * 3),
+                                       min_size=count, max_size=count))
+    return Mesh(vertices, faces, None if colors is None else np.array(colors, np.uint8))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(mesh=meshes())
+def test_ply_write_read_write_is_stable(tmp_path_factory, mesh):
+    path = tmp_path_factory.mktemp("round-trip") / "m.ply"
+    write_ply(path, mesh)
+    written = path.read_bytes()
+    assert written == ply_reference(mesh).encode()
+    write_ply(path, read_ply(path))
+    assert path.read_bytes() == written
 
 
 class TestTensor:
