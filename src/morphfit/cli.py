@@ -41,12 +41,15 @@ from .evaluation import (
 )
 from .geometry import (
     CANONICAL_SALT, DEFAULT_VIEW_RESOLUTION, FOCAL_PER_WIDTH, MAX_PIXELS, MAX_SEED,
-    MAX_SURFACE_SAMPLES, MAX_VIEWS, CameraView, quaternion_to_rotation, stream, viewpoint_sphere,
+    MAX_SURFACE_SAMPLES, MAX_VIEWS, CameraView, _kept, quaternion_to_rotation, stream,
+    viewpoint_sphere,
 )
 from .imaging import DEFAULT_SPLAT_RADIUS, MAX_SPLAT_RADIUS, splat_position_image, target_field
-from .io import commit, read_ply, write_ply
+from .io import commit, parse_ply, read_ply, read_ply_bytes, write_ply
 from .oracle import OracleSpec
-from .shape_space import Registration, load_space, save_space, space_from_fields
+from .shape_space import (
+    Registration, load_space, parse_space, read_space_bytes, save_space, space_from_fields,
+)
 
 
 def _parse_resolution(text: str):
@@ -307,6 +310,28 @@ def _load_camera(pose_path, resolution):
         raise ValidationError(f"pose file {pose_path} is not a valid pose: {exc}") from exc
 
 
+def _read_input(part: str, path, read, parse):
+    """``parse(path, data)`` of the bytes ``data = read(path)`` of an input file.
+
+    The file is read once, and its parse is kept as ``part``, one entry,
+    the most recent, keyed by those bytes alone: a later call on a file
+    with equal bytes reuses it, whatever its path or mtime, and a file
+    changed on disk is parsed again.  A read or a parse that raised is not
+    kept.  Separate processes share nothing.
+    """
+    path = Path(path)
+    data = read(path)
+    return _kept(part, data, lambda: parse(path, data))
+
+
+def _pipeline_inputs(args, observed):
+    """The space, canonical mesh and observed mesh of the single-view pipeline,
+    each input role kept as its own part (see :func:`_read_input`)."""
+    return (_read_input("space file", args.space, read_space_bytes, parse_space),
+            _read_input("canonical file", args.canonical, read_ply_bytes, parse_ply),
+            _read_input("observed file", observed, read_ply_bytes, parse_ply))
+
+
 def _views_for(args, canonical_mesh):
     radius = args.view_radius
     if radius is None:
@@ -361,9 +386,7 @@ def _cmd_gen_dataset(args) -> int:
 
 
 def _cmd_register(args) -> int:
-    space = load_space(args.space)
-    canonical_mesh = read_ply(args.canonical)
-    observed_mesh = read_ply(args.observed)
+    space, canonical_mesh, observed_mesh = _pipeline_inputs(args, args.observed)
     view = _load_camera(args.pose, args.res)
     oracle_spec = _oracle_spec(args)
     instance_cloud = observed_cloud(observed_mesh, space.registration, args.seed)
@@ -385,7 +408,10 @@ def _cmd_register(args) -> int:
             latent_path: lambda p: p.write_text(json.dumps(latent, indent=2) + "\n")})
 
     err_recon = registration_error(instance_cloud, mesh_out.vertices)
-    err_canon = registration_error(instance_cloud, canonical_mesh.vertices)
+    # The baseline depends on no pose: kept by the bytes of both point sets.
+    err_canon = _kept("canonical baseline",
+                      (instance_cloud.points.tobytes(), canonical_mesh.vertices.tobytes()),
+                      lambda: registration_error(instance_cloud, canonical_mesh.vertices))
     print(f"reconstruction error {err_recon:.3e} m^2 vs canonical baseline {err_canon:.3e} m^2")
     print(f"wrote {args.out} and {latent_path}")
     return 0
@@ -393,9 +419,7 @@ def _cmd_register(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     with_noise = args.command == "pose-noise-eval"
-    space = load_space(args.space)
-    canonical_mesh = read_ply(args.canonical)
-    instance_mesh = read_ply(args.instance)
+    space, canonical_mesh, instance_mesh = _pipeline_inputs(args, args.instance)
     instance_cloud = observed_cloud(instance_mesh, space.registration, args.seed)
     views = _views_for(args, canonical_mesh)
     rows = pose_noise_experiment(

@@ -210,9 +210,22 @@ def fit_latent(space: ShapeSpace, sparse: SparseDeltas, ridge: float = 0.0) -> C
 
 
 def reconstruct_mesh(result: CompletionResult, canonical_mesh: Mesh) -> Mesh:
-    """Warp the canonical mesh by the completed field; topology unchanged."""
-    moved = apply_deformation(canonical_mesh.vertices, result.field)
-    return canonical_mesh.with_vertices(moved)
+    """Warp the canonical mesh by the completed field; topology unchanged.
+
+    The vertices move by ``vertices + G @ weights``, as
+    :func:`~morphfit.geometry.apply_deformation` moves them.  The kernel G
+    of the vertices against the field's anchors at its beta depends on no
+    latent code, so the process keeps one, the most recent, keyed by value:
+    the vertices' bytes, the anchors' bytes and beta.  A later call with an
+    equal key reuses it; it is read-only, and a kernel that failed is not
+    kept.  Separate processes share nothing.
+    """
+    field = result.field
+    vertices = canonical_mesh.vertices
+    key = (vertices.tobytes(), field.anchors.points.tobytes(), field.beta)
+    kernel = _kept("reconstruction kernel", key,
+                   lambda: _as_readonly(gaussian_kernel(vertices, field.anchors, field.beta)))
+    return canonical_mesh.with_vertices(vertices + kernel @ field.weights)
 
 
 def cross_instance_correspondence(space: ShapeSpace, latent_a, latent_b):

@@ -29,7 +29,6 @@ from .geometry import (
     rotation_to_quaternion,
     sample_mesh_surface,
     stream,
-    triangle_areas,
     voxel_downsample,
 )
 from .imaging import (
@@ -200,8 +199,7 @@ def densify_count(mesh: Mesh, views, per_pixel: float, max_points: int) -> int:
     """
     view_distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
     focal = views[0].focal
-    area = float(triangle_areas(mesh.vertices[mesh.faces]).sum())
-    pixels = area * focal[0] * focal[1] / max(view_distance, 1e-9) ** 2
+    pixels = mesh.area * focal[0] * focal[1] / max(view_distance, 1e-9) ** 2
     # Clamped as a float, so an infinite pixel count takes the cap.
     return math.ceil(min(max(mesh.vertices.shape[0], 64, per_pixel * pixels), max_points))
 

@@ -169,8 +169,11 @@ def prepare_instance(
     ``space.canonical`` and by ``space.registration``.  A later call with
     an equal key reuses a part, and a reused registration prints the same
     cap warning.  The kept samples are read-only.  A draw, registration or
-    field that raised is not kept, so the next call tries again.
-    Separate processes share nothing.
+    field that raised is not kept, so the next call tries again.  Each
+    mesh's sample count reads its :attr:`~morphfit.geometry.Mesh.area`,
+    summed once per mesh; the commands keep their parsed input files by
+    the files' bytes, so a later request on unchanged files passes the same
+    meshes and space.  Separate processes share nothing.
     """
     views = list(views)
     if not views:

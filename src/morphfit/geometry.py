@@ -13,6 +13,7 @@ Conventions fixed here and inherited by every other module:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -88,8 +89,9 @@ def _as_readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
     return out
 
 
-# What the process keeps across calls (the prepared instance's parts and the
-# space's kernel products): part name -> (key, value), one entry each.
+# What the process keeps across calls (the parsed input files, the prepared
+# instance's parts, the space's kernel products, the reconstruction kernel and
+# the canonical baseline): part name -> (key, value), one entry each.
 _KEPT: dict = {}
 
 
@@ -178,6 +180,11 @@ class Mesh:
         """Same topology and colors, new vertex positions."""
         return Mesh(vertices, self.faces, self.vertex_colors)
 
+    @cached_property
+    def area(self) -> float:
+        """Total surface area, summed once per mesh: its arrays are read-only."""
+        return float(triangle_areas(self.vertices[self.faces]).sum())
+
 
 @dataclass(frozen=True)
 class DeformationField:
@@ -229,6 +236,8 @@ class CameraView:
         if np.linalg.det(rot) < 0:
             raise ValidationError("rotation has negative determinant")
         trans = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        if not np.isfinite(trans).all():
+            raise ValidationError(f"translation must be finite, got {trans.tolist()}")
         width, height = self.resolution
         if width < 1 or height < 1:
             raise ValidationError(f"resolution must be positive, got {self.resolution}")

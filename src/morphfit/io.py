@@ -9,6 +9,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from io import BytesIO, TextIOWrapper, text_encoding
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +58,23 @@ _COLOR_PROPS = ("red", "green", "blue")
 
 def read_ply(path) -> Mesh:
     path = Path(path)
+    return parse_ply(path, read_ply_bytes(path))
+
+
+def read_ply_bytes(path: Path) -> bytes:
+    """The bytes of the PLY file ``path``, for :func:`parse_ply`."""
     try:
-        text = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        return path.read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_ply(path: Path, data: bytes) -> Mesh:
+    """The mesh of the PLY file ``path`` whose bytes are ``data``, decoded as
+    a text-mode read of the file decodes them; errors name ``path``."""
+    try:
+        text = TextIOWrapper(BytesIO(data), encoding=text_encoding(None)).read()
+    except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         return _parse_ply(path, text)

@@ -240,10 +240,19 @@ def save_space(space: ShapeSpace, path) -> None:
 
 def load_space(path) -> ShapeSpace:
     path = Path(path)
+    return parse_space(path, read_space_bytes(path))
+
+
+def read_space_bytes(path: Path) -> bytes:
+    """The bytes of the shape-space file ``path``, for :func:`parse_space`."""
     try:
-        raw = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise SpaceFileError(f"cannot read shape-space file {path}: {exc}") from exc
+
+
+def parse_space(path: Path, raw: bytes) -> ShapeSpace:
+    """The space of the file ``path`` whose bytes are ``raw``; errors name ``path``."""
     newline = raw.find(b"\n")
     if newline < 0:
         raise SpaceFileError(f"{path}: missing header line")

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import errno
 import functools
 import hashlib
@@ -33,6 +34,7 @@ from morphfit import (
 from morphfit import cli as cli_module
 from morphfit import cpd as cpd_module
 from morphfit import dataset as dataset_module
+from morphfit import geometry as geometry_module
 from morphfit.cli import _load_camera, _views_for, build_parser, main, validate_config
 from morphfit.dataset import (
     DENSIFY_MAX, DENSIFY_PER_PIXEL, densify_count, mesh_cloud, register_instances,
@@ -673,6 +675,20 @@ class TestPoseFile:
         assert line.startswith(f"error: ValidationError: pose file {path} is not a valid pose")
         assert not out.exists()
 
+    @pytest.mark.parametrize("z", ["Infinity", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_translation_ends_in_one_error_line(self, mesh_dir, space_path, pose_path,
+                                                          tmp_path, capsys, z):
+        pose = json.loads(pose_path.read_text())
+        x, y, _ = pose["translation"]
+        path = tmp_path / "far_pose.json"
+        path.write_text(json.dumps({**pose, "translation": [x, y, "z"]}).replace('"z"', z))
+        out = tmp_path / "recon.ply"
+        assert main(command_argv("register", mesh_dir, space_path, path, out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: pose file {path} is not a valid pose: "
+            f"translation must be finite, got {[x, y, float(z)]}\n")
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def moved_canonical_space_path(space_path, tmp_path_factory):
@@ -685,15 +701,202 @@ def moved_canonical_space_path(space_path, tmp_path_factory):
     return out
 
 
+FRESH_MAIN = "import sys; from morphfit.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The name of each input file the pipeline commands parse, in order."""
+    calls = []
+    for name in ("parse_ply", "parse_space"):
+        def counted(path, data, parse=getattr(cli_module, name)):
+            calls.append(path.name)
+            return parse(path, data)
+
+        monkeypatch.setattr(cli_module, name, counted)
+    return calls
+
+
+def refuses_writes(array) -> bool:
+    try:
+        array.flat[0] = 0
+    except ValueError:
+        return True
+    return False
+
+
 class TestRegister:
     def run(self, mesh_dir, space_path, pose_path, out, seed=4, observed="observed.ply"):
-        return main([
-            "--seed", str(seed), "register", "--space", str(space_path),
-            "--canonical", str(mesh_dir / "canonical.ply"),
-            "--observed", str(mesh_dir / observed),
-            "--pose", str(pose_path), "--res", "96x72",
-            "--out", str(out),
-        ])
+        return main(self.argv(mesh_dir, space_path, pose_path, out, seed, observed))
+
+    @staticmethod
+    def argv(mesh_dir, space_path, pose_path, out, seed=4, observed="observed.ply"):
+        return ["--seed", str(seed), "register", "--space", str(space_path),
+                "--canonical", str(mesh_dir / "canonical.ply"),
+                "--observed", str(mesh_dir / observed),
+                "--pose", str(pose_path), "--res", "96x72", "--out", str(out)]
+
+    def test_equal_requests_parse_each_file_once(self, mesh_dir, space_path, pose_path,
+                                                 tmp_path, capsys, parse_calls):
+        # The key is a file's bytes, not its path: copies are not parsed again.
+        copies = tmp_path / "copies"
+        copies.mkdir()
+        for name in ("canonical.ply", "observed.ply"):
+            shutil.copy(mesh_dir / name, copies / name)
+        shutil.copy(space_path, copies / "space.mfss")
+        runs = []
+        for meshes, space, name in ((mesh_dir, space_path, "a"), (mesh_dir, space_path, "b"),
+                                    (copies, copies / "space.mfss", "c")):
+            assert self.run(meshes, space, pose_path, tmp_path / f"{name}.ply") == 0
+            runs.append(capsys.readouterr())
+        assert parse_calls == [space_path.name, "canonical.ply", "observed.ply"]
+        assert runs[0].err == runs[1].err == runs[2].err
+        assert len({run.out.splitlines()[0] for run in runs}) == 1
+        for suffix in (".ply", ".latent.json"):
+            assert len({(tmp_path / f"{name}{suffix}").read_bytes() for name in "abc"}) == 1
+
+    def test_file_rewritten_in_place_is_parsed_again(self, mesh_dir, space_path, pose_path,
+                                                     tmp_path, capsys, parse_calls):
+        # Each rewritten mesh, one vertex moved, is parsed again, and the
+        # request writes what a fresh process writes for the new file.  The
+        # child runs `main` with this process's BLAS settings: the entry
+        # point would pin one thread, and the bytes follow the thread count.
+        meshes = tmp_path / "meshes"
+        meshes.mkdir()
+        for name in ("canonical.ply", "observed.ply"):
+            shutil.copy(mesh_dir / name, meshes / name)
+        assert self.run(meshes, space_path, pose_path, tmp_path / "first.ply") == 0
+        for role in ("observed", "canonical"):
+            path = meshes / f"{role}.ply"
+            mesh = read_ply(path)
+            vertices = np.array(mesh.vertices)
+            vertices[0] += 1e-3
+            write_ply(path, mesh.with_vertices(vertices))
+            parse_calls.clear()
+            capsys.readouterr()
+            kept, fresh = tmp_path / f"{role}_kept.ply", tmp_path / f"{role}_fresh.ply"
+            assert self.run(meshes, space_path, pose_path, kept) == 0
+            assert parse_calls == [path.name]
+            here = capsys.readouterr()
+            child = subprocess.run(
+                [sys.executable, "-c", FRESH_MAIN, *self.argv(meshes, space_path, pose_path, fresh)],
+                capture_output=True, text=True, timeout=300, env=package_env())
+            assert child.returncode == 0, child.stderr
+            assert here.err == child.stderr
+            assert here.out.splitlines()[0] == child.stdout.splitlines()[0]
+            for suffix in (".ply", ".latent.json"):
+                assert (kept.with_suffix(suffix).read_bytes()
+                        == fresh.with_suffix(suffix).read_bytes())
+
+    def test_file_changed_after_its_read_is_kept_by_the_bytes_read(
+            self, mesh_dir, space_path, pose_path, tmp_path, monkeypatch):
+        # The parse is of the bytes read, so a writer that changes the file
+        # between the read and the parse cannot put its mesh under that key.
+        meshes = tmp_path / "meshes"
+        meshes.mkdir()
+        for name in ("canonical.ply", "observed.ply"):
+            shutil.copy(mesh_dir / name, meshes / name)
+        observed = meshes / "observed.ply"
+        original = read_ply(observed)
+        read = cli_module.read_ply_bytes
+
+        def read_then_rewrite(path):
+            data = read(path)
+            if path == observed:
+                write_ply(path, original.with_vertices(original.vertices * 1.01))
+            return data
+
+        monkeypatch.setattr(cli_module, "read_ply_bytes", read_then_rewrite)
+        assert self.run(meshes, space_path, pose_path, tmp_path / "a.ply") == 0
+        key, mesh = geometry_module._KEPT["observed file"]
+        assert key == (mesh_dir / "observed.ply").read_bytes()
+        np.testing.assert_array_equal(mesh.vertices, original.vertices)
+
+    def test_rebuilt_space_file_is_used(self, mesh_dir, space_path, pose_path, tmp_path,
+                                        parse_calls):
+        space = tmp_path / "space.mfss"
+        shutil.copy(space_path, space)
+        assert self.run(mesh_dir, space, pose_path, tmp_path / "a.ply") == 0
+        wide = load_space(space)
+        save_space(dataclasses.replace(wide, basis=wide.basis[:, :1], latent_dim=1), space)
+        assert self.run(mesh_dir, space, pose_path, tmp_path / "b.ply") == 0
+        assert parse_calls == ["space.mfss", "canonical.ply", "observed.ply", "space.mfss"]
+        latents = [json.loads((tmp_path / f"{name}.latent.json").read_text())["latent"]
+                   for name in "ab"]
+        assert [len(latent) for latent in latents] == [2, 1]
+
+    @pytest.mark.parametrize("role, content, expected", [
+        ("space", b"{not json\n\0", "SpaceFileError: {path}: corrupt header: Expecting property "
+                                     "name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("space", None, "SpaceFileError: cannot read shape-space file {path}: "
+                        "[Errno 13] Permission denied: '{path}'"),
+        ("canonical", b"ply\nformat binary_little_endian 1.0\nend_header\n",
+         "ValidationError: {path}: only 'format ascii 1.0' is supported"),
+        ("observed", b"ply\nformat ascii 1.0\n\xff\n", "ValidationError: cannot read {path}: "
+                                                       "{decode_error}"),
+        ("observed", None, "ValidationError: cannot read {path}: "
+                           "[Errno 13] Permission denied: '{path}'"),
+    ], ids=["corrupt-space", "unreadable-space", "binary-canonical", "non-utf8-observed",
+            "unreadable-observed"])
+    def test_refused_input_fails_alike_on_every_request(self, role, content, expected, mesh_dir,
+                                                        space_path, pose_path, tmp_path,
+                                                        monkeypatch, capsys):
+        # Every request reads the file again, refuses it with the message a
+        # text-mode read words, and keeps nothing for its role; the next
+        # request on good files runs.
+        inputs = {"space": space_path, "canonical": mesh_dir / "canonical.ply",
+                  "observed": mesh_dir / "observed.ply"}
+        path = inputs[role] = tmp_path / f"bad_{inputs[role].name}"
+        path.write_bytes(content or b"")
+        decode_error = None
+        try:
+            path.read_text()
+        except UnicodeDecodeError as exc:
+            decode_error = exc
+        if content is None:
+            denied = OSError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            open_path = Path.open
+
+            def refuse(self, *args, **kwargs):
+                if self == path:
+                    raise denied
+                return open_path(self, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "open", refuse)
+        argv = ["register", "--space", str(inputs["space"]),
+                "--canonical", str(inputs["canonical"]), "--observed", str(inputs["observed"]),
+                "--pose", str(pose_path), "--res", "96x72", "--out", str(tmp_path / "r.ply")]
+        for _ in range(2):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: " + expected.format(
+                path=path, decode_error=decode_error) + "\n"
+            assert f"{role} file" not in geometry_module._KEPT
+        assert self.run(mesh_dir, space_path, pose_path, tmp_path / "good.ply") == 0
+
+    def test_kept_parts_hold_one_read_only_entry_each(self, mesh_dir, space_path,
+                                                      moved_canonical_space_path, pose_path,
+                                                      tmp_path):
+        parts = {"space file", "canonical file", "observed file", "cloud", "samples",
+                 "registration", "kernel products", "reconstruction kernel",
+                 "canonical baseline"}
+        requests = [("observed.ply", space_path), ("instances/model_0.ply", space_path),
+                    ("instances/model_0.ply", moved_canonical_space_path),
+                    ("observed.ply", moved_canonical_space_path), ("observed.ply", space_path)]
+        for index, (observed, space) in enumerate(requests):
+            assert self.run(mesh_dir, space, pose_path, tmp_path / f"{index}.ply",
+                            observed=observed) == 0
+            kept = geometry_module._KEPT
+            assert set(kept) == parts
+            for part, path in (("space file", space), ("canonical file", "canonical.ply"),
+                               ("observed file", observed)):
+                assert kept[part][0] == (mesh_dir / path).read_bytes()
+            space_value = kept["space file"][1]
+            arrays = [space_value.canonical.points, space_value.mean, space_value.basis,
+                      *(field.field.weights for field in space_value.fields),
+                      kept["reconstruction kernel"][1]]
+            for part in ("canonical file", "observed file"):
+                arrays += [kept[part][1].vertices, kept[part][1].faces]
+            assert all(map(refuses_writes, arrays))
 
     @pytest.mark.parametrize("space", ["space_path", "capped_space_path"])
     def test_equal_requests_register_once(self, space, mesh_dir, space_path, pose_path,

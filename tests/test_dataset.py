@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -12,6 +13,7 @@ from helpers import SyntheticCategory, per_pixel_target
 from morphfit import (
     CpdConfig,
     DatasetError,
+    Mesh,
     MANIFEST_NAME,
     RasterizeError,
     SAMPLE_FILES,
@@ -30,7 +32,8 @@ from morphfit import (
     viewpoint_sphere,
 )
 from morphfit import dataset as dataset_module
-from morphfit.dataset import densify_mesh, mesh_cloud, register_instances
+from morphfit import geometry as geometry_module
+from morphfit.dataset import densify_count, densify_mesh, mesh_cloud, register_instances
 from morphfit.geometry import stream
 from morphfit.imaging import PositionImage, rasterize_target, target_field
 from morphfit.oracle import load_sample, zoomed_sample
@@ -309,6 +312,20 @@ class TestGenerateDataset:
 
 
 class TestDensifyMesh:
+    def test_a_mesh_area_is_summed_once(self, category, monkeypatch):
+        # densify_count reads the mesh's area, summed on the first call only.
+        calls = []
+        areas = geometry_module.triangle_areas
+        monkeypatch.setattr(geometry_module, "triangle_areas",
+                            lambda tri: calls.append(1) or areas(tri))
+        mesh = Mesh(category.canonical_mesh.vertices, category.canonical_mesh.faces)
+        views = small_views(2)
+        counts = [densify_count(mesh, views, 4.0, 10**6) for _ in range(2)]
+        assert calls == [1]
+        distance = np.mean([np.linalg.norm(view.position) for view in views])
+        area = areas(mesh.vertices[mesh.faces]).sum()
+        assert counts == [math.ceil(4.0 * area * 103.125 ** 2 / distance ** 2)] * 2
+
     def test_infinite_pixel_count_takes_the_cap(self, category):
         # A finite focal product whose pixel count overflows to inf.
         view = look_at([0, 0, 0.01], focal=(1e154, 1e154))

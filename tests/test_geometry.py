@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -351,6 +353,12 @@ class TestCameraView:
     def test_rejects_non_finite_principal_point(self, point):
         with pytest.raises(ValidationError, match="principal point"):
             CameraView(np.eye(3), [0, 0, 1.0], principal_point=point)
+
+    @pytest.mark.parametrize("z", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_translation(self, z):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"translation must be finite, got [0.0, 0.5, {z}]")):
+            CameraView(np.eye(3), [0, 0.5, z])
 
 
 class TestStreams:
