@@ -301,7 +301,7 @@ def _load_camera(pose_path, resolution):
         payload = json.loads(Path(pose_path).read_text())
         rotation = quaternion_to_rotation(payload["quaternion"])
         resolution = tuple(payload.get("resolution", resolution))
-        focal = tuple(payload.get("focal", (FOCAL_PER_WIDTH * resolution[0],) * 2))
+        focal = payload.get("focal", (FOCAL_PER_WIDTH * resolution[0],) * 2)
         return CameraView(rotation, payload["translation"], focal=focal,
                           principal_point=payload.get("principal_point"), resolution=resolution)
     except KeyError as exc:

@@ -19,9 +19,9 @@ from .geometry import (
     PointCloud,
     _as_readonly,
     _kept,
+    _kept_kernel,
     apply_deformation,
     distinct_rows,
-    gaussian_kernel,
 )
 from .shape_space import ShapeSpace, latent_to_field
 
@@ -159,7 +159,7 @@ def _expanded_kernel_apply(kernel: np.ndarray, flat: np.ndarray) -> np.ndarray:
 def _blended(space: ShapeSpace):
     """The space's kernel products: the expanded kernel of the canonical
     cloud at width beta applied to the basis and to the mean, read-only."""
-    kernel = gaussian_kernel(space.canonical, space.canonical, space.beta)
+    kernel = _kept_kernel(space.canonical.points, space.canonical.points, space.beta)
     return (_as_readonly(_expanded_kernel_apply(kernel, space.basis)),
             _as_readonly(_expanded_kernel_apply(kernel, space.mean)))
 
@@ -177,6 +177,7 @@ def fit_latent(space: ShapeSpace, sparse: SparseDeltas, ridge: float = 0.0) -> C
     one entry of them, the most recent, keyed by value: the canonical
     points, the mean, the basis and beta.  A later call on an equal space,
     loaded anew or not, reuses them; products that failed are not kept.
+    They read the canonical kernel kept by :func:`~morphfit.geometry.apply_deformation`.
     Separate processes share nothing.
     """
     if ridge < 0:
@@ -212,20 +213,9 @@ def fit_latent(space: ShapeSpace, sparse: SparseDeltas, ridge: float = 0.0) -> C
 def reconstruct_mesh(result: CompletionResult, canonical_mesh: Mesh) -> Mesh:
     """Warp the canonical mesh by the completed field; topology unchanged.
 
-    The vertices move by ``vertices + G @ weights``, as
-    :func:`~morphfit.geometry.apply_deformation` moves them.  The kernel G
-    of the vertices against the field's anchors at its beta depends on no
-    latent code, so the process keeps one, the most recent, keyed by value:
-    the vertices' bytes, the anchors' bytes and beta.  A later call with an
-    equal key reuses it; it is read-only, and a kernel that failed is not
-    kept.  Separate processes share nothing.
+    Its kernel is the one :func:`~morphfit.geometry.apply_deformation` keeps.
     """
-    field = result.field
-    vertices = canonical_mesh.vertices
-    key = (vertices.tobytes(), field.anchors.points.tobytes(), field.beta)
-    kernel = _kept("reconstruction kernel", key,
-                   lambda: _as_readonly(gaussian_kernel(vertices, field.anchors, field.beta)))
-    return canonical_mesh.with_vertices(vertices + kernel @ field.weights)
+    return canonical_mesh.with_vertices(apply_deformation(canonical_mesh.vertices, result.field))
 
 
 def cross_instance_correspondence(space: ShapeSpace, latent_a, latent_b):

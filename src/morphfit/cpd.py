@@ -14,7 +14,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import cdist
 
 from .errors import SolverError, ValidationError
-from .geometry import DeformationField, PointCloud, gaussian_kernel
+from .geometry import DeformationField, PointCloud, _kept_kernel
 
 __all__ = ["CpdConfig", "CpdResult", "cpd_nonrigid", "e_step"]
 
@@ -149,7 +149,7 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
             "(the space's \"registration\")"
         )
 
-    kernel = gaussian_kernel(y, y, config.beta)
+    kernel = _kept_kernel(y, y, config.beta)
     sigma2 = cdist(y, x, "sqeuclidean").sum() / (3.0 * n_fixed * n_moving)
     if sigma2 <= 0.0:
         # All points coincide; nothing to estimate.

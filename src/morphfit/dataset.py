@@ -24,6 +24,7 @@ from .geometry import (
     DeformationField,
     Mesh,
     PointCloud,
+    _kept_kernel,
     barycentric_points,
     gaussian_kernel,
     rotation_to_quaternion,
@@ -186,7 +187,7 @@ def target_delta(field: DeformationField, rho: float) -> np.ndarray:
     """
     if not (0.0 <= rho <= 1.0):
         raise ValidationError(f"rho must be in [0, 1], got {rho}")
-    kernel = gaussian_kernel(field.anchors, field.anchors, field.beta)
+    kernel = _kept_kernel(field.anchors.points, field.anchors.points, field.beta)
     return kernel @ ((1.0 - rho) * field.weights)
 
 

@@ -90,8 +90,8 @@ def _as_readonly(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 
 # What the process keeps across calls (the parsed input files, the prepared
-# instance's parts, the space's kernel products, the reconstruction kernel and
-# the canonical baseline): part name -> (key, value), one entry each.
+# instance's parts, the space's kernel products, the last warp's or CPD's
+# kernel and the canonical baseline): part name -> (key, value), one each.
 _KEPT: dict = {}
 
 
@@ -212,6 +212,18 @@ class DeformationField:
         object.__setattr__(self, "weights", _as_readonly(weights))
 
 
+def _pair(value, name: str, kind) -> tuple:
+    """The two finite numbers of ``value`` as ``kind``: a string, a bool, another
+    length or, for ``int``, a fraction is refused."""
+    pair = tuple(value) if isinstance(value, (tuple, list, np.ndarray)) else ()
+    whole = [isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in pair]
+    if len(pair) != 2 or not all(w or isinstance(v, (float, np.floating)) and np.isfinite(v)
+                                 and (kind is float or v.is_integer()) for v, w in zip(pair, whole)):
+        kinds = "finite numbers" if kind is float else "integers"
+        raise ValidationError(f"{name} must be two {kinds}, got {value!r}")
+    return tuple(map(kind, pair))
+
+
 @dataclass(frozen=True)
 class CameraView:
     """Rigid world-to-camera pose plus pinhole intrinsics.
@@ -238,27 +250,23 @@ class CameraView:
         trans = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if not np.isfinite(trans).all():
             raise ValidationError(f"translation must be finite, got {trans.tolist()}")
-        width, height = self.resolution
+        width, height = _pair(self.resolution, "resolution", int)
         if width < 1 or height < 1:
             raise ValidationError(f"resolution must be positive, got {self.resolution}")
         if width * height > MAX_PIXELS:
             raise ValidationError(f"resolution {width}x{height} exceeds the {MAX_PIXELS}-pixel limit")
-        focal = (float(self.focal[0]), float(self.focal[1]))
+        focal = _pair(self.focal, "focal lengths", float)
         # densify_mesh scales by the product: it must not round to 0 or inf.
         if not (min(focal) > 0 and 0 < focal[0] * focal[1] < np.inf):
             raise ValidationError(f"focal lengths must be > 0 with a finite, nonzero product, "
                                   f"got {focal}")
         pp = self.principal_point
-        if pp is None:
-            pp = (width / 2.0, height / 2.0)
-        pp = (float(pp[0]), float(pp[1]))
-        if not np.isfinite(pp).all():
-            raise ValidationError(f"principal point must be finite, got {pp}")
+        pp = _pair((width / 2.0, height / 2.0) if pp is None else pp, "principal point", float)
         object.__setattr__(self, "rotation", _as_readonly(rot))
         object.__setattr__(self, "translation", _as_readonly(trans))
         object.__setattr__(self, "focal", focal)
         object.__setattr__(self, "principal_point", pp)
-        object.__setattr__(self, "resolution", (int(width), int(height)))
+        object.__setattr__(self, "resolution", (width, height))
 
     @property
     def position(self) -> np.ndarray:
@@ -296,15 +304,24 @@ def gaussian_kernel(queries, anchors, beta: float) -> np.ndarray:
     return np.exp(sq)
 
 
+def _kept_kernel(queries: np.ndarray, anchors: np.ndarray, beta: float) -> np.ndarray:
+    """``gaussian_kernel``, read-only, kept as "kernel" by both point sets' bytes and beta."""
+    return _kept("kernel", (queries.tobytes(), anchors.tobytes(), beta),
+                 lambda: _as_readonly(gaussian_kernel(queries, anchors, beta)))
+
+
 def apply_deformation(targets, field: DeformationField):
     """Warp ``targets`` by a deformation field.
 
     Returns the same container type as the input (PointCloud in,
     PointCloud out; bare array in, bare array out) with identical
-    cardinality and ordering.
+    cardinality and ordering.  The kernel depends on no weights: the
+    process keeps the most recent one, read-only, keyed by the targets, the
+    anchors and beta by value, and shares it with
+    :func:`~morphfit.cpd.cpd_nonrigid` (the moving cloud against itself).
     """
     pts = _points_of(targets)
-    kernel = gaussian_kernel(pts, field.anchors, field.beta)
+    kernel = _kept_kernel(pts, field.anchors.points, field.beta)
     moved = pts + kernel @ field.weights
     if isinstance(targets, PointCloud):
         return PointCloud(moved)

@@ -14,10 +14,12 @@ from morphfit import (  # noqa: E402
 
 @pytest.fixture(autouse=True)
 def forget_prepared_instance():
-    # The process keeps the last prepared instance (its cloud, dense samples
-    # and registration) and the last space's kernel products.  Each test
-    # starts without them, so sample, CPD and kernel call counts and patched
-    # target fields see every draw and registration the test itself causes.
+    # The process keeps one entry of each part in geometry._KEPT: the parsed
+    # input files, the prepared instance (its cloud, dense samples and
+    # registration), the space's kernel products, the last warp's or CPD's
+    # kernel and the canonical baseline.  Each test starts without them, so
+    # sample, CPD and kernel call counts and patched target fields see every
+    # draw, registration and kernel the test itself causes.
     geometry._KEPT.clear()
 
 

@@ -675,6 +675,27 @@ class TestPoseFile:
         assert line.startswith(f"error: ValidationError: pose file {path} is not a valid pose")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("focal", "99", "focal lengths must be two finite numbers, got '99'"),
+        ("principal_point", "45", "principal point must be two finite numbers, got '45'"),
+        ("focal", [275, 275, 1], "focal lengths must be two finite numbers, got [275, 275, 1]"),
+        ("principal_point", [128, 96, 7],
+         "principal point must be two finite numbers, got [128, 96, 7]"),
+        ("resolution", [96.7, 72.2], "resolution must be two integers, got (96.7, 72.2)"),
+        ("resolution", [True, True], "resolution must be two integers, got (True, True)"),
+    ], ids=["focal-string", "principal-string", "focal-triple", "principal-triple",
+            "fractional-resolution", "bool-resolution"])
+    def test_malformed_camera_ends_in_one_error_line(self, mesh_dir, space_path, pose_path,
+                                                     tmp_path, capsys, field, value, reason):
+        pose = {**json.loads(pose_path.read_text()), field: value}
+        path = tmp_path / "odd_pose.json"
+        path.write_text(json.dumps(pose))
+        out = tmp_path / "recon.ply"
+        assert main(command_argv("register", mesh_dir, space_path, path, out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValidationError: pose file {path} is not a valid pose: {reason}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("z", ["Infinity", "-Infinity", "NaN", "1e999"])
     def test_non_finite_translation_ends_in_one_error_line(self, mesh_dir, space_path, pose_path,
                                                           tmp_path, capsys, z):
@@ -877,8 +898,7 @@ class TestRegister:
                                                       moved_canonical_space_path, pose_path,
                                                       tmp_path):
         parts = {"space file", "canonical file", "observed file", "cloud", "samples",
-                 "registration", "kernel products", "reconstruction kernel",
-                 "canonical baseline"}
+                 "registration", "kernel products", "kernel", "canonical baseline"}
         requests = [("observed.ply", space_path), ("instances/model_0.ply", space_path),
                     ("instances/model_0.ply", moved_canonical_space_path),
                     ("observed.ply", moved_canonical_space_path), ("observed.ply", space_path)]
@@ -893,7 +913,7 @@ class TestRegister:
             space_value = kept["space file"][1]
             arrays = [space_value.canonical.points, space_value.mean, space_value.basis,
                       *(field.field.weights for field in space_value.fields),
-                      kept["reconstruction kernel"][1]]
+                      kept["kernel"][1]]
             for part in ("canonical file", "observed file"):
                 arrays += [kept[part][1].vertices, kept[part][1].faces]
             assert all(map(refuses_writes, arrays))

@@ -307,7 +307,7 @@ class TestFitLatent:
             calls.append(1)
             return gaussian_kernel(*args)
 
-        monkeypatch.setattr(completion, "gaussian_kernel", counted)
+        monkeypatch.setattr(geometry, "gaussian_kernel", counted)
         space = category.space
         sparse = SparseDeltas(in_span_deltas(space, [0.3, -0.2]), np.arange(len(space.canonical)))
         first = fit_latent(space, sparse)

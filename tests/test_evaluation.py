@@ -17,6 +17,7 @@ from morphfit import (
     PointCloud,
     RasterizeError,
     ValidationError,
+    gaussian_kernel,
     pose_noise_experiment,
     registration_error,
     report_to_csv,
@@ -24,6 +25,7 @@ from morphfit import (
     viewpoint_sphere,
 )
 from morphfit import evaluation as evaluation_module
+from morphfit import geometry
 from morphfit.evaluation import (
     COND_CANONICAL,
     COND_PIPELINE,
@@ -101,6 +103,29 @@ def gt_rows(category, held_out, few_views):
         category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
         category.canonical_mesh, instance_label="held-out", seed=3, **FAST,
     )
+
+
+def test_canonical_kernel_formed_once_per_sweep(category, held_out, few_views, monkeypatch):
+    # The registration, its target field, the kernel products, and each view's
+    # warps and raw-CPD baseline all read one kept canonical kernel: the sweep
+    # forms it once, not per view or draw.
+    canonical = category.space.canonical.points
+    formed = []
+
+    def counted(queries, anchors, beta):
+        formed.append(all(np.array_equal(getattr(points, "points", points), canonical)
+                          for points in (queries, anchors)))
+        return gaussian_kernel(queries, anchors, beta)
+
+    monkeypatch.setattr(geometry, "gaussian_kernel", counted)
+    mesh, cloud = held_out
+    rows = pose_noise_experiment(
+        category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
+        category.canonical_mesh, 0.02, draws=2, instance_label="held-out", seed=3, **FAST,
+    )
+    assert [row.condition for row in rows] == [COND_PIPELINE, COND_RAW_CPD, COND_CANONICAL]
+    assert all(row.failed == 0 for row in rows)
+    assert formed == [True]
 
 
 class TestEvaluateInstance:

@@ -22,6 +22,7 @@ from morphfit import (
     viewpoint_sphere,
     voxel_downsample,
 )
+from morphfit import geometry
 from morphfit.geometry import (
     _BARY_BLOCK,
     _DRAW_CELLS,
@@ -172,6 +173,67 @@ class TestApplyDeformation:
     def test_weight_row_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             DeformationField(sphere_cloud(4), np.zeros((5, 3)), 1.0)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """One entry per kernel ``geometry`` forms."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return gaussian_kernel(*args)
+
+    monkeypatch.setattr(geometry, "gaussian_kernel", counted)
+    return calls
+
+
+class TestKeptKernel:
+    """apply_deformation keeps one kernel, the most recent, keyed by value."""
+
+    targets = sphere_cloud(9, seed=6).points
+    anchors = sphere_cloud(15, seed=5).points
+    weights = np.random.default_rng(7).normal(size=(15, 3))
+
+    def warp(self, targets=targets, anchors=anchors, beta=0.8, scale=1.0):
+        field = DeformationField(PointCloud(anchors.copy()), scale * self.weights, beta)
+        return apply_deformation(targets.copy(), field)
+
+    def test_equal_values_form_it_once(self, kernel_calls):
+        self.warp()
+        moved = self.warp(scale=2.0)
+        assert kernel_calls == [1]
+        kernel = gaussian_kernel(self.targets, self.anchors, 0.8)
+        np.testing.assert_array_equal(moved, self.targets + kernel @ (2.0 * self.weights))
+
+    @pytest.mark.parametrize("change", ["targets", "anchors", "beta"])
+    def test_another_key_forms_it_again(self, change, kernel_calls):
+        self.warp()
+        other = {"targets": self.targets + 0.01, "anchors": self.anchors[::-1], "beta": 0.5}
+        self.warp(**{change: other[change]})
+        assert kernel_calls == [1, 1]
+        key = {"targets": self.targets, "anchors": self.anchors, "beta": 0.8, change: other[change]}
+        assert list(geometry._KEPT) == ["kernel"]
+        assert geometry._KEPT["kernel"][0] == (key["targets"].tobytes(),
+                                               key["anchors"].tobytes(), key["beta"])
+
+    def test_kept_kernel_refuses_writes(self):
+        self.warp()
+        kernel = geometry._KEPT["kernel"][1]
+        with pytest.raises(ValueError, match="read-only"):
+            kernel[0, 0] = 0.0
+
+    def test_failed_kernel_is_not_kept(self, monkeypatch):
+        self.warp()
+        assert "kernel" in geometry._KEPT
+
+        def fail(*args):
+            raise MemoryError("no room for the kernel")
+
+        monkeypatch.setattr(geometry, "gaussian_kernel", fail)
+        with pytest.raises(MemoryError):
+            self.warp(beta=0.5)
+        assert "kernel" not in geometry._KEPT
 
 
 class TestExpandKernel:
@@ -353,6 +415,25 @@ class TestCameraView:
     def test_rejects_non_finite_principal_point(self, point):
         with pytest.raises(ValidationError, match="principal point"):
             CameraView(np.eye(3), [0, 0, 1.0], principal_point=point)
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("focal", "99", "focal lengths must be two finite numbers"),
+        ("focal", (275.0, 275.0, 1.0), "focal lengths must be two finite numbers"),
+        ("focal", (275.0, True), "focal lengths must be two finite numbers"),
+        ("principal_point", "45", "principal point must be two finite numbers"),
+        ("principal_point", [128.0, 96.0, 7.0], "principal point must be two finite numbers"),
+        ("resolution", (96.7, 72.2), "resolution must be two integers"),
+        ("resolution", (True, True), "resolution must be two integers"),
+        ("resolution", "96", "resolution must be two integers"),
+    ])
+    def test_rejects_malformed_intrinsics(self, field, value, reason):
+        with pytest.raises(ValidationError, match=f"^{reason}, got {re.escape(repr(value))}$"):
+            CameraView(np.eye(3), [0, 0, 1.0], **{field: value})
+
+    def test_whole_resolution_is_kept_as_integers(self):
+        view = CameraView(np.eye(3), [0, 0, 1.0], resolution=(np.int64(96), 72.0))
+        assert view.resolution == (96, 72)
+        assert all(type(side) is int for side in view.resolution)
 
     @pytest.mark.parametrize("z", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_translation(self, z):

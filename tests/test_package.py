@@ -142,6 +142,24 @@ def test_only_geometry_seeds_streams():
     assert offenders == []
 
 
+def test_only_geometry_forms_gaussian_kernels():
+    """geometry owns the Gaussian kernel: every other module reads the one it
+    keeps, apart from interpolate_instance's per-instance kernel, which would
+    only evict the canonical one if it were kept."""
+    offenders = []
+    for source in sorted(Path(morphfit.__file__).parent.rglob("*.py")):
+        if source.name == "geometry.py":
+            continue
+        tree = ast.parse(source.read_text())
+        if source.name == "dataset.py":
+            tree.body = [node for node in tree.body
+                         if getattr(node, "name", None) != "interpolate_instance"]
+        offenders += [f"{source.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and "gaussian_kernel" in (
+                          getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert offenders == []
+
+
 def test_each_pipeline_default_is_one_constant():
     """The image size, splat radius, densify recipe and focal rule are each decided
     once: every signature default and command-line default for them is that constant."""
