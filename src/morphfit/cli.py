@@ -237,8 +237,8 @@ def validate_config(args) -> list[str]:
             problems.append(f"--models {args.models!r} contains no PLY meshes")
         problems += [f"--{problem}" for problem in rho_problems(args.rhos)]
     elif args.command in ("register", "evaluate", "pose-noise-eval"):
-        # A flag the chosen oracle would ignore is refused; an infinite
-        # --noise-sigma has failed its row already.
+        # A flag the chosen oracle would ignore is refused, and so is a noisy
+        # oracle without noise; an infinite --noise-sigma has failed its row already.
         if args.oracle not in ("gt", "noisy", "external"):
             problems.append(f"--oracle must be gt, noisy, or external, got {args.oracle!r}")
         if args.oracle == "external" and not args.oracle_cmd.strip():
@@ -248,6 +248,8 @@ def validate_config(args) -> list[str]:
         if args.oracle != "noisy" and 0 < args.noise_sigma < np.inf:
             problems.append(f"--noise-sigma {args.noise_sigma} needs --oracle noisy, "
                             f"got --oracle {args.oracle}")
+        if args.oracle == "noisy" and args.noise_sigma == 0:
+            problems.append("--oracle noisy needs --noise-sigma above 0")
     elif args.command == "cross-register" and args.latent_a.shape != args.latent_b.shape:
         problems.append(f"latent dimensions differ: "
                         f"{args.latent_a.shape[0]} vs {args.latent_b.shape[0]}")

@@ -87,18 +87,26 @@ class CompletionResult:
 
 
 def nearest_canonical_points(canonical: PointCloud, queries: np.ndarray) -> np.ndarray:
-    """Index of the nearest canonical point per query, ties to lowest index."""
+    """Index of the nearest canonical point per query, ties to lowest index.
+
+    The tree is asked for two neighbours per query.  Only a query whose
+    two distances are equal is asked again, for eight, and takes the
+    lowest index among those at the first distance.  A distance is
+    computed the same way whatever the neighbour count, so this is the
+    eight-neighbour rule's result for every query.
+    """
     pts = canonical.points
     n = pts.shape[0]
     tree = cKDTree(pts)
-    k = min(8, n)
-    dist, idx = tree.query(queries, k=k)
-    if k == 1:
+    dist, idx = tree.query(queries, k=min(2, n))
+    if n == 1:
         return np.atleast_1d(idx).astype(np.int64)
     dist = np.atleast_2d(dist)
-    idx = np.atleast_2d(idx)
-    tied = dist == dist[:, :1]
-    return np.where(tied, idx, n).min(axis=1).astype(np.int64)
+    owners = np.atleast_2d(idx)[:, 0].astype(np.int64)
+    tied = np.flatnonzero(dist[:, 0] == dist[:, 1])
+    dist, idx = tree.query(np.atleast_2d(queries)[tied], k=min(8, n))
+    owners[tied] = np.where(dist == dist[:, :1], idx, n).min(axis=1)
+    return owners
 
 
 def pixels_to_sparse_deltas(

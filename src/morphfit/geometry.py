@@ -48,6 +48,7 @@ DEFAULT_FOCAL = (FOCAL_PER_WIDTH * DEFAULT_VIEW_RESOLUTION[0],) * 2
 MAX_PIXELS = 4096 * 4096  # largest camera image; its position image takes 400 MB
 MAX_VIEWS = 1024  # most viewpoint_sphere cameras, about 14x the paper's 74-view sphere
 MAX_SURFACE_SAMPLES = 2**20  # most sample_mesh_surface points, 128x build-space's default
+MAX_KEPT_KERNEL_ENTRIES = 2**22  # largest kernel kept across calls: 32 MB, a 2,048-point square
 MAX_SEED = 2**32 - 1  # largest seed that stays one key word (see stream)
 _DRAW_CELLS = 2**16  # most cells of sample_mesh_surface's face-draw table
 _BARY_BLOCK = 8192  # rows per corner gather in barycentric_points
@@ -305,9 +306,17 @@ def gaussian_kernel(queries, anchors, beta: float) -> np.ndarray:
 
 
 def _kept_kernel(queries: np.ndarray, anchors: np.ndarray, beta: float) -> np.ndarray:
-    """``gaussian_kernel``, read-only, kept as "kernel" by both point sets' bytes and beta."""
-    return _kept("kernel", (queries.tobytes(), anchors.tobytes(), beta),
-                 lambda: _as_readonly(gaussian_kernel(queries, anchors, beta)))
+    """``gaussian_kernel``, read-only, kept as "kernel" by both point sets' bytes and beta.
+
+    A kernel of more than :data:`MAX_KEPT_KERNEL_ENTRIES` entries is
+    formed afresh and not kept, and the kept one stays.
+    """
+    def make():
+        return _as_readonly(gaussian_kernel(queries, anchors, beta))
+
+    if len(queries) * len(anchors) > MAX_KEPT_KERNEL_ENTRIES:
+        return make()
+    return _kept("kernel", (queries.tobytes(), anchors.tobytes(), beta), make)
 
 
 def apply_deformation(targets, field: DeformationField):

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_SPLAT_RADIUS = 1  # pixels around each projected point
-MAX_SPLAT_RADIUS = 32  # the splat's disc loop makes (2r+1)**2 passes over the points
+MAX_SPLAT_RADIUS = 32  # the disc loop passes up to (2r+1)**2 times over the winners
 
 
 def _check_image(data, mask, name: str):
@@ -163,6 +163,9 @@ def splat_position_image(model, view: CameraView,
     frame find those winners on a grid padded by ``splat_radius``: least
     depth first, then least index among exact depth ties.  Only the
     winners are ranked by (depth, index) and splatted.
+
+    The per-point arrays are gathered only when a point is dropped: one
+    behind the camera, or one whose disc cannot reach the frame.
     """
     if not 0 <= splat_radius <= MAX_SPLAT_RADIUS:
         raise ValidationError(
@@ -170,30 +173,43 @@ def splat_position_image(model, view: CameraView,
     pts = model.points if isinstance(model, PointCloud) else np.asarray(model, np.float64)
     width, height = view.resolution
     cam = view.to_camera(pts)
-    index = np.flatnonzero(cam[:, 2] > 0.0)
-    if not len(index):
+    # The points kept so far, by position in ``pts``; None while none is dropped.
+    index = None
+    front = cam[:, 2] > 0.0
+    if not front.all():
+        index = np.flatnonzero(front)
+        cam = cam[index]
+    if not len(cam):
         raise EmptyRenderError("no model point in front of the camera")
     fx, fy = view.focal
     cx, cy = view.principal_point
-    depth = cam[:, 2][index]
+    depth = cam[:, 2]
     inv_z = 1.0 / depth
-    u = fx * cam[:, 0][index] * inv_z + cx
-    v = fy * cam[:, 1][index] * inv_z + cy
+    u = np.multiply(fx, cam[:, 0])
+    u *= inv_z
+    u += cx
+    v = np.multiply(fy, cam[:, 1])
+    v *= inv_z
+    v += cy
     # Only a point projecting within the radius of the frame can light a
     # pixel; key those by their projection pixel on the padded grid.
     radius = splat_radius
-    reach = np.flatnonzero(
-        (u >= -radius) & (u < width + radius) & (v >= -radius) & (v < height + radius)
-    )
-    index, depth, u, v = index[reach], depth[reach], u[reach], v[reach]
+    reach = (u >= -radius) & (u < width + radius) & (v >= -radius) & (v < height + radius)
+    if not reach.all():
+        kept = np.flatnonzero(reach)
+        index = kept if index is None else index[kept]
+        depth, u, v = depth[kept], u[kept], v[kept]
     grid_w = width + 2 * radius
-    key = (np.floor(v).astype(np.int64) + radius) * grid_w + np.floor(u).astype(np.int64) + radius
+    key = np.floor(v, out=v).astype(np.int64)
+    key *= grid_w
+    key += np.floor(u, out=u).astype(np.int64)
+    key += radius * (grid_w + 1)
     # The least depth per key, then the least index among its exact ties.
     least = np.full((height + 2 * radius) * grid_w, np.inf)
     np.minimum.at(least, key, depth)
-    tied = depth == least[key]
+    tied = np.flatnonzero(depth == least[key])
     first = np.full(len(least), len(pts), dtype=np.int64)
-    np.minimum.at(first, key[tied], index[tied])
+    np.minimum.at(first, key[tied], tied if index is None else index[tied])
     keys = np.flatnonzero(first < len(pts))
 
     # Rank the winners by (depth, index); each pixel keeps the lowest rank

@@ -206,6 +206,9 @@ class TestValidateConfig:
         (["--oracle", "noisy", "--noise-sigma", "0.1"], None),
         (["--oracle", "external", "--oracle-cmd", "cat"], None),
         (["--oracle-cmd", "  "], None),
+        (["--oracle", "noisy"], "--oracle noisy needs --noise-sigma above 0"),
+        (["--oracle", "noisy", "--noise-sigma", "-0.0"],
+         "--oracle noisy needs --noise-sigma above 0"),
     ])
     def test_oracle_flags_pair(self, mesh_dir, space_path, flags, problem):
         # A flag that the chosen oracle would ignore is refused.
@@ -1481,6 +1484,8 @@ ESCAPES = {
                     "error: --noise-sigma 0.5 needs --oracle noisy, got --oracle gt"),
     "oracle-cmd": ("register", ["--oracle-cmd", "false"], 2,
                    "error: --oracle-cmd needs --oracle external, got --oracle gt"),
+    "noisy-without-noise": ("register", ["--oracle", "noisy"], 2,
+                            "error: --oracle noisy needs --noise-sigma above 0"),
     "scale": ("gen-dataset", ["--scale", "1e308"], 1,
               "error: ValidationError: a value of "),
     "rhos": ("gen-dataset", ["--rhos", "0.25,0.2500001"], 2,

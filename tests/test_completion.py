@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from helpers import icosphere, sphere_cloud
 
@@ -86,6 +87,72 @@ class TestNearestCanonical:
         np.testing.assert_array_equal(
             nearest_canonical_points(canonical, queries), [3, 17, 42]
         )
+
+    @staticmethod
+    def eight_neighbour_owners(canonical, queries):
+        """The reference rule: of eight neighbours, the lowest index at the first distance."""
+        n = len(canonical)
+        dist, idx = cKDTree(canonical.points).query(queries, k=min(8, n))
+        if n == 1:
+            return np.atleast_1d(idx).astype(np.int64)
+        dist, idx = np.atleast_2d(dist), np.atleast_2d(idx)
+        return np.where(dist == dist[:, :1], idx, n).min(axis=1).astype(np.int64)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_of_three_and_four_go_to_lowest_index(self, seed):
+        # Every distance below is a whole number, so the ties are exact:
+        # the origin is 1 from three points, (10, 0, 0) is 1 from four, and
+        # the other points are at least 2 from both.
+        points = np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1],
+                           [11, 0, 0], [9, 0, 0], [10, 1, 0], [10, -1, 0],
+                           [-2, 0, 0], [10, 0, 2], [5, 5, 5], [0, 0, -3]])
+        queries = np.array([[0.0, 0, 0], [10, 0, 0]])
+        order = np.random.default_rng(seed).permutation(len(points))
+        canonical = PointCloud(points[order])
+        place = np.argsort(order)  # place[i]: the shuffled index of points[i]
+        expected = [place[:3].min(), place[3:7].min()]
+        owners = nearest_canonical_points(canonical, queries)
+        assert owners.dtype == np.int64
+        np.testing.assert_array_equal(owners, expected)
+        np.testing.assert_array_equal(owners, self.eight_neighbour_owners(canonical, queries))
+
+    def test_one_canonical_point(self):
+        canonical = PointCloud([[1.0, 2.0, 3.0]])
+        owners = nearest_canonical_points(canonical, np.zeros((5, 3)))
+        assert owners.dtype == np.int64
+        np.testing.assert_array_equal(owners, np.zeros(5))
+
+    @pytest.mark.parametrize("points, expected", [
+        ([[0.0, 0, 0], [2.0, 0, 0]], [0, 0, 1]),
+        ([[2.0, 0, 0], [0.0, 0, 0]], [0, 1, 0]),
+    ])
+    def test_two_canonical_points(self, points, expected):
+        queries = np.array([[1.0, 0, 0], [-1.0, 0, 0], [3.0, 0, 0]])
+        owners = nearest_canonical_points(PointCloud(points), queries)
+        np.testing.assert_array_equal(owners, expected)
+
+    @pytest.mark.parametrize("count", [1, 2, 50])
+    def test_single_query_as_a_vector(self, count):
+        canonical = sphere_cloud(count, seed=1)
+        owners = nearest_canonical_points(canonical, canonical.points[-1])
+        assert owners.shape == (1,) and owners.dtype == np.int64
+        assert owners[0] == count - 1
+
+    def test_matches_the_eight_neighbour_rule_on_lattice_clouds(self):
+        # Points and queries on coarse lattices, so exact ties of two and
+        # more are common, duplicate canonical points included.
+        ties_past_a_pair = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            canonical = PointCloud(rng.integers(-3, 4, (rng.integers(1, 40), 3)) * 0.5)
+            queries = rng.integers(-4, 5, (rng.integers(1, 30), 3)) * 0.25
+            np.testing.assert_array_equal(
+                nearest_canonical_points(canonical, queries),
+                self.eight_neighbour_owners(canonical, queries), err_msg=f"seed {seed}")
+            if len(canonical) >= 3:
+                dist, _ = cKDTree(canonical.points).query(queries, k=3)
+                ties_past_a_pair += int((dist[:, 2] == dist[:, 0]).sum())
+        assert ties_past_a_pair > 100
 
 
 class TestPixelsToSparseDeltas:

@@ -235,6 +235,27 @@ class TestKeptKernel:
             self.warp(beta=0.5)
         assert "kernel" not in geometry._KEPT
 
+    def test_large_kernel_is_formed_but_not_kept(self, kernel_calls):
+        # 358 points is the default recipe's canonical cloud; 2,100 points
+        # square to more than MAX_KEPT_KERNEL_ENTRIES.
+        assert 2100 ** 2 > geometry.MAX_KEPT_KERNEL_ENTRIES >= 642 * 358
+
+        def self_warp(count, seed):
+            points = sphere_cloud(count, seed=seed).points
+            return apply_deformation(points, DeformationField(PointCloud(points),
+                                                              np.zeros((count, 3)), 0.8))
+
+        self_warp(358, 8)
+        kept = geometry._KEPT["kernel"]
+        self_warp(2100, 9)
+        large = sphere_cloud(2100, seed=9).points
+        kernel = geometry._kept_kernel(large, large, 0.8)
+        assert kernel_calls == [1, 1, 1]
+        assert geometry._KEPT["kernel"] is kept
+        assert kernel.shape == (2100, 2100) and not kernel.flags.writeable
+        self_warp(358, 8)
+        assert kernel_calls == [1, 1, 1]
+
 
 class TestExpandKernel:
     def test_scalar_becomes_identity(self):

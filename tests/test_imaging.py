@@ -157,20 +157,46 @@ class TestSplat:
         np.testing.assert_array_equal(first.data[row, col], a)
         np.testing.assert_array_equal(swapped.data[row, col], b)
 
-    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @staticmethod
+    def z_buffer(cloud, view, radius):
+        """Brute-force reference: per pixel, the least (depth, index) of the
+        points in front whose disc covers it; returns the image and winners."""
+        width, height = view.resolution
+        fx, fy = view.focal
+        cx, cy = view.principal_point
+        winner = {}  # pixel -> (depth, index), the least seen so far
+        for k, (x, y, z) in enumerate(view.to_camera(cloud.points)):
+            if z <= 0:
+                continue
+            u = int(np.floor(fx * x / z + cx))
+            v = int(np.floor(fy * y / z + cy))
+            for row in range(max(v - radius, 0), min(v + radius + 1, height)):
+                for col in range(max(u - radius, 0), min(u + radius + 1, width)):
+                    if (col - u) ** 2 + (row - v) ** 2 <= radius * radius:
+                        winner[row, col] = min(winner.get((row, col), (np.inf, k)), (z, k))
+        expected = np.zeros((height, width, 3))
+        for pixel, (_, k) in winner.items():
+            expected[pixel] = cloud.points[k]
+        return expected, winner
+
+    @staticmethod
+    def at(view, col, row, depth):
+        """The point at ``depth`` that projects to image coordinates (col, row)."""
+        fx, fy = view.focal
+        cx, cy = view.principal_point
+        cam = np.array([(col - cx) * depth / fx, (row - cy) * depth / fy, depth])
+        return view.rotation.T @ (cam - view.translation)
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_matches_brute_force_reference(self, radius):
         # Straight down the -z axis, so points on one z plane share their
         # depth exactly.
         width, height = 20, 16
         view = look_at([0, 0, 2.0], resolution=(width, height), focal=(20.0, 20.0))
-        fx, fy = view.focal
-        cx, cy = view.principal_point
         rng = np.random.default_rng(radius)
 
         def at(col, row, depth):
-            """The point at ``depth`` that projects to image coordinates (col, row)."""
-            cam = np.array([(col - cx) * depth / fx, (row - cy) * depth / fy, depth])
-            return view.rotation.T @ (cam - view.translation)
+            return self.at(view, col, row, depth)
 
         # Three depth planes, several points per pixel, inside and around
         # the frame.
@@ -190,27 +216,53 @@ class TestSplat:
         cloud = PointCloud(np.array(points))
         img = splat_position_image(cloud, view, splat_radius=radius)
 
-        cam = view.to_camera(cloud.points)
-        assert len(set(cam[:150, 2])) == 3
-        winner = {}  # pixel -> (depth, index), the least seen so far
-        for k, (x, y, z) in enumerate(cam):
-            if z <= 0:
-                continue
-            u = int(np.floor(fx * x / z + cx))
-            v = int(np.floor(fy * y / z + cy))
-            for row in range(height):
-                for col in range(width):
-                    if (col - u) ** 2 + (row - v) ** 2 <= radius * radius:
-                        winner[row, col] = min(winner.get((row, col), (np.inf, k)), (z, k))
-        expected = np.zeros((height, width, 3))
-        for pixel, (_, k) in winner.items():
-            expected[pixel] = cloud.points[k]
+        assert len(set(view.to_camera(cloud.points)[:150, 2])) == 3
+        expected, winner = self.z_buffer(cloud, view, radius)
         assert {tuple(rc) for rc in np.argwhere(img.mask)} == set(winner)
         np.testing.assert_array_equal(img.data, expected)
         if radius:
             # Each tied pair's shared pixels go to its lower index.
             assert winner[5, 5][1] == 150 and winner[9, 10][1] == 152
             assert {154, 155, 156, 157} <= {k for _, k in winner.values()}
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_matches_brute_force_reference_when_no_point_is_dropped(self, radius):
+        # Every point is in front of the camera and projects inside the
+        # frame, so the splat gathers nothing.
+        width, height = 20, 16
+        view = look_at([0, 0, 2.0], resolution=(width, height), focal=(20.0, 20.0))
+        rng = np.random.default_rng(10 + radius)
+        cols = rng.integers(0, width, 200) + rng.uniform(0.1, 0.9, 200)
+        rows = rng.integers(0, height, 200) + rng.uniform(0.1, 0.9, 200)
+        depths = rng.choice([1.5, 1.75, 2.0], 200)
+        points = [self.at(view, c, r, d) for c, r, d in zip(cols, rows, depths)]
+        # An exact depth tie between neighbouring pixels: each covers the
+        # other's pixel when radius > 0, and both go to the lower index, 200.
+        points += [self.at(view, 7.5, 6.5, 1.25), self.at(view, 6.5, 6.5, 1.25)]
+        cloud = PointCloud(np.array(points))
+        img = splat_position_image(cloud, view, splat_radius=radius)
+
+        cam = view.to_camera(cloud.points)
+        assert (cam[:, 2] > 0).all()
+        u = view.focal[0] * cam[:, 0] / cam[:, 2] + view.principal_point[0]
+        v = view.focal[1] * cam[:, 1] / cam[:, 2] + view.principal_point[1]
+        assert ((u >= 0) & (u < width) & (v >= 0) & (v < height)).all()
+        expected, winner = self.z_buffer(cloud, view, radius)
+        assert {tuple(rc) for rc in np.argwhere(img.mask)} == set(winner)
+        np.testing.assert_array_equal(img.data, expected)
+        if radius:
+            assert winner[6, 7][1] == 200 and winner[6, 6][1] == 200
+
+    @pytest.mark.parametrize("points, message", [
+        (np.empty((0, 3)), "no model point in front of the camera"),
+        (np.array([[0.1, 0, 2.5], [-0.2, 0.1, 3.0], [0, 0, 1.5]]),
+         "no model point in front of the camera"),
+        (np.array([[5.0, 0, 0], [0, -5.0, 0]]), "no model point projects inside the image"),
+    ], ids=["empty", "all-behind", "all-outside"])
+    def test_nothing_to_render_raises(self, points, message):
+        view = look_at([0, 0, 1.0], resolution=(40, 30))
+        with pytest.raises(EmptyRenderError, match=f"^{message}$"):
+            splat_position_image(points, view)
 
     def test_deterministic(self):
         view = look_at([0, 0.1, 1.2], resolution=(40, 30))
