@@ -38,7 +38,7 @@ from .geometry import (
     apply_deformation, stream, voxel_downsample,
 )
 from .imaging import DEFAULT_SPLAT_RADIUS, splat_position_image, target_field, zoom
-from .oracle import OracleSpec, infer, shifted, zoomed_sample
+from .oracle import OracleSpec, infer, zoomed_sample
 from .shape_space import Registration, ShapeSpace
 
 __all__ = [
@@ -182,11 +182,13 @@ def prepare_instance(
         raise ValidationError("the space carries no registration settings")
     meshes = (canonical_mesh, instance_mesh)
     counts = tuple(densify_count(mesh, views, densify_per_pixel, densify_max) for mesh in meshes)
+    # complete_view renders the canonical samples without ``+ offset`` at
+    # zero offset, so zero is added here once (-0.0 to +0.0); -0.0 is not.
     canonical_dense, observed_dense = _kept(
         "samples", (*map(_mesh_key, meshes), seed, counts),
         lambda: tuple(_as_readonly(densify_mesh(mesh, views, densify_per_pixel, densify_max,
-                                                stream(seed, "pipeline_dense", salt))[0])
-                      for salt, mesh in enumerate(meshes)),
+                                                stream(seed, "pipeline_dense", salt))[0] + zero)
+                      for salt, (mesh, zero) in enumerate(zip(meshes, (0.0, -0.0)))),
     )
     if oracle_spec.kind == "external":
         zeros = np.zeros((len(space.canonical), 3))
@@ -228,18 +230,19 @@ def complete_view(
     would see.  ``true_field`` is the target field
     :func:`prepare_instance` returns; ``oracle_noise`` is the generator a
     noisy oracle draws from.  Returns the
-    :class:`~morphfit.completion.CompletionResult`.
+    :class:`~morphfit.completion.CompletionResult`.  At zero offset the
+    samples are rendered as given (:func:`prepare_instance` adds zero to
+    them once), and one pass over the believed grid's distinct positions
+    serves the target and the owner lookup.
     """
     offset = np.asarray(offset, dtype=np.float64)
-    zoomed = zoom(observed_img,
-                  splat_position_image(canonical_dense + offset, view, splat_radius),
+    model = canonical_dense + offset if offset.any() else canonical_dense
+    zoomed = zoom(observed_img, splat_position_image(model, view, splat_radius),
                   zoom_resolution)
-    predicted = infer(oracle_spec, zoomed_sample(zoomed, true_field, offset),
-                      noise=oracle_noise)
-
-    sparse = pixels_to_sparse_deltas(
-        predicted.data, shifted(zoomed.canonical, offset).data, predicted.mask, space.canonical
-    )
+    sample = zoomed_sample(zoomed, true_field, offset)
+    predicted = infer(oracle_spec, sample, noise=oracle_noise)
+    sparse = pixels_to_sparse_deltas(predicted.data, sample.believed, predicted.mask,
+                                     space.canonical, zoomed.row_at, zoomed.col_at)
     return fit_latent(space, sparse, ridge)
 
 

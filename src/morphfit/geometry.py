@@ -275,7 +275,11 @@ class CameraView:
         return -self.rotation.T @ self.translation
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
-        return (self.rotation @ points.T).T + self.translation
+        """``points`` in camera coordinates as numpy's own float64, not the equal
+        dtype of a pickled rotation, on which ``np.minimum.at`` is slow."""
+        cam = (self.rotation @ points.T).T
+        cam += self.translation
+        return cam.view(np.float64)
 
 
 def _points_of(cloud) -> np.ndarray:

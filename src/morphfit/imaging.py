@@ -14,6 +14,7 @@ with its center at (col+0.5, row+0.5); column axis is image x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -83,6 +84,14 @@ class PositionImage:
 
     def __post_init__(self):
         _set_arrays(self, *_check_image(self.data, self.mask, "position image"))
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat foreground indices, their distinct positions and each one's place
+        among them, found once per (read-only) image: :func:`rasterize_target`
+        and :func:`~morphfit.completion.pixels_to_sparse_deltas` share it."""
+        foreground = np.flatnonzero(self.mask)
+        return (foreground, *distinct_rows(self.data.reshape(-1, 3)[foreground]))
 
 
 @dataclass(frozen=True)
@@ -185,10 +194,12 @@ def splat_position_image(model, view: CameraView,
     cx, cy = view.principal_point
     depth = cam[:, 2]
     inv_z = 1.0 / depth
-    u = np.multiply(fx, cam[:, 0])
+    # Only the projection reads the camera x and y, so it runs in their place.
+    u, v = cam[:, 0], cam[:, 1]
+    u *= fx
     u *= inv_z
     u += cx
-    v = np.multiply(fy, cam[:, 1])
+    v *= fy
     v *= inv_z
     v += cy
     # Only a point projecting within the radius of the frame can light a
@@ -343,14 +354,13 @@ def rasterize_target(position: PositionImage, field: LinearRBF) -> DeformationIm
     """Evaluate a :func:`target_field` on every foreground pixel.
 
     A pixel's value depends on its position alone, so each distinct
-    position is evaluated once and copied to its repeats.  Callers
-    rasterize the grid of source pixels a zoom copies
-    (:attr:`ZoomResult.grid`) and zoom the result with
+    position (:attr:`PositionImage.distinct`) is evaluated once and copied
+    to its repeats.  Callers rasterize the grid of source pixels a zoom
+    copies (:attr:`ZoomResult.grid`) and zoom the result with
     :meth:`ZoomResult.expand`.
     """
     data = np.zeros(position.data.shape)
-    foreground = np.flatnonzero(position.mask)
-    targets, repeat = distinct_rows(position.data.reshape(-1, 3)[foreground])
+    foreground, targets, repeat = position.distinct
     values = field(targets)
     if not np.isfinite(values).all():
         raise ValidationError("deformation image foreground contains non-finite values")

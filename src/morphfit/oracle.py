@@ -55,11 +55,13 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class OracleSample:
-    """The four zoomed inputs plus the true target, in memory."""
+    """The four zoomed inputs plus the true target, in memory, and the
+    believed grid :func:`zoomed_sample` rasterized it on (None if loaded)."""
 
     observed: PositionImage
     canonical: PositionImage
     target: DeformationImage
+    believed: PositionImage | None = None
 
 
 def shifted(image, offset: np.ndarray):
@@ -76,12 +78,14 @@ def zoomed_sample(zoomed: ZoomResult, field: LinearRBF, offset=(0.0, 0.0, 0.0)) 
     :attr:`~morphfit.imaging.ZoomResult.grid` and zoomed like the render.
     ``offset`` is the error of the believed pose the canonical view was
     rendered at: the target is rasterized at the believed positions and
-    holds the field's deltas minus the pose error.
+    holds the field's deltas minus the pose error.  The sample keeps the
+    believed grid: its one distinct-position pass serves the target and
+    :func:`~morphfit.completion.pixels_to_sparse_deltas`.
     """
     offset = np.asarray(offset, dtype=np.float64)
     believed = shifted(zoomed.grid, offset)
     apparent = shifted(rasterize_target(believed, field), offset)
-    return OracleSample(zoomed.observed, zoomed.canonical, zoomed.expand(apparent))
+    return OracleSample(zoomed.observed, zoomed.canonical, zoomed.expand(apparent), believed)
 
 
 def load_sample(record: SampleRecord) -> OracleSample:
@@ -113,12 +117,16 @@ def infer(spec: OracleSpec, sample: OracleSample, noise=None) -> DeformationImag
     Always returns values in meters with scale 1 and background exactly
     zero.  ``noise`` is the generator a noisy oracle draws from, such as
     the ``"oracle_noise"`` :func:`~morphfit.geometry.stream`.  An exported
-    record is inferred as ``infer(spec, load_sample(record))``.
+    record is inferred as ``infer(spec, load_sample(record))``.  The ground
+    truth of a target in meters (scale 1) is the target itself, not a copy.
     """
     if spec.kind == "external":
         return _infer_external(spec, sample)
+    noisy = spec.kind == "noisy" and spec.noise_sigma > 0
+    if not noisy and sample.target.scale == 1.0:
+        return sample.target
     data = sample.target.in_meters()
-    if spec.kind == "noisy" and spec.noise_sigma > 0:
+    if noisy:
         if noise is None:
             raise ValidationError("a noisy oracle needs the generator of its noise")
         data = data + noise.normal(0.0, spec.noise_sigma, data.shape)

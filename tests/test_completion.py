@@ -30,6 +30,7 @@ from morphfit import (
 )
 from morphfit import completion, geometry
 from morphfit.geometry import expand_kernel
+from morphfit.oracle import shifted
 
 
 def in_span_deltas(space, latent):
@@ -155,6 +156,13 @@ class TestNearestCanonical:
         assert ties_past_a_pair > 100
 
 
+def same_frame_sparse(deformation, position, mask, canonical):
+    """:func:`pixels_to_sparse_deltas` with each pixel on its own position."""
+    height, width = position.mask.shape
+    return pixels_to_sparse_deltas(deformation, position, mask, canonical,
+                                   np.arange(height), np.arange(width))
+
+
 class TestPixelsToSparseDeltas:
     def _images(self, canonical, assignments, deltas):
         h, w = 2, len(assignments)
@@ -165,13 +173,13 @@ class TestPixelsToSparseDeltas:
             pos[0, col] = canonical.points[idx]
             def_img[0, col] = d
             mask[0, col] = True
-        return def_img, pos, mask
+        return def_img, PositionImage(pos, mask), mask
 
     def test_single_point_identical_deltas(self):
         canonical = sphere_cloud(10, seed=1)
         d = np.array([0.01, -0.02, 0.03])
         def_img, pos, mask = self._images(canonical, [7, 7, 7], [d, d, d])
-        sparse = pixels_to_sparse_deltas(def_img, pos, mask, canonical)
+        sparse = same_frame_sparse(def_img, pos, mask, canonical)
         np.testing.assert_array_equal(sparse.visible_indices, [7])
         np.testing.assert_allclose(sparse.deltas[7], d, atol=1e-15)
 
@@ -180,18 +188,26 @@ class TestPixelsToSparseDeltas:
         a = np.array([0.02, 0.0, 0.0])
         b = np.array([0.0, 0.04, 0.0])
         def_img, pos, mask = self._images(canonical, [4, 4], [a, b])
-        sparse = pixels_to_sparse_deltas(def_img, pos, mask, canonical)
+        sparse = same_frame_sparse(def_img, pos, mask, canonical)
         np.testing.assert_allclose(sparse.deltas[4], (a + b) / 2, atol=1e-15)
 
     def test_unreferenced_point_occluded(self):
         canonical = sphere_cloud(10, seed=3)
         def_img, pos, mask = self._images(canonical, [2], [np.array([0.01, 0, 0])])
-        sparse = pixels_to_sparse_deltas(def_img, pos, mask, canonical)
+        sparse = same_frame_sparse(def_img, pos, mask, canonical)
         assert 5 not in sparse.visible_indices
         np.testing.assert_array_equal(sparse.deltas[5], 0.0)
 
-    @pytest.mark.parametrize("target_resolution, padded", [((96, 72), False), ((24, 72), True)])
-    def test_zoomed_render_matches_per_pixel_owners(self, target_resolution, padded):
+    @pytest.mark.parametrize("target_resolution, padded, offset, repeat_across_rows", [
+        ((96, 72), False, (0.0, 0.0, 0.0), False),  # enlarging
+        ((24, 72), True, (0.0, 0.0, 0.0), False),
+        ((12, 9), False, (0.0, 0.0, 0.0), False),  # shrinking
+        ((96, 72), False, (2.0 ** -6, -2.0 ** -7, 2.0 ** -5), False),
+        ((12, 9), False, (0.0, 0.0, 0.0), True),
+        ((24, 72), True, (2.0 ** -6, -2.0 ** -7, 2.0 ** -5), True),
+    ])
+    def test_zoomed_render_matches_per_pixel_owners(self, target_resolution, padded, offset,
+                                                    repeat_across_rows):
         cloud = sphere_cloud(150, radius=0.35, seed=5)
         view = look_at([0.05, -0.1, 1.4], resolution=(48, 36), focal=(55.0, 55.0))
         render = splat_position_image(cloud, view)
@@ -200,7 +216,18 @@ class TestPixelsToSparseDeltas:
         render = PositionImage(np.round(render.data * 1024) / 1024, render.mask)
         zoomed = zoom(render, render, target_resolution)
         assert zoomed.padded is padded
-        position, mask = zoomed.canonical.data, zoomed.canonical.mask
+        assert (max(zoomed.scale_factors) < 1) == (target_resolution != (96, 72))
+        grid = zoomed.grid
+        if repeat_across_rows:
+            # The grid's first foreground position again, rows further down.
+            data = grid.data.copy()
+            first, *_, last = np.argwhere(grid.mask)
+            assert last[0] > first[0]
+            data[tuple(last)] = data[tuple(first)]
+            grid = PositionImage(data, grid.mask)
+        offset = np.array(offset)
+        believed = shifted(grid, offset)
+        position, mask = shifted(zoomed.expand(grid), offset).data, zoomed.canonical.mask
         tied = position[mask][0]
         step = np.array([2.0 ** -8, 0.0, 0.0])
         canonical = PointCloud(np.vstack([sphere_cloud(150, radius=0.35, seed=7).points,
@@ -220,10 +247,26 @@ class TestPixelsToSparseDeltas:
         expected = np.zeros((n, 3))
         expected[visible] = sums[visible] / counts[visible, None]
 
-        sparse = pixels_to_sparse_deltas(deformation, position, mask, canonical)
+        sparse = pixels_to_sparse_deltas(deformation, believed, mask, canonical,
+                                         zoomed.row_at, zoomed.col_at)
         np.testing.assert_array_equal(sparse.visible_indices, visible)
         np.testing.assert_array_equal(sparse.deltas, expected)
-        assert len(np.unique(position[mask], axis=0)) < mask.sum()
+        if target_resolution != (12, 9) or repeat_across_rows:
+            assert len(np.unique(position[mask], axis=0)) < mask.sum()
+
+    def test_foreground_off_the_positions_rejected(self):
+        canonical = sphere_cloud(5, seed=6)
+        grid = PositionImage(np.ones((1, 2, 3)), np.ones((1, 2), dtype=bool))
+        half = PositionImage(np.array([[[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]]),
+                             np.array([[True, False]]))
+        for grid, row_at, col_at, mask in [
+            (grid, [0, -1], [0, 1], [[True, False], [True, False]]),  # no source pixel there
+            (grid, [0], [0, 1, 2], [[False, False, True]]),  # past the last column
+            (half, [0], [0, 1], [[True, True]]),  # a background source pixel
+        ]:
+            with pytest.raises(ValidationError, match="no foreground position"):
+                pixels_to_sparse_deltas(np.zeros(np.shape(mask) + (3,)), grid, np.array(mask),
+                                        canonical, np.array(row_at), np.array(col_at))
 
     def test_sums_match_add_at_bit_for_bit(self):
         # Many pixels per point, with deltas over eight orders of magnitude,
@@ -238,28 +281,31 @@ class TestPixelsToSparseDeltas:
         sums = np.zeros((40, 3))
         np.add.at(sums, owners, deformation[0])
         counts = np.bincount(owners, minlength=40)
-        sparse = pixels_to_sparse_deltas(deformation, position, mask, canonical)
+        sparse = same_frame_sparse(deformation, PositionImage(position, mask), mask, canonical)
         assert sparse.deltas.tobytes() == (sums / counts[:, None]).tobytes()
 
     def test_empty_mask_raises(self):
         canonical = sphere_cloud(5, seed=4)
         with pytest.raises(NoVisiblePointsError):
             pixels_to_sparse_deltas(
-                np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2), dtype=bool), canonical
+                np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2), dtype=bool), canonical,
+                np.arange(2), np.arange(2)
             )
 
     def test_resolution_mismatch_rejected(self):
         canonical = sphere_cloud(5, seed=5)
         with pytest.raises(ValidationError):
             pixels_to_sparse_deltas(
-                np.zeros((2, 3, 3)), np.zeros((2, 2, 3)), np.ones((2, 3), dtype=bool), canonical
+                np.zeros((2, 3, 3)), np.zeros((2, 2, 3)), np.ones((2, 3), dtype=bool), canonical,
+                np.arange(2), np.arange(2)
             )
 
     def test_images_without_three_channels_rejected(self):
         canonical = sphere_cloud(5, seed=6)
         with pytest.raises(ValidationError, match="resolution mismatch"):
             pixels_to_sparse_deltas(
-                np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), np.ones((2, 3), dtype=bool), canonical
+                np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), np.ones((2, 3), dtype=bool), canonical,
+                np.arange(2), np.arange(3)
             )
 
 

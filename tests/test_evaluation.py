@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -354,6 +355,64 @@ class TestTargetValues:
             apparent.data, np.where(canonical.mask[..., None], expected - offset, 0.0),
             rtol=0.0, atol=1e-12,
         )
+
+
+class TestCompleteView:
+    @pytest.fixture(scope="class")
+    def inputs(self, category, held_out, few_views):
+        mesh, cloud = held_out
+        canonical_dense, observed_dense, true_field = prepare_instance(
+            category.space, mesh, cloud, few_views[:1], OracleSpec("ground_truth"),
+            category.canonical_mesh, instance_label="held-out",
+            densify_per_pixel=FAST["densify_per_pixel"], densify_max=FAST["densify_max"],
+        )
+        observed = splat_position_image(observed_dense, few_views[0])
+        return canonical_dense, observed, few_views[0], true_field
+
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (0.004, -0.003, 0.002)])
+    def test_one_distinct_pass_per_view(self, category, inputs, monkeypatch, offset):
+        # The target's rasterizer and the owner lookup share one pass over
+        # the distinct positions of the believed zoom grid.
+        canonical_dense, observed, view, true_field = inputs
+        distinct_rows, zoom = geometry.distinct_rows, evaluation_module.zoom
+        calls, zooms = [], []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return distinct_rows(rows)
+
+        def keep_zoom(*args, **kwargs):
+            zooms.append(zoom(*args, **kwargs))
+            return zooms[-1]
+
+        for name, module in list(sys.modules.items()):
+            if (name == "morphfit" or name.startswith("morphfit.")) and \
+                    getattr(module, "distinct_rows", None) is distinct_rows:
+                monkeypatch.setattr(module, "distinct_rows", counted)
+        monkeypatch.setattr(evaluation_module, "zoom", keep_zoom)
+        complete_view(category.space, canonical_dense, observed, view, true_field,
+                      OracleSpec("ground_truth"), offset=offset,
+                      zoom_resolution=FAST["zoom_resolution"])
+        assert len(calls) == 1
+        assert calls[0] <= zooms[0].grid.mask.size
+
+    def test_negative_zero_samples_complete_as_with_zero_added(self, category, inputs):
+        # At zero offset the samples are rendered without ``+ offset``, which
+        # turned a -0.0 coordinate into +0.0; the result must not tell.
+        canonical_dense, observed, view, true_field = inputs
+        signed = canonical_dense.copy()
+        signed[np.abs(signed) < 0.02] = -0.0
+        render = splat_position_image(signed, view)
+        assert (np.signbit(render.data) & (render.data == 0.0))[render.mask].any()
+        results = [complete_view(category.space, samples, observed, view, true_field,
+                                 OracleSpec("ground_truth"),
+                                 zoom_resolution=FAST["zoom_resolution"])
+                   for samples in (signed, signed + 0.0)]
+        signed_result, added_result = results
+        assert signed_result.latent.tobytes() == added_result.latent.tobytes()
+        assert signed_result.field.weights.tobytes() == added_result.field.weights.tobytes()
+        assert signed_result.residual == added_result.residual
+        assert signed_result.degenerate == added_result.degenerate
 
 
 class TestPoseNoise:

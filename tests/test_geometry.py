@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from morphfit import (
     quaternion_to_rotation,
     rotation_to_quaternion,
     sample_mesh_surface,
+    splat_position_image,
     unflatten_offsets,
     viewpoint_sphere,
     voxel_downsample,
@@ -461,6 +463,20 @@ class TestCameraView:
         with pytest.raises(ValidationError,
                            match=re.escape(f"translation must be finite, got [0.0, 0.5, {z}]")):
             CameraView(np.eye(3), [0, 0.5, z])
+
+
+    def test_pickled_view_transforms_into_numpys_own_float64(self):
+        # A pickle round trip restores the rotation with an equal but
+        # distinct float64 dtype object, on which np.minimum.at is slow.
+        view = look_at([0.3, -0.2, 1.5], resolution=(64, 48), focal=(70.0, 70.0))
+        restored = pickle.loads(pickle.dumps(view))
+        points = sphere_cloud(2000, radius=0.4, seed=3).points
+        cam = restored.to_camera(points)
+        assert cam.dtype is np.dtype(np.float64)
+        assert cam.tobytes() == ((view.rotation @ points.T).T + view.translation).tobytes()
+        fresh, again = (splat_position_image(points, v) for v in (view, restored))
+        assert again.data.tobytes() == fresh.data.tobytes()
+        assert again.mask.tobytes() == fresh.mask.tobytes()
 
 
 class TestStreams:

@@ -8,6 +8,7 @@ import pytest
 from helpers import SyntheticCategory
 
 from morphfit import (
+    DeformationImage,
     OracleError,
     OracleSample,
     OracleSpec,
@@ -82,6 +83,21 @@ class TestGroundTruthOracle:
         np.testing.assert_array_equal(predicted.data, expected)
         assert predicted.scale == 1.0
         np.testing.assert_array_equal(predicted.mask, sample.target.mask)
+
+
+    def test_target_in_meters_passes_through(self, sample_record):
+        sample = load_sample(sample_record)
+        data = sample.target.data / sample.target.scale
+        first = tuple(np.argwhere(sample.target.mask)[0])
+        data[first] = (-0.0, 0.5, -0.0)
+        target = DeformationImage(data, sample.target.mask, 1.0)
+        predicted = infer(OracleSpec("ground_truth"), dataclasses.replace(sample, target=target))
+        expected = np.where(target.mask[..., None], target.data / target.scale, 0.0)
+        assert predicted.data.tobytes() == expected.tobytes()
+        assert np.signbit(predicted.data[first]).tolist() == [True, False, True]
+        assert predicted.mask.tobytes() == target.mask.tobytes()
+        assert predicted.scale == 1.0
+        assert not (predicted.data.flags.writeable or predicted.mask.flags.writeable)
 
 
 class TestNoisyOracle:
