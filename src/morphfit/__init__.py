@@ -41,7 +41,7 @@ _EXPORTS = {
         "MANIFEST_NAME", "SAMPLE_FILES", "SampleRecord", "generate_dataset",
         "interpolate_instance", "read_manifest", "sample_count_formula", "target_delta",
     ),
-    "oracle": ("OracleSample", "OracleSpec", "infer", "load_sample"),
+    "oracle": ("OracleSpec", "infer", "load_sample"),
     "evaluation": (
         "EvalRow", "pose_noise_experiment", "registration_error", "report_to_csv",
         "report_to_json",

@@ -22,7 +22,7 @@ from .geometry import (
     _kept_kernel,
     apply_deformation,
 )
-from .imaging import PositionImage
+from .imaging import DeformationImage, ZoomResult
 from .shape_space import ShapeSpace, latent_to_field
 
 __all__ = [
@@ -109,41 +109,39 @@ def nearest_canonical_points(canonical: PointCloud, queries: np.ndarray) -> np.n
     return owners
 
 
-def pixels_to_sparse_deltas(deformation_data: np.ndarray, position: PositionImage,
-                            mask: np.ndarray, canonical: PointCloud,
-                            row_at: np.ndarray, col_at: np.ndarray) -> SparseDeltas:
-    """Aggregate per-pixel deltas onto canonical points.
+def pixels_to_sparse_deltas(deformation: DeformationImage, sample: ZoomResult,
+                            canonical: PointCloud) -> SparseDeltas:
+    """Aggregate the per-pixel deltas of a prediction for ``sample`` onto canonical points.
 
-    Pixel (i, j) sits on ``position``'s foreground pixel ``(row_at[i],
-    col_at[j])``, as a :class:`~morphfit.imaging.ZoomResult` spreads its
-    grid.  Each foreground pixel's position selects its nearest canonical
-    point, looked up once per :attr:`~morphfit.imaging.PositionImage.distinct`
-    position; a point hit by several pixels gets the mean of their deltas,
-    summed in pixel order.  Points hit by no pixel stay occluded (zero
-    row, absent from the visible set).
+    Zoomed pixel (i, j) sits on pixel ``(row_at[i], col_at[j])`` of the
+    sample's :attr:`~morphfit.imaging.ZoomResult.believed` grid, whose
+    position selects its nearest canonical point, looked up once per
+    distinct position; a point hit by several pixels gets the mean of
+    their deltas in meters, summed in pixel order.  Points hit by no
+    pixel stay occluded (zero row, absent from the visible set).
     """
-    deformation_data = np.asarray(deformation_data, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if (not deformation_data.shape[:2] == mask.shape == (len(row_at), len(col_at))
-            or deformation_data.shape[2:] != (3,)):
+    mask, row_at, col_at = deformation.mask, sample.row_at, sample.col_at
+    if mask.shape != (len(row_at), len(col_at)):
         raise ValidationError(
-            f"resolution mismatch: deform {deformation_data.shape}, "
-            f"positions {(len(row_at), len(col_at))}, mask {mask.shape}"
+            f"resolution mismatch: deform {deformation.data.shape}, "
+            f"zoom {(len(row_at), len(col_at))}"
         )
     foreground = np.flatnonzero(mask)
     if not foreground.size:
         raise NoVisiblePointsError("mask has no foreground pixels")
+    position = sample.believed
     sources, distinct, repeat = position.distinct
     owner_at = np.full(position.mask.size + 1, -1, dtype=np.int64)
     owner_at[sources] = nearest_canonical_points(canonical, distinct)[repeat]
     rows, cols = np.divmod(foreground, mask.shape[1])
-    rows, cols = np.asarray(row_at)[rows], np.asarray(col_at)[cols]
+    rows, cols = row_at[rows], col_at[cols]
     height, width = position.mask.shape
     inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
     owners = owner_at[np.where(inside, rows * width + cols, -1)]
     if (owners < 0).any():
         raise ValidationError("a foreground pixel sits on no foreground position")
-    pixel_deltas = np.take(deformation_data.reshape(-1, 3), foreground, axis=0)
+    pixel_deltas = np.take(deformation.data.reshape(-1, 3), foreground, axis=0)
+    pixel_deltas /= deformation.scale
     n = len(canonical)
     # bincount sums in input order, as np.add.at does, at a tenth of its cost.
     sums = np.stack([np.bincount(owners, weights=pixel_deltas[:, axis], minlength=n)

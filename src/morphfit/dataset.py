@@ -36,7 +36,6 @@ from .imaging import (
     DEFAULT_SPLAT_RADIUS, PositionImage, _built, splat_position_image, target_field, zoom,
 )
 from .io import commit, write_mask, write_tensor, writing
-from .oracle import zoomed_sample
 from .shape_space import Registration, TrainingField
 
 __all__ = [
@@ -322,15 +321,10 @@ def generate_dataset(
                 try:
                     if isinstance(canon_view, MorphFitError):
                         raise canon_view
-                    # The source frames are temporaries, freed before the
-                    # rasterize so that it reuses their memory.  Held, they lift
-                    # the sample's heap high-water enough that malloc often
-                    # returns the heap top to the system after each sample, and
-                    # the next one faults it back in: about 1,000 page faults
-                    # per sample at 256x192.
-                    zoomed = zoom(splat_position_image(obs_pts, view, splat_radius),
-                                  _frame(canon_view, view.resolution), zoom_resolution)
-                    sample = zoomed_sample(zoomed, target)
+                    # The source frames are temporaries, freed when the zoom
+                    # returns: only their copied pixels are kept.
+                    sample = zoom(splat_position_image(obs_pts, view, splat_radius),
+                                  _frame(canon_view, view.resolution), target, zoom_resolution)
                 except MorphFitError as exc:
                     skipped += 1
                     records.append(SampleRecord(
@@ -352,12 +346,12 @@ def generate_dataset(
                                  "observed position image (m)")
                     write_mask(paths["obs.mask.pgm"], sample.observed.mask)
                 records.append(SampleRecord(
-                    paths=paths, crop_box=tuple(zoomed.crop_box),
-                    scale_factors=tuple(zoomed.scale_factors), padded=zoomed.padded, **base,
+                    paths=paths, crop_box=tuple(sample.crop_box),
+                    scale_factors=tuple(sample.scale_factors), padded=sample.padded, **base,
                 ))
                 # Free this sample's images before the next one renders; held
                 # across iterations they add about 6 MB to the peak RSS.
-                del zoomed, sample
+                del sample
 
     header = {
         "kind": "header",

@@ -38,7 +38,7 @@ from .geometry import (
     apply_deformation, stream, voxel_downsample,
 )
 from .imaging import DEFAULT_SPLAT_RADIUS, splat_position_image, target_field, zoom
-from .oracle import OracleSpec, infer, zoomed_sample
+from .oracle import OracleSpec, infer
 from .shape_space import Registration, ShapeSpace
 
 __all__ = [
@@ -237,13 +237,10 @@ def complete_view(
     """
     offset = np.asarray(offset, dtype=np.float64)
     model = canonical_dense + offset if offset.any() else canonical_dense
-    zoomed = zoom(observed_img, splat_position_image(model, view, splat_radius),
-                  zoom_resolution)
-    sample = zoomed_sample(zoomed, true_field, offset)
+    sample = zoom(observed_img, splat_position_image(model, view, splat_radius), true_field,
+                  zoom_resolution, offset)
     predicted = infer(oracle_spec, sample, noise=oracle_noise)
-    sparse = pixels_to_sparse_deltas(predicted.data, sample.believed, predicted.mask,
-                                     space.canonical, zoomed.row_at, zoomed.col_at)
-    return fit_latent(space, sparse, ridge)
+    return fit_latent(space, pixels_to_sparse_deltas(predicted, sample, space.canonical), ridge)
 
 
 def pose_noise_experiment(

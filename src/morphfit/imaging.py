@@ -4,9 +4,9 @@ A position image stores, per foreground pixel, the world coordinates of
 the surface point visible there.  Rendering is point splatting with a
 depth buffer; deformation targets are rasterized by scattered-data
 interpolation from canonical points to the source pixels a zoom copies,
-once per distinct position; a nearest-neighbor zoom crops both views to
-a shared aspect-correct box around their foregrounds, and zooms any
-image of the canonical view's copied pixels the same way.
+once per distinct position; :func:`zoom`, the one builder of the
+oracle's sample, crops both views to a shared aspect-correct box around
+their foregrounds, nearest-neighbor, and zooms the target the same way.
 
 Pixel conventions: pixel (row, col) spans [col, col+1) x [row, row+1)
 with its center at (col+0.5, row+0.5); column axis is image x.
@@ -37,6 +37,7 @@ __all__ = [
     "target_field",
     "rasterize_target",
     "mask_bounding_box",
+    "shifted",
     "zoom",
 ]
 
@@ -122,40 +123,44 @@ def _like(image, data, mask):
 
 @dataclass(frozen=True)
 class ZoomResult:
-    """Both views cropped to a shared box and resampled to a fixed size.
+    """The oracle's sample: both views cropped to a shared box and resampled
+    to a fixed size, and the target deformation image at that size.
 
     ``crop_box`` is (x0, y0, width, height) in source-pixel units with
     width/height exactly at the target aspect ratio; ``scale_factors``
     is (target_w / width, target_h / height).  ``grid`` holds the
     canonical view's source pixels the zoom copies: each distinct source
     row and column the crop samples inside the frame, so it is no larger
-    than the zoomed views or the source along either axis.  Zoomed row i
-    copies grid row ``row_at[i]`` and zoomed column j grid column
-    ``col_at[j]``; -1 marks a pixel of a padded box outside the frame.
-    ``padded`` is set when the box could not fit inside the source frame
-    and out-of-frame pixels were filled with background.
+    than the zoomed views or the source along either axis;
+    ``observed_grid`` holds the observed view's at the same rows and
+    columns.  Zoomed row i copies grid row ``row_at[i]`` and zoomed column
+    j grid column ``col_at[j]``; -1 marks a pixel of a padded box outside
+    the frame.  ``padded`` is set when the box could not fit inside the
+    source frame and out-of-frame pixels were filled with background.
+
+    ``believed`` is the grid minus the pose offset and ``target`` the
+    deltas rasterized on it, minus the offset, at the zoomed size; the
+    zoomed views :attr:`observed` and :attr:`canonical` are spread from
+    the grids on first read.
     """
 
-    observed: PositionImage
-    canonical: PositionImage
+    observed_grid: PositionImage
     grid: PositionImage
+    believed: PositionImage
+    target: DeformationImage
     row_at: np.ndarray
     col_at: np.ndarray
     crop_box: tuple[float, float, float, float]
     scale_factors: tuple[float, float]
     padded: bool = False
 
-    def expand(self, image):
-        """An image of the :attr:`grid`'s size, resampled to the zoomed views' size.
+    @cached_property
+    def observed(self) -> PositionImage:
+        return _spread(self.observed_grid, self.row_at, self.col_at)
 
-        Rasterizing the grid evaluates the zoomed render's distinct
-        positions, so the expanded target equals the zoomed render's bit
-        for bit whether the zoom enlarges or shrinks.
-        """
-        if image.mask.shape != self.grid.mask.shape:
-            raise ValidationError(
-                f"image resolution {image.mask.shape} != sampled grid {self.grid.mask.shape}")
-        return _spread(image, self.row_at, self.col_at)
+    @cached_property
+    def canonical(self) -> PositionImage:
+        return _spread(self.grid, self.row_at, self.col_at)
 
 
 def splat_position_image(model, view: CameraView,
@@ -355,9 +360,9 @@ def rasterize_target(position: PositionImage, field: LinearRBF) -> DeformationIm
 
     A pixel's value depends on its position alone, so each distinct
     position (:attr:`PositionImage.distinct`) is evaluated once and copied
-    to its repeats.  Callers rasterize the grid of source pixels a zoom
-    copies (:attr:`ZoomResult.grid`) and zoom the result with
-    :meth:`ZoomResult.expand`.
+    to its repeats.  :func:`zoom` rasterizes the grid of source pixels it
+    copies at the believed pose (:attr:`ZoomResult.believed`) and spreads
+    the result to the zoomed size.
     """
     data = np.zeros(position.data.shape)
     foreground, targets, repeat = position.distinct
@@ -417,12 +422,22 @@ def _spread(image, row_at, col_at):
     return _take(_like(image, data, mask), at)
 
 
+def shifted(image, offset: np.ndarray):
+    """A position or deformation image minus ``offset`` on its foreground."""
+    if not offset.any():
+        return image
+    return _like(image, np.where(image.mask[..., None], image.data - offset, 0.0), image.mask)
+
+
 def zoom(
     observed: PositionImage,
     canonical: PositionImage,
+    field: LinearRBF,
     target_resolution: tuple[int, int] = DEFAULT_VIEW_RESOLUTION,
+    offset=(0.0, 0.0, 0.0),
 ) -> ZoomResult:
-    """Crop both views to one aspect-correct box and resample to target size.
+    """Crop both views to one aspect-correct box, resample to target size,
+    and rasterize the target of ``field``: a dataset sample or an oracle's input.
 
     The box is the smallest target-aspect rectangle containing the union
     of the two foreground boxes, centered on the union, translated to fit
@@ -430,11 +445,17 @@ def zoom(
     resampled nearest-neighbor: interpolating world positions across
     silhouette edges would fabricate 3D points.  Every zoomed pixel thus
     copies one source pixel exactly.  The resample gathers the distinct
-    source rows and columns the crop samples into a grid
-    (:attr:`ZoomResult.grid` for the canonical view), spreads the grid
-    to the target size (:meth:`ZoomResult.expand`) and blanks to
+    source rows and columns the crop samples into grids
+    (:attr:`ZoomResult.grid` for the canonical view); a zoomed view
+    spreads its grid to the target size on first read, blanking to
     background only the pixels of a padded box that fall outside the
-    frame; a target rasterized on the grid is zoomed the same way.
+    frame.
+
+    ``offset`` is the error of the believed pose the canonical view was
+    rendered at: the target is rasterized once per distinct position of
+    the grid at the believed pose and holds the field's deltas minus the
+    pose error, spread like the views, so it equals the zoomed render's
+    target bit for bit.
     """
     if observed.mask.shape != canonical.mask.shape:
         raise ValidationError(
@@ -468,11 +489,15 @@ def zoom(
         crop_y = min(max(crop_y, 0.0), src_h - crop_h)
     rows, row_at = _sample_axis(crop_y, crop_h, target_h, src_h)
     cols, col_at = _sample_axis(crop_x, crop_w, target_w, src_w)
+    offset = np.asarray(offset, dtype=np.float64)
     grid = _gather(canonical, rows, cols)
+    believed = shifted(grid, offset)
+    apparent = shifted(rasterize_target(believed, field), offset)
     return ZoomResult(
-        observed=_spread(_gather(observed, rows, cols), row_at, col_at),
-        canonical=_spread(grid, row_at, col_at),
+        observed_grid=_gather(observed, rows, cols),
         grid=grid,
+        believed=believed,
+        target=_spread(apparent, row_at, col_at),
         row_at=row_at,
         col_at=col_at,
         crop_box=(crop_x, crop_y, crop_w, crop_h),

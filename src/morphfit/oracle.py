@@ -1,11 +1,11 @@
 """Deformation-prediction oracles standing in for a trained network.
 
-Given the four zoomed pipeline inputs, an oracle produces the per-pixel
-deformation image the downstream completion consumes.
-:func:`zoomed_sample` builds those inputs and their true target from a
-zoom, for gen-dataset and the single-view pipeline alike.  Three kinds:
-exact ground truth, ground truth plus seeded noise, and an external
-child process speaking a file-based protocol.
+Given a sample, the :class:`~morphfit.imaging.ZoomResult` that
+:func:`~morphfit.imaging.zoom` builds or :func:`load_sample` reads back,
+an oracle produces the per-pixel deformation image the downstream
+completion consumes.  Three kinds: exact ground truth, ground truth plus
+seeded noise, and an external child process speaking a file-based
+protocol.
 """
 from __future__ import annotations
 
@@ -15,20 +15,15 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .dataset import SAMPLE_FILES, SampleRecord
 from .errors import OracleError, ValidationError
-from .imaging import (
-    DeformationImage, LinearRBF, PositionImage, ZoomResult, _built, _like, rasterize_target,
-)
+from .imaging import DeformationImage, PositionImage, ZoomResult, _built
 from .io import read_mask, read_tensor, write_tensor
 
-if TYPE_CHECKING:
-    from .dataset import SampleRecord
-
-__all__ = ["OracleSpec", "OracleSample", "shifted", "zoomed_sample", "load_sample", "infer"]
+__all__ = ["OracleSpec", "load_sample", "infer"]
 
 _KINDS = ("ground_truth", "noisy", "external")
 
@@ -53,72 +48,46 @@ class OracleSpec:
             raise ValidationError("external oracle requires a non-empty command")
 
 
-@dataclass(frozen=True)
-class OracleSample:
-    """The four zoomed inputs plus the true target, in memory, and the
-    believed grid :func:`zoomed_sample` rasterized it on (None if loaded)."""
-
-    observed: PositionImage
-    canonical: PositionImage
-    target: DeformationImage
-    believed: PositionImage | None = None
-
-
-def shifted(image, offset: np.ndarray):
-    """A position or deformation image minus ``offset`` on its foreground."""
-    if not offset.any():
-        return image
-    return _like(image, np.where(image.mask[..., None], image.data - offset, 0.0), image.mask)
-
-
-def zoomed_sample(zoomed: ZoomResult, field: LinearRBF, offset=(0.0, 0.0, 0.0)) -> OracleSample:
-    """The zoomed views and the target of ``field``: a dataset sample or an oracle's input.
-
-    The target is rasterized on the zoom's
-    :attr:`~morphfit.imaging.ZoomResult.grid` and zoomed like the render.
-    ``offset`` is the error of the believed pose the canonical view was
-    rendered at: the target is rasterized at the believed positions and
-    holds the field's deltas minus the pose error.  The sample keeps the
-    believed grid: its one distinct-position pass serves the target and
-    :func:`~morphfit.completion.pixels_to_sparse_deltas`.
-    """
-    offset = np.asarray(offset, dtype=np.float64)
-    believed = shifted(zoomed.grid, offset)
-    apparent = shifted(rasterize_target(believed, field), offset)
-    return OracleSample(zoomed.observed, zoomed.canonical, zoomed.expand(apparent), believed)
-
-
-def load_sample(record: SampleRecord) -> OracleSample:
-    """Materialize an exported dataset sample for oracle inference."""
+def load_sample(record: SampleRecord) -> ZoomResult:
+    """Materialize an exported dataset sample for oracle inference: its
+    stored views, already zoomed, are its grids, with identity axes."""
     if record.status != "ok":
         raise ValidationError(f"sample was skipped at generation: {record.reason}")
-    obs_data, _ = read_tensor(record.paths["obs.pos.f32"])
-    obs_mask = read_mask(record.paths["obs.mask.pgm"])
-    can_data, _ = read_tensor(record.paths["canon.pos.f32"])
-    can_mask = read_mask(record.paths["canon.mask.pgm"])
-    target_data, _ = read_tensor(record.paths["target.f32"])
+    if missing := [name for name in SAMPLE_FILES if name not in record.paths]:
+        raise ValidationError(f"sample record has no {missing[0]} file")
+    mask, obs_mask = (read_mask(record.paths[name]) for name in ("canon.mask.pgm", "obs.mask.pgm"))
+    if obs_mask.shape != mask.shape:
+        raise ValidationError(f"{record.paths['obs.mask.pgm']}: mask shape {obs_mask.shape} "
+                              f"!= canonical mask shape {mask.shape}")
     # Targets are rasterized on the canonical render's foreground, so the
     # canonical mask is the target mask; a zero delta on foreground is a
     # valid measurement, not background.
-    return OracleSample(
-        observed=PositionImage(np.where(obs_mask[..., None], obs_data, 0.0), obs_mask),
-        canonical=PositionImage(np.where(can_mask[..., None], can_data, 0.0), can_mask),
-        target=DeformationImage(
-            np.where(can_mask[..., None], target_data.astype(np.float64), 0.0),
-            can_mask,
-            record.export_scale,
-        ),
-    )
+    canonical = PositionImage(*_stored(record, "canon.pos.f32", mask))
+    observed = PositionImage(*_stored(record, "obs.pos.f32", obs_mask))
+    target = DeformationImage(*_stored(record, "target.f32", mask), record.export_scale)
+    return ZoomResult(observed, canonical, canonical, target, np.arange(mask.shape[0]),
+                      np.arange(mask.shape[1]), record.crop_box, record.scale_factors,
+                      record.padded)
 
 
-def infer(spec: OracleSpec, sample: OracleSample, noise=None) -> DeformationImage:
-    """Predict the per-pixel deformation image for one sample.
+def _stored(record: SampleRecord, name: str, mask: np.ndarray):
+    """The stored tensor ``name``, zero off ``mask``, and the mask."""
+    data, _ = read_tensor(record.paths[name])
+    if data.shape != (*mask.shape, 3):
+        raise ValidationError(
+            f"{record.paths[name]}: tensor shape {data.shape} != mask shape {mask.shape} x 3")
+    return np.where(mask[..., None], data.astype(np.float64), 0.0), mask
+
+
+def infer(spec: OracleSpec, sample: ZoomResult, noise=None) -> DeformationImage:
+    """Predict the per-pixel deformation image for one sample: a zoom, or
+    an exported record as ``infer(spec, load_sample(record))``.
 
     Always returns values in meters with scale 1 and background exactly
     zero.  ``noise`` is the generator a noisy oracle draws from, such as
-    the ``"oracle_noise"`` :func:`~morphfit.geometry.stream`.  An exported
-    record is inferred as ``infer(spec, load_sample(record))``.  The ground
+    the ``"oracle_noise"`` :func:`~morphfit.geometry.stream`.  The ground
     truth of a target in meters (scale 1) is the target itself, not a copy.
+    Only the external oracle reads the zoomed views.
     """
     if spec.kind == "external":
         return _infer_external(spec, sample)
@@ -138,7 +107,7 @@ def infer(spec: OracleSpec, sample: OracleSample, noise=None) -> DeformationImag
     return _built(DeformationImage, data, mask)
 
 
-def _infer_external(spec: OracleSpec, sample: OracleSample) -> DeformationImage:
+def _infer_external(spec: OracleSpec, sample: ZoomResult) -> DeformationImage:
     height, width = sample.canonical.mask.shape
     scale = sample.target.scale
     with tempfile.TemporaryDirectory(prefix="oracle-") as tmp:

@@ -22,6 +22,7 @@ from morphfit import (
 )
 from morphfit.cpd import e_step
 from morphfit.dataset import default_cloud_leaf
+from morphfit.imaging import DeformationImage, ZoomResult
 
 
 def sphere_cloud(count: int, radius: float = 1.0, seed: int = 0) -> PointCloud:
@@ -179,6 +180,22 @@ def per_pixel_target(position, canonical, deltas) -> np.ndarray:
     data[position.mask] = scipy_rbf(canonical.points, np.asarray(deltas, dtype=float))(
         position.data[position.mask])
     return data
+
+
+def zero_field(positions: np.ndarray) -> np.ndarray:
+    """A target field that moves nothing, for zooms whose target a test does not read."""
+    return np.zeros_like(positions)
+
+
+def identity_sample(image, target=None) -> ZoomResult:
+    """A sample whose views and believed grid are ``image`` itself, with
+    identity axes, as :func:`morphfit.load_sample` builds one; the target
+    defaults to zero deltas on ``image``'s foreground."""
+    height, width = image.mask.shape
+    if target is None:
+        target = DeformationImage(np.zeros((height, width, 3)), image.mask)
+    return ZoomResult(image, image, image, target, np.arange(height), np.arange(width),
+                      (0.0, 0.0, float(width), float(height)), (1.0, 1.0))
 
 
 def lu_cpd_nonrigid(fixed: PointCloud, moving: PointCloud, config: CpdConfig):

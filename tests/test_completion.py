@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from helpers import icosphere, sphere_cloud
+from helpers import icosphere, identity_sample, sphere_cloud, zero_field
 
 from morphfit import (
     CompletionResult,
     DeformationField,
+    DeformationImage,
     Mesh,
     NoVisiblePointsError,
     PointCloud,
@@ -30,7 +31,7 @@ from morphfit import (
 )
 from morphfit import completion, geometry
 from morphfit.geometry import expand_kernel
-from morphfit.oracle import shifted
+from morphfit.imaging import shifted
 
 
 def in_span_deltas(space, latent):
@@ -158,9 +159,8 @@ class TestNearestCanonical:
 
 def same_frame_sparse(deformation, position, mask, canonical):
     """:func:`pixels_to_sparse_deltas` with each pixel on its own position."""
-    height, width = position.mask.shape
-    return pixels_to_sparse_deltas(deformation, position, mask, canonical,
-                                   np.arange(height), np.arange(width))
+    return pixels_to_sparse_deltas(DeformationImage(deformation, mask),
+                                   identity_sample(position), canonical)
 
 
 class TestPixelsToSparseDeltas:
@@ -214,7 +214,8 @@ class TestPixelsToSparseDeltas:
         # Dyadic positions, so a canonical pair placed +-2^-8 around one of
         # them is exactly equidistant from it.
         render = PositionImage(np.round(render.data * 1024) / 1024, render.mask)
-        zoomed = zoom(render, render, target_resolution)
+        offset = np.array(offset)
+        zoomed = zoom(render, render, zero_field, target_resolution, offset)
         assert zoomed.padded is padded
         assert (max(zoomed.scale_factors) < 1) == (target_resolution != (96, 72))
         grid = zoomed.grid
@@ -225,9 +226,8 @@ class TestPixelsToSparseDeltas:
             assert last[0] > first[0]
             data[tuple(last)] = data[tuple(first)]
             grid = PositionImage(data, grid.mask)
-        offset = np.array(offset)
-        believed = shifted(grid, offset)
-        position, mask = shifted(zoomed.expand(grid), offset).data, zoomed.canonical.mask
+            zoomed = dataclasses.replace(zoomed, grid=grid, believed=shifted(grid, offset))
+        position, mask = shifted(zoomed.canonical, offset).data, zoomed.canonical.mask
         tied = position[mask][0]
         step = np.array([2.0 ** -8, 0.0, 0.0])
         canonical = PointCloud(np.vstack([sphere_cloud(150, radius=0.35, seed=7).points,
@@ -247,8 +247,7 @@ class TestPixelsToSparseDeltas:
         expected = np.zeros((n, 3))
         expected[visible] = sums[visible] / counts[visible, None]
 
-        sparse = pixels_to_sparse_deltas(deformation, believed, mask, canonical,
-                                         zoomed.row_at, zoomed.col_at)
+        sparse = pixels_to_sparse_deltas(DeformationImage(deformation, mask), zoomed, canonical)
         np.testing.assert_array_equal(sparse.visible_indices, visible)
         np.testing.assert_array_equal(sparse.deltas, expected)
         if target_resolution != (12, 9) or repeat_across_rows:
@@ -264,9 +263,12 @@ class TestPixelsToSparseDeltas:
             (grid, [0], [0, 1, 2], [[False, False, True]]),  # past the last column
             (half, [0], [0, 1], [[True, True]]),  # a background source pixel
         ]:
+            sample = dataclasses.replace(identity_sample(grid), row_at=np.array(row_at),
+                                         col_at=np.array(col_at))
             with pytest.raises(ValidationError, match="no foreground position"):
-                pixels_to_sparse_deltas(np.zeros(np.shape(mask) + (3,)), grid, np.array(mask),
-                                        canonical, np.array(row_at), np.array(col_at))
+                pixels_to_sparse_deltas(
+                    DeformationImage(np.zeros(np.shape(mask) + (3,)), np.array(mask)), sample,
+                    canonical)
 
     def test_sums_match_add_at_bit_for_bit(self):
         # Many pixels per point, with deltas over eight orders of magnitude,
@@ -286,27 +288,36 @@ class TestPixelsToSparseDeltas:
 
     def test_empty_mask_raises(self):
         canonical = sphere_cloud(5, seed=4)
+        empty = np.zeros((2, 2), dtype=bool)
         with pytest.raises(NoVisiblePointsError):
             pixels_to_sparse_deltas(
-                np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2), dtype=bool), canonical,
-                np.arange(2), np.arange(2)
+                DeformationImage(np.zeros((2, 2, 3)), empty),
+                identity_sample(PositionImage(np.zeros((2, 2, 3)), empty)), canonical
             )
 
     def test_resolution_mismatch_rejected(self):
+        # The prediction is 2x3; the zoom's axes are 2x2.
         canonical = sphere_cloud(5, seed=5)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="resolution mismatch"):
             pixels_to_sparse_deltas(
-                np.zeros((2, 3, 3)), np.zeros((2, 2, 3)), np.ones((2, 3), dtype=bool), canonical,
-                np.arange(2), np.arange(2)
+                DeformationImage(np.zeros((2, 3, 3)), np.ones((2, 3), dtype=bool)),
+                identity_sample(PositionImage(np.zeros((2, 2, 3)), np.zeros((2, 2), dtype=bool))),
+                canonical
             )
 
     def test_images_without_three_channels_rejected(self):
-        canonical = sphere_cloud(5, seed=6)
-        with pytest.raises(ValidationError, match="resolution mismatch"):
-            pixels_to_sparse_deltas(
-                np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), np.ones((2, 3), dtype=bool), canonical,
-                np.arange(2), np.arange(3)
-            )
+        with pytest.raises(ValidationError, match=r"must be \(H, W, 3\), got \(2, 3, 2\)"):
+            DeformationImage(np.zeros((2, 3, 2)), np.ones((2, 3), dtype=bool))
+
+    def test_deltas_read_in_meters(self):
+        canonical = sphere_cloud(10, seed=2)
+        def_img, pos, mask = self._images(canonical, [4, 4, 6], np.full((3, 3), 0.02))
+        meters = pixels_to_sparse_deltas(DeformationImage(def_img, mask), identity_sample(pos),
+                                         canonical)
+        scaled = pixels_to_sparse_deltas(DeformationImage(def_img * 1000.0, mask, 1000.0),
+                                         identity_sample(pos), canonical)
+        np.testing.assert_array_equal(scaled.visible_indices, meters.visible_indices)
+        np.testing.assert_allclose(scaled.deltas, meters.deltas, rtol=1e-15, atol=0.0)
 
 
 class TestFitLatent:

@@ -33,10 +33,11 @@ from morphfit import (
 )
 from morphfit import dataset as dataset_module
 from morphfit import geometry as geometry_module
+from morphfit import imaging
 from morphfit.dataset import densify_count, densify_mesh, mesh_cloud, register_instances
 from morphfit.geometry import stream
-from morphfit.imaging import PositionImage, rasterize_target, target_field
-from morphfit.oracle import load_sample, zoomed_sample
+from morphfit.imaging import DeformationImage, PositionImage, rasterize_target, target_field
+from morphfit.oracle import load_sample
 
 
 def small_views(count=2, resolution=(96, 72)):
@@ -197,13 +198,13 @@ class TestGenerateDataset:
     def test_exported_samples_load_as_built(self, category, tmp_path, monkeypatch):
         # The files of each sample hold the sample the pipeline's builder
         # returned, up to the f32 rounding of the data.
-        built = []
+        built, zoom = [], dataset_module.zoom
 
-        def keep(zoomed, field, *args):
-            built.append(zoomed_sample(zoomed, field, *args))
+        def keep(*args):
+            built.append(zoom(*args))
             return built[-1]
 
-        monkeypatch.setattr(dataset_module, "zoomed_sample", keep)
+        monkeypatch.setattr(dataset_module, "zoom", keep)
         records = generate_dataset(category.canonical_mesh, category.instance_meshes[:2],
                                    category.fields[:2], small_views(2), [0.0, 0.5], tmp_path,
                                    seed=4, **GEN_KW)
@@ -219,6 +220,23 @@ class TestGenerateDataset:
             assert loaded.target.scale == record.export_scale
             np.testing.assert_array_equal(
                 loaded.target.data, (sample.target.data * record.export_scale).astype(np.float32))
+            assert (loaded.crop_box, loaded.scale_factors, loaded.padded) == (
+                sample.crop_box, sample.scale_factors, sample.padded)
+
+    def test_a_sample_spreads_each_image_it_writes_once(self, category, tmp_path, monkeypatch):
+        spread, spreads = imaging._spread, []
+
+        def counted(image, row_at, col_at):
+            spreads.append(type(image))
+            return spread(image, row_at, col_at)
+
+        monkeypatch.setattr(imaging, "_spread", counted)
+        records = generate_dataset(category.canonical_mesh, category.instance_meshes[:1],
+                                   category.fields[:1], small_views(2), [0.0], tmp_path,
+                                   seed=4, **GEN_KW)
+        assert [r.status for r in records] == ["ok", "ok"]
+        # Per sample: the target, then the canonical and observed views it writes.
+        assert spreads == [DeformationImage, PositionImage, PositionImage] * 2
 
     def test_unit_dataset(self, category, tmp_path):
         records = generate_dataset(

@@ -26,7 +26,7 @@ from morphfit import (
     viewpoint_sphere,
 )
 from morphfit import evaluation as evaluation_module
-from morphfit import geometry
+from morphfit import geometry, imaging
 from morphfit.evaluation import (
     COND_CANONICAL,
     COND_PIPELINE,
@@ -357,6 +357,20 @@ class TestTargetValues:
         )
 
 
+# An external oracle that predicts zero deltas everywhere.
+EXTERNAL_ZERO = """\
+import json, sys
+from pathlib import Path
+
+tmp = Path(sys.argv[1])
+request = json.loads((tmp / "request.json").read_text())
+width, height = request["resolution"]
+(tmp / request["output"]).write_bytes(bytes(12 * width * height))
+(tmp / (request["output"] + ".json")).write_text(
+    json.dumps({"shape": [height, width, 3], "dtype": "f32", "semantic": "prediction"}))
+"""
+
+
 class TestCompleteView:
     @pytest.fixture(scope="class")
     def inputs(self, category, held_out, few_views):
@@ -395,6 +409,41 @@ class TestCompleteView:
                       zoom_resolution=FAST["zoom_resolution"])
         assert len(calls) == 1
         assert calls[0] <= zooms[0].grid.mask.size
+
+    @pytest.mark.parametrize("kind", ["ground_truth", "noisy", "external"])
+    def test_a_view_spreads_only_what_its_oracle_reads(self, category, inputs, monkeypatch,
+                                                       tmp_path, kind):
+        # Every oracle reads the target; only the external one writes the
+        # zoomed observed and canonical views for its child.
+        canonical_dense, observed, view, true_field = inputs
+        spread, zoom = imaging._spread, evaluation_module.zoom
+        spreads, zooms = [], []
+
+        def counted(image, row_at, col_at):
+            spreads.append(image)
+            return spread(image, row_at, col_at)
+
+        def keep_zoom(*args, **kwargs):
+            zooms.append(zoom(*args, **kwargs))
+            return zooms[-1]
+
+        monkeypatch.setattr(imaging, "_spread", counted)
+        monkeypatch.setattr(evaluation_module, "zoom", keep_zoom)
+        script = tmp_path / "zero.py"
+        script.write_text(EXTERNAL_ZERO)
+        spec = OracleSpec(kind, noise_sigma=0.01, command=f"{sys.executable} {script}")
+        complete_view(category.space, canonical_dense, observed, view, true_field, spec,
+                      zoom_resolution=FAST["zoom_resolution"],
+                      oracle_noise=np.random.default_rng(0))
+        (zoomed,) = zooms
+        assert isinstance(spreads[0], imaging.DeformationImage)
+        views = {id(image) for image in spreads[1:]}
+        if kind == "external":
+            assert len(spreads) == 3
+            assert views == {id(zoomed.observed_grid), id(zoomed.grid)}
+        else:
+            assert len(spreads) == 1
+            assert {"observed", "canonical"}.isdisjoint(vars(zoomed))
 
     def test_negative_zero_samples_complete_as_with_zero_added(self, category, inputs):
         # At zero offset the samples are rendered without ``+ offset``, which

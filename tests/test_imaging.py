@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import per_pixel_target, scipy_rbf, sphere_cloud
+from helpers import identity_sample, per_pixel_target, scipy_rbf, sphere_cloud, zero_field
 
 from morphfit import (
     CameraView,
@@ -20,9 +20,9 @@ from morphfit import (
     target_field,
     zoom,
 )
-from morphfit import imaging, oracle
+from morphfit import imaging
 from morphfit.geometry import distinct_rows
-from morphfit.oracle import OracleSample, OracleSpec, infer
+from morphfit.oracle import OracleSpec, infer
 
 
 class TestImageTypes:
@@ -305,8 +305,6 @@ class TestRasterizeTarget:
             self, monkeypatch, target_resolution, padded, enlarged):
         cloud = sphere_cloud(150, radius=0.35, seed=5)
         img = self._render(cloud)
-        zoomed = zoom(img, img, target_resolution)
-        assert zoomed.padded is padded
         deltas = np.random.default_rng(5).normal(scale=0.01, size=(150, 3))
         evaluated = []
 
@@ -317,26 +315,27 @@ class TestRasterizeTarget:
 
         monkeypatch.setattr(imaging, "LinearRBF", Counting)
         field = target_field(cloud, deltas)
+        zoomed = zoom(img, img, field, target_resolution)
+        assert zoomed.padded is padded
         out = rasterize_target(zoomed.canonical, field)
         position = zoomed.canonical
         expected = per_pixel_target(position, cloud, deltas)
         np.testing.assert_array_equal(out.mask, position.mask)
         np.testing.assert_allclose(out.data, expected, rtol=0.0, atol=1e-12)
         distinct = np.unique(position.data[position.mask], axis=0)
-        assert evaluated == [len(distinct)]
+        assert evaluated[1:] == [len(distinct)]
         if enlarged:
             assert len(distinct) < position.mask.sum()
 
-        # Rasterized on the source pixels the zoom copies and zoomed: the
-        # same distinct positions in one evaluation, so the same bits,
-        # whether the zoom enlarges or shrinks the render.
+        # The zoom's target, rasterized on the source pixels it copies and
+        # spread: the same distinct positions in one evaluation, so the same
+        # bits, whether the zoom enlarges or shrinks the render.
         grid = zoomed.grid
         assert (grid.mask.sum() < img.mask.sum()) is not enlarged
-        source = zoomed.expand(rasterize_target(grid, field))
-        assert isinstance(source, DeformationImage)
-        np.testing.assert_array_equal(source.mask, out.mask)
-        np.testing.assert_array_equal(source.data, out.data)
-        assert evaluated[1:] == [len(distinct)]
+        assert isinstance(zoomed.target, DeformationImage)
+        np.testing.assert_array_equal(zoomed.target.mask, out.mask)
+        np.testing.assert_array_equal(zoomed.target.data, out.data)
+        assert evaluated[:1] == [len(distinct)]
 
     def test_distinct_rows_sharing_a_coordinate_stay_apart(self):
         rows = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0],
@@ -499,7 +498,7 @@ class TestZoom:
         # Union box 32x24 equals target aspect 4:3 exactly.
         obs = _image_with_pixels((96, 128), [(10, 20, [1, 1, 1]), (33, 51, [2, 2, 2])])
         can = _image_with_pixels((96, 128), [(12, 25, [3, 3, 3])])
-        out = zoom(obs, can, target_resolution=(64, 48))
+        out = zoom(obs, can, zero_field, target_resolution=(64, 48))
         assert out.crop_box == (20.0, 10.0, 32.0, 24.0)
         assert not out.padded
         assert out.scale_factors == (2.0, 2.0)
@@ -510,7 +509,7 @@ class TestZoom:
         # so the box widens to 6x6 centered at x=6.5 => x:[3.5,9.5).
         obs = _image_with_pixels((20, 20), [(4, 6, [1.0, 0, 0])])
         can = _image_with_pixels((20, 20), [(9, 6, [0, 1.0, 0])])
-        out = zoom(obs, can, target_resolution=(4, 4))
+        out = zoom(obs, can, zero_field, target_resolution=(4, 4))
         assert out.crop_box == (3.5, 4.0, 6.0, 6.0)
         # Replay the declared affine transform by hand: output center (i, j)
         # samples source pixel (floor(y0+(i+.5)h/4), floor(x0+(j+.5)w/4)).
@@ -527,7 +526,7 @@ class TestZoom:
         # Crop box chosen so output centers land exactly on source pixels.
         obs = _image_with_pixels((16, 16), [(4, 4, [1.0, 2.0, 3.0]), (7, 7, [4.0, 5.0, 6.0])])
         can = _image_with_pixels((16, 16), [(4, 4, [9.0, 9.0, 9.0]), (7, 7, [8.0, 8.0, 8.0])])
-        out = zoom(obs, can, target_resolution=(4, 4))
+        out = zoom(obs, can, zero_field, target_resolution=(4, 4))
         # Union box (4,4)-(8,8), already square: crop box (4,4,4,4),
         # scale 1: output pixel equals the source pixel grid shifted by 4.
         assert out.crop_box == (4.0, 4.0, 4.0, 4.0)
@@ -542,7 +541,7 @@ class TestZoom:
         can_pix = [(int(r), int(c), [2, 2, 2]) for r, c in rng.integers(5, 50, size=(6, 2))]
         obs = _image_with_pixels(shape, obs_pix)
         can = _image_with_pixels(shape, can_pix)
-        out = zoom(obs, can, target_resolution=(40, 30))
+        out = zoom(obs, can, zero_field, target_resolution=(40, 30))
         x0, y0, w, h = out.crop_box
         for m in (obs.mask, can.mask):
             bx0, by0, bx1, by1 = mask_bounding_box(m)
@@ -554,14 +553,14 @@ class TestZoom:
         obs = _image_with_pixels((10, 40), [(0, 0, [1, 1, 1]), (9, 39, [1, 1, 1])])
         can = _image_with_pixels((10, 40), [(5, 20, [2, 2, 2])])
         # Union spans the whole 40x10 frame; square target needs 40x40.
-        out = zoom(obs, can, target_resolution=(8, 8))
+        out = zoom(obs, can, zero_field, target_resolution=(8, 8))
         assert out.padded
         assert out.crop_box[2] == 40.0 and out.crop_box[3] == 40.0
 
     def test_clamped_translation_keeps_box_in_frame(self):
         obs = _image_with_pixels((50, 50), [(2, 1, [1, 1, 1])])
         can = _image_with_pixels((50, 50), [(4, 12, [1, 1, 1])])
-        out = zoom(obs, can, target_resolution=(30, 20))
+        out = zoom(obs, can, zero_field, target_resolution=(30, 20))
         x0, y0, w, h = out.crop_box
         assert not out.padded
         assert x0 >= 0 and y0 >= 0
@@ -570,7 +569,7 @@ class TestZoom:
     def test_inverse_transform_maps_centers_into_box(self):
         obs = _image_with_pixels((30, 30), [(10, 10, [1, 1, 1])])
         can = _image_with_pixels((30, 30), [(15, 18, [1, 1, 1])])
-        out = zoom(obs, can, target_resolution=(16, 12))
+        out = zoom(obs, can, zero_field, target_resolution=(16, 12))
         x0, y0, w, h = out.crop_box
         sx, sy = out.scale_factors
         for j in (0, 7, 15):
@@ -594,7 +593,7 @@ class TestZoom:
             mask[region] = inside
             views.append(PositionImage(
                 np.where(mask[..., None], rng.normal(size=(16, 20, 3)), 0.0), mask))
-        zoomed = zoom(*views, target_resolution=target)
+        zoomed = zoom(*views, zero_field, target_resolution=target)
         assert zoomed.padded is padded
         x0, y0, w, h = zoomed.crop_box
         out_w, out_h = target
@@ -611,19 +610,31 @@ class TestZoom:
             np.testing.assert_array_equal(out.mask, expected_mask)
             np.testing.assert_array_equal(out.data, expected)
 
-    def test_expand_checks_its_frame(self):
+    def test_views_spread_from_the_grids_on_first_read(self, monkeypatch):
         obs = _image_with_pixels((20, 30), [(5, 6, [1, 1, 1])])
         can = _image_with_pixels((20, 30), [(9, 12, [2, 2, 2])])
-        zoomed = zoom(obs, can, target_resolution=(16, 12))
-        np.testing.assert_array_equal(zoomed.expand(zoomed.grid).data, zoomed.canonical.data)
-        with pytest.raises(ValidationError, match="sampled grid"):
-            zoomed.expand(can)
+        spread, spreads = imaging._spread, []
+
+        def counted(image, row_at, col_at):
+            spreads.append(image)
+            return spread(image, row_at, col_at)
+
+        monkeypatch.setattr(imaging, "_spread", counted)
+        zoomed = zoom(obs, can, zero_field, target_resolution=(16, 12))
+        assert [type(image) for image in spreads] == [DeformationImage]
+        for name, grid in (("observed", zoomed.observed_grid), ("canonical", zoomed.grid)):
+            view = getattr(zoomed, name)
+            assert spreads[-1] is grid and getattr(zoomed, name) is view
+            np.testing.assert_array_equal(view.data, spread(grid, zoomed.row_at,
+                                                            zoomed.col_at).data)
+        assert len(spreads) == 3
+        np.testing.assert_array_equal(zoomed.canonical.data[zoomed.canonical.mask][0], [2, 2, 2])
 
     def test_resolution_mismatch_rejected(self):
         obs = _image_with_pixels((10, 10), [(1, 1, [1, 1, 1])])
         can = _image_with_pixels((12, 10), [(1, 1, [1, 1, 1])])
         with pytest.raises(ValidationError):
-            zoom(obs, can)
+            zoom(obs, can, zero_field)
 
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -668,19 +679,22 @@ class TestBuiltImagesPassTheCheck:
 
     @PROPERTY
     @given(scene=scenes(), shift=st.floats(-0.3, 0.3),
-           target=st.tuples(st.integers(1, 60), st.integers(1, 60)))
-    def test_zoom(self, scene, shift, target):
+           target=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+           offset=st.tuples(*[st.floats(-0.3, 0.3)] * 3))
+    def test_zoom(self, scene, shift, target, offset):
         cloud, view, radius = scene
         observed = _render(PointCloud(cloud.points + shift), view, radius)
         canonical = _render(cloud, view, radius)
-        zoomed = zoom(observed, canonical, target)
+        zoomed = zoom(observed, canonical, zero_field, target, offset)
         for image in (zoomed.observed, zoomed.canonical):
             assert _checked(image, "position image").mask.shape == target[::-1]
 
         grid = _checked(zoomed.grid, "position image")
-        expanded = _checked(zoomed.expand(grid), "position image")
-        np.testing.assert_array_equal(expanded.mask, zoomed.canonical.mask)
-        np.testing.assert_array_equal(expanded.data, zoomed.canonical.data)
+        _checked(zoomed.observed_grid, "position image")
+        believed = _checked(zoomed.believed, "position image")
+        np.testing.assert_array_equal(believed.mask, grid.mask)
+        np.testing.assert_array_equal(_checked(zoomed.target, "deformation image").mask,
+                                      zoomed.canonical.mask)
 
         # The grid holds each source pixel the zoom copies once: a canonical
         # view on the same mask that holds each pixel's (row, col) zooms to
@@ -688,7 +702,7 @@ class TestBuiltImagesPassTheCheck:
         rows, cols = np.indices(canonical.mask.shape)
         where = PositionImage(np.where(canonical.mask[..., None],
                                        np.dstack([rows, cols, rows + 1.0]), 0.0), canonical.mask)
-        zoomed_where = zoom(observed, where, target)
+        zoomed_where = zoom(observed, where, zero_field, target)
         assert zoomed_where.crop_box == zoomed.crop_box
         grid_where = zoomed_where.grid
         assert grid_where.mask.shape == grid.mask.shape
@@ -702,7 +716,7 @@ class TestBuiltImagesPassTheCheck:
 
         # A deformation image of the grid keeps its type and scale.
         deltas = DeformationImage(grid.data * 2.0, grid.mask, scale=1000.0)
-        image = zoomed.expand(deltas)
+        image = imaging._spread(deltas, zoomed.row_at, zoomed.col_at)
         assert isinstance(image, DeformationImage)
         assert _checked(image, "deformation image").scale == 1000.0
 
@@ -712,7 +726,7 @@ class TestBuiltImagesPassTheCheck:
     def test_rasterize(self, scene, target, scale):
         cloud, view, radius = scene
         image = _render(cloud, view, radius)
-        position = zoom(image, image, target).canonical
+        position = zoom(image, image, zero_field, target).canonical
         deltas = np.random.default_rng(len(cloud)).normal(scale=scale, size=(len(cloud), 3))
         try:
             field = target_field(cloud, deltas)
@@ -729,8 +743,8 @@ class TestBuiltImagesPassTheCheck:
         image = _render(*scene)
         deltas = np.where(image.mask[..., None], image.data * scale, 0.0)
         for shifted, name in (
-                (oracle.shifted(image, np.array(offset)), "position image"),
-                (oracle.shifted(DeformationImage(deltas, image.mask), np.array(offset)),
+                (imaging.shifted(image, np.array(offset)), "position image"),
+                (imaging.shifted(DeformationImage(deltas, image.mask), np.array(offset)),
                  "deformation image")):
             np.testing.assert_array_equal(_checked(shifted, name).mask, image.mask)
 
@@ -741,7 +755,7 @@ class TestBuiltImagesPassTheCheck:
         image = _render(*scene)
         target = DeformationImage(np.where(image.mask[..., None], image.data * scale, 0.0),
                                   image.mask, scale)
-        out = infer(OracleSpec(kind, noise_sigma=sigma), OracleSample(image, image, target),
+        out = infer(OracleSpec(kind, noise_sigma=sigma), identity_sample(image, target),
                     np.random.default_rng(seed))
         np.testing.assert_array_equal(_checked(out, "deformation image").mask, image.mask)
         assert out.scale == 1.0
@@ -777,7 +791,7 @@ class TestNonFiniteGuards:
     def test_overflowing_oracle_noise_rejected(self):
         view = look_at([0, 0, 1.0], resolution=(16, 12), focal=(10.0, 10.0))
         image = splat_position_image(sphere_cloud(60, radius=0.3, seed=5), view)
-        sample = OracleSample(image, image, DeformationImage(np.zeros((12, 16, 3)), image.mask))
+        sample = identity_sample(image)
         with pytest.raises(ValidationError,
                            match="^deformation image foreground contains non-finite values$"):
             infer(OracleSpec("noisy", noise_sigma=1e308), sample, np.random.default_rng(0))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from helpers import SyntheticCategory
 from morphfit import (
     DeformationImage,
     OracleError,
-    OracleSample,
     OracleSpec,
     ValidationError,
     generate_dataset,
@@ -18,7 +18,10 @@ from morphfit import (
     load_sample,
     read_tensor,
     viewpoint_sphere,
+    write_mask,
+    write_tensor,
 )
+from morphfit.imaging import ZoomResult
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,45 @@ class TestLoadSample:
         )
         with pytest.raises(ValidationError, match="skipped"):
             load_sample(skipped)
+
+    def test_loads_as_the_zoom_of_its_stored_views(self, sample_record):
+        sample = load_sample(sample_record)
+        assert isinstance(sample, ZoomResult)
+        height, width = sample.target.mask.shape
+        np.testing.assert_array_equal(sample.row_at, np.arange(height))
+        np.testing.assert_array_equal(sample.col_at, np.arange(width))
+        assert sample.believed is sample.grid
+        for view, grid in ((sample.observed, sample.observed_grid),
+                           (sample.canonical, sample.grid)):
+            assert view.data.tobytes() == grid.data.tobytes()
+            assert view.mask.tobytes() == grid.mask.tobytes()
+        assert (sample.crop_box, sample.scale_factors, sample.padded) == (
+            sample_record.crop_box, sample_record.scale_factors, sample_record.padded)
+        assert all(getattr(sample, f.name) is not None for f in dataclasses.fields(sample))
+
+    @pytest.mark.parametrize("name", ["target.f32", "obs.pos.f32", "canon.mask.pgm"])
+    def test_record_without_a_file_rejected(self, sample_record, name):
+        paths = {key: path for key, path in sample_record.paths.items() if key != name}
+        with pytest.raises(ValidationError, match=f"^sample record has no {re.escape(name)} file$"):
+            load_sample(dataclasses.replace(sample_record, paths=paths))
+
+    @pytest.mark.parametrize("name", ["target.f32", "obs.pos.f32", "canon.pos.f32"])
+    def test_tensor_off_its_mask_rejected(self, sample_record, tmp_path, name):
+        # The stored mask is 72x96; a (96, 72, 3) tensor holds as many floats.
+        height, width = read_tensor(sample_record.paths[name])[0].shape[:2]
+        path = tmp_path / name
+        write_tensor(path, np.zeros((width, height, 3)), "transposed")
+        paths = dict(sample_record.paths, **{name: str(path)})
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: tensor shape "
+                                                  rf"\({width}, {height}, 3\) != mask shape"):
+            load_sample(dataclasses.replace(sample_record, paths=paths))
+
+    def test_observed_mask_off_the_canonical_rejected(self, sample_record, tmp_path):
+        path = tmp_path / "obs.mask.pgm"
+        write_mask(path, np.ones((4, 5), dtype=bool))
+        paths = dict(sample_record.paths, **{"obs.mask.pgm": str(path)})
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: mask shape"):
+            load_sample(dataclasses.replace(sample_record, paths=paths))
 
 
 class TestGroundTruthOracle:

@@ -160,6 +160,20 @@ def test_only_geometry_forms_gaussian_kernels():
     assert offenders == []
 
 
+def test_only_imaging_rasterizes_targets():
+    """imaging.zoom is the one builder of the oracle's sample, so training samples
+    and inference inputs are made the same way: no other module rasterizes a target."""
+    offenders = []
+    for source in sorted(Path(morphfit.__file__).parent.rglob("*.py")):
+        if source.name == "imaging.py":
+            continue
+        tree = ast.parse(source.read_text())
+        offenders += [f"{source.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and "rasterize_target" in (
+                          getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert offenders == []
+
+
 def test_each_pipeline_default_is_one_constant():
     """The image size, splat radius, densify recipe and focal rule are each decided
     once: every signature default and command-line default for them is that constant."""
