@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 from scipy.spatial.distance import cdist
 
 from .errors import SolverError, ValidationError
@@ -134,8 +134,9 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
     The M-step system is taken in the symmetric positive-definite form of
     Myronenko & Song (TPAMI 2010, arXiv:0905.2635),
     (G + c diag(m)^-1) W = diag(m)^-1 P X - Y with c = regularization
-    sigma^2 and m the posterior mass per moving point, and solved by
-    Cholesky over the points that carry mass.  A moving point whose mass
+    sigma^2 and m the posterior mass per moving point, and solved over the
+    points that carry mass by one LAPACK Cholesky factor-and-solve
+    (``dposv``), whose failure is a SolverError.  A moving point whose mass
     is 0, or so small that c / m would pass 1e300, gets an exactly zero
     weight row: its weights would be under 1e-300 of its right-hand side.
     """
@@ -184,10 +185,8 @@ def cpd_nonrigid(fixed, moving, config: CpdConfig = CpdConfig()) -> CpdResult:
         system.reshape(-1)[:: k + 1] += c / mass[solved]
         rhs = weighted_targets[solved] / mass[solved, None] - y[solved]
         # The system is symmetric, so its transpose is the same matrix in
-        # Fortran order: LAPACK factors it in place, without a copy.
-        factor, info = dpotrf(system.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            solution, info = dpotrs(factor, rhs, lower=1, overwrite_b=1)
+        # Fortran order: LAPACK factors and solves it in one call, in place.
+        _, solution, info = dposv(system.T, rhs, lower=1, overwrite_a=1, overwrite_b=1)
         if info != 0:
             raise SolverError(
                 f"regularized system not positive definite (LAPACK info {info})",

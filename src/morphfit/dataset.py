@@ -58,8 +58,8 @@ MANIFEST_NAME = "manifest.jsonl"
 SAMPLE_FILES = ("canon.pos.f32", "canon.mask.pgm", "obs.pos.f32", "obs.mask.pgm", "target.f32")
 # Skipped samples beyond this fraction of the run abort it.
 MAX_SKIP_FRACTION = 0.001
-DENSIFY_PER_PIXEL = 20.0  # densify_mesh's samples per expected pixel footprint
-DENSIFY_MAX = 60000  # densify_mesh's cap on them
+DENSIFY_PER_PIXEL = 20.0  # densify_count's samples per expected pixel footprint
+DENSIFY_MAX = 60000  # densify_count's cap on them
 
 
 @dataclass(frozen=True)
@@ -190,27 +190,27 @@ def target_delta(field: DeformationField, rho: float) -> np.ndarray:
     return kernel @ ((1.0 - rho) * field.weights)
 
 
-def densify_count(mesh: Mesh, views, per_pixel: float, max_points: int) -> int:
+def densify_count(mesh: Mesh, views) -> int:
     """How many samples :func:`densify_mesh` draws, known before any draw.
 
-    ``per_pixel`` samples per expected pixel footprint at the views' mean
-    distance and the first view's focal lengths, at least the vertex
-    count and 64, at most ``max_points``.
+    :data:`DENSIFY_PER_PIXEL` samples per expected pixel footprint at the
+    views' mean distance and the first view's focal lengths, at least the
+    vertex count and 64, at most :data:`DENSIFY_MAX`; both read at call time.
     """
     view_distance = float(np.mean([np.linalg.norm(v.position) for v in views]))
     focal = views[0].focal
     pixels = mesh.area * focal[0] * focal[1] / max(view_distance, 1e-9) ** 2
     # Clamped as a float, so an infinite pixel count takes the cap.
-    return math.ceil(min(max(mesh.vertices.shape[0], 64, per_pixel * pixels), max_points))
+    return math.ceil(min(max(mesh.vertices.shape[0], 64, DENSIFY_PER_PIXEL * pixels), DENSIFY_MAX))
 
 
-def densify_mesh(mesh: Mesh, views, per_pixel: float, max_points: int, rng):
-    """Surface samples dense enough for gap-free splatting.
+def densify_mesh(mesh: Mesh, views, rng: np.random.Generator):
+    """Surface samples dense enough for gap-free splatting, drawn from ``rng``.
 
     Draws :func:`densify_count` samples; returns (points, face_indices,
     barycentric) so the pattern can be re-posed on a morphed copy.
     """
-    return sample_mesh_surface(mesh, densify_count(mesh, views, per_pixel, max_points), rng)
+    return sample_mesh_surface(mesh, densify_count(mesh, views), rng)
 
 
 def rho_problems(rhos) -> list[str]:
@@ -246,14 +246,13 @@ def generate_dataset(
     seed: int = 0,
     split_fraction: float = 0.9,
     splat_radius: int = DEFAULT_SPLAT_RADIUS,
-    densify_per_pixel: float = DENSIFY_PER_PIXEL,
-    densify_max: int = DENSIFY_MAX,
 ) -> list[SampleRecord]:
     """Export every (instance, rho, view) sample plus the manifest.
 
     ``fields[i]`` warps the canonical cloud, its anchors, onto
     ``meshes[i]``; held-out test instances must simply not be passed.
-    The manifest is committed through :func:`morphfit.io.commit`, so an
+    Every mesh is densified by :func:`densify_count`'s recipe.  The
+    manifest is committed through :func:`morphfit.io.commit`, so an
     interrupted run leaves it only as ``manifest.jsonl.partial``.
     Individual render failures are recorded as skipped; more than 0.1% of
     them abort the run, leaving the manifest under that name.  A target
@@ -275,8 +274,7 @@ def generate_dataset(
         raise ValidationError(f"export_scale must be > 0, got {export_scale}")
     out_dir = Path(out_dir)
 
-    canon_pts, _, _ = densify_mesh(canonical_mesh, views, densify_per_pixel, densify_max,
-                                   stream(seed, "dataset_canonical"))
+    canon_pts, _, _ = densify_mesh(canonical_mesh, views, stream(seed, "dataset_canonical"))
     # Each canonical view is kept as its foreground alone (flat pixel indices
     # and positions); a sample rebuilds its full frame just before the zoom,
     # so the run holds one frame at a time, not one per view.
@@ -305,8 +303,7 @@ def generate_dataset(
     skipped = 0
     total = len(meshes) * len(rhos) * len(views)
     for inst, (mesh, field) in enumerate(zip(meshes, fields)):
-        _, face_idx, bary = densify_mesh(mesh, views, densify_per_pixel, densify_max,
-                                         stream(seed, "dataset_instance", inst))
+        _, face_idx, bary = densify_mesh(mesh, views, stream(seed, "dataset_instance", inst))
         for rho_index, rho in enumerate(rhos):
             morphed = interpolate_instance(mesh, field, rho)
             # Same barycentric pattern re-posed on the morphed vertices, so

@@ -28,10 +28,7 @@ from scipy.spatial import cKDTree
 
 from .completion import fit_latent, pixels_to_sparse_deltas
 from .cpd import cpd_nonrigid
-from .dataset import (
-    DENSIFY_MAX, DENSIFY_PER_PIXEL, densify_count, densify_mesh, mesh_cloud, target_delta,
-    warn_if_capped,
-)
+from .dataset import densify_count, densify_mesh, mesh_cloud, target_delta, warn_if_capped
 from .errors import EvaluationError, MorphFitError, ValidationError
 from .geometry import (
     DEFAULT_VIEW_RESOLUTION, OBSERVED_SALT, Mesh, PointCloud, _as_readonly, _kept,
@@ -145,19 +142,18 @@ def prepare_instance(
     *,
     instance_label: str,
     seed: int = 0,
-    densify_per_pixel: float = DENSIFY_PER_PIXEL,
-    densify_max: int = DENSIFY_MAX,
 ):
     """Dense samples of both meshes and the instance's true target field.
 
-    The samples are dense enough for gap-free splats at the views' mean
-    distance.  The field is the :func:`~morphfit.imaging.target_field` of
-    the instance's full deformation, recovered once by registering
-    ``instance_cloud`` with the space's recipe and reused for every view's
-    ground-truth target; a cap warning names it ``instance_label``.  The
-    external oracle reads only that target's mask and scale, so its field
-    interpolates zeros and no registration runs.  Returns
-    ``(canonical_dense, observed_dense, true_field)``.
+    The samples, by :func:`~morphfit.dataset.densify_count`'s recipe, are
+    dense enough for gap-free splats at the views' mean distance.  The
+    field is the :func:`~morphfit.imaging.target_field` of the instance's
+    full deformation, recovered once by registering ``instance_cloud`` with
+    the space's recipe and reused for every view's ground-truth target; a
+    cap warning names it ``instance_label``.  The external oracle reads
+    only that target's mask and scale, so its field interpolates zeros and
+    no registration runs.  Returns ``(canonical_dense, observed_dense,
+    true_field)``.
 
     None of this depends on the views beyond the sample counts, so the
     process keeps one prepared instance, one entry per part, the most
@@ -181,14 +177,14 @@ def prepare_instance(
     if space.registration is None:
         raise ValidationError("the space carries no registration settings")
     meshes = (canonical_mesh, instance_mesh)
-    counts = tuple(densify_count(mesh, views, densify_per_pixel, densify_max) for mesh in meshes)
+    counts = tuple(densify_count(mesh, views) for mesh in meshes)
     # complete_view renders the canonical samples without ``+ offset`` at
     # zero offset, so zero is added here once (-0.0 to +0.0); -0.0 is not.
     canonical_dense, observed_dense = _kept(
         "samples", (*map(_mesh_key, meshes), seed, counts),
-        lambda: tuple(_as_readonly(densify_mesh(mesh, views, densify_per_pixel, densify_max,
-                                                stream(seed, "pipeline_dense", salt))[0] + zero)
-                      for salt, (mesh, zero) in enumerate(zip(meshes, (0.0, -0.0)))),
+        lambda: tuple(
+            _as_readonly(densify_mesh(mesh, views, stream(seed, "pipeline_dense", salt))[0] + zero)
+            for salt, (mesh, zero) in enumerate(zip(meshes, (0.0, -0.0)))),
     )
     if oracle_spec.kind == "external":
         zeros = np.zeros((len(space.canonical), 3))
@@ -259,8 +255,6 @@ def pose_noise_experiment(
     splat_radius: int = DEFAULT_SPLAT_RADIUS,
     seed: int = 0,
     ridge: float = 0.0,
-    densify_per_pixel: float = DENSIFY_PER_PIXEL,
-    densify_max: int = DENSIFY_MAX,
 ):
     """Viewpoint sweep of the full pipeline against the baselines.
 
@@ -272,9 +266,10 @@ def pose_noise_experiment(
     are the plain sweep: no pose noise, one draw, every condition.  A
     condition whose every view fails raises an EvaluationError naming the
     first failure; :func:`prepare_instance`'s RasterizeError ends the run
-    before any view does.  The instance must be held out of the space's
-    construction for the numbers to mean anything; that discipline is the
-    caller's.
+    before any view does.  Both meshes are densified by
+    :func:`~morphfit.dataset.densify_count`'s recipe.  The instance must be
+    held out of the space's construction for the numbers to mean anything;
+    that discipline is the caller's.
     """
     if noise_range < 0 or not np.isfinite(noise_range):
         raise ValidationError(f"noise_range must be >= 0, got {noise_range}")
@@ -287,8 +282,7 @@ def pose_noise_experiment(
     views = list(views)
     canonical_dense, observed_dense, true_field = prepare_instance(
         space, instance_mesh, instance_cloud, views, oracle_spec, canonical_mesh,
-        instance_label=instance_label, seed=seed, densify_per_pixel=densify_per_pixel,
-        densify_max=densify_max,
+        instance_label=instance_label, seed=seed,
     )
     # Per condition: the error of each succeeded cell, and why each failed one failed.
     errors = {COND_PIPELINE: {}, COND_RAW_CPD: {}}

@@ -505,8 +505,9 @@ def quaternion_to_rotation(quaternion) -> np.ndarray:
     ])
 
 
-def sample_mesh_surface(mesh: Mesh, count: int, rng=None):
-    """Area-weighted random points on a mesh surface.
+def sample_mesh_surface(mesh: Mesh, count: int, rng: np.random.Generator):
+    """Area-weighted random points on a mesh surface, drawn from the Generator
+    ``rng``, such as a :func:`stream`; anything else is a ValidationError.
 
     Returns ``(points, face_indices, barycentric)`` so the same sample
     pattern can be re-posed on a deformed copy of the mesh (same topology)
@@ -514,7 +515,8 @@ def sample_mesh_surface(mesh: Mesh, count: int, rng=None):
     """
     if not 1 <= count <= MAX_SURFACE_SAMPLES:
         raise ValidationError(f"sample count must be in [1, {MAX_SURFACE_SAMPLES}], got {count}")
-    rng = np.random.default_rng(rng)
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     tri = mesh.vertices[mesh.faces]
     areas = triangle_areas(tri)
     total = areas.sum()

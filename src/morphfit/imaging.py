@@ -179,39 +179,46 @@ def splat_position_image(model, view: CameraView,
     winners are ranked by (depth, index) and splatted.
 
     The per-point arrays are gathered only when a point is dropped: one
-    behind the camera, or one whose disc cannot reach the frame.
+    behind the camera, or one whose disc cannot reach the frame.  A
+    non-finite point, whose camera coordinates turn NaN or infinite without
+    a warning, is always one of those, and is refused there.
     """
     if not 0 <= splat_radius <= MAX_SPLAT_RADIUS:
         raise ValidationError(
             f"splat_radius must be in [0, {MAX_SPLAT_RADIUS}], got {splat_radius}")
     pts = model.points if isinstance(model, PointCloud) else np.asarray(model, np.float64)
     width, height = view.resolution
-    cam = view.to_camera(pts)
-    # The points kept so far, by position in ``pts``; None while none is dropped.
-    index = None
-    front = cam[:, 2] > 0.0
-    if not front.all():
-        index = np.flatnonzero(front)
-        cam = cam[index]
-    if not len(cam):
-        raise EmptyRenderError("no model point in front of the camera")
-    fx, fy = view.focal
-    cx, cy = view.principal_point
-    depth = cam[:, 2]
-    inv_z = 1.0 / depth
-    # Only the projection reads the camera x and y, so it runs in their place.
-    u, v = cam[:, 0], cam[:, 1]
-    u *= fx
-    u *= inv_z
-    u += cx
-    v *= fy
-    v *= inv_z
-    v += cy
+    with np.errstate(invalid="ignore"):
+        cam = view.to_camera(pts)
+        # The points kept so far, by position in ``pts``; None while none is dropped.
+        index = None
+        front = cam[:, 2] > 0.0
+        if not front.all():
+            if not np.isfinite(pts[~front]).all():
+                raise ValidationError("model points contain non-finite values")
+            index = np.flatnonzero(front)
+            cam = cam[index]
+        if not len(cam):
+            raise EmptyRenderError("no model point in front of the camera")
+        fx, fy = view.focal
+        cx, cy = view.principal_point
+        depth = cam[:, 2]
+        inv_z = 1.0 / depth
+        # Only the projection reads the camera x and y, so it runs in their place.
+        u, v = cam[:, 0], cam[:, 1]
+        u *= fx
+        u *= inv_z
+        u += cx
+        v *= fy
+        v *= inv_z
+        v += cy
     # Only a point projecting within the radius of the frame can light a
     # pixel; key those by their projection pixel on the padded grid.
     radius = splat_radius
     reach = (u >= -radius) & (u < width + radius) & (v >= -radius) & (v < height + radius)
     if not reach.all():
+        if not np.isfinite(pts[~reach if index is None else index[~reach]]).all():
+            raise ValidationError("model points contain non-finite values")
         kept = np.flatnonzero(reach)
         index = kept if index is None else index[kept]
         depth, u, v = depth[kept], u[kept], v[kept]

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from helpers import SyntheticCategory  # noqa: E402
+from helpers import SyntheticCategory, densify_recipe  # noqa: E402
 
 from morphfit import (  # noqa: E402
     cpd_nonrigid, dataset, evaluation, geometry, sample_mesh_surface, viewpoint_sphere,
@@ -48,6 +48,13 @@ def sample_calls(monkeypatch):
 
     monkeypatch.setattr(dataset, "sample_mesh_surface", counted)
     return calls
+
+
+@pytest.fixture
+def densify():
+    """The tests' small-render densify recipe (``helpers.densify_recipe``) for one test."""
+    with densify_recipe():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,10 @@ deformation fields so tests can compare against exact values.
 """
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+import pytest
 from scipy.interpolate import RBFInterpolator
 from scipy.spatial.distance import cdist
 
@@ -20,9 +23,22 @@ from morphfit import (
     gaussian_kernel,
     space_from_fields,
 )
+from morphfit import dataset
 from morphfit.cpd import e_step
 from morphfit.dataset import default_cloud_leaf
 from morphfit.imaging import DeformationImage, ZoomResult
+
+
+@contextlib.contextmanager
+def densify_recipe(per_pixel: float = 4.0, maximum: int = 15000):
+    """The densify recipe, ``dataset.DENSIFY_PER_PIXEL`` and ``DENSIFY_MAX``,
+    set to ``per_pixel`` and ``maximum`` inside the block.  The defaults are
+    dense enough for the tests' small renders, at far fewer samples than the
+    commands' recipe; the ``densify`` fixture sets them for one test."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset, "DENSIFY_PER_PIXEL", per_pixel)
+        patch.setattr(dataset, "DENSIFY_MAX", maximum)
+        yield
 
 
 def sphere_cloud(count: int, radius: float = 1.0, seed: int = 0) -> PointCloud:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import SyntheticCategory, icosphere, smooth_weights, sphere_cloud
+from helpers import SyntheticCategory, densify_recipe, icosphere, smooth_weights, sphere_cloud
 
 from morphfit import (
     PointCloud,
@@ -42,7 +42,7 @@ from morphfit.geometry import expand_kernel
 ACCEPTANCE_LINES: list = []
 _SUITE_START = None
 
-FAST = dict(densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72))
+FAST = dict(zoom_resolution=(96, 72))  # with the densify fixture's small-render recipe
 
 
 def criterion(num, name):
@@ -74,10 +74,11 @@ def criterion(num, name):
 def gt_rows(category, eval_views):
     """Noise-free GT-oracle sweep shared by criteria 5 and 7."""
     mesh, cloud, _ = category.held_out()
-    rows = pose_noise_experiment(
-        category.space, mesh, cloud, eval_views, OracleSpec("ground_truth"),
-        category.canonical_mesh, instance_label="held-out", seed=0, **FAST,
-    )
+    with densify_recipe():
+        rows = pose_noise_experiment(
+            category.space, mesh, cloud, eval_views, OracleSpec("ground_truth"),
+            category.canonical_mesh, instance_label="held-out", seed=0, **FAST,
+        )
     return {row.condition: row for row in rows}
 
 
@@ -177,10 +178,11 @@ def test_criterion_6_dataset_arithmetic(tmp_path):
     for size in expected:
         cat = SyntheticCategory(n_instances=size - 3)
         out = tmp_path / f"size-{size}"
-        records = generate_dataset(
-            cat.canonical_mesh, cat.instance_meshes, cat.fields, views, [0.25], out, seed=size,
-            densify_per_pixel=2.0, densify_max=8000, zoom_resolution=(64, 48),
-        )
+        with densify_recipe(2.0, 8000):
+            records = generate_dataset(
+                cat.canonical_mesh, cat.instance_meshes, cat.fields, views, [0.25], out,
+                seed=size, zoom_resolution=(64, 48),
+            )
         header, parsed = read_manifest(out / "manifest.jsonl")
         assert header["records"] == len(parsed) == len(records)
         manifest_counts[size] = header["records"]
@@ -194,7 +196,7 @@ def test_criterion_6_dataset_arithmetic(tmp_path):
 
 
 @criterion(7, "pose noise degrades the pipeline")
-def test_criterion_7_pose_noise(category, eval_views, gt_rows):
+def test_criterion_7_pose_noise(category, eval_views, gt_rows, densify):
     mesh, cloud, _ = category.held_out()
     draws = 5
     noisy_rows = pose_noise_experiment(

@@ -36,9 +36,7 @@ from morphfit import cpd as cpd_module
 from morphfit import dataset as dataset_module
 from morphfit import geometry as geometry_module
 from morphfit.cli import _load_camera, _views_for, build_parser, main, validate_config
-from morphfit.dataset import (
-    DENSIFY_MAX, DENSIFY_PER_PIXEL, densify_count, mesh_cloud, register_instances,
-)
+from morphfit.dataset import DENSIFY_MAX, densify_count, mesh_cloud, register_instances
 
 PACKAGE_ROOT = str(Path(morphfit.__file__).resolve().parents[1])
 
@@ -633,15 +631,14 @@ def pose_path(mesh_dir):
 
 
 class TestPoseFile:
-    def test_manifest_pose_round_trips(self, category, tmp_path):
+    def test_manifest_pose_round_trips(self, category, tmp_path, densify):
         # A record's pose is the world-to-camera rotation and translation of
         # the view it was rendered from, in the form --pose reads.
         view = look_at([0.07, -0.04, 0.6], focal=(103.125, 99.5),
                        principal_point=(50.0, 33.0), resolution=(96, 72))
         (record,) = generate_dataset(
             category.canonical_mesh, category.instance_meshes[:1], category.fields[:1],
-            [view], [0.0], tmp_path / "data", seed=9,
-            densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72),
+            [view], [0.0], tmp_path / "data", seed=9, zoom_resolution=(96, 72),
         )
         pose_path = tmp_path / "pose.json"
         pose_path.write_text(json.dumps(record.pose))
@@ -996,9 +993,8 @@ class TestRegister:
             self, mesh_dir, space_path, pose_path, tmp_path, category, cpd_calls, sample_calls):
         near = _load_camera(pose_path, (96, 72))
         far = look_at(5.0 * near.position, focal=near.focal, resolution=(96, 72))
-        near_count, far_count = (
-            densify_count(category.canonical_mesh, [view], DENSIFY_PER_PIXEL, DENSIFY_MAX)
-            for view in (near, far))
+        near_count, far_count = (densify_count(category.canonical_mesh, [view])
+                                 for view in (near, far))
         assert near_count == DENSIFY_MAX > far_count
         far_path = tmp_path / "far.json"
         write_pose(far_path, far)

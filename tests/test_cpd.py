@@ -207,15 +207,15 @@ class TestCpdMStep:
 
     def test_failed_factorization_raises_solver_error(self, monkeypatch):
         # LAPACK reports a non-positive pivot by info > 0; the third
-        # factorization here reports one.
-        dpotrf, factorizations = cpd.dpotrf, []
+        # factor-and-solve here reports one.
+        dposv, factorizations = cpd.dposv, []
 
-        def failing_dpotrf(a, **kwargs):
+        def failing_dposv(a, b, **kwargs):
             factorizations.append(a.shape)
-            factor, info = dpotrf(a, **kwargs)
-            return factor, (2 if len(factorizations) == 3 else info)
+            factor, solution, info = dposv(a, b, **kwargs)
+            return factor, solution, (2 if len(factorizations) == 3 else info)
 
-        monkeypatch.setattr(cpd, "dpotrf", failing_dpotrf)
+        monkeypatch.setattr(cpd, "dposv", failing_dposv)
         with pytest.raises(SolverError, match="not positive definite") as exc:
             cpd_nonrigid(sphere_cloud(70, seed=29), sphere_cloud(50, seed=30),
                          CpdConfig(beta=1.0))

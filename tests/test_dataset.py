@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import SyntheticCategory, per_pixel_target
+from helpers import SyntheticCategory, densify_recipe, per_pixel_target
 
 from morphfit import (
     CpdConfig,
@@ -46,7 +46,10 @@ def small_views(count=2, resolution=(96, 72)):
     )
 
 
-GEN_KW = dict(densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72))
+GEN_KW = dict(zoom_resolution=(96, 72))
+# Every test densifies by the small-render recipe; the module-scoped
+# fixture sets it itself.
+pytestmark = pytest.mark.usefixtures("densify")
 
 
 class TestInterpolateInstance:
@@ -112,10 +115,11 @@ class TestCountFormula:
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory, category):
     out = tmp_path_factory.mktemp("dataset")
-    records = generate_dataset(
-        category.canonical_mesh, category.instance_meshes, category.fields, small_views(),
-        [0.0, 0.5], out, seed=5, **GEN_KW
-    )
+    with densify_recipe():
+        records = generate_dataset(
+            category.canonical_mesh, category.instance_meshes, category.fields, small_views(),
+            [0.0, 0.5], out, seed=5, **GEN_KW
+        )
     return out, records
 
 
@@ -338,7 +342,8 @@ class TestDensifyMesh:
                             lambda tri: calls.append(1) or areas(tri))
         mesh = Mesh(category.canonical_mesh.vertices, category.canonical_mesh.faces)
         views = small_views(2)
-        counts = [densify_count(mesh, views, 4.0, 10**6) for _ in range(2)]
+        with densify_recipe(4.0, 10**6):
+            counts = [densify_count(mesh, views) for _ in range(2)]
         assert calls == [1]
         distance = np.mean([np.linalg.norm(view.position) for view in views])
         area = areas(mesh.vertices[mesh.faces]).sum()
@@ -347,8 +352,8 @@ class TestDensifyMesh:
     def test_infinite_pixel_count_takes_the_cap(self, category):
         # A finite focal product whose pixel count overflows to inf.
         view = look_at([0, 0, 0.01], focal=(1e154, 1e154))
-        points, _, _ = densify_mesh(category.canonical_mesh, [view], 20.0, 500,
-                                    np.random.default_rng(0))
+        with densify_recipe(20.0, 500):
+            points, _, _ = densify_mesh(category.canonical_mesh, [view], np.random.default_rng(0))
         assert len(points) == 500
 
 

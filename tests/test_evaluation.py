@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import per_pixel_target
+from helpers import densify_recipe, per_pixel_target
 
 from morphfit import (
     CpdConfig,
@@ -37,7 +37,10 @@ from morphfit.evaluation import (
 )
 from morphfit.imaging import PositionImage, splat_position_image, target_field
 
-FAST = dict(densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72))
+FAST = dict(zoom_resolution=(96, 72))
+# Every test densifies by the small-render recipe; the module- and
+# class-scoped fixtures set it themselves.
+pytestmark = pytest.mark.usefixtures("densify")
 
 
 class TestRegistrationError:
@@ -100,10 +103,11 @@ def held_out(category):
 @pytest.fixture(scope="module")
 def gt_rows(category, held_out, few_views):
     mesh, cloud = held_out
-    return pose_noise_experiment(
-        category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
-        category.canonical_mesh, instance_label="held-out", seed=3, **FAST,
-    )
+    with densify_recipe():
+        return pose_noise_experiment(
+            category.space, mesh, cloud, few_views, OracleSpec("ground_truth"),
+            category.canonical_mesh, instance_label="held-out", seed=3, **FAST,
+        )
 
 
 def test_canonical_kernel_formed_once_per_sweep(category, held_out, few_views, monkeypatch):
@@ -260,8 +264,7 @@ class TestEvaluateInstance:
         points = category.space.canonical.points
         fields = [
             prepare_instance(category.space, mesh, cloud, few_views, oracle,
-                             category.canonical_mesh, densify_per_pixel=4.0,
-                             densify_max=15000, instance_label="held-out")[2](points)
+                             category.canonical_mesh, instance_label="held-out")[2](points)
             for oracle in (truth, external, truth)
         ]
         assert cpd_calls == [1]
@@ -274,7 +277,6 @@ class TestEvaluateInstance:
         mesh, cloud = held_out
         prepared = prepare_instance(category.space, mesh, cloud, few_views,
                                     OracleSpec("ground_truth"), category.canonical_mesh,
-                                    densify_per_pixel=4.0, densify_max=15000,
                                     instance_label="held-out")
         for dense in prepared[:2]:
             with pytest.raises(ValueError, match="read-only"):
@@ -331,11 +333,9 @@ class TestTargetValues:
         monkeypatch.setattr(evaluation_module, "target_field", keep_deltas)
         mesh, cloud = held_out
         oracle = OracleSpec("ground_truth")
-        options = dict(densify_per_pixel=FAST["densify_per_pixel"],
-                       densify_max=FAST["densify_max"])
         canonical_dense, observed_dense, true_field = prepare_instance(
             category.space, mesh, cloud, few_views[:1], oracle, category.canonical_mesh,
-            instance_label="held-out", **options,
+            instance_label="held-out",
         )
         delta_true = seen["deltas"]
         offset = np.array([0.004, -0.003, 0.002])
@@ -375,11 +375,11 @@ class TestCompleteView:
     @pytest.fixture(scope="class")
     def inputs(self, category, held_out, few_views):
         mesh, cloud = held_out
-        canonical_dense, observed_dense, true_field = prepare_instance(
-            category.space, mesh, cloud, few_views[:1], OracleSpec("ground_truth"),
-            category.canonical_mesh, instance_label="held-out",
-            densify_per_pixel=FAST["densify_per_pixel"], densify_max=FAST["densify_max"],
-        )
+        with densify_recipe():
+            canonical_dense, observed_dense, true_field = prepare_instance(
+                category.space, mesh, cloud, few_views[:1], OracleSpec("ground_truth"),
+                category.canonical_mesh, instance_label="held-out",
+            )
         observed = splat_position_image(observed_dense, few_views[0])
         return canonical_dense, observed, few_views[0], true_field
 

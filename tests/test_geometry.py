@@ -523,7 +523,7 @@ class TestQuaternions:
 class TestSampleMeshSurface:
     def test_points_lie_on_faces(self):
         mesh = icosphere(1, radius=2.0)
-        pts, face_idx, bary = sample_mesh_surface(mesh, 500, rng=15)
+        pts, face_idx, bary = sample_mesh_surface(mesh, 500, np.random.default_rng(15))
         recombined = np.einsum("ij,ijk->ik", bary, mesh.vertices[mesh.faces[face_idx]])
         np.testing.assert_allclose(pts, recombined, atol=1e-12)
         np.testing.assert_allclose(bary.sum(axis=1), 1.0, atol=1e-12)
@@ -536,22 +536,31 @@ class TestSampleMeshSurface:
             [10, 0, 0], [13, 0, 0], [10, 3, 0],
         ], dtype=float)
         mesh = Mesh(verts, [[0, 1, 2], [3, 4, 5]])
-        _, face_idx, _ = sample_mesh_surface(mesh, 20000, rng=16)
+        _, face_idx, _ = sample_mesh_surface(mesh, 20000, np.random.default_rng(16))
         big = (face_idx == 1).mean()
         assert 0.87 <= big <= 0.93
 
     def test_count_bounded_before_any_allocation(self):
-        assert len(sample_mesh_surface(icosphere(1), MAX_SURFACE_SAMPLES, rng=0)[0]) \
+        rng = np.random.default_rng(0)
+        assert len(sample_mesh_surface(icosphere(1), MAX_SURFACE_SAMPLES, rng)[0]) \
             == MAX_SURFACE_SAMPLES
         for count in (0, MAX_SURFACE_SAMPLES + 1, 10**11):
             with pytest.raises(ValidationError,
                                match=f"in \\[1, {MAX_SURFACE_SAMPLES}\\], got {count}$"):
-                sample_mesh_surface(icosphere(1), count, rng=0)
+                sample_mesh_surface(icosphere(1), count, rng)
+
+    @pytest.mark.parametrize("rng", [None, 17, np.random.RandomState(17)],
+                             ids=["none", "int", "random-state"])
+    def test_only_a_generator_is_taken(self, rng):
+        # None would draw unseeded from OS entropy and an int would seed a
+        # generator outside geometry.stream; both are refused.
+        with pytest.raises(ValidationError, match="^rng must be a numpy Generator, got "):
+            sample_mesh_surface(icosphere(1), 64, rng)
 
     def test_deterministic_given_seed(self):
         mesh = icosphere(1)
-        a = sample_mesh_surface(mesh, 64, rng=17)[0]
-        b = sample_mesh_surface(mesh, 64, rng=17)[0]
+        a = sample_mesh_surface(mesh, 64, np.random.default_rng(17))[0]
+        b = sample_mesh_surface(mesh, 64, np.random.default_rng(17))[0]
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("count", [1, _BARY_BLOCK - 1, _BARY_BLOCK, _BARY_BLOCK + 1, 60000])
@@ -571,7 +580,7 @@ class TestSampleMeshSurface:
     ], ids=["icosphere", "zero-area-faces", "more-faces-than-cells"])
     def test_matches_generator_choice_and_one_einsum(self, mesh):
         for seed, count in enumerate([1, 2, 7, 100, 1000, _BARY_BLOCK + 1, 60000]):
-            got = sample_mesh_surface(mesh, count, rng=seed)
+            got = sample_mesh_surface(mesh, count, np.random.default_rng(seed))
             want = _reference_samples(mesh, count, seed)
             for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -766,12 +766,18 @@ class TestNonFiniteGuards:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_never_reaches_the_image(self, bad):
-        view = look_at([0, 0, 1.0], resolution=(16, 12), focal=(10.0, 10.0))
-        points = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [bad, 0.0, 0.5]])
-        with np.errstate(invalid="ignore"):
-            img = splat_position_image(points, view)
-        np.testing.assert_array_equal(_checked(img, "position image").data,
-                                      splat_position_image(points[:2], view).data)
+        # A non-finite point fails the front or the reach test, by a NaN or
+        # infinite depth or projection: it is refused there, not dropped, and
+        # no RuntimeWarning escapes on the way.  Under the tilted camera an
+        # infinite coordinate gives infinite x, y and depth, projected as inf * 0.
+        for eye in ([0, 0, 1.0], [0.3, -0.2, 1.0]):
+            view = look_at(eye, resolution=(16, 12), focal=(10.0, 10.0))
+            for axis in range(3):
+                points = np.array([[0.0, 0.0, 0.0], [0.01, 0.0, 0.0], [0.0, 0.0, 0.5]])
+                points[2, axis] = bad
+                with pytest.raises(ValidationError,
+                                   match="^model points contain non-finite values$"):
+                    splat_position_image(points, view)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_winning_point_rejected(self, bad):

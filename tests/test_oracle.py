@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import SyntheticCategory
+from helpers import SyntheticCategory, densify_recipe
 
 from morphfit import (
     DeformationImage,
@@ -27,11 +27,12 @@ from morphfit.imaging import ZoomResult
 @pytest.fixture(scope="module")
 def sample_record(tmp_path_factory, category):
     views = viewpoint_sphere(1, 0.6, focal=(103.125, 103.125), resolution=(96, 72))
-    records = generate_dataset(
-        category.canonical_mesh, category.instance_meshes[:1], category.fields[:1],
-        views, [0.0], tmp_path_factory.mktemp("oracle-data"),
-        seed=9, densify_per_pixel=4.0, densify_max=15000, zoom_resolution=(96, 72),
-    )
+    with densify_recipe():
+        records = generate_dataset(
+            category.canonical_mesh, category.instance_meshes[:1], category.fields[:1],
+            views, [0.0], tmp_path_factory.mktemp("oracle-data"),
+            seed=9, zoom_resolution=(96, 72),
+        )
     assert records[0].status == "ok"
     return records[0]
 

@@ -129,16 +129,17 @@ def test_only_io_names_partial_files():
 
 
 def test_only_geometry_seeds_streams():
-    """geometry.stream is the one place that builds a SeedSequence; every
-    other draw asks it for a named stream."""
+    """geometry.stream is the one place that builds a SeedSequence or a
+    generator; every other draw asks it for a named stream."""
     offenders = []
     for source in sorted(Path(morphfit.__file__).parent.rglob("*.py")):
-        if source.name == "geometry.py":
-            continue
         tree = ast.parse(source.read_text())
+        if source.name == "geometry.py":
+            tree.body = [node for node in tree.body if getattr(node, "name", None) != "stream"]
         offenders += [f"{source.name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Name) and node.id == "SeedSequence"
-                      or isinstance(node, ast.Attribute) and node.attr == "SeedSequence"]
+                      if isinstance(node, ast.Name) and node.id in ("SeedSequence", "default_rng")
+                      or isinstance(node, ast.Attribute)
+                      and node.attr in ("SeedSequence", "default_rng")]
     assert offenders == []
 
 
@@ -175,9 +176,9 @@ def test_only_imaging_rasterizes_targets():
 
 
 def test_each_pipeline_default_is_one_constant():
-    """The image size, splat radius, densify recipe and focal rule are each decided
-    once: every signature default and command-line default for them is that constant."""
-    from morphfit import cli, dataset, geometry, imaging
+    """The image size, splat radius and focal rule are each decided once: every
+    signature default and command-line default for them is that constant."""
+    from morphfit import cli, geometry, imaging
 
     constants = {
         "resolution": geometry.DEFAULT_VIEW_RESOLUTION,
@@ -185,8 +186,6 @@ def test_each_pipeline_default_is_one_constant():
         "target_resolution": geometry.DEFAULT_VIEW_RESOLUTION,
         "focal": geometry.DEFAULT_FOCAL,
         "splat_radius": imaging.DEFAULT_SPLAT_RADIUS,
-        "densify_per_pixel": dataset.DENSIFY_PER_PIXEL,
-        "densify_max": dataset.DENSIFY_MAX,
     }
     checked, drifted = set(), []
     for source in sorted(Path(morphfit.__file__).parent.glob("[!_]*.py")):
@@ -222,13 +221,33 @@ def test_each_pipeline_default_is_one_constant():
     expected |= {f"{fn}.{name}" for fn in ("complete_view", "pose_noise_experiment",
                                            "generate_dataset")
                  for name in ("zoom_resolution", "splat_radius")}
-    expected |= {f"{fn}.{name}" for fn in ("prepare_instance", "pose_noise_experiment",
-                                           "generate_dataset")
-                 for name in ("densify_per_pixel", "densify_max")}
     expected |= {f"{command} {flag}" for command in ("gen-dataset", "register", "evaluate",
                                                      "pose-noise-eval")
                  for flag in ("--res", "--splat-radius")}
     assert checked == expected
+
+
+def test_densify_recipe_is_read_in_one_place():
+    """The densify recipe is two constants that densify_count reads at call time:
+    no function or class takes it as a parameter, and no other code reads them."""
+    recipe = {"DENSIFY_PER_PIXEL", "DENSIFY_MAX"}
+    parameters = {"densify_per_pixel", "densify_max", "per_pixel", "max_points"}
+    taking, readers = [], set()
+    for source in sorted(Path(morphfit.__file__).parent.rglob("*.py")):
+        tree = ast.parse(source.read_text())
+        taking += [f"{source.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.arg) and node.arg in parameters
+                   or isinstance(node, ast.AnnAssign)
+                   and getattr(node.target, "id", None) in parameters]
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias) else None)
+                if name in recipe:
+                    readers.add(f"{source.stem}.{getattr(top, 'name', top.lineno)}")
+    assert taking == []
+    assert readers == {"dataset.densify_count"}
 
 
 def test_each_numeric_flag_has_one_rule():
